@@ -48,6 +48,7 @@ from .shallow import (
     CircuitDag,
     Gate,
     RelationInstance,
+    backward_cone_sizes,
     backward_lightcone,
     build_strategy_dag,
     check_relation,

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success (including a found solution), 3 proven no-solution
-(a result, not an error), 2 usage or parse problems, 1 internal failures or
-violated exactness invariants.  Stochastic commands require --seed and are
-byte-reproducible: trial t uses the Philox stream spawned from (seed, t),
-so results do not depend on --jobs chunking.
+(a result, not an error), 2 usage or parse problems or an unusable path, 1
+internal failures or violated exactness invariants.  Stochastic commands
+require --seed and are byte-reproducible: trial t uses the Philox stream
+spawned from (seed, t), so results do not depend on --jobs chunking.
 """
 from __future__ import annotations
 
@@ -47,11 +47,7 @@ def _certificate_payload(cert: bcs_mod.Certificate, mode: str) -> dict:
 
 
 def cmd_solve(args) -> int:
-    try:
-        text = Path(args.path).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    text = Path(args.path).read_text()
     try:
         system = bcs_mod.parse_bcs(text)
     except ValueError as exc:
@@ -217,11 +213,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_lightcone(args) -> int:
     if args.dag:
-        try:
-            dag = shallow.dag_from_json(Path(args.dag).read_text())
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error loading dag: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        dag = shallow.dag_from_json(Path(args.dag).read_text())
     else:
         dag = shallow.build_strategy_dag(args.sites)
     payload = {
@@ -233,9 +225,7 @@ def cmd_lightcone(args) -> int:
     }
     out_groups = dag.alice_outputs + dag.bob_outputs
     if out_groups:
-        payload["max_backward_cone"] = max(
-            len(shallow.backward_lightcone(dag, group)) for group in out_groups
-        )
+        payload["max_backward_cone"] = max(shallow.backward_cone_sizes(dag, out_groups))
         payload["backward_cone_cap"] = 3 * dag.max_fan_in ** dag.depth
     if dag.n_sites >= 2:
         prob = shallow.lightcone_disjoint_probability(dag)
@@ -360,7 +350,8 @@ def main(argv=None) -> int:
             parser.error(f"--{attr} must be at least 1")
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # malformed input or an unusable path, wherever a command meets it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

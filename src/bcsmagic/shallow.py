@@ -22,8 +22,12 @@ The sampling variant plays on the uncorrected state and succeeds outright
 when every parity is +1, which happens with probability 1/64.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
-wires; forward and backward lightcones are plain support propagation, and
-the disjointness probability enumerates every (j, k) site pair exactly.
+wires, validated and indexed by layer once, when the wiring is built.
+Lightcones are support propagation, bit-sliced: one layered sweep carries
+one integer bitset per wire, bit q marking membership in the cone of seed
+set q, so every site's cone comes out of a single pass.  The disjointness
+probability counts every crossing (j, k) site pair exactly from two such
+sweeps.
 """
 from __future__ import annotations
 
@@ -261,21 +265,29 @@ class CircuitDag:
     bob_outputs: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._readers: dict[int, list[int]] | None = None
+        """Validate the wiring, then index its gates by layer.
+
+        Layers and wire ids must be plain ``int`` (not bool or float).  Call
+        again after editing ``gates`` or the site groups in place.
+        """
         n_wires = len(self.wire_kinds)
+        for w, kind in enumerate(self.wire_kinds):
+            if kind not in ("c", "q"):
+                raise ValueError(f"wire {w} has kind {kind!r}, not 'c' or 'q'")
+        for g in self.gates:
+            if type(g.layer) is not int or g.layer < 1:
+                raise ValueError(f"gate layers are integers from 1, got {g.layer!r}")
         first_written: dict[int, int] = {}
         written_at: set[tuple[int, int]] = set()
         for g in sorted(self.gates, key=lambda g: g.layer):
-            if g.layer < 1:
-                raise ValueError("gate layers start at 1")
             for w in g.inputs:
-                if not 0 <= w < n_wires:
-                    raise ValueError(f"gate reads unknown wire {w}")
+                if type(w) is not int or not 0 <= w < n_wires:
+                    raise ValueError(f"gate reads unknown wire {w!r}")
                 if w in first_written and first_written[w] >= g.layer:
                     raise ValueError(f"wire {w} read at layer {g.layer} before it is produced")
             for w in g.outputs:
-                if not 0 <= w < n_wires:
-                    raise ValueError(f"gate writes unknown wire {w}")
+                if type(w) is not int or not 0 <= w < n_wires:
+                    raise ValueError(f"gate writes unknown wire {w!r}")
                 if (g.layer, w) in written_at:
                     raise ValueError(f"wire {w} written twice in layer {g.layer}")
                 written_at.add((g.layer, w))
@@ -284,9 +296,29 @@ class CircuitDag:
                 if w not in g.inputs:
                     first_written.setdefault(w, g.layer)
 
-    @property
-    def depth(self) -> int:
-        return max((g.layer for g in self.gates), default=0)
+        sides = (self.alice_inputs, self.bob_inputs, self.alice_outputs, self.bob_outputs)
+        if len({len(groups) for groups in sides}) > 1:
+            raise ValueError("Alice's and Bob's input and output lists need one group per site")
+        for groups in sides:
+            for group in groups:
+                for w in group:
+                    if type(w) is not int or not 0 <= w < n_wires:
+                        raise ValueError(f"site group names unknown wire {w!r}")
+        # A shared output wire would credit a crossing to two sites at once.
+        for side, groups in (("Alice", self.alice_outputs), ("Bob", self.bob_outputs)):
+            owner: dict[int, int] = {}
+            for s, group in enumerate(groups):
+                for w in group:
+                    if owner.setdefault(w, s) != s:
+                        raise ValueError(
+                            f"wire {w} is in {side}'s output groups of sites {owner[w]} and {s}"
+                        )
+
+        self.depth = max((g.layer for g in self.gates), default=0)
+        # Gates of layer l, in list order, at index l - 1.
+        self._layers: list[list[Gate]] = [[] for _ in range(self.depth)]
+        for g in self.gates:
+            self._layers[g.layer - 1].append(g)
 
     @property
     def max_fan_in(self) -> int:
@@ -295,14 +327,6 @@ class CircuitDag:
     @property
     def n_sites(self) -> int:
         return len(self.alice_inputs)
-
-    def _reader_index(self) -> dict[int, list[int]]:
-        if self._readers is None:
-            self._readers = {}
-            for gid, g in enumerate(self.gates):
-                for w in g.inputs:
-                    self._readers.setdefault(w, []).append(gid)
-        return self._readers
 
     def to_json(self) -> str:
         return json.dumps(
@@ -320,60 +344,129 @@ class CircuitDag:
         )
 
 
+def _json_object(value, what: str, keys: tuple[str, ...]) -> dict:
+    if not isinstance(value, dict) or not all(key in value for key in keys):
+        raise ValueError(f"{what} must be a JSON object with {', '.join(keys)}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return value
+
+
 def dag_from_json(text: str) -> CircuitDag:
-    payload = json.loads(text)
-    kinds = [""] * len(payload["wires"])
-    for w in payload["wires"]:
-        kinds[w["id"]] = w["kind"]
-    gates = [
-        Gate(g["layer"], tuple(g["inputs"]), tuple(g["outputs"]), g.get("kind", "gate"))
-        for g in payload["gates"]
+    """Parse a wiring; malformed or inconsistent input raises ValueError."""
+    payload = _json_object(json.loads(text), "a wiring", ("wires", "gates"))
+    wires = [
+        _json_object(w, "each wire", ("id", "kind")) for w in _json_list(payload["wires"], "wires")
     ]
-    return CircuitDag(
-        kinds,
-        gates,
-        payload.get("alice_inputs", []),
-        payload.get("bob_inputs", []),
-        payload.get("alice_outputs", []),
-        payload.get("bob_outputs", []),
-    )
+    ids = [w["id"] for w in wires]
+    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids))):
+        raise ValueError("wire ids must be the integers 0..n-1, each once")
+    kinds = [""] * len(wires)
+    for w in wires:
+        kinds[w["id"]] = w["kind"]
+    gates = []
+    for g in _json_list(payload["gates"], "gates"):
+        g = _json_object(g, "each gate", ("layer", "inputs", "outputs"))
+        inputs = tuple(_json_list(g["inputs"], "gate inputs"))
+        outputs = tuple(_json_list(g["outputs"], "gate outputs"))
+        gates.append(Gate(g["layer"], inputs, outputs, g.get("kind", "gate")))
+    groups = {
+        name: [_json_list(group, f"each group of {name}")
+               for group in _json_list(payload.get(name, []), name)]
+        for name in ("alice_inputs", "bob_inputs", "alice_outputs", "bob_outputs")
+    }
+    return CircuitDag(kinds, gates, **groups)
+
+
+def _sweep(dag: CircuitDag, seeds, forward: bool) -> list[int]:
+    """Bit-sliced cone propagation: bit q of entry w is set when wire w lies
+    in the cone of the wire set ``seeds[q]``.
+
+    Forward, every gate of a layer fires on the cones as they stood at the
+    start of that layer and adds its outputs.  Backward, layers run from the
+    deepest down, and within a layer the cones grow gate by gate in list
+    order: a gate whose outputs meet a cone adds its inputs to it.
+    """
+    n_wires = len(dag.wire_kinds)
+    bits = [0] * n_wires
+    for q, group in enumerate(seeds):
+        for w in group:
+            if type(w) is not int or not 0 <= w < n_wires:
+                raise ValueError(f"unknown wire {w!r}")
+            bits[w] |= 1 << q
+    if forward:
+        for layer in dag._layers:
+            fired = []
+            for g in layer:
+                mask = 0
+                for w in g.inputs:
+                    mask |= bits[w]
+                if mask:
+                    fired.append((g.outputs, mask))
+            for outputs, mask in fired:
+                for w in outputs:
+                    bits[w] |= mask
+    else:
+        for layer in reversed(dag._layers):
+            for g in layer:
+                mask = 0
+                for w in g.outputs:
+                    mask |= bits[w]
+                if mask:
+                    for w in g.inputs:
+                        bits[w] |= mask
+    return bits
+
+
+def _bit_positions(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    position = -1
+    while mask:
+        step = (mask & -mask).bit_length()
+        position += step
+        mask >>= step
+        yield position
+
+
+def _one_cone(dag: CircuitDag, wires, forward: bool) -> set[int]:
+    seed = [wires] if isinstance(wires, int) else list(wires)
+    return {w for w, bits in enumerate(_sweep(dag, [seed], forward)) if bits}
 
 
 def forward_lightcone(dag: CircuitDag, wires) -> set[int]:
-    """Wires that the seed set can influence, by layerwise support growth."""
-    seed = {wires} if isinstance(wires, int) else set(wires)
-    for w in seed:
-        if not 0 <= w < len(dag.wire_kinds):
-            raise ValueError(f"unknown wire {w}")
-    cone = set(seed)
-    readers = dag._reader_index()
-    for layer in range(1, dag.depth + 1):
-        fired = {
-            gid
-            for w in cone
-            for gid in readers.get(w, [])
-            if dag.gates[gid].layer == layer
-        }
-        for gid in fired:
-            cone.update(dag.gates[gid].outputs)
-    return cone
+    """Wires that the seed set can influence, by layerwise support growth;
+    a gate fires on the cone as it stood at the start of its layer."""
+    return _one_cone(dag, wires, forward=True)
 
 
 def backward_lightcone(dag: CircuitDag, wires) -> set[int]:
     """Wires the outputs may depend on; at most |O| K^D of them."""
-    seed = {wires} if isinstance(wires, int) else set(wires)
-    for w in seed:
-        if not 0 <= w < len(dag.wire_kinds):
-            raise ValueError(f"unknown wire {w}")
-    cone = set(seed)
-    by_layer: dict[int, list[Gate]] = {}
-    for g in dag.gates:
-        by_layer.setdefault(g.layer, []).append(g)
-    for layer in range(dag.depth, 0, -1):
-        for g in by_layer.get(layer, ()):
-            if cone.intersection(g.outputs):
-                cone.update(g.inputs)
-    return cone
+    return _one_cone(dag, wires, forward=False)
+
+
+def backward_cone_sizes(dag: CircuitDag, groups) -> list[int]:
+    """Size of the backward lightcone of every wire group, from one sweep."""
+    sizes = [0] * len(groups)
+    for bits in _sweep(dag, groups, forward=False):
+        for q in _bit_positions(bits):
+            sizes[q] += 1
+    return sizes
+
+
+def _reach(dag: CircuitDag, inputs, outputs) -> list[int]:
+    """Per output group, the bitset of input groups whose forward cone meets it."""
+    bits = _sweep(dag, inputs, forward=True)
+    reach = []
+    for group in outputs:
+        mask = 0
+        for w in group:
+            mask |= bits[w]
+        reach.append(mask)
+    return reach
 
 
 def lightcone_disjoint_probability(dag: CircuitDag, N: int | None = None) -> float:
@@ -385,29 +478,16 @@ def lightcone_disjoint_probability(dag: CircuitDag, N: int | None = None) -> flo
     if sites < 2:
         raise ValueError("need at least two sites")
 
-    site_of_bob_out = {w: s for s, group in enumerate(dag.bob_outputs) for w in group}
-    site_of_alice_out = {w: s for s, group in enumerate(dag.alice_outputs) for w in group}
-
-    bad_from_alice: list[set[int]] = []
-    for s in range(sites):
-        cone = forward_lightcone(dag, dag.alice_inputs[s])
-        bad_from_alice.append({site_of_bob_out[w] for w in cone if w in site_of_bob_out})
-    bad_from_bob: list[set[int]] = []
-    for s in range(sites):
-        cone = forward_lightcone(dag, dag.bob_inputs[s])
-        bad_from_bob.append({site_of_alice_out[w] for w in cone if w in site_of_alice_out})
-
-    bad_pairs = set()
-    for j in range(sites):
-        for k in bad_from_alice[j]:
-            if k > j:
-                bad_pairs.add((j, k))
-    for k in range(sites):
-        for j in bad_from_bob[k]:
-            if j < k:
-                bad_pairs.add((j, k))
+    # crossing[k] has bit j set when the pair (j, k), j < k, crosses.
+    from_alice = _reach(dag, dag.alice_inputs, dag.bob_outputs)
+    crossing = [reach & ((1 << k) - 1) for k, reach in enumerate(from_alice)]
+    from_bob = _reach(dag, dag.bob_inputs, dag.alice_outputs)
+    for j, reach in enumerate(from_bob):
+        for i in _bit_positions(reach >> (j + 1)):
+            crossing[j + 1 + i] |= 1 << j
+    bad = sum(mask.bit_count() for mask in crossing)
     total = sites * (sites - 1) // 2
-    return 1.0 - len(bad_pairs) / total
+    return 1.0 - bad / total
 
 
 def depth_lower_bound(N: int, K: int, p_clif: float) -> float:

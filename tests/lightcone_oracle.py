@@ -1,0 +1,79 @@
+"""Per-seed lightcone reference for the bit-sliced sweep in ``shallow``.
+
+Each cone is grown from one seed set at a time, with plain Python sets.
+Forward: every gate of a layer fires on the cone as it stood at the start
+of that layer.  Backward: layers run from the deepest down, and within a
+layer the cone grows gate by gate in list order.  The disjointness
+probability collects crossing site pairs into a set.  Slow (O(sites x
+gates)) and obviously correct; the tests compare the fast path against it.
+"""
+from __future__ import annotations
+
+
+def _seed(dag, wires) -> set[int]:
+    seed = {wires} if isinstance(wires, int) else set(wires)
+    for w in seed:
+        if not 0 <= w < len(dag.wire_kinds):
+            raise ValueError(f"unknown wire {w}")
+    return seed
+
+
+def _depth(dag) -> int:
+    return max((g.layer for g in dag.gates), default=0)
+
+
+def forward_lightcone(dag, wires) -> set[int]:
+    cone = _seed(dag, wires)
+    readers: dict[int, list[int]] = {}
+    for gid, g in enumerate(dag.gates):
+        for w in g.inputs:
+            readers.setdefault(w, []).append(gid)
+    for layer in range(1, _depth(dag) + 1):
+        fired = {
+            gid
+            for w in cone
+            for gid in readers.get(w, [])
+            if dag.gates[gid].layer == layer
+        }
+        for gid in fired:
+            cone.update(dag.gates[gid].outputs)
+    return cone
+
+
+def backward_lightcone(dag, wires) -> set[int]:
+    cone = _seed(dag, wires)
+    by_layer: dict[int, list] = {}
+    for g in dag.gates:
+        by_layer.setdefault(g.layer, []).append(g)
+    for layer in range(_depth(dag), 0, -1):
+        for g in by_layer.get(layer, ()):
+            if cone.intersection(g.outputs):
+                cone.update(g.inputs)
+    return cone
+
+
+def lightcone_disjoint_probability(dag) -> float:
+    sites = dag.n_sites
+    site_of_bob_out = {w: s for s, group in enumerate(dag.bob_outputs) for w in group}
+    site_of_alice_out = {w: s for s, group in enumerate(dag.alice_outputs) for w in group}
+
+    bad_from_alice: list[set[int]] = []
+    for s in range(sites):
+        cone = forward_lightcone(dag, dag.alice_inputs[s])
+        bad_from_alice.append({site_of_bob_out[w] for w in cone if w in site_of_bob_out})
+    bad_from_bob: list[set[int]] = []
+    for s in range(sites):
+        cone = forward_lightcone(dag, dag.bob_inputs[s])
+        bad_from_bob.append({site_of_alice_out[w] for w in cone if w in site_of_alice_out})
+
+    bad_pairs = set()
+    for j in range(sites):
+        for k in bad_from_alice[j]:
+            if k > j:
+                bad_pairs.add((j, k))
+    for k in range(sites):
+        for j in bad_from_bob[k]:
+            if j < k:
+                bad_pairs.add((j, k))
+    total = sites * (sites - 1) // 2
+    return 1.0 - len(bad_pairs) / total

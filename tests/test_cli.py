@@ -186,6 +186,66 @@ def test_lightcone_dag_file(tmp_path, capsys):
     assert main(["lightcone", "--dag", str(tmp_path / "nope.json")]) == 2
 
 
+def test_lightcone_2000_sites(capsys):
+    assert main(["lightcone", "--sites", "2000", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sites"] == 2000
+    assert payload["max_fan_in"] == 14
+    assert payload["depth"] == 5
+    assert payload["disjoint_probability"] == 1.0
+    assert payload["max_backward_cone"] == 51
+
+
+def _set_wire_id(wiring, index, value):
+    wiring["wires"][index]["id"] = value
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda w: _set_wire_id(w, 0, len(w["wires"])), id="non-contiguous-ids"),
+    pytest.param(lambda w: _set_wire_id(w, 1, 0), id="repeated-id"),
+    pytest.param(lambda w: _set_wire_id(w, 0, "0"), id="string-id"),
+    pytest.param(lambda w: w["wires"][0].update(kind="x"), id="kind-x"),
+    pytest.param(lambda w: w["wires"][0].update(kind=7), id="kind-7"),
+    pytest.param(lambda w: w["gates"][0].update(inputs=[0.5]), id="float-gate-input"),
+    pytest.param(lambda w: w["gates"][0].update(outputs=3), id="gate-outputs-not-a-list"),
+    pytest.param(lambda w: w["gates"][0].update(layer=1.5), id="float-layer"),
+    pytest.param(lambda w: w["gates"][0].pop("inputs"), id="gate-without-inputs"),
+    pytest.param(lambda w: w["alice_inputs"][0].append(10 ** 6), id="group-wire-out-of-range"),
+    pytest.param(lambda w: w["bob_outputs"][1].extend(w["bob_outputs"][0]), id="shared-output-wire"),
+    pytest.param(lambda w: w["bob_inputs"].pop(), id="groups-per-site-differ"),
+    pytest.param(lambda w: w.pop("gates"), id="no-gates"),
+])
+def test_lightcone_malformed_wiring_exits_2(tmp_path, capsys, corrupt):
+    from bcsmagic.shallow import build_strategy_dag
+
+    wiring = json.loads(build_strategy_dag(3).to_json())
+    corrupt(wiring)
+    path = tmp_path / "dag.json"
+    path.write_text(json.dumps(wiring))
+    assert main(["lightcone", "--dag", str(path)]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[]", "{", '{"wires": {}, "gates": []}'])
+def test_lightcone_wiring_not_an_object_exits_2(tmp_path, text):
+    path = tmp_path / "dag.json"
+    path.write_text(text)
+    assert main(["lightcone", "--dag", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen", "--n", "4"], id="gen"),
+    pytest.param(["solve", "{bcs}", "--mode", "pauli"], id="solve-pauli"),
+    pytest.param(["solve", "{bcs}", "--mode", "classical"], id="solve-classical"),
+    pytest.param(["simulate", "--mode", "relation", "--sites", "5", "--trials", "2", "--seed", "1"],
+                 id="simulate"),
+])
+def test_unusable_out_path_exits_2(tmp_path, mermin_file, capsys, argv):
+    argv = [a.format(bcs=mermin_file) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "missing" / "out.txt")]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_recipes(capsys):
     assert main(["recipes"]) == 0
     out = capsys.readouterr().out

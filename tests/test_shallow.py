@@ -1,7 +1,10 @@
 import itertools
 
+import lightcone_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from swap_oracle import bell_vector, enumerate_swap_branches
 
 from bcsmagic.game import build_game_bcs
@@ -13,6 +16,7 @@ from bcsmagic.shallow import (
     RelationInstance,
     Round1Transcript,
     Round2Result,
+    backward_cone_sizes,
     backward_lightcone,
     build_strategy_dag,
     check_relation,
@@ -320,6 +324,48 @@ def test_forward_lightcone_unknown_wire():
         forward_lightcone(dag, 5)
 
 
+def test_backward_lightcone_unknown_wire():
+    dag = CircuitDag(["c"], [])
+    with pytest.raises(ValueError):
+        backward_lightcone(dag, [0, -1])
+
+
+def test_dag_index_follows_edits():
+    dag = CircuitDag(list("ccc"), [Gate(1, (0,), (1,))])
+    assert dag.depth == 1
+    dag.gates.append(Gate(3, (1,), (2,)))
+    dag.__post_init__()
+    assert dag.depth == 3
+    assert forward_lightcone(dag, 0) == {0, 1, 2}
+    assert backward_lightcone(dag, 2) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d.wire_kinds.__setitem__(0, "x"), "kind"),
+    (lambda d: d.wire_kinds.__setitem__(0, 7), "kind"),
+    (lambda d: d.gates.append(Gate(1.5, (0,), (1,))), "layers"),
+    (lambda d: d.gates.append(Gate(True, (0,), (1,))), "layers"),
+    (lambda d: d.gates.append(Gate(1, (0.5,), (1,))), "reads unknown wire"),
+    (lambda d: d.gates.append(Gate(1, (0,), (True,))), "writes unknown wire"),
+    (lambda d: d.bob_inputs[1].append(99), "site group"),
+    (lambda d: d.alice_outputs.append([4]), "one group per site"),
+    (lambda d: d.alice_outputs[1].append(d.alice_outputs[0][0]), "output groups of sites 0 and 1"),
+])
+def test_dag_rejects_malformed_wiring(change, message):
+    dag = _disconnected_dag(3)
+    change(dag)
+    with pytest.raises(ValueError, match=message):
+        dag.__post_init__()
+
+
+def test_dag_allows_a_wire_in_one_output_group_per_side():
+    dag = _disconnected_dag(3)
+    dag.bob_outputs[2].append(dag.alice_outputs[0][0])
+    dag.alice_outputs[1].append(dag.alice_outputs[1][0])
+    dag.__post_init__()
+    assert lightcone_disjoint_probability(dag) == 1.0
+
+
 def _disconnected_dag(n_sites):
     kinds = []
     a_in, b_in, a_out, b_out = [], [], [], []
@@ -396,6 +442,84 @@ def test_random_local_dags_meet_hardness_bound():
         for s in range(0, n_sites, 17):
             cone = backward_lightcone(dag, dag.alice_outputs[s])
             assert len(cone) <= 3 * 3 ** 4
+
+
+@st.composite
+def valid_wirings(draw):
+    """Small random wirings that the constructor accepts.
+
+    Gates are drawn layer by layer under the constructor's rules: a layer
+    writes each wire at most once, and once a gate writes a wire it does not
+    read, later gates of that layer may not read it.  Transform gates (a wire
+    both read and written) and gates that write a wire an earlier gate of the
+    same layer read are both common, which is where the forward rule (start
+    of layer) and the backward rule (gate by gate) part ways.  The layers
+    are then interleaved in the gate list, keeping each layer's own order.
+    """
+    def some(pool, most, unique=False):
+        return draw(st.lists(st.sampled_from(pool), max_size=most, unique=unique)) if pool else []
+
+    n_wires = draw(st.integers(2, 12))
+    first_written: dict[int, int] = {}
+    by_layer = []
+    for layer in range(1, draw(st.integers(1, 4)) + 1):
+        gates, written = [], set()
+        for _ in range(draw(st.integers(0, 5))):
+            readable = [w for w in range(n_wires) if first_written.get(w) != layer]
+            unwritten = [w for w in range(n_wires) if w not in written]
+            inputs = some(readable, 4)
+            outputs = some(unwritten, 3, unique=True)
+            if outputs and draw(st.booleans()):
+                inputs.append(outputs[0])
+            for w in outputs:
+                written.add(w)
+                if w not in inputs:
+                    first_written.setdefault(w, layer)
+            gates.append(Gate(layer, tuple(inputs), tuple(outputs)))
+        by_layer.append(gates)
+    labels = draw(st.permutations([g.layer for gates in by_layer for g in gates]))
+    queues = [iter(gates) for gates in by_layer]
+    gate_list = [next(queues[layer - 1]) for layer in labels]
+
+    n_sites = draw(st.integers(2, 4))
+    wire = st.integers(0, n_wires - 1)
+
+    def input_groups():
+        return [draw(st.lists(wire, max_size=3)) for _ in range(n_sites)]
+
+    def output_groups():
+        owners = draw(st.lists(st.integers(-1, n_sites - 1), min_size=n_wires, max_size=n_wires))
+        return [[w for w in range(n_wires) if owners[w] == s] for s in range(n_sites)]
+
+    kinds = draw(st.lists(st.sampled_from("cq"), min_size=n_wires, max_size=n_wires))
+    return CircuitDag(kinds, gate_list, input_groups(), input_groups(), output_groups(), output_groups())
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_wirings())
+def test_sweep_matches_per_seed_oracle(dag):
+    seeds = [[w] for w in range(len(dag.wire_kinds))] + dag.alice_inputs + dag.bob_inputs
+    for seed in seeds:
+        assert forward_lightcone(dag, seed) == oracle.forward_lightcone(dag, seed)
+    out_groups = seeds + dag.alice_outputs + dag.bob_outputs
+    for group in out_groups:
+        assert backward_lightcone(dag, group) == oracle.backward_lightcone(dag, group)
+    assert backward_cone_sizes(dag, out_groups) == [
+        len(oracle.backward_lightcone(dag, group)) for group in out_groups
+    ]
+    assert lightcone_disjoint_probability(dag) == oracle.lightcone_disjoint_probability(dag)
+
+
+def test_strategy_dag_cones_match_oracle():
+    dag = build_strategy_dag(24)
+    for s in (0, 11, 23):
+        for group in (dag.alice_inputs[s], dag.bob_inputs[s]):
+            assert forward_lightcone(dag, group) == oracle.forward_lightcone(dag, group)
+    out_groups = dag.alice_outputs + dag.bob_outputs
+    assert backward_cone_sizes(dag, out_groups) == [
+        len(oracle.backward_lightcone(dag, group)) for group in out_groups
+    ]
+    assert lightcone_disjoint_probability(dag) == oracle.lightcone_disjoint_probability(dag)
 
 
 def test_depth_lower_bound_threshold():
