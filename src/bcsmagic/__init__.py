@@ -5,11 +5,11 @@ shallow-circuit relation problems with lightcone hardness checks."""
 from .bcs import (
     Bcs,
     Certificate,
+    InvariantError,
     PauliSolution,
     chsh,
     classical_solve,
     eliminate_free_vars,
-    build_sign_system,
     mermin_peres,
     parse_bcs,
     pauli_solve,

@@ -9,17 +9,24 @@ an explicit assignment or a replayable contradiction certificate.
 
 The operator solver works in three steps:
 
-1. eliminate the variables over GF(2), expressing every dependent variable
-   as a fresh sign unknown times an ascending product of free variables;
-2. substitute those expressions back into the constraints and into the
+1. eliminate the variables over GF(2) once.  The pivot rows express every
+   dependent variable as a sign times an ascending product of free
+   variables; the zero rows' provenance spans the left kernel, the sets of
+   constraints whose product cancels every variable;
+2. substitute those expressions into the constraints and into the
    commutation requirements of co-occurring pairs, bubbling products into
    ascending order while recording, for every swap of distinct free
    variables k < l, a commutator unknown for the pair (k, l); equal
-   neighbours cancel because every variable squares to the identity;
-3. solve the resulting GF(2) "sign system" over the sign and commutator
-   unknowns.  A solution lifts to Pauli strings with one qubit per
-   anticommuting pair; an inconsistency cites, through row provenance, the
-   constraints and commutation facts whose formal product reduces to -1.
+   neighbours cancel because every variable squares to the identity.  The
+   constraints of a kernel vector multiply to a product of swaps alone, so
+   each kernel vector gives one equation over commutator unknowns: the XOR
+   of its constraints' swap pairs equals its accumulated rhs bit;
+3. solve that GF(2) system, one row per kernel vector and one per
+   co-occurring pair, over the commutator unknowns only.  A solution lifts
+   to Pauli strings with one qubit per anticommuting pair, and each
+   dependent variable's sign follows by back-substitution into its pivot
+   row; an inconsistency cites the constraints of the kernel vectors
+   involved, plus the commutation facts, whose formal product reduces to -1.
 
 Constraints are canonicalized at parse time: variable lists are sorted
 ascending and repeats are cancelled in pairs.  The set of distinct variables
@@ -34,6 +41,14 @@ from dataclasses import dataclass, field
 from . import gf2, pauli
 from .gf2 import Gf2System, Inconsistency
 from .pauli import PauliString
+
+
+class InvariantError(Exception):
+    """A self-check of an exact computation failed: a bug, not bad input.
+
+    Not a ``ValueError``, so the command line reports it as an internal
+    failure (exit 1) rather than as malformed input (exit 2).
+    """
 
 
 @dataclass(frozen=True)
@@ -200,6 +215,7 @@ class Elimination:
     free: list[int]
     dependent: list[int]
     expressions: list[FreeVarExpression]
+    reduced: gf2.ReducedSystem
 
 
 def eliminate_free_vars(bcs: Bcs) -> Elimination:
@@ -208,7 +224,9 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
     Pivoting is lowest-index-first, so the free set is the lexicographically
     latest choice.  A dependent variable's expression is the ascending list
     of free variables in its reduced row; each gets a sign unknown.  Free
-    variables stand for themselves.
+    variables stand for themselves.  The reduction is kept: pivot row i
+    belongs to ``dependent[i]``, and the zero rows after them carry the left
+    kernel in their provenance.
     """
     reduced = gf2.row_reduce(incidence_system(bcs))
     pivot_cols = reduced.pivot_cols
@@ -221,22 +239,21 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
         row = reduced.system.matrix.bits[row_i]
         support = tuple(v for v in free if (row >> v) & 1)
         expressions[col] = FreeVarExpression(col, col, support)
-    return Elimination(free, sorted(pivot_cols), expressions)
+    return Elimination(free, sorted(pivot_cols), expressions, reduced)
 
 
 # ---------------------------------------------------------------------------
-# Sign system
+# Swap bookkeeping
 # ---------------------------------------------------------------------------
 
-SignUnknown = tuple  # ("sign", i) or ("comm", k, l) with k < l
-RowTag = tuple  # ("constraint", j) or ("commutation", i, j) with i < j
-
-
-@dataclass
-class SignSystem:
-    unknowns: list[SignUnknown]
-    equations: Gf2System
-    tags: list[RowTag]
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _inversion_parity(blocks: list[tuple[int, ...]], n_vars: int) -> dict[int, int]:
@@ -260,14 +277,7 @@ def _inversion_parity(blocks: list[tuple[int, ...]], n_vars: int) -> dict[int, i
 
 
 def _parity_pairs(parity: dict[int, int]) -> list[tuple[int, int]]:
-    pairs = []
-    for k in sorted(parity):
-        mask = parity[k]
-        while mask:
-            low = mask & -mask
-            pairs.append((k, low.bit_length() - 1))
-            mask ^= low
-    return pairs
+    return [(k, l) for k in sorted(parity) for l in _bits(parity[k])]
 
 
 def co_occurrence_pairs(bcs: Bcs) -> list[tuple[int, int]]:
@@ -281,18 +291,16 @@ def co_occurrence_pairs(bcs: Bcs) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _constraint_row(bcs: Bcs, elim: Elimination, j: int):
-    """Substituted form of constraint j: sign unknowns, pair parity, rhs bit."""
-    c = bcs.constraints[j]
-    blocks = [elim.expressions[v].free_support for v in c.var_indices]
-    sign_unknowns = [v for v in c.var_indices if elim.expressions[v].sign_unknown is not None]
+def _constraint_parity(bcs: Bcs, elim: Elimination, j: int) -> dict[int, int]:
+    """Pair parity of constraint j with every variable substituted."""
+    blocks = [elim.expressions[v].free_support for v in bcs.constraints[j].var_indices]
     cancel = 0
     for block in blocks:
         for b in block:
             cancel ^= 1 << b
-    assert cancel == 0, f"free supports failed to cancel in constraint {j}"
-    parity = _inversion_parity(blocks, bcs.n_vars)
-    return sign_unknowns, parity, 0 if c.rhs == 1 else 1
+    if cancel:
+        raise InvariantError(f"free supports failed to cancel in constraint {j}")
+    return _inversion_parity(blocks, bcs.n_vars)
 
 
 def _commutation_row(bcs: Bcs, elim: Elimination, i: int, j: int):
@@ -300,51 +308,6 @@ def _commutation_row(bcs: Bcs, elim: Elimination, i: int, j: int):
     si = elim.expressions[i].free_support
     sj = elim.expressions[j].free_support
     return _inversion_parity([si, sj, si, sj], bcs.n_vars)
-
-
-def build_sign_system(bcs: Bcs, elim: Elimination) -> SignSystem:
-    """Assemble the GF(2) system over sign and commutator unknowns.
-
-    One row per constraint (substituted expressions, bubble-sorted), then one
-    row per co-occurring variable pair (commutation requirement).  Row tags
-    record the origin of each equation for certificate extraction.
-    """
-    constraint_rows = [_constraint_row(bcs, elim, j) for j in range(len(bcs.constraints))]
-    pair_list = co_occurrence_pairs(bcs)
-    commutation_rows = [_commutation_row(bcs, elim, i, j) for i, j in pair_list]
-
-    comm_pairs: set[tuple[int, int]] = set()
-    for _, parity, _ in constraint_rows:
-        comm_pairs.update(_parity_pairs(parity))
-    for parity in commutation_rows:
-        comm_pairs.update(_parity_pairs(parity))
-
-    unknowns: list[SignUnknown] = [("sign", v) for v in elim.dependent]
-    unknowns.extend(("comm", k, l) for k, l in sorted(comm_pairs))
-    col: dict[SignUnknown, int] = {u: i for i, u in enumerate(unknowns)}
-
-    bits: list[int] = []
-    rhs: list[int] = []
-    tags: list[RowTag] = []
-    for j, (sign_unknowns, parity, rhs_bit) in enumerate(constraint_rows):
-        row = 0
-        for v in sign_unknowns:
-            row ^= 1 << col[("sign", v)]
-        for k, l in _parity_pairs(parity):
-            row ^= 1 << col[("comm", k, l)]
-        bits.append(row)
-        rhs.append(rhs_bit)
-        tags.append(("constraint", j))
-    for (i, j), parity in zip(pair_list, commutation_rows):
-        row = 0
-        for k, l in _parity_pairs(parity):
-            row ^= 1 << col[("comm", k, l)]
-        bits.append(row)
-        rhs.append(0)
-        tags.append(("commutation", i, j))
-
-    matrix = gf2.Gf2Matrix(len(bits), len(unknowns), bits)
-    return SignSystem(unknowns, Gf2System(matrix, rhs), tags)
 
 
 # ---------------------------------------------------------------------------
@@ -385,32 +348,52 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
 
     On success, anticommuting free pairs each get a qubit (sigma_x on the
     smaller variable, sigma_z on the larger), remaining free variables are
-    identities, and dependent variables are signed ordered products.  Free
-    sign unknowns default to +1 and unconstrained commutators to "commute",
-    which keeps the qubit count minimal.  On failure, the provenance of the
-    contradicting sign-system row is split back into constraint and
-    commutation citations.
+    identities, and dependent variables are signed ordered products.
+    Unconstrained commutators default to "commute", which keeps the qubit
+    count minimal.  On failure, the cited kernel vectors' constraints and
+    the cited commutation pairs form the certificate.
     """
     elim = eliminate_free_vars(bcs)
-    system = build_sign_system(bcs, elim)
-    out = gf2.solve(system.equations)
+    reduced = elim.reduced.system
+    rank = len(elim.dependent)
+    kernel = range(rank, reduced.matrix.rows)
+    swaps = [frozenset(_parity_pairs(_constraint_parity(bcs, elim, j)))
+             for j in range(len(bcs.constraints))]
+    swapping = sum(1 << j for j, pairs in enumerate(swaps) if pairs)
+
+    # One row per kernel vector, then one per co-occurring pair, over the
+    # commutator unknowns that occur in some row.
+    row_pairs: list[frozenset[tuple[int, int]]] = []
+    for i in kernel:
+        acc: frozenset[tuple[int, int]] = frozenset()
+        for j in _bits(reduced.provenance[i] & swapping):
+            acc ^= swaps[j]
+        row_pairs.append(acc)
+    pair_list = co_occurrence_pairs(bcs)
+    row_pairs.extend(frozenset(_parity_pairs(_commutation_row(bcs, elim, i, j)))
+                     for i, j in pair_list)
+    comm = sorted(frozenset().union(*row_pairs))
+    col = {p: c for c, p in enumerate(comm)}
+    bits = [sum(1 << col[p] for p in pairs) for pairs in row_pairs]
+    rhs = [reduced.rhs[i] for i in kernel] + [0] * len(pair_list)
+    out = gf2.solve(Gf2System(gf2.Gf2Matrix(len(bits), len(comm), bits), rhs))
 
     if isinstance(out, Inconsistency):
-        constraint_rows: list[int] = []
+        cited = 0
         commutation_rows: list[tuple[int, int]] = []
         for row in sorted(out.rows):
-            tag = system.tags[row]
-            if tag[0] == "constraint":
-                constraint_rows.append(tag[1])
+            if row < len(kernel):
+                cited ^= reduced.provenance[kernel[row]]
             else:
-                commutation_rows.append((tag[1], tag[2]))
-        relation: list[int] = []
-        for j in constraint_rows:
-            relation.extend(bcs.constraints[j].var_indices)
-        return Certificate(tuple(constraint_rows), tuple(commutation_rows), tuple(relation))
+                commutation_rows.append(pair_list[row - len(kernel)])
+        constraint_rows = tuple(_bits(cited))
+        relation = tuple(v for j in constraint_rows for v in bcs.constraints[j].var_indices)
+        return Certificate(constraint_rows, tuple(commutation_rows), relation)
 
-    values = {u: out.assignment[i] for i, u in enumerate(system.unknowns)}
-    anti_pairs = [u[1:] for u in system.unknowns if u[0] == "comm" and values[u]]
+    anti_pairs = [p for p, value in zip(comm, out.assignment) if value]
+    anti = frozenset(anti_pairs)
+    # Bit j: whether constraint j's swaps pick up an odd number of signs.
+    flip = sum(1 << j for j, pairs in enumerate(swaps) if len(pairs & anti) % 2)
     n_qubits = len(anti_pairs)
 
     strings: dict[int, PauliString] = {}
@@ -422,15 +405,16 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
             elif v == l:
                 z |= 1 << q
         strings[v] = PauliString(n_qubits, x, z, 0)
-    for v in elim.dependent:
+    for i, v in enumerate(elim.dependent):
         expr = elim.expressions[v]
         prod = pauli.multiply_all([strings[f] for f in expr.free_support], n_qubits)
-        sign_phase = 2 if values.get(("sign", v), 0) else 0
-        strings[v] = PauliString(n_qubits, prod.x_bits, prod.z_bits, prod.phase + sign_phase)
+        sign = reduced.rhs[i] ^ ((reduced.provenance[i] & flip).bit_count() & 1)
+        strings[v] = PauliString(n_qubits, prod.x_bits, prod.z_bits, prod.phase + 2 * sign)
 
     solution = PauliSolution(n_qubits, [strings[v] for v in range(bcs.n_vars)])
     report = verify_pauli_solution(bcs, solution)
-    assert report.ok, f"internal solver error: constructed solution failed {report}"
+    if not report.ok:
+        raise InvariantError(f"internal solver error: constructed solution failed {report}")
     return solution
 
 

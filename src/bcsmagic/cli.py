@@ -4,7 +4,8 @@ Exit codes: 0 success (including a found solution), 3 proven no-solution
 (a result, not an error), 2 usage or parse problems or an unusable path, 1
 internal failures or violated exactness invariants.  Stochastic commands
 require --seed and are byte-reproducible: trial t uses the Philox stream
-spawned from (seed, t), so results do not depend on --jobs chunking.
+spawned from (seed, t), so each trial's outcome depends only on the seed
+and its own index.
 """
 from __future__ import annotations
 
@@ -56,10 +57,9 @@ def cmd_solve(args) -> int:
 
     out = Path(args.out) if args.out else None
     if args.mode == "classical":
-        signs = bcs_mod.classical_solve(system)
-        if signs is None:
-            reduced = gf2.solve(bcs_mod.incidence_system(system))
-            rows = tuple(sorted(reduced.rows))
+        solved = gf2.solve(bcs_mod.incidence_system(system))
+        if isinstance(solved, gf2.Inconsistency):
+            rows = tuple(sorted(solved.rows))
             relation = tuple(
                 v for j in rows for v in system.constraints[j].var_indices
             )
@@ -69,14 +69,15 @@ def cmd_solve(args) -> int:
             print(f"no classical solution; certificate written to {path}")
             return EXIT_NO_SOLUTION
         path = out or Path(args.path).with_suffix(".solution.txt")
-        lines = [f"{name} = {s}" for name, s in zip(system.variables, signs)]
+        lines = [f"{name} = {1 - 2 * b}" for name, b in zip(system.variables, solved.assignment)]
         path.write_text("\n".join(lines) + "\n")
         print(f"classical solution written to {path}")
         return EXIT_OK
 
     result = bcs_mod.pauli_solve(system)
     if isinstance(result, bcs_mod.Certificate):
-        assert bcs_mod.verify_certificate(system, result)
+        if not bcs_mod.verify_certificate(system, result):
+            raise bcs_mod.InvariantError("certificate failed its replay")
         path = out or Path(args.path).with_suffix(".certificate.json")
         path.write_text(json.dumps(_certificate_payload(result, "pauli"), indent=1) + "\n")
         print(f"no Pauli-string solution; certificate written to {path}")
@@ -126,15 +127,18 @@ def _strategy_for(game: game_mod.GameBcs, tol: float) -> quantum.OperatorSolutio
     label = game_mod.classify(game.n)
     if label is game_mod.GameClass.CLASSICAL:
         signs = bcs_mod.classical_solve(game.bcs)
-        assert signs is not None
+        if signs is None:
+            raise bcs_mod.InvariantError(f"n={game.n} is classed classical but has no scalar solution")
         return quantum.classical_to_operator(signs)
     if label is game_mod.GameClass.CLIFFORD_ONLY:
         solution = bcs_mod.pauli_solve(game.bcs)
-        assert isinstance(solution, bcs_mod.PauliSolution)
+        if not isinstance(solution, bcs_mod.PauliSolution):
+            raise bcs_mod.InvariantError(f"n={game.n} is classed Clifford but has no Pauli solution")
         return quantum.pauli_to_operator(solution)
     sol = quantum.permutation_solution(game)
     report = quantum.verify_operator_solution(game.bcs, sol, tol)
-    assert report.ok, f"strategy failed verification: {report}"
+    if not report.ok:
+        raise bcs_mod.InvariantError(f"strategy failed verification: {report}")
     return sol
 
 
@@ -237,8 +241,10 @@ def cmd_lightcone(args) -> int:
             return EXIT_INTERNAL
     p_clif = game_mod.clifford_bound(args.n)
     payload["clifford_cap"] = p_clif
-    payload["depth_lower_bound"] = shallow.depth_lower_bound(
-        max(dag.n_sites, 2), dag.max_fan_in, p_clif
+    # The bound needs fan-in at least 2; narrower wirings report none.
+    payload["depth_lower_bound"] = (
+        shallow.depth_lower_bound(max(dag.n_sites, 2), dag.max_fan_in, p_clif)
+        if dag.max_fan_in >= 2 else None
     )
     payload["depth_bound_positive_above_sites"] = int(96 / (1 - p_clif))
     _emit(payload, args.format)
@@ -314,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--modified", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for script compatibility; trials are independently seeded")
     p.set_defaults(func=cmd_play)
 
     p = sub.add_parser("simulate", help="two-round relation or one-round sampling runs")
@@ -324,9 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for script compatibility; trials are independently seeded")
     p.add_argument("--out", default=None, help="trial log as JSON lines")
     p.set_defaults(func=cmd_simulate)
 
@@ -345,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for attr in ("trials",):
-        if getattr(args, attr, 1) < 1:
-            parser.error(f"--{attr} must be at least 1")
+    if getattr(args, "trials", 1) < 1:
+        parser.error("--trials must be at least 1")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

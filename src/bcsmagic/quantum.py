@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pauli
-from .bcs import Bcs, PauliSolution
+from .bcs import Bcs, InvariantError, PauliSolution
 from .game import GameBcs
 from .pauli import PauliString
 
@@ -269,7 +269,8 @@ def measure_commuting(
             minus = (eye - obs) / 2
             branch = minus @ m if side == "A" else m @ minus.T
             outcome, weight = -1, 1.0 - p_plus
-        assert weight > 1e-12, "sampled a zero-probability branch"
+        if weight <= 1e-12:
+            raise InvariantError("sampled a zero-probability branch")
         m = branch / np.sqrt(weight)
         outcomes.append(outcome)
     state.amplitudes = m

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bcs import InvariantError
 from .game import GameBcs
 from .quantum import OperatorSolution, SharedState, measure_commuting
 
@@ -173,7 +174,8 @@ def run_round2(
         p_a, p_b = compute_syndrome(transcript, instance.j, instance.k)
         state.amplitudes = _correction_operator(p_a, p_b) @ state.amplitudes
         fidelity = abs(np.trace(state.amplitudes)) ** 2 / 8
-        assert fidelity > 1 - 1e-9, f"correction left fidelity {fidelity}"
+        if fidelity <= 1 - 1e-9:
+            raise InvariantError(f"correction left fidelity {fidelity}")
 
     constraint = game.bcs.constraints[instance.alpha]
     alice_obs = [sol.assignment[v] for v in constraint.var_indices]
@@ -269,6 +271,12 @@ class CircuitDag:
 
         Layers and wire ids must be plain ``int`` (not bool or float).  Call
         again after editing ``gates`` or the site groups in place.
+
+        Within a layer, gates are read in list order: a gate may not read a
+        wire that an earlier gate of the same layer produced, unless that
+        gate also read it (a transform).  So ``[Gate(1, (1,), (2,)),
+        Gate(1, (0,), (1,))]`` is valid, and the same two gates in the other
+        order are not.  Backward cones grow in the same list order.
         """
         n_wires = len(self.wire_kinds)
         for w, kind in enumerate(self.wire_kinds):

@@ -9,10 +9,11 @@ import time
 import numpy as np
 import pytest
 from helpers import table_pauli_solution
+from sign_system_oracle import build_sign_system, satisfiable_brute
 from swap_oracle import enumerate_swap_branches
 
 from bcsmagic import bcs, game, gf2, pauli, quantum, shallow
-from test_bcs import random_bcs, sign_system_satisfiable_brute
+from test_bcs import random_bcs
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -72,7 +73,7 @@ def test_criterion_03_mermin_peres_pipeline():
     t0 = time.perf_counter()
     mp = bcs.mermin_peres()
     elim = bcs.eliminate_free_vars(mp)
-    system = bcs.build_sign_system(mp, elim)
+    system = build_sign_system(mp, elim)
     solved = gf2.solve(system.equations)
     anti = {
         system.unknowns[i]
@@ -232,12 +233,12 @@ def test_criterion_10_oracle_equivalence():
     checked = agreements = 0
     while checked < 500:
         instance = random_bcs(rng)
-        system = bcs.build_sign_system(instance, bcs.eliminate_free_vars(instance))
+        system = build_sign_system(instance, bcs.eliminate_free_vars(instance))
         if system.equations.matrix.cols > 20:
             continue
         checked += 1
         decision = isinstance(bcs.pauli_solve(instance), bcs.PauliSolution)
-        agreements += decision == sign_system_satisfiable_brute(system)
+        agreements += decision == satisfiable_brute(system)
     elapsed = time.perf_counter() - t0
     checks = {"agreement": agreements == checked, "runtime<120s": elapsed < 120.0}
     _report(10, "oracle equivalence", all(checks.values()),

@@ -1,14 +1,13 @@
 import random
 
-import numpy as np
 import pytest
+from sign_system_oracle import build_sign_system, satisfiable_brute
 
 from bcsmagic import bcs, gf2, pauli
 from bcsmagic.bcs import (
     Bcs,
     Certificate,
     PauliSolution,
-    build_sign_system,
     chsh,
     classical_solve,
     check_classical_assignment,
@@ -22,6 +21,7 @@ from bcsmagic.bcs import (
     verify_certificate,
     verify_pauli_solution,
 )
+from bcsmagic.game import build_game_bcs
 from bcsmagic.pauli import parse_pauli
 
 
@@ -285,6 +285,22 @@ def test_determinism_byte_identical():
     assert c1 == c2
 
 
+def test_pauli_solve_reduces_the_incidence_system_once(monkeypatch):
+    # The n = 10 game has no commutator unknown, so the second reduction,
+    # of the commutator system, has no column.
+    system = build_game_bcs(10).bcs
+    widths = []
+    row_reduce = gf2.row_reduce
+
+    def recording(reduced):
+        widths.append(reduced.matrix.cols)
+        return row_reduce(reduced)
+
+    monkeypatch.setattr(gf2, "row_reduce", recording)
+    assert isinstance(pauli_solve(system), Certificate)
+    assert sorted(widths) == [0, system.n_vars]
+
+
 # ---------------------------------------------------------------------------
 # randomized soundness and oracle agreement
 # ---------------------------------------------------------------------------
@@ -301,27 +317,9 @@ def random_bcs(rng: random.Random) -> Bcs:
     return Bcs(names, cons)
 
 
-def sign_system_satisfiable_brute(system) -> bool:
-    """Enumerate every assignment of the sign-system unknowns directly."""
-    k = system.equations.matrix.cols
-    assert k <= 20
-    rows = system.equations.matrix.bits
-    rhs = system.equations.rhs
-    if k == 0:
-        return all(b == 0 for b in rhs)
-    assigns = np.arange(1 << k, dtype=np.uint32)
-    ok = np.ones(assigns.shape, dtype=bool)
-    for row, b in zip(rows, rhs):
-        parity = np.zeros(assigns.shape, dtype=np.uint32)
-        mask = row
-        while mask:
-            low = mask & -mask
-            parity ^= (assigns >> np.uint32(low.bit_length() - 1)) & np.uint32(1)
-            mask ^= low
-        ok &= parity == np.uint32(b)
-        if not ok.any():
-            return False
-    return bool(ok.any())
+def anticommuting_free_pairs(solution, free):
+    return [(k, l) for i, k in enumerate(free) for l in free[i + 1:]
+            if not pauli.commutes(solution.strings[k], solution.strings[l])]
 
 
 def test_random_instances_sound_and_oracle_agree():
@@ -335,11 +333,18 @@ def test_random_instances_sound_and_oracle_agree():
             continue
         checked += 1
         out = pauli_solve(b)
-        expect = sign_system_satisfiable_brute(system)
+        expect = satisfiable_brute(system)
         if isinstance(out, PauliSolution):
             solved += 1
             assert expect
             assert verify_pauli_solution(b, out).ok
+            # The oracle's least solution anticommutes exactly the pairs
+            # that got a qubit.
+            oracle = gf2.solve(system.equations)
+            anti = [u[1:] for u, bit in zip(system.unknowns, oracle.assignment)
+                    if u[0] == "comm" and bit]
+            assert out.qubits == len(anti)
+            assert anticommuting_free_pairs(out, eliminate_free_vars(b).free) == anti
             cls = classical_solve(b)
             if cls is not None:
                 assert check_classical_assignment(b, cls)

@@ -44,6 +44,12 @@ def test_solve_chsh_certificate(chsh_file):
     assert payload["constraint_rows"] == [0, 1]
 
 
+def test_solve_unverified_certificate_exits_1(chsh_file, monkeypatch, capsys):
+    monkeypatch.setattr(bcs, "verify_certificate", lambda system, cert: False)
+    assert main(["solve", str(chsh_file), "--mode", "pauli"]) == 1
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_solve_parse_error(tmp_path):
     bad = tmp_path / "bad.bcs"
     bad.write_text("a b = 2\n")
@@ -184,6 +190,22 @@ def test_lightcone_dag_file(tmp_path, capsys):
     assert main(["lightcone", "--dag", str(path)]) == 0
     assert "max_fan_in: 14" in capsys.readouterr().out
     assert main(["lightcone", "--dag", str(tmp_path / "nope.json")]) == 2
+
+
+def test_lightcone_fan_in_1_wiring(tmp_path, capsys):
+    from bcsmagic.shallow import CircuitDag, Gate
+
+    dag = CircuitDag(list("ccccc"), [Gate(1, (0,), (4,))],
+                     alice_inputs=[[0], [1]], bob_inputs=[[2], [3]],
+                     alice_outputs=[[4], [1]], bob_outputs=[[2], [3]])
+    path = tmp_path / "dag.json"
+    path.write_text(dag.to_json())
+    assert main(["lightcone", "--dag", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_fan_in"] == 1
+    assert payload["sites"] == 2
+    assert payload["max_backward_cone"] == 2
+    assert payload["depth_lower_bound"] is None
 
 
 def test_lightcone_2000_sites(capsys):

@@ -358,6 +358,14 @@ def test_dag_rejects_malformed_wiring(change, message):
         dag.__post_init__()
 
 
+def test_dag_reads_within_a_layer_in_list_order():
+    # Wire 1 is read, then overwritten, in layer 1: valid in this order...
+    CircuitDag(list("ccc"), [Gate(1, (1,), (2,)), Gate(1, (0,), (1,))])
+    # ...but read after a same-layer gate produced it in the other.
+    with pytest.raises(ValueError, match="wire 1 read at layer 1 before it is produced"):
+        CircuitDag(list("ccc"), [Gate(1, (0,), (1,)), Gate(1, (1,), (2,))])
+
+
 def test_dag_allows_a_wire_in_one_output_group_per_side():
     dag = _disconnected_dag(3)
     dag.bob_outputs[2].append(dag.alice_outputs[0][0])
