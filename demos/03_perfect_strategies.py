@@ -4,6 +4,8 @@ Odd sizes are won by sharing a scalar assignment; n = 4 by measuring
 two-qubit Pauli strings on two EPR pairs; even n >= 6 by the dimension-n
 reflection/swap operators, which are not Pauli strings of any size.
 """
+import itertools
+
 import numpy as np
 
 from bcsmagic import (
@@ -11,24 +13,19 @@ from bcsmagic import (
     classical_solve,
     classical_to_operator,
     correlation,
-    enumerate_questions,
     make_rng,
     pauli_solve,
     pauli_to_operator,
     permutation_solution,
-    play_round,
+    play_rounds,
     verify_operator_solution,
 )
 
 
 def run_rounds(game, sol, seed, trials=2000):
-    rng = make_rng(seed)
-    pairs = enumerate_questions(game).pairs
-    wins = 0
-    for _ in range(trials):
-        question = pairs[int(rng.integers(len(pairs)))]
-        wins += play_round(game, sol, question, rng).won
-    return wins, trials
+    # One generator shared by every round; rounds are measured in batches.
+    rounds = play_rounds(game, sol, itertools.repeat(make_rng(seed), trials))
+    return sum(r.won for r in rounds), trials
 
 
 for n, describe in ((5, "scalar"), (4, "two-qubit Pauli"), (8, "dimension-8 magic")):

@@ -6,6 +6,7 @@ the Pauli frame and plays the game, which then succeeds on every instance.
 Without the correction round, the clean-frame branch alone (probability
 1/64) must satisfy the relation, and it does.
 """
+import itertools
 from collections import Counter
 
 from bcsmagic import build_game_bcs, make_rng, permutation_solution
@@ -15,7 +16,7 @@ from bcsmagic.shallow import (
     random_instance,
     run_round1,
     run_round2,
-    run_sampling_trial,
+    run_trials,
 )
 
 game = build_game_bcs(8, modified=True)
@@ -35,19 +36,20 @@ outputs = run_round2(game, inst, transcript, sol, rng)
 print("round-2 outputs: r_a =", outputs.r_a, " r_b =", outputs.r_b)
 print("relation satisfied:", check_relation(inst, outputs, game))
 
+# Many trials at once: each draws from the generator as the single trial
+# above did, and the batch is measured together.
 trials = 3000
-ok = 0
-for _ in range(trials):
-    inst = random_instance(game, N=200, rng=rng)
-    t = run_round1(inst, rng)
-    ok += check_relation(inst, run_round2(game, inst, t, sol, rng), game)
+ok = sum(
+    check_relation(inst, outputs, game)
+    for inst, outputs in run_trials(game, sol, 200, itertools.repeat(rng, trials))
+)
 print(f"\n{ok}/{trials} random corrected instances satisfy the relation")
 
-cases = Counter()
 sampling_trials = 20000
-for _ in range(sampling_trials):
-    inst = random_instance(game, N=30, rng=rng)
-    cases[run_sampling_trial(game, inst, sol, rng).case] += 1
+cases = Counter(
+    trial.case
+    for _, trial in run_trials(game, sol, 30, itertools.repeat(rng, sampling_trials), "sampling")
+)
 print(f"\nsampling variant over {sampling_trials} trials: {dict(cases)}")
 print(f"clean-frame rate {cases['case1'] / sampling_trials:.5f} vs 1/64 = {1 / 64:.5f}; "
       f"invalid trials: {cases['invalid']}")

@@ -37,11 +37,13 @@ from .quantum import (
     complete_solution,
     correlation,
     make_rng,
+    measure_batch,
     measure_commuting,
     pauli_to_operator,
     permutation_solution,
     phi_plus,
     play_round,
+    play_rounds,
     verify_operator_solution,
 )
 from .shallow import (
@@ -60,6 +62,7 @@ from .shallow import (
     run_round1,
     run_round2,
     run_sampling_trial,
+    run_trials,
 )
 
 __version__ = "0.1.0"

@@ -5,12 +5,15 @@ Exit codes: 0 success (including a found solution), 3 proven no-solution
 internal failures or violated exactness invariants.  Stochastic commands
 require --seed and are byte-reproducible: trial t uses the Philox stream
 spawned from (seed, t), so each trial's outcome depends only on the seed
-and its own index.
+and its own index.  Trials are measured in batches; each trial draws
+everything from its own stream before its batch is measured, so no output
+depends on the batch size.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -145,12 +148,8 @@ def _strategy_for(game: game_mod.GameBcs, tol: float) -> quantum.OperatorSolutio
 def cmd_play(args) -> int:
     game = game_mod.build_game_bcs(args.n, modified=args.modified)
     sol = _strategy_for(game, args.tol)
-    pairs = game_mod.enumerate_questions(game).pairs
-    wins = 0
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
-        question = pairs[int(rng.integers(len(pairs)))]
-        wins += quantum.play_round(game, sol, question, rng).won
+    rngs = (trial_rng(args.seed, t) for t in range(args.trials))
+    wins = sum(result.won for result in quantum.play_rounds(game, sol, rngs))
     print(f"n={args.n} strategy={game_mod.classify(args.n).value} dim={sol.dim}")
     print(f"wins: {wins}/{args.trials} (win rate {wins / args.trials})")
     print("target: every round wins (rate 1)")
@@ -172,25 +171,22 @@ def cmd_simulate(args) -> int:
     sink = Path(args.out).open("w") if args.out else None
     ok_count = 0
     cases = {"case1": 0, "case2": 0, "invalid": 0}
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
-        instance = shallow.random_instance(game, args.sites, rng)
+    rngs = (trial_rng(args.seed, t) for t in range(args.trials))
+    trials = shallow.run_trials(game, sol, args.sites, rngs, args.mode)
+    for t, (instance, result) in enumerate(trials):
         record = {
             "N": instance.N, "n": instance.n, "j": instance.j, "k": instance.k,
             "alpha": instance.alpha, "beta": instance.beta, "seed": args.seed, "trial": t,
         }
         if args.mode == "relation":
-            transcript = shallow.run_round1(instance, rng)
-            outputs = shallow.run_round2(game, instance, transcript, sol, rng)
-            ok = shallow.check_relation(instance, outputs, game)
+            ok = shallow.check_relation(instance, result, game)
             ok_count += ok
-            record.update({"r_a": list(outputs.r_a), "r_b": list(outputs.r_b), "ok": ok})
+            record.update({"r_a": list(result.r_a), "r_b": list(result.r_b), "ok": ok})
         else:
-            trial = shallow.run_sampling_trial(game, instance, sol, rng)
-            cases[trial.case] += 1
+            cases[result.case] += 1
             record.update({
-                "r_a": list(trial.outputs.r_a), "r_b": list(trial.outputs.r_b),
-                "case": trial.case,
+                "r_a": list(result.outputs.r_a), "r_b": list(result.outputs.r_b),
+                "case": result.case,
             })
         if sink:
             sink.write(json.dumps(record) + "\n")
@@ -227,18 +223,24 @@ def cmd_lightcone(args) -> int:
         "max_fan_in": dag.max_fan_in,
         "sites": dag.n_sites,
     }
+    # K^D, or inf once it leaves the float range (very deep or wide wirings)
+    K, D = dag.max_fan_in, dag.depth
+    cone_cap = K ** D if K < 2 or D < 1000 / math.log2(K) else math.inf
     out_groups = dag.alice_outputs + dag.bob_outputs
     if out_groups:
         payload["max_backward_cone"] = max(shallow.backward_cone_sizes(dag, out_groups))
-        payload["backward_cone_cap"] = 3 * dag.max_fan_in ** dag.depth
+        payload["backward_cone_cap"] = 3 * cone_cap
     if dag.n_sites >= 2:
         prob = shallow.lightcone_disjoint_probability(dag)
-        bound = 1 - 48 * dag.max_fan_in ** dag.depth / dag.n_sites
+        bound = 1 - 48 * cone_cap / dag.n_sites
         payload["disjoint_probability"] = prob
         payload["disjoint_bound"] = bound
         if prob < bound:
+            # The strategy wiring must meet the bound.  A loaded wiring can
+            # miss it (input groups sharing a wire, say): a finding, not a fault.
             print("bound violated", file=sys.stderr)
-            return EXIT_INTERNAL
+            if not args.dag:
+                return EXIT_INTERNAL
     p_clif = game_mod.clifford_bound(args.n)
     payload["clifford_cap"] = p_clif
     # The bound needs fan-in at least 2; narrower wirings report none.

@@ -8,6 +8,15 @@ kept as d x d amplitude matrices M with ``M[i, j] = <i|_A <j|_B psi``, so the
 maximally entangled state is the identity over sqrt(d), Alice-side operators
 act by left multiplication, and Bob-side operators act by M A^T.
 
+Every projective measurement runs through ``measure_batch``, which measures
+a stack of T such states, shape (T, d, d), one step at a time: each step
+gathers one (T, d, d) stack of observables, and each trial keeps the +1
+branch iff its own uniform falls below that branch's probability.  Trials
+draw their uniforms from their own generators before a batch is measured,
+in the order a one-trial loop would, so results never depend on how trials
+are grouped; ``measure_commuting`` and ``play_round`` are batches of one,
+and ``play_rounds`` plays many rounds CHUNK at a time.
+
 The permutation-flavoured solution for the complete-graph game lives in
 dimension n: vertex operators flip one basis sign, edge operators swap two
 basis vectors, and everything else follows by completing constraints with
@@ -16,15 +25,20 @@ which is exactly why those games need magic.
 """
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import pauli
 from .bcs import Bcs, InvariantError, PauliSolution
-from .game import GameBcs
+from .game import GameBcs, enumerate_questions
 from .pauli import PauliString
+
+# Trials measured together by the batched drivers.  No output depends on it.
+CHUNK = 64
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -235,6 +249,69 @@ def phi_plus(dim: int) -> SharedState:
     return SharedState(np.eye(dim, dtype=complex) / np.sqrt(dim))
 
 
+def measure_batch(
+    amplitudes: np.ndarray,
+    steps: Iterable[tuple[str, np.ndarray]],
+    uniforms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sequential projective measurement of a stack of shared states.
+
+    ``amplitudes`` has shape (T, d, d).  ``steps`` yields ``(side,
+    observables)`` pairs, observables of shape (T, d, d), and is read one
+    step at a time; ``uniforms`` has shape (T, S), one column per step.
+    Step s applies the projector (I + O)/2 to the named side of every trial
+    and keeps trial t on the +1 branch iff ``uniforms[t, s]`` is below that
+    branch's probability; the -1 branch is M minus the +1 branch.  Returns
+    the (T, S) outcomes and the collapsed stack.  An identity observable at
+    uniform 0 gives +1 and leaves the state as it was, up to rounding, which
+    is how batches pad narrower constraints.  Commutation is the caller's
+    check.
+    """
+    m = amplitudes
+    uniforms = np.asarray(uniforms, dtype=float)
+    outcomes = np.ones(uniforms.shape, dtype=int)
+    eye = np.eye(m.shape[-1])
+    n_steps = 0
+    for s, (side, observables) in enumerate(steps):
+        if s == uniforms.shape[1]:
+            raise ValueError(f"more steps than the {s} uniforms per trial")
+        plus = (eye + observables) / 2
+        if side == "A":
+            projected = plus @ m
+        elif side == "B":
+            projected = m @ plus.swapaxes(1, 2)
+        else:
+            raise ValueError("side must be 'A' or 'B'")
+        flat = projected.reshape(len(m), -1).view(float)
+        p_plus = np.einsum("ti,ti->t", flat, flat)
+        keep = uniforms[:, s] < p_plus
+        weight = np.where(keep, p_plus, 1.0 - p_plus)
+        if np.any(weight <= 1e-12):
+            raise InvariantError("sampled a zero-probability branch")
+        branch = m - projected
+        branch[keep] = projected[keep]
+        branch /= np.sqrt(weight)[:, None, None]
+        m = branch
+        outcomes[~keep, s] = -1
+        n_steps += 1
+    if n_steps != uniforms.shape[1]:
+        raise ValueError(f"{uniforms.shape[1]} uniforms per trial for {n_steps} steps")
+    return outcomes, m
+
+
+def _check_commuting(observables: list[np.ndarray], tol: float = 1e-9) -> None:
+    """Raise ValueError unless the observables commute pairwise within tol."""
+    for i, a in enumerate(observables):
+        for b in observables[i + 1:]:
+            if float(np.max(np.abs(a @ b - b @ a))) > tol:
+                raise ValueError("observables do not commute")
+
+
+def _draw_uniforms(rng: np.random.Generator, count: int) -> list[float]:
+    """The next ``count`` uniforms of a trial's stream, one per step."""
+    return [rng.random() for _ in range(count)]
+
+
 def measure_commuting(
     state: SharedState,
     side: str,
@@ -246,35 +323,71 @@ def measure_commuting(
 
     Projectors are (I +/- O)/2 applied to the named side; outcome
     probabilities are squared projected norms and the state collapses after
-    each step.  Rejects non-commuting observable sets.
+    each step.  Rejects non-commuting observable sets.  A batch of one for
+    ``measure_batch``.
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
-    for i, a in enumerate(observables):
-        for b in observables[i + 1:]:
-            if float(np.max(np.abs(a @ b - b @ a))) > tol:
-                raise ValueError("observables do not commute")
+    _check_commuting(observables, tol)
+    uniforms = [_draw_uniforms(rng, len(observables))]
+    outcomes, stack = measure_batch(
+        state.amplitudes[None], [(side, obs[None]) for obs in observables], uniforms
+    )
+    state.amplitudes = stack[0]
+    return outcomes[0].tolist(), state
 
-    m = state.amplitudes
-    eye = np.eye(state.dim)
-    outcomes: list[int] = []
-    for obs in observables:
-        plus = (eye + obs) / 2
-        projected = plus @ m if side == "A" else m @ plus.T
-        p_plus = float(np.linalg.norm(projected) ** 2)
-        u = float(rng.random())
-        if u < p_plus:
-            outcome, branch, weight = 1, projected, p_plus
-        else:
-            minus = (eye - obs) / 2
-            branch = minus @ m if side == "A" else m @ minus.T
-            outcome, weight = -1, 1.0 - p_plus
-        if weight <= 1e-12:
-            raise InvariantError("sampled a zero-probability branch")
-        m = branch / np.sqrt(weight)
-        outcomes.append(outcome)
-    state.amplitudes = m
-    return outcomes, state
+
+def batches(items: Iterable) -> Iterator[list]:
+    """Consecutive lists of up to CHUNK items."""
+    it = iter(items)
+    while chunk := list(itertools.islice(it, CHUNK)):
+        yield chunk
+
+
+class StrategyStack:
+    """A strategy's observables stacked for batched rounds.
+
+    Row v of ``ops`` is variable v's observable and the last row is the
+    identity, which pads constraints narrower than the widest in a batch, so
+    a measurement step of a batch is one gather.  Each constraint's
+    observables are checked to commute the first time a round draws it.
+    """
+
+    def __init__(self, bcs: Bcs, sol: OperatorSolution) -> None:
+        self.bcs = bcs
+        self.pad = bcs.n_vars
+        self.ops = np.stack(
+            [sol.assignment[v] for v in range(bcs.n_vars)] + [np.eye(sol.dim, dtype=complex)]
+        )
+        self._checked: set[int] = set()
+
+    def draw(self, alpha: int, rng: np.random.Generator) -> list[float]:
+        """Alice's uniforms for constraint alpha, one per variable, then Bob's."""
+        members = self.bcs.constraints[alpha].var_indices
+        if alpha not in self._checked:
+            _check_commuting([self.ops[v] for v in members])
+            self._checked.add(alpha)
+        return _draw_uniforms(rng, len(members) + 1)
+
+    def measure(
+        self, amplitudes: np.ndarray, questions: list[tuple[int, int]], draws: list[list[float]]
+    ) -> list[list[int]]:
+        """Measure trial t's question (alpha, beta) on ``amplitudes[t]`` with
+        the uniforms ``draws[t]``; each row holds Alice's outcomes, padded
+        with +1 to the batch's widest constraint, then Bob's."""
+        width = max(len(d) for d in draws) - 1
+        uniforms = [d[:-1] + [0.0] * (width + 1 - len(d)) + d[-1:] for d in draws]
+        rows = [self.bcs.constraints[alpha].var_indices for alpha, _ in questions]
+        members = np.array([row + (self.pad,) * (width - len(row)) for row in rows])
+        betas = [beta for _, beta in questions]
+
+        def steps():
+            for s in range(width):
+                yield "A", self.ops[members[:, s]]
+            yield "B", self.ops[betas].swapaxes(1, 2)
+
+        outcomes, _ = measure_batch(amplitudes, steps(), uniforms)
+        return outcomes.tolist()
 
 
 @dataclass
@@ -284,6 +397,17 @@ class RoundResult:
     alice_outcomes: tuple[int, ...]
     bob_outcome: int
     won: bool
+
+
+def _round_result(game: GameBcs, question: tuple[int, int], row: list[int]) -> RoundResult:
+    alpha, beta = question
+    c = game.bcs.constraints[alpha]
+    a_out = row[:len(c.var_indices)]
+    prod = 1
+    for o in a_out:
+        prod *= o
+    agree = a_out[c.var_indices.index(beta)] == row[-1]
+    return RoundResult(alpha, c.var_indices, tuple(a_out), row[-1], prod == c.rhs and agree)
 
 
 def play_round(
@@ -303,15 +427,33 @@ def play_round(
     c = game.bcs.constraints[alpha]
     if beta not in c.var_indices:
         raise ValueError(f"variable {beta} is not part of constraint {alpha}")
-    state = phi_plus(sol.dim)
     alice_obs = [sol.assignment[v] for v in c.var_indices]
-    a_out, state = measure_commuting(state, "A", alice_obs, rng)
+    a_out, state = measure_commuting(phi_plus(sol.dim), "A", alice_obs, rng)
     b_out, _ = measure_commuting(state, "B", [sol.assignment[beta].T], rng)
-    prod = 1
-    for o in a_out:
-        prod *= o
-    agree = a_out[c.var_indices.index(beta)] == b_out[0]
-    return RoundResult(alpha, c.var_indices, tuple(a_out), b_out[0], prod == c.rhs and agree)
+    return _round_result(game, question, a_out + b_out)
+
+
+def play_rounds(
+    game: GameBcs, sol: OperatorSolution, rngs: Iterable[np.random.Generator]
+) -> Iterator[RoundResult]:
+    """One ``play_round`` per generator, on a uniform (constraint, member)
+    question drawn from it first, measured CHUNK rounds at a time.
+
+    Each round draws from its generator exactly as ``play_round`` would, so
+    passing one generator n times reproduces a loop of n rounds on it.
+    """
+    pairs = enumerate_questions(game).pairs
+    stack = StrategyStack(game.bcs, sol)
+    phi = phi_plus(sol.dim).amplitudes
+    for chunk in batches(rngs):
+        questions, draws = [], []
+        for rng in chunk:
+            question = pairs[int(rng.integers(len(pairs)))]
+            draws.append(stack.draw(question[0], rng))
+            questions.append(question)
+        amplitudes = np.broadcast_to(phi, (len(chunk),) + phi.shape)
+        for question, row in zip(questions, stack.measure(amplitudes, questions, draws)):
+            yield _round_result(game, question, row)
 
 
 # ---------------------------------------------------------------------------

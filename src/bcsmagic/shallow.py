@@ -19,7 +19,10 @@ oracle in the test suite checks both facts exactly on short chains.
 
 Round 2 plays the complete-graph game on the corrected three-pair state.
 The sampling variant plays on the uncorrected state and succeeds outright
-when every parity is +1, which happens with probability 1/64.
+when every parity is +1, which happens with probability 1/64.  The 64 frame
+states and Alice's 64 corrections are tabulated from Pauli strings on first
+use, keyed by the six frame bits, and ``run_trials`` measures many trials
+per ``quantum.measure_batch`` call.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
 wires, validated and indexed by layer once, when the wiring is built.
@@ -31,27 +34,19 @@ sweeps.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pauli
 from .bcs import InvariantError
 from .game import GameBcs
-from .quantum import OperatorSolution, SharedState, measure_commuting
-
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-# Alice-side recovery for one layer, keyed by the (p^A, p^B) syndrome signs.
-CORRECTION_TABLE = {
-    (1, 1): _I2,
-    (-1, 1): _Z,
-    (1, -1): _X,
-    (-1, -1): _X @ _Z,
-}
+from .pauli import PauliString
+from .quantum import OperatorSolution, SharedState, StrategyStack, batches, measure_commuting, phi_plus
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +101,7 @@ def run_round1(instance: RelationInstance, rng: np.random.Generator) -> Round1Tr
     span = instance.k - instance.j
     bits = rng.integers(0, 2, size=(span, 3, 2))
     z_bits, x_bits = bits[:, :, 0], bits[:, :, 1]
-    frame = tuple(
-        (int(z_bits[:, l].sum() % 2), int(x_bits[:, l].sum() % 2)) for l in range(3)
-    )
+    frame = tuple(map(tuple, (bits.sum(axis=0) & 1).tolist()))
     return Round1Transcript(
         instance.j,
         instance.k,
@@ -122,34 +115,65 @@ def compute_syndrome(transcript: Round1Transcript, j: int, k: int):
     """Per-layer parity products of the round-1 outcomes."""
     if (j, k) != (transcript.j, transcript.k):
         raise ValueError(f"transcript covers ({transcript.j}, {transcript.k}), not ({j}, {k})")
-    p_a = tuple(int(np.prod(transcript.r_alice[:, l])) for l in range(3))
-    p_b = tuple(int(np.prod(transcript.r_bob[:, l])) for l in range(3))
+    p_a = tuple(np.prod(transcript.r_alice, axis=0).tolist())
+    p_b = tuple(np.prod(transcript.r_bob, axis=0).tolist())
     return p_a, p_b
 
 
-def _kron3(ops) -> np.ndarray:
-    return np.kron(np.kron(ops[0], ops[1]), ops[2])
+def frame_key(frame: tuple[tuple[int, int], ...]) -> int:
+    """Index of a per-layer (z, x) frame: bit 2l is layer l's z bit, bit
+    2l + 1 its x bit."""
+    return sum((z | x << 1) << 2 * l for l, (z, x) in enumerate(frame))
 
 
-def _frame_operator(frame: tuple[tuple[int, int], ...]) -> np.ndarray:
-    layers = []
-    for z, x in frame:
-        op = _I2
-        if z:
-            op = op @ _Z
-        if x:
-            op = op @ _X
-        layers.append(op)
-    return _kron3(layers)
+def syndrome_key(p_a, p_b) -> int:
+    """The frame key a syndrome calls for: z_l when p^A_l is -1, x_l when
+    p^B_l is -1."""
+    return frame_key([(int(a < 0), int(b < 0)) for a, b in zip(p_a, p_b)])
 
 
-def _correction_operator(p_a, p_b) -> np.ndarray:
-    return _kron3([CORRECTION_TABLE[(p_a[l], p_b[l])] for l in range(3)])
+@functools.cache
+def frame_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The 64 frame states and Alice's 64 corrections, by frame key.
+
+    State key is Z^z X^x on every layer's Alice qubit applied to |Phi+> of
+    dimension 8, and correction key is X^x Z^z on the same qubits, the
+    recovery for the syndrome of that frame.  Both come from Pauli strings
+    (Z X = iY and X Z = -iY per layer); every state, and every correction
+    applied to its own frame state, passes SharedState's norm check.
+    """
+    phi = phi_plus(8).amplitudes
+    states = np.empty((64, 8, 8), dtype=complex)
+    corrections = np.empty_like(states)
+    for key in range(64):
+        z = sum(((key >> 2 * l) & 1) << l for l in range(3))
+        x = sum(((key >> 2 * l + 1) & 1) << l for l in range(3))
+        ys = (x & z).bit_count()
+        states[key] = SharedState(pauli.to_matrix(PauliString(3, x, z, ys)) @ phi).amplitudes
+        corrections[key] = pauli.to_matrix(PauliString(3, x, z, -ys))
+        SharedState(corrections[key] @ states[key])
+    states.flags.writeable = False
+    corrections.flags.writeable = False
+    return states, corrections
 
 
 def frame_state(frame: tuple[tuple[int, int], ...]) -> SharedState:
     """Three EPR pairs carrying the given per-layer Pauli frame on Alice's side."""
-    return SharedState(_frame_operator(frame) @ (np.eye(8, dtype=complex) / np.sqrt(8)))
+    return SharedState(frame_tables()[0][frame_key(frame)].copy())
+
+
+def _check_fidelity(amplitudes: np.ndarray) -> None:
+    """Every corrected state of the stack must be |Phi+> of dimension 8."""
+    fidelity = np.abs(np.trace(amplitudes, axis1=1, axis2=2)) ** 2 / 8
+    low = fidelity <= 1 - 1e-9
+    if np.any(low):
+        raise InvariantError(f"correction left fidelity {fidelity[low][0]}")
+
+
+def _round2_result(width: int, row: list[int]) -> Round2Result:
+    """Alice's first ``width`` outcomes padded to three bits with +1; Bob's
+    meaningful bit is position 1."""
+    return Round2Result(tuple(row[:width]) + (1,) * (3 - width), (row[-1], 1, 1))
 
 
 def run_round2(
@@ -172,18 +196,14 @@ def run_round2(
     state = frame_state(transcript.pauli_frame)
     if apply_correction:
         p_a, p_b = compute_syndrome(transcript, instance.j, instance.k)
-        state.amplitudes = _correction_operator(p_a, p_b) @ state.amplitudes
-        fidelity = abs(np.trace(state.amplitudes)) ** 2 / 8
-        if fidelity <= 1 - 1e-9:
-            raise InvariantError(f"correction left fidelity {fidelity}")
+        state.amplitudes = frame_tables()[1][syndrome_key(p_a, p_b)] @ state.amplitudes
+        _check_fidelity(state.amplitudes[None])
 
     constraint = game.bcs.constraints[instance.alpha]
     alice_obs = [sol.assignment[v] for v in constraint.var_indices]
     a_out, state = measure_commuting(state, "A", alice_obs, rng)
     b_out, _ = measure_commuting(state, "B", [sol.assignment[instance.beta].T], rng)
-    r_a = tuple(a_out) + (1,) * (3 - len(a_out))
-    r_b = (b_out[0], 1, 1)
-    return Round2Result(r_a, r_b)
+    return _round2_result(len(a_out), a_out + b_out)
 
 
 def check_relation(instance: RelationInstance, outputs: Round2Result, game: GameBcs) -> bool:
@@ -212,6 +232,17 @@ class SamplingTrial:
     case: str  # "case1", "case2", or "invalid"
 
 
+def _sampling_trial(game: GameBcs, instance: RelationInstance, outputs: Round2Result,
+                    clean: bool) -> SamplingTrial:
+    if not clean:
+        case = "case2"
+    elif check_relation(instance, outputs, game):
+        case = "case1"
+    else:
+        case = "invalid"
+    return SamplingTrial(outputs, clean, case)
+
+
 def run_sampling_trial(
     game: GameBcs,
     instance: RelationInstance,
@@ -230,15 +261,56 @@ def run_sampling_trial(
     constraint = game.bcs.constraints[instance.alpha]
     a_out, state = measure_commuting(state, "A", [sol.assignment[v] for v in constraint.var_indices], rng)
     b_out, _ = measure_commuting(state, "B", [sol.assignment[instance.beta].T], rng)
-    outputs = Round2Result(tuple(a_out) + (1,) * (3 - len(a_out)), (b_out[0], 1, 1))
     clean = all(s == 1 for s in p_a + p_b)
-    if not clean:
-        case = "case2"
-    elif check_relation(instance, outputs, game):
-        case = "case1"
-    else:
-        case = "invalid"
-    return SamplingTrial(outputs, clean, case)
+    return _sampling_trial(game, instance, _round2_result(len(a_out), a_out + b_out), clean)
+
+
+def run_trials(
+    game: GameBcs,
+    sol: OperatorSolution,
+    sites: int | Callable[[np.random.Generator], int],
+    rngs: Iterable[np.random.Generator],
+    mode: str = "relation",
+) -> Iterator[tuple[RelationInstance, Round2Result | SamplingTrial]]:
+    """Relation or sampling trials, one per generator, measured in batches.
+
+    Each trial draws from its own generator in the one-trial order:
+    ``random_instance`` on ``sites`` sites (a chain length, or a function
+    drawing it from the generator first), ``run_round1``, then Alice's
+    uniforms and Bob's.  So the trials equal ``run_round2`` (corrected, with
+    every trial's fidelity checked) or ``run_sampling_trial`` one for one,
+    whatever the batch size, and passing one generator n times reproduces a
+    loop of n trials on it.  Yields (instance, Round2Result) for
+    ``mode="relation"`` and (instance, SamplingTrial) for ``"sampling"``.
+    """
+    if mode not in ("relation", "sampling"):
+        raise ValueError(f"unknown trial mode {mode!r}")
+    if sol.dim != 8:
+        raise ValueError("round 2 expects the dimension-8 strategy")
+    stack = StrategyStack(game.bcs, sol)
+    states, corrections = frame_tables()
+    for chunk in batches(rngs):
+        instances, frames, syndromes, draws = [], [], [], []
+        for rng in chunk:
+            n_sites = sites(rng) if callable(sites) else sites
+            instance = random_instance(game, n_sites, rng)
+            transcript = run_round1(instance, rng)
+            frames.append(frame_key(transcript.pauli_frame))
+            syndromes.append(syndrome_key(*compute_syndrome(transcript, instance.j, instance.k)))
+            draws.append(stack.draw(instance.alpha, rng))
+            instances.append(instance)
+        amplitudes = states[frames]
+        if mode == "relation":
+            amplitudes = corrections[syndromes] @ amplitudes
+            _check_fidelity(amplitudes)
+        questions = [(i.alpha, i.beta) for i in instances]
+        rows = stack.measure(amplitudes, questions, draws)
+        for instance, syndrome, row in zip(instances, syndromes, rows):
+            outputs = _round2_result(len(game.bcs.constraints[instance.alpha].var_indices), row)
+            if mode == "relation":
+                yield instance, outputs
+            else:
+                yield instance, _sampling_trial(game, instance, outputs, syndrome == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +395,11 @@ class CircuitDag:
                         )
 
         self.depth = max((g.layer for g in self.gates), default=0)
-        # Gates of layer l, in list order, at index l - 1.
-        self._layers: list[list[Gate]] = [[] for _ in range(self.depth)]
+        # The gates of each non-empty layer, in list order, layers ascending.
+        by_layer: dict[int, list[Gate]] = {}
         for g in self.gates:
-            self._layers[g.layer - 1].append(g)
+            by_layer.setdefault(g.layer, []).append(g)
+        self._layers: list[list[Gate]] = [by_layer[layer] for layer in sorted(by_layer)]
 
     @property
     def max_fan_in(self) -> int:
@@ -366,7 +439,11 @@ def _json_list(value, what: str) -> list:
 
 def dag_from_json(text: str) -> CircuitDag:
     """Parse a wiring; malformed or inconsistent input raises ValueError."""
-    payload = _json_object(json.loads(text), "a wiring", ("wires", "gates"))
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("the wiring JSON nests too deeply") from None
+    payload = _json_object(payload, "a wiring", ("wires", "gates"))
     wires = [
         _json_object(w, "each wire", ("id", "kind")) for w in _json_list(payload["wires"], "wires")
     ]

@@ -111,13 +111,9 @@ def test_criterion_05_perfect_play():
     t0 = time.perf_counter()
     g = game.build_game_bcs(8)
     sol = quantum.permutation_solution(g)
-    pairs = game.enumerate_questions(g).pairs
     rng = quantum.make_rng(20240907)
     trials = 10 ** 4
-    wins = 0
-    for _ in range(trials):
-        question = pairs[int(rng.integers(len(pairs)))]
-        wins += quantum.play_round(g, sol, question, rng).won
+    wins = sum(r.won for r in quantum.play_rounds(g, sol, itertools.repeat(rng, trials)))
     elapsed = time.perf_counter() - t0
     checks = {"all_won": wins == trials, "runtime<120s": elapsed < 120.0}
     _report(5, "perfect play", all(checks.values()), f"wins {wins}/{trials}, {elapsed:.1f}s")
@@ -129,13 +125,12 @@ def test_criterion_06_relation_problem():
     sol = quantum.permutation_solution(g)
     rng = quantum.make_rng(61803)
     trials = 10 ** 4
-    satisfied = 0
-    for _ in range(trials):
-        sites = int(rng.integers(2, 1001))
-        inst = shallow.random_instance(g, sites, rng)
-        transcript = shallow.run_round1(inst, rng)
-        outputs = shallow.run_round2(g, inst, transcript, sol, rng)
-        satisfied += shallow.check_relation(inst, outputs, g)
+    satisfied = sum(
+        shallow.check_relation(inst, outputs, g)
+        for inst, outputs in shallow.run_trials(
+            g, sol, lambda r: int(r.integers(2, 1001)), itertools.repeat(rng, trials)
+        )
+    )
 
     oracle_ok = True
     for m in (2, 3):  # every (j, k) choice on N <= 3 sites
@@ -157,9 +152,8 @@ def test_criterion_07_sampling_variant():
     rng = quantum.make_rng(271828)
     trials = 10 ** 5
     cases = {"case1": 0, "case2": 0, "invalid": 0}
-    for _ in range(trials):
-        inst = shallow.random_instance(g, 50, rng)
-        cases[shallow.run_sampling_trial(g, inst, sol, rng).case] += 1
+    for _, trial in shallow.run_trials(g, sol, 50, itertools.repeat(rng, trials), "sampling"):
+        cases[trial.case] += 1
     elapsed = time.perf_counter() - t0
     p = 1 / 64
     sigma = (trials * p * (1 - p)) ** 0.5

@@ -1,9 +1,14 @@
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bcsmagic import bcs
-from bcsmagic.cli import main
+from bcsmagic import bcs, game, quantum
+from bcsmagic.cli import _strategy_for, main, trial_rng
 
 
 @pytest.fixture()
@@ -253,6 +258,179 @@ def test_lightcone_wiring_not_an_object_exits_2(tmp_path, text):
     path = tmp_path / "dag.json"
     path.write_text(text)
     assert main(["lightcone", "--dag", str(path)]) == 2
+
+
+def test_lightcone_loaded_wiring_below_the_bound_is_reported(tmp_path, capsys):
+    """Fifty sites share one input wire that fans out to every Bob output:
+    every pair crosses.  That is a property of the wiring, not a fault."""
+    sites = 50
+    wiring = {
+        "wires": [{"id": i, "kind": "c"} for i in range(sites + 1)],
+        "gates": [{"layer": 1, "inputs": [0], "outputs": list(range(1, sites + 1))}],
+        "alice_inputs": [[0]] * sites,
+        "bob_inputs": [[] for _ in range(sites)],
+        "alice_outputs": [[] for _ in range(sites)],
+        "bob_outputs": [[i] for i in range(1, sites + 1)],
+    }
+    path = tmp_path / "dag.json"
+    path.write_text(json.dumps(wiring))
+    assert main(["lightcone", "--dag", str(path), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["disjoint_probability"] == 0.0
+    assert payload["disjoint_bound"] == pytest.approx(1 - 48 / sites)
+    assert "bound violated" in captured.err
+
+
+def test_lightcone_deep_layers_and_nesting(tmp_path, capsys):
+    """A gate at layer 10^400 costs one index entry, and K^D past the float
+    range reads as infinite; JSON nested past the parser's limit exits 2."""
+    wiring = {
+        "wires": [{"id": i, "kind": "c"} for i in range(16)],
+        "gates": [{"layer": 10 ** 400, "inputs": list(range(14)), "outputs": [15]}],
+        "alice_inputs": [[0], [1]], "bob_inputs": [[2], [3]],
+        "alice_outputs": [[4], [5]], "bob_outputs": [[15], [6]],
+    }
+    path = tmp_path / "dag.json"
+    path.write_text(json.dumps(wiring))
+    assert main(["lightcone", "--dag", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["depth"] == 10 ** 400
+    assert payload["backward_cone_cap"] == float("inf")
+    assert payload["disjoint_bound"] == float("-inf")
+    path.write_text("[" * 100000)
+    assert main(["lightcone", "--dag", str(path)]) == 2
+
+
+# Pieces of BCS text: well-formed lines, near misses and raw characters.
+_BCS_LINES = st.one_of(
+    st.builds(
+        lambda names, rhs: " ".join(names) + " = " + rhs,
+        st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=6),
+        st.sampled_from(["1", "-1", "0", "", "1 1", "+1", "-1 # note"]),
+    ),
+    st.builds(lambda names: "vars: " + " ".join(names),
+              st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f"]), max_size=6)),
+    st.text(alphabet="abc =-1#:\t\r\x00vars", max_size=16),
+)
+_BCS_BYTES = st.one_of(
+    st.lists(_BCS_LINES, max_size=8).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_BCS_BYTES, mode=st.sampled_from(["classical", "pauli"]))
+def test_no_bcs_text_makes_solve_exit_1(data, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.bcs"
+        path.write_bytes(data)
+        assert main(["solve", str(path), "--mode", mode]) in (0, 2, 3)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _wiring_json(draw):
+    """Wirings that are often valid, with wire ids, layers and group
+    members that stray out of range, and now and then one field replaced
+    by an arbitrary JSON value."""
+    n_wires = draw(st.integers(0, 10))
+    wire = st.integers(-1, n_wires)
+    payload = {
+        "wires": [{"id": i, "kind": draw(st.sampled_from(["c", "q"]))} for i in range(n_wires)],
+        "gates": draw(st.lists(st.fixed_dictionaries({
+            "layer": st.one_of(st.integers(0, 3), st.integers()),
+            "inputs": st.lists(wire, max_size=3),
+            "outputs": st.lists(wire, max_size=3),
+        }), max_size=6)),
+    }
+    sites = draw(st.integers(0, 5))
+    for name in ("alice_inputs", "bob_inputs", "alice_outputs", "bob_outputs"):
+        payload[name] = draw(st.lists(st.lists(wire, max_size=3), min_size=sites, max_size=sites))
+    if draw(st.booleans()):
+        payload[draw(st.sampled_from(sorted(payload)))] = draw(_JSON_VALUES)
+    return json.dumps(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(_wiring_json(), _JSON_VALUES.map(json.dumps), st.text(max_size=20)))
+def test_no_wiring_json_makes_lightcone_exit_1(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dag.json"
+        path.write_text(text)
+        assert main(["lightcone", "--dag", str(path), "--format", "json"]) in (0, 2)
+
+
+# Recorded from the one-trial-at-a-time implementation.
+_GOLDEN_ROUNDS = {
+    8: "8f80217a38a3aed18c33948cff7fa7f0ad7752c0318c8312e1bd6ac637506d36",
+    4: "f0bcf7cb0ef470481429bb0bc617145dac2f2ad6560b7540c2e4ab834e02a015",
+    7: "9ade6cc3c9e9788de013a65c345a9f99564a9c4d2334e6d77ac130fa196d7a74",
+}
+_GOLDEN_PLAY = {
+    8: "n=8 strategy=MagicRequired dim=8\n",
+    4: "n=4 strategy=CliffordOnly dim=4\n",
+    7: "n=7 strategy=Classical dim=1\n",
+}
+_GOLDEN_LOGS = {
+    ("relation", "1000"): (
+        "relation trials: 400, satisfied: 400\ntarget: all trials satisfy the relation\n",
+        "b5d3dae0d90ce15867b36e52be963ecb2cc116816251456ff37ab0084f1236a8",
+    ),
+    ("sampling", "50"): (
+        "sampling trials: 400\ncase1: 10 (rate 0.025), case2: 390, invalid: 0\n"
+        "target: case1 rate near 1/64 = 0.015625, invalid exactly 0\n",
+        "30f5362dcdbe00033c892d34da5a6eac4d31bcc655ad1348d5660e19864409f3",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_GOLDEN_ROUNDS))
+def test_play_golden(n, capsys):
+    assert main(["play", "--n", str(n), "--trials", "300", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == (
+        _GOLDEN_PLAY[n] + "wins: 300/300 (win rate 1.0)\ntarget: every round wins (rate 1)\n"
+    )
+    g = game.build_game_bcs(n)
+    rounds = [
+        (r.constraint, r.alice_outcomes, r.bob_outcome)
+        for r in quantum.play_rounds(g, _strategy_for(g, 1e-9), (trial_rng(7, t) for t in range(300)))
+    ]
+    assert hashlib.sha256(repr(rounds).encode()).hexdigest() == _GOLDEN_ROUNDS[n]
+
+
+@pytest.mark.parametrize("mode,sites", sorted(_GOLDEN_LOGS))
+def test_simulate_golden(mode, sites, tmp_path, capsys):
+    log = tmp_path / "trials.jsonl"
+    assert main(["simulate", "--mode", mode, "--sites", sites, "--trials", "400",
+                 "--seed", "7", "--out", str(log)]) == 0
+    stdout, digest = _GOLDEN_LOGS[mode, sites]
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", ["relation", "sampling"])
+def test_simulate_log_does_not_depend_on_batching(mode, tmp_path, monkeypatch):
+    """The log of N < CHUNK trials is a byte prefix of the log of M > CHUNK
+    trials, and a smaller batch size writes the same bytes."""
+    def log(trials: int, name: str) -> bytes:
+        path = tmp_path / name
+        assert main(["simulate", "--mode", mode, "--sites", "30", "--trials", str(trials),
+                     "--seed", "13", "--out", str(path)]) == 0
+        return path.read_bytes()
+
+    longer = quantum.CHUNK + 40
+    short = log(quantum.CHUNK // 2, "short.jsonl")
+    long = log(longer, "long.jsonl")
+    assert long.startswith(short) and len(long) > len(short)
+    monkeypatch.setattr(quantum, "CHUNK", 7)
+    assert log(longer, "small_batches.jsonl") == long
 
 
 @pytest.mark.parametrize("argv", [

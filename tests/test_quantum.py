@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from helpers import enumerate_distribution, table_operator_solution, table_pauli_solution
@@ -12,12 +14,14 @@ from bcsmagic.quantum import (
     complete_solution,
     correlation,
     make_rng,
+    measure_batch,
     measure_commuting,
     operator_solution_from_json,
     pauli_to_operator,
     permutation_solution,
     phi_plus,
     play_round,
+    play_rounds,
     verify_operator_solution,
 )
 
@@ -216,6 +220,97 @@ def test_noncommuting_rejected():
         measure_commuting(phi_plus(2), "A", [x, z], make_rng(0))
 
 
+# Uniforms that force a step onto its +1 branch (0) or its -1 branch (the
+# largest double below 1), whenever that branch is possible.
+_FORCE = (0.0, 1 - 2.0 ** -53)
+
+
+def _forced_distribution(amplitudes, plan):
+    """Every outcome tuple ``measure_batch`` reaches by forcing each step
+    onto each branch, with the product of the chosen branches' weights.
+
+    A step that collapses M to M' keeps weight |<M', M>|^2, read off the
+    engine's own states; a forced branch the engine rejects as having zero
+    probability is skipped.
+    """
+    dist = {}
+
+    def recurse(m, prefix, weight):
+        if len(prefix) == len(plan):
+            dist[prefix] = weight
+            return
+        side, obs = plan[len(prefix)]
+        reached = set()
+        for u in _FORCE:
+            try:
+                out, after = measure_batch(m[None], [(side, obs[None])], [[u]])
+            except bcs.InvariantError:
+                continue
+            outcome = int(out[0, 0])
+            if outcome not in reached:
+                reached.add(outcome)
+                recurse(after[0], prefix + (outcome,), weight * abs(np.vdot(after[0], m)) ** 2)
+
+    recurse(amplitudes, (), 1.0)
+    return dist
+
+
+@pytest.mark.parametrize("n,strategy", [
+    (4, "permutation"), (4, "pauli_table"), (8, "permutation"),
+])
+def test_measure_batch_matches_branch_enumeration(n, strategy):
+    """Every constraint and every member beta: the forced outcome tuples and
+    their weights equal the exact distribution, and no zero-probability
+    tuple is ever produced."""
+    g = build_game_bcs(n)
+    sol = permutation_solution(g) if strategy == "permutation" else table_operator_solution(g)
+    phi = phi_plus(sol.dim)
+    for c in g.bcs.constraints:
+        alice = [("A", sol.assignment[v]) for v in c.var_indices]
+        for beta in c.var_indices:
+            plan = alice + [("B", sol.assignment[beta].T)]
+            expected = enumerate_distribution(phi, plan)
+            forced = _forced_distribution(phi.amplitudes, plan)
+            assert set(forced) == set(expected)
+            for outcome, p in expected.items():
+                assert abs(forced[outcome] - p) <= 1e-12
+
+
+def test_measure_batch_rejects_a_zero_probability_branch_in_any_row():
+    z = to_matrix(parse_pauli("Z"))
+    stack = np.stack([phi_plus(2).amplitudes] * 3)
+    steps = [("A", np.stack([z] * 3)), ("B", np.stack([z] * 3))]
+    # Alice's Z fixes Bob's; a uniform above every probability makes row 1
+    # take the opposite, impossible outcome.
+    uniforms = [[0.0, 0.0], [0.0, 1.5], [_FORCE[1], 0.0]]
+    with pytest.raises(bcs.InvariantError, match="zero-probability"):
+        measure_batch(stack, steps, uniforms)
+    # Uniform 0 on a +1 branch of probability exactly 0 takes the -1 branch.
+    outcomes, _ = measure_batch(stack, steps, [uniforms[0], uniforms[0], uniforms[2]])
+    assert outcomes.tolist() == [[1, 1], [1, 1], [-1, -1]]
+
+
+def test_measure_batch_identity_steps_are_no_ops():
+    g = build_game_bcs(8)
+    obs = permutation_solution(g).assignment[g.x(1, 2)]
+    eye = np.eye(8, dtype=complex)
+    plain, plain_state = measure_batch(phi_plus(8).amplitudes[None], [("A", obs[None])], [[0.3]])
+    padded, padded_state = measure_batch(
+        phi_plus(8).amplitudes[None], [("A", obs[None]), ("A", eye[None]), ("B", eye[None])],
+        [[0.3, 0.0, 0.0]],
+    )
+    assert padded.tolist() == [[plain[0, 0], 1, 1]]
+    np.testing.assert_allclose(padded_state, plain_state, atol=1e-15)
+
+
+def test_measure_batch_needs_one_uniform_per_step():
+    x = to_matrix(parse_pauli("X"))
+    with pytest.raises(ValueError, match="uniforms"):
+        measure_batch(phi_plus(2).amplitudes[None], [("A", x[None])], [[0.1, 0.2]])
+    with pytest.raises(ValueError, match="side"):
+        measure_batch(phi_plus(2).amplitudes[None], [("C", x[None])], [[0.1]])
+
+
 # ---------------------------------------------------------------------------
 # play
 # ---------------------------------------------------------------------------
@@ -257,6 +352,67 @@ def test_play_round_rejects_foreign_variable():
     sol = permutation_solution(g)
     with pytest.raises(ValueError):
         play_round(g, sol, (0, g.bcs.n_vars - 1), make_rng(0))
+
+
+def _conjugated(sol, seed):
+    """The strategy U A U^dagger for a random unitary U: still perfect, and
+    no longer made of symmetric matrices, so Bob's transpose matters."""
+    gen = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(gen.normal(size=(sol.dim, sol.dim)) + 1j * gen.normal(size=(sol.dim, sol.dim)))
+    return OperatorSolution(sol.dim, {v: u @ m @ u.conj().T for v, m in sol.assignment.items()})
+
+
+def test_strategy_stack_matches_one_trial_measurements():
+    """Random states and a batch mixing the width-8 product constraint with
+    width-3 ones: every row equals measure_commuting on Alice's observables,
+    then on Bob's transpose, with the same generator, padded with +1."""
+    g = build_game_bcs(8)
+    sol = _conjugated(permutation_solution(g), 5)
+    gen = np.random.default_rng(6)
+    pairs = enumerate_questions(g).pairs
+    product_row = len(g.bcs.constraints) - 1
+    questions = [pairs[i] for i in gen.integers(len(pairs), size=30)]
+    questions += [(product_row, v) for v in g.bcs.constraints[product_row].var_indices[:3]]
+    states = gen.normal(size=(len(questions), 8, 8)) + 1j * gen.normal(size=(len(questions), 8, 8))
+    states /= np.linalg.norm(states, axis=(1, 2))[:, None, None]
+    stack = quantum.StrategyStack(g.bcs, sol)
+    draws = [stack.draw(alpha, make_rng(100 + t)) for t, (alpha, _) in enumerate(questions)]
+    rows = stack.measure(states, questions, draws)
+    for t, ((alpha, beta), row) in enumerate(zip(questions, rows)):
+        rng = make_rng(100 + t)
+        members = g.bcs.constraints[alpha].var_indices
+        alice = [sol.assignment[v] for v in members]
+        a_out, state = measure_commuting(quantum.SharedState(states[t].copy()), "A", alice, rng)
+        b_out, _ = measure_commuting(state, "B", [sol.assignment[beta].T], rng)
+        assert row == a_out + [1] * (8 - len(members)) + b_out
+
+
+@pytest.mark.parametrize("n,conjugate", [(8, False), (8, True), (4, True), (5, False)])
+def test_play_rounds_equal_a_loop_of_play_round(n, conjugate, monkeypatch):
+    """One shared generator: the batched rounds draw and measure exactly as
+    a loop of play_round calls, across several batch boundaries."""
+    g = build_game_bcs(n)
+    sol = (classical_to_operator(bcs.classical_solve(g.bcs)) if n % 2
+           else permutation_solution(g))
+    if conjugate:
+        sol = _conjugated(sol, n)
+    pairs = enumerate_questions(g).pairs
+    rng = make_rng(90 + n)
+    expected = [play_round(g, sol, pairs[int(rng.integers(len(pairs)))], rng) for _ in range(300)]
+    monkeypatch.setattr(quantum, "CHUNK", 37)
+    batched = list(play_rounds(g, sol, itertools.repeat(make_rng(90 + n), 300)))
+    assert batched == expected
+    assert all(r.won for r in batched)
+
+
+def test_play_rounds_check_commutation_once_per_constraint():
+    g = build_game_bcs(4)
+    sol = permutation_solution(g)
+    c = g.bcs.constraints[0]
+    sol.assignment[c.var_indices[0]] = to_matrix(parse_pauli("XI"))
+    sol.assignment[c.var_indices[1]] = to_matrix(parse_pauli("ZI"))
+    with pytest.raises(ValueError, match="commute"):
+        list(play_rounds(g, sol, (make_rng(t) for t in range(200))))
 
 
 # ---------------------------------------------------------------------------

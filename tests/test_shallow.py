@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from swap_oracle import bell_vector, enumerate_swap_branches
 
+from bcsmagic import quantum, shallow
+from bcsmagic.bcs import InvariantError
 from bcsmagic.game import build_game_bcs
-from bcsmagic.quantum import make_rng, permutation_solution
+from bcsmagic.quantum import make_rng, permutation_solution, phi_plus
 from bcsmagic.shallow import (
-    CORRECTION_TABLE,
     CircuitDag,
     Gate,
     RelationInstance,
@@ -24,12 +25,16 @@ from bcsmagic.shallow import (
     dag_from_json,
     depth_lower_bound,
     forward_lightcone,
+    frame_key,
     frame_state,
+    frame_tables,
     lightcone_disjoint_probability,
     random_instance,
     run_round1,
     run_round2,
     run_sampling_trial,
+    run_trials,
+    syndrome_key,
 )
 
 
@@ -91,11 +96,27 @@ def test_swap_oracle_matches_analytic_frames(m):
 
 
 def test_correction_table_restores_epr():
-    phi = bell_vector(0, 0)
-    for z, x in itertools.product((0, 1), repeat=2):
-        corr = CORRECTION_TABLE[(1 - 2 * z, 1 - 2 * x)]
-        fixed = np.kron(corr, np.eye(2)) @ bell_vector(z, x)
-        assert abs(np.vdot(phi, fixed)) > 1 - 1e-12
+    """Every syndrome's correction applied to its frame state gives |Phi+>;
+    the frame states are the swap oracle's Bell pairs, layer by layer."""
+    states, corrections = frame_tables()
+    phi = phi_plus(8).vector
+    for frame in itertools.product(itertools.product((0, 1), repeat=2), repeat=3):
+        key = frame_key(frame)
+        pairs = [bell_vector(z, x).reshape(2, 2) for z, x in frame]
+        np.testing.assert_allclose(states[key], np.kron(np.kron(pairs[0], pairs[1]), pairs[2]),
+                                   atol=1e-15)
+        syndrome = tuple(1 - 2 * z for z, _ in frame), tuple(1 - 2 * x for _, x in frame)
+        fixed = corrections[syndrome_key(*syndrome)] @ states[key]
+        assert abs(np.vdot(phi, fixed.reshape(-1))) > 1 - 1e-12
+
+
+def test_frame_tables_are_read_only():
+    states, corrections = frame_tables()
+    with pytest.raises(ValueError):
+        states[0, 0, 0] = 0
+    with pytest.raises(ValueError):
+        corrections[0, 0, 0] = 0
+    assert frame_tables() is frame_tables()
 
 
 def test_frame_distribution_uniform_over_layers():
@@ -250,6 +271,63 @@ def test_sampling_forced_clean_bits_is_case1(game8, sol8):
     trial = run_sampling_trial(game8, inst, sol8, _CleanRound1Rng())
     assert trial.case == "case1"
     assert trial.parities_ok
+
+
+# ---------------------------------------------------------------------------
+# batched trials
+# ---------------------------------------------------------------------------
+
+def _draw_sites(rng):
+    return int(rng.integers(2, 60))
+
+
+def test_run_trials_relation_equals_a_loop(game8, sol8, monkeypatch):
+    """One shared generator, a chain length drawn per trial: the batched
+    relation trials equal a loop of run_round1 and run_round2 calls."""
+    rng = make_rng(2718)
+    expected = []
+    for _ in range(150):
+        inst = random_instance(game8, _draw_sites(rng), rng)
+        expected.append((inst, run_round2(game8, inst, run_round1(inst, rng), sol8, rng)))
+    monkeypatch.setattr(quantum, "CHUNK", 16)
+    batched = list(run_trials(game8, sol8, _draw_sites, itertools.repeat(make_rng(2718), 150)))
+    assert batched == expected
+    assert all(check_relation(inst, outputs, game8) for inst, outputs in batched)
+
+
+def test_run_trials_sampling_equals_a_loop(game8, sol8, monkeypatch):
+    rng = make_rng(1414)
+    expected = []
+    for _ in range(300):
+        inst = random_instance(game8, 6, rng)
+        expected.append((inst, run_sampling_trial(game8, inst, sol8, rng)))
+    monkeypatch.setattr(quantum, "CHUNK", 45)
+    batched = list(run_trials(game8, sol8, 6, itertools.repeat(make_rng(1414), 300), "sampling"))
+    assert batched == expected
+    assert {trial.case for _, trial in batched} == {"case1", "case2"}
+
+
+def test_run_trials_checks_every_trials_fidelity(game8, sol8, monkeypatch):
+    """A correction table with one wrong entry is caught by the first trial
+    that uses it."""
+    states, corrections = frame_tables()
+    tampered = corrections.copy()
+    tampered[frame_key(((1, 0), (0, 0), (0, 0)))] = np.eye(8)
+    monkeypatch.setattr(shallow, "frame_tables", lambda: (states, tampered))
+    trials = run_trials(game8, sol8, 40, (make_rng(t) for t in range(400)))
+    with pytest.raises(InvariantError, match="fidelity"):
+        list(trials)
+    assert list(run_trials(game8, sol8, 40, (make_rng(t) for t in range(400)), "sampling"))
+
+
+def test_run_trials_rejects_bad_mode_and_dimension(game8, sol8):
+    from bcsmagic.quantum import OperatorSolution
+
+    with pytest.raises(ValueError, match="mode"):
+        next(run_trials(game8, sol8, 5, [make_rng(0)], "both"))
+    bad = OperatorSolution(4, {v: np.eye(4, dtype=complex) for v in sol8.assignment})
+    with pytest.raises(ValueError, match="dimension"):
+        next(run_trials(game8, bad, 5, [make_rng(0)]))
 
 
 # ---------------------------------------------------------------------------
