@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import gf2, pauli
-from .gf2 import Gf2System, Inconsistency
+from .gf2 import Gf2System, Inconsistency, set_bits
 from .pauli import PauliString
 
 
@@ -246,16 +246,6 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
 # Swap bookkeeping
 # ---------------------------------------------------------------------------
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _inversion_parity(blocks: list[tuple[int, ...]], n_vars: int) -> dict[int, int]:
     """Swap parity of sorting the concatenation of ascending blocks.
 
@@ -277,7 +267,7 @@ def _inversion_parity(blocks: list[tuple[int, ...]], n_vars: int) -> dict[int, i
 
 
 def _parity_pairs(parity: dict[int, int]) -> list[tuple[int, int]]:
-    return [(k, l) for k in sorted(parity) for l in _bits(parity[k])]
+    return [(k, l) for k in sorted(parity) for l in set_bits(parity[k])]
 
 
 def co_occurrence_pairs(bcs: Bcs) -> list[tuple[int, int]]:
@@ -366,7 +356,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
     row_pairs: list[frozenset[tuple[int, int]]] = []
     for i in kernel:
         acc: frozenset[tuple[int, int]] = frozenset()
-        for j in _bits(reduced.provenance[i] & swapping):
+        for j in set_bits(reduced.provenance[i] & swapping):
             acc ^= swaps[j]
         row_pairs.append(acc)
     pair_list = co_occurrence_pairs(bcs)
@@ -386,7 +376,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
                 cited ^= reduced.provenance[kernel[row]]
             else:
                 commutation_rows.append(pair_list[row - len(kernel)])
-        constraint_rows = tuple(_bits(cited))
+        constraint_rows = tuple(set_bits(cited))
         relation = tuple(v for j in constraint_rows for v in bcs.constraints[j].var_indices)
         return Certificate(constraint_rows, tuple(commutation_rows), relation)
 

@@ -126,7 +126,7 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _strategy_for(game: game_mod.GameBcs, tol: float) -> quantum.OperatorSolution:
+def _strategy_for(game: game_mod.GameBcs) -> quantum.OperatorSolution:
     label = game_mod.classify(game.n)
     if label is game_mod.GameClass.CLASSICAL:
         signs = bcs_mod.classical_solve(game.bcs)
@@ -139,7 +139,7 @@ def _strategy_for(game: game_mod.GameBcs, tol: float) -> quantum.OperatorSolutio
             raise bcs_mod.InvariantError(f"n={game.n} is classed Clifford but has no Pauli solution")
         return quantum.pauli_to_operator(solution)
     sol = quantum.permutation_solution(game)
-    report = quantum.verify_operator_solution(game.bcs, sol, tol)
+    report = quantum.verify_operator_solution(game.bcs, sol)
     if not report.ok:
         raise bcs_mod.InvariantError(f"strategy failed verification: {report}")
     return sol
@@ -147,7 +147,7 @@ def _strategy_for(game: game_mod.GameBcs, tol: float) -> quantum.OperatorSolutio
 
 def cmd_play(args) -> int:
     game = game_mod.build_game_bcs(args.n, modified=args.modified)
-    sol = _strategy_for(game, args.tol)
+    sol = _strategy_for(game)
     rngs = (trial_rng(args.seed, t) for t in range(args.trials))
     wins = sum(result.won for result in quantum.play_rounds(game, sol, rngs))
     print(f"n={args.n} strategy={game_mod.classify(args.n).value} dim={sol.dim}")
@@ -160,12 +160,6 @@ def cmd_play(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.n % 2 or args.n < 6:
-        print("simulate needs an even game size >= 6 (dimension-n strategy)", file=sys.stderr)
-        return EXIT_USAGE
-    if args.n != 8:
-        print("only --n 8 is wired to the three-pair site layout", file=sys.stderr)
-        return EXIT_USAGE
     game = game_mod.build_game_bcs(8, modified=True)
     sol = quantum.permutation_solution(game)
     sink = Path(args.out).open("w") if args.out else None
@@ -320,14 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--modified", action="store_true")
     p.set_defaults(func=cmd_play)
 
     p = sub.add_parser("simulate", help="two-round relation or one-round sampling runs")
     p.add_argument("--mode", choices=("relation", "sampling"), required=True)
     p.add_argument("--sites", type=int, required=True)
-    p.add_argument("--n", type=int, default=8)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None, help="trial log as JSON lines")

@@ -38,9 +38,6 @@ class Gf2Matrix:
         bits = [sum((v & 1) << j for j, v in enumerate(row)) for row in rows]
         return cls(len(rows), cols, bits)
 
-    def row(self, i: int) -> list[int]:
-        return [(self.bits[i] >> j) & 1 for j in range(self.cols)]
-
 
 @dataclass
 class Gf2System:
@@ -77,6 +74,16 @@ class Solution:
 @dataclass
 class Inconsistency:
     rows: frozenset[int]
+
+
+def set_bits(mask: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def row_reduce(system: Gf2System) -> ReducedSystem:
@@ -124,8 +131,7 @@ def solve(system: Gf2System) -> Solution | Inconsistency:
     rank = len(reduced.pivot_cols)
     for i in range(rank, sys_r.matrix.rows):
         if sys_r.rhs[i]:
-            cited = frozenset(j for j in range(system.matrix.rows) if (sys_r.provenance[i] >> j) & 1)
-            return Inconsistency(cited)
+            return Inconsistency(frozenset(set_bits(sys_r.provenance[i])))
 
     assignment = [0] * sys_r.matrix.cols
     for i, col in enumerate(reduced.pivot_cols):

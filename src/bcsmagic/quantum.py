@@ -55,9 +55,6 @@ class OperatorSolution:
     dim: int
     assignment: dict[int, np.ndarray]
 
-    def named(self, bcs: Bcs) -> dict[str, np.ndarray]:
-        return {bcs.variables[v]: m for v, m in self.assignment.items()}
-
     def to_json(self, bcs: Bcs) -> str:
         payload = {
             "dim": self.dim,
@@ -299,11 +296,11 @@ def measure_batch(
     return outcomes, m
 
 
-def _check_commuting(observables: list[np.ndarray], tol: float = 1e-9) -> None:
-    """Raise ValueError unless the observables commute pairwise within tol."""
+def _check_commuting(observables: list[np.ndarray]) -> None:
+    """Raise ValueError unless the observables commute pairwise within 1e-9."""
     for i, a in enumerate(observables):
         for b in observables[i + 1:]:
-            if float(np.max(np.abs(a @ b - b @ a))) > tol:
+            if float(np.max(np.abs(a @ b - b @ a))) > 1e-9:
                 raise ValueError("observables do not commute")
 
 
@@ -317,7 +314,6 @@ def measure_commuting(
     side: str,
     observables: list[np.ndarray],
     rng: np.random.Generator,
-    tol: float = 1e-9,
 ) -> tuple[list[int], SharedState]:
     """Sequential projective measurement of pairwise commuting involutions.
 
@@ -328,7 +324,7 @@ def measure_commuting(
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
-    _check_commuting(observables, tol)
+    _check_commuting(observables)
     uniforms = [_draw_uniforms(rng, len(observables))]
     outcomes, stack = measure_batch(
         state.amplitudes[None], [(side, obs[None]) for obs in observables], uniforms

@@ -21,8 +21,9 @@ Round 2 plays the complete-graph game on the corrected three-pair state.
 The sampling variant plays on the uncorrected state and succeeds outright
 when every parity is +1, which happens with probability 1/64.  The 64 frame
 states and Alice's 64 corrections are tabulated from Pauli strings on first
-use, keyed by the six frame bits, and ``run_trials`` measures many trials
-per ``quantum.measure_batch`` call.
+use, keyed by the six frame bits.  One routine builds every round-2 starting
+state from them: for ``run_round2`` as a batch of one, and for ``run_trials``,
+which measures many trials per ``quantum.measure_batch`` call.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
 wires, validated and indexed by layer once, when the wiring is built.
@@ -85,6 +86,8 @@ class Round2Result:
 def random_instance(game: GameBcs, N: int, rng: np.random.Generator) -> RelationInstance:
     """Uniform (j, k, alpha, beta); beta ranges over every variable, whether
     or not it belongs to constraint alpha."""
+    if N < 2:
+        raise ValueError("need at least two sites")
     j = int(rng.integers(1, N))
     k = int(rng.integers(j + 1, N + 1))
     alpha = int(rng.integers(len(game.bcs.constraints)))
@@ -157,17 +160,25 @@ def frame_tables() -> tuple[np.ndarray, np.ndarray]:
     return states, corrections
 
 
-def frame_state(frame: tuple[tuple[int, int], ...]) -> SharedState:
-    """Three EPR pairs carrying the given per-layer Pauli frame on Alice's side."""
-    return SharedState(frame_tables()[0][frame_key(frame)].copy())
-
-
 def _check_fidelity(amplitudes: np.ndarray) -> None:
     """Every corrected state of the stack must be |Phi+> of dimension 8."""
     fidelity = np.abs(np.trace(amplitudes, axis1=1, axis2=2)) ** 2 / 8
     low = fidelity <= 1 - 1e-9
     if np.any(low):
         raise InvariantError(f"correction left fidelity {fidelity[low][0]}")
+
+
+def _round2_states(instances, transcripts, correct: bool) -> np.ndarray:
+    """Round-2 starting states, shape (T, 8, 8): each transcript's frame
+    state and, when ``correct``, Alice's correction for its syndrome, with
+    every corrected state checked to be |Phi+>."""
+    states, corrections = frame_tables()
+    amplitudes = states[[frame_key(t.pauli_frame) for t in transcripts]]
+    if correct:
+        keys = [syndrome_key(*compute_syndrome(t, i.j, i.k)) for i, t in zip(instances, transcripts)]
+        amplitudes = corrections[keys] @ amplitudes
+        _check_fidelity(amplitudes)
+    return amplitudes
 
 
 def _round2_result(width: int, row: list[int]) -> Round2Result:
@@ -193,12 +204,7 @@ def run_round2(
     """
     if sol.dim != 8:
         raise ValueError("round 2 expects the dimension-8 strategy")
-    state = frame_state(transcript.pauli_frame)
-    if apply_correction:
-        p_a, p_b = compute_syndrome(transcript, instance.j, instance.k)
-        state.amplitudes = frame_tables()[1][syndrome_key(p_a, p_b)] @ state.amplitudes
-        _check_fidelity(state.amplitudes[None])
-
+    state = SharedState(_round2_states([instance], [transcript], apply_correction)[0])
     constraint = game.bcs.constraints[instance.alpha]
     alice_obs = [sol.assignment[v] for v in constraint.var_indices]
     a_out, state = measure_commuting(state, "A", alice_obs, rng)
@@ -232,8 +238,11 @@ class SamplingTrial:
     case: str  # "case1", "case2", or "invalid"
 
 
-def _sampling_trial(game: GameBcs, instance: RelationInstance, outputs: Round2Result,
-                    clean: bool) -> SamplingTrial:
+def _sampling_trial(game: GameBcs, instance: RelationInstance, transcript: Round1Transcript,
+                    outputs: Round2Result) -> SamplingTrial:
+    """Classify a played trial: clean when every parity of its syndrome is +1."""
+    p_a, p_b = compute_syndrome(transcript, instance.j, instance.k)
+    clean = all(s == 1 for s in p_a + p_b)
     if not clean:
         case = "case2"
     elif check_relation(instance, outputs, game):
@@ -256,13 +265,8 @@ def run_sampling_trial(
     relation, which the exact strategy never produces.
     """
     transcript = run_round1(instance, rng)
-    p_a, p_b = compute_syndrome(transcript, instance.j, instance.k)
-    state = frame_state(transcript.pauli_frame)
-    constraint = game.bcs.constraints[instance.alpha]
-    a_out, state = measure_commuting(state, "A", [sol.assignment[v] for v in constraint.var_indices], rng)
-    b_out, _ = measure_commuting(state, "B", [sol.assignment[instance.beta].T], rng)
-    clean = all(s == 1 for s in p_a + p_b)
-    return _sampling_trial(game, instance, _round2_result(len(a_out), a_out + b_out), clean)
+    outputs = run_round2(game, instance, transcript, sol, rng, apply_correction=False)
+    return _sampling_trial(game, instance, transcript, outputs)
 
 
 def run_trials(
@@ -288,29 +292,23 @@ def run_trials(
     if sol.dim != 8:
         raise ValueError("round 2 expects the dimension-8 strategy")
     stack = StrategyStack(game.bcs, sol)
-    states, corrections = frame_tables()
     for chunk in batches(rngs):
-        instances, frames, syndromes, draws = [], [], [], []
+        instances, transcripts, draws = [], [], []
         for rng in chunk:
             n_sites = sites(rng) if callable(sites) else sites
             instance = random_instance(game, n_sites, rng)
-            transcript = run_round1(instance, rng)
-            frames.append(frame_key(transcript.pauli_frame))
-            syndromes.append(syndrome_key(*compute_syndrome(transcript, instance.j, instance.k)))
-            draws.append(stack.draw(instance.alpha, rng))
             instances.append(instance)
-        amplitudes = states[frames]
-        if mode == "relation":
-            amplitudes = corrections[syndromes] @ amplitudes
-            _check_fidelity(amplitudes)
+            transcripts.append(run_round1(instance, rng))
+            draws.append(stack.draw(instance.alpha, rng))
+        amplitudes = _round2_states(instances, transcripts, mode == "relation")
         questions = [(i.alpha, i.beta) for i in instances]
         rows = stack.measure(amplitudes, questions, draws)
-        for instance, syndrome, row in zip(instances, syndromes, rows):
+        for instance, transcript, row in zip(instances, transcripts, rows):
             outputs = _round2_result(len(game.bcs.constraints[instance.alpha].var_indices), row)
             if mode == "relation":
                 yield instance, outputs
             else:
-                yield instance, _sampling_trial(game, instance, outputs, syndrome == 0)
+                yield instance, _sampling_trial(game, instance, transcript, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +552,10 @@ def _reach(dag: CircuitDag, inputs, outputs) -> list[int]:
     return reach
 
 
-def lightcone_disjoint_probability(dag: CircuitDag, N: int | None = None) -> float:
+def lightcone_disjoint_probability(dag: CircuitDag) -> float:
     """Exact probability over uniform site pairs j < k that neither selected
     input's forward cone reaches the other side's selected output bits."""
     sites = dag.n_sites
-    if N is not None and N != sites:
-        raise ValueError(f"dag has {sites} sites, not {N}")
     if sites < 2:
         raise ValueError("need at least two sites")
 
@@ -590,8 +586,9 @@ def depth_lower_bound(N: int, K: int, p_clif: float) -> float:
 QUESTION_BITS = 11  # enough to index the modified game's constraints, or its variables, plus a null marker
 
 
-def build_strategy_dag(N: int, n: int = 8) -> CircuitDag:
-    """Abstract wiring of the swap-and-play strategy on N site pairs.
+def build_strategy_dag(N: int) -> CircuitDag:
+    """Abstract wiring of the swap-and-play strategy on N site pairs, laid
+    out for the dimension-8 strategy.
 
     Gate arities follow the strategy's needs: EPR preparation touches 2
     qubits; a Bell measurement reads one null-input flag and 2 qubits; the
@@ -602,8 +599,6 @@ def build_strategy_dag(N: int, n: int = 8) -> CircuitDag:
     """
     if N < 2:
         raise ValueError("need at least two sites")
-    if n != 8:
-        raise ValueError("the wiring is laid out for the dimension-8 strategy")
 
     kinds: list[str] = []
 

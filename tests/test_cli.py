@@ -172,9 +172,21 @@ def test_simulate_sampling_summary(capsys):
     assert "invalid: 0" in out
 
 
-def test_simulate_rejects_odd_n():
-    assert main(["simulate", "--mode", "relation", "--sites", "10",
-                 "--trials", "5", "--seed", "1", "--n", "5"]) == 2
+def test_simulate_rejects_one_site(capsys):
+    assert main(["simulate", "--mode", "relation", "--sites", "1",
+                 "--trials", "5", "--seed", "1"]) == 2
+    assert "need at least two sites" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["play", "--n", "4", "--trials", "5", "--seed", "1", "--tol", "1e-9"],
+    ["simulate", "--mode", "relation", "--sites", "10", "--trials", "5", "--seed", "1",
+     "--n", "8"],
+])
+def test_removed_settings_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_lightcone_strategy(capsys):
@@ -367,16 +379,23 @@ def test_no_wiring_json_makes_lightcone_exit_1(text):
         assert main(["lightcone", "--dag", str(path), "--format", "json"]) in (0, 2)
 
 
-# Recorded from the one-trial-at-a-time implementation.
+# Recorded from the one-trial-at-a-time implementation (a loop of
+# play_round calls), keyed by (n, modified).
 _GOLDEN_ROUNDS = {
-    8: "8f80217a38a3aed18c33948cff7fa7f0ad7752c0318c8312e1bd6ac637506d36",
-    4: "f0bcf7cb0ef470481429bb0bc617145dac2f2ad6560b7540c2e4ab834e02a015",
-    7: "9ade6cc3c9e9788de013a65c345a9f99564a9c4d2334e6d77ac130fa196d7a74",
+    (8, False): "8f80217a38a3aed18c33948cff7fa7f0ad7752c0318c8312e1bd6ac637506d36",
+    (4, False): "f0bcf7cb0ef470481429bb0bc617145dac2f2ad6560b7540c2e4ab834e02a015",
+    (7, False): "9ade6cc3c9e9788de013a65c345a9f99564a9c4d2334e6d77ac130fa196d7a74",
+    (8, True): "86fab30c0f21cbca3372fe21bbf9abb06438113e9943f424b8c65deea7877217",
+    (4, True): "fc16873ccc3d4df81c09c8e9204bf627e2e3bff1f5b333b67ac1e600c5544866",
+    (7, True): "e93589677eddcc2f449931b6f585064b109aad4e29daeac890efb009d12b7356",
 }
 _GOLDEN_PLAY = {
-    8: "n=8 strategy=MagicRequired dim=8\n",
-    4: "n=4 strategy=CliffordOnly dim=4\n",
-    7: "n=7 strategy=Classical dim=1\n",
+    (8, False): "n=8 strategy=MagicRequired dim=8\n",
+    (4, False): "n=4 strategy=CliffordOnly dim=4\n",
+    (7, False): "n=7 strategy=Classical dim=1\n",
+    (8, True): "n=8 strategy=MagicRequired dim=8\n",
+    (4, True): "n=4 strategy=CliffordOnly dim=16\n",
+    (7, True): "n=7 strategy=Classical dim=1\n",
 }
 _GOLDEN_LOGS = {
     ("relation", "1000"): (
@@ -391,18 +410,22 @@ _GOLDEN_LOGS = {
 }
 
 
-@pytest.mark.parametrize("n", sorted(_GOLDEN_ROUNDS))
-def test_play_golden(n, capsys):
-    assert main(["play", "--n", str(n), "--trials", "300", "--seed", "7"]) == 0
+@pytest.mark.parametrize("n,modified", [
+    pytest.param(n, modified, id=f"{n}-modified" if modified else str(n))
+    for n, modified in sorted(_GOLDEN_ROUNDS)
+])
+def test_play_golden(n, modified, capsys):
+    flags = ["--modified"] if modified else []
+    assert main(["play", "--n", str(n), "--trials", "300", "--seed", "7"] + flags) == 0
     assert capsys.readouterr().out == (
-        _GOLDEN_PLAY[n] + "wins: 300/300 (win rate 1.0)\ntarget: every round wins (rate 1)\n"
+        _GOLDEN_PLAY[n, modified] + "wins: 300/300 (win rate 1.0)\ntarget: every round wins (rate 1)\n"
     )
-    g = game.build_game_bcs(n)
+    g = game.build_game_bcs(n, modified=modified)
     rounds = [
         (r.constraint, r.alice_outcomes, r.bob_outcome)
-        for r in quantum.play_rounds(g, _strategy_for(g, 1e-9), (trial_rng(7, t) for t in range(300)))
+        for r in quantum.play_rounds(g, _strategy_for(g), (trial_rng(7, t) for t in range(300)))
     ]
-    assert hashlib.sha256(repr(rounds).encode()).hexdigest() == _GOLDEN_ROUNDS[n]
+    assert hashlib.sha256(repr(rounds).encode()).hexdigest() == _GOLDEN_ROUNDS[n, modified]
 
 
 @pytest.mark.parametrize("mode,sites", sorted(_GOLDEN_LOGS))

@@ -26,7 +26,6 @@ from bcsmagic.shallow import (
     depth_lower_bound,
     forward_lightcone,
     frame_key,
-    frame_state,
     frame_tables,
     lightcone_disjoint_probability,
     random_instance,
@@ -67,8 +66,8 @@ def test_round1_all_plus_gives_identity_frame():
     transcript = run_round1(inst, _ZeroRng())
     assert transcript.pauli_frame == ((0, 0), (0, 0), (0, 0))
     assert np.all(transcript.r_alice == 1) and np.all(transcript.r_bob == 1)
-    state = frame_state(transcript.pauli_frame)
-    np.testing.assert_allclose(state.amplitudes, np.eye(8) / np.sqrt(8), atol=0)
+    state = frame_tables()[0][frame_key(transcript.pauli_frame)]
+    np.testing.assert_allclose(state, np.eye(8) / np.sqrt(8), atol=0)
 
 
 def test_instance_validation():
