@@ -12,6 +12,7 @@ depends on the batch size.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -162,30 +163,28 @@ def cmd_play(args) -> int:
 def cmd_simulate(args) -> int:
     game = game_mod.build_game_bcs(8, modified=True)
     sol = quantum.permutation_solution(game)
-    sink = Path(args.out).open("w") if args.out else None
     ok_count = 0
     cases = {"case1": 0, "case2": 0, "invalid": 0}
     rngs = (trial_rng(args.seed, t) for t in range(args.trials))
     trials = shallow.run_trials(game, sol, args.sites, rngs, args.mode)
-    for t, (instance, result) in enumerate(trials):
-        record = {
-            "N": instance.N, "n": instance.n, "j": instance.j, "k": instance.k,
-            "alpha": instance.alpha, "beta": instance.beta, "seed": args.seed, "trial": t,
-        }
-        if args.mode == "relation":
-            ok = shallow.check_relation(instance, result, game)
-            ok_count += ok
-            record.update({"r_a": list(result.r_a), "r_b": list(result.r_b), "ok": ok})
-        else:
-            cases[result.case] += 1
-            record.update({
-                "r_a": list(result.outputs.r_a), "r_b": list(result.outputs.r_b),
-                "case": result.case,
-            })
-        if sink:
-            sink.write(json.dumps(record) + "\n")
-    if sink:
-        sink.close()
+    with Path(args.out).open("w") if args.out else contextlib.nullcontext() as sink:
+        for t, (instance, result) in enumerate(trials):
+            record = {
+                "N": instance.N, "n": instance.n, "j": instance.j, "k": instance.k,
+                "alpha": instance.alpha, "beta": instance.beta, "seed": args.seed, "trial": t,
+            }
+            if args.mode == "relation":
+                ok = shallow.check_relation(instance, result, game)
+                ok_count += ok
+                record.update({"r_a": list(result.r_a), "r_b": list(result.r_b), "ok": ok})
+            else:
+                cases[result.case] += 1
+                record.update({
+                    "r_a": list(result.outputs.r_a), "r_b": list(result.outputs.r_b),
+                    "case": result.case,
+                })
+            if sink:
+                sink.write(json.dumps(record) + "\n")
 
     if args.mode == "relation":
         print(f"relation trials: {args.trials}, satisfied: {ok_count}")

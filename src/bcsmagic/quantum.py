@@ -191,13 +191,10 @@ def verify_operator_solution(bcs: Bcs, sol: OperatorSolution, tol: float = 1e-9)
             raise ValueError(f"variable {v} has dimension {m.shape}, expected {dim}")
         report.worst_hermitian = max(report.worst_hermitian, float(np.max(np.abs(m - m.conj().T))))
         report.worst_involution = max(report.worst_involution, float(np.max(np.abs(m @ m - eye))))
+    ops = np.stack([sol.assignment[v] for v in range(bcs.n_vars)])
+    commutators = _worst_commutators(ops, [sorted(c.support) for c in bcs.constraints])
     for j, c in enumerate(bcs.constraints):
-        members = sorted(c.support)
-        worst_here = 0.0
-        for idx, a in enumerate(members):
-            for b in members[idx + 1:]:
-                ma, mb = sol.assignment[a], sol.assignment[b]
-                worst_here = max(worst_here, float(np.max(np.abs(ma @ mb - mb @ ma))))
+        worst_here = float(commutators[j])
         prod = np.eye(dim, dtype=complex)
         for v in c.var_indices:
             prod = prod @ sol.assignment[v]
@@ -296,12 +293,24 @@ def measure_batch(
     return outcomes, m
 
 
+def _worst_commutators(ops: np.ndarray, groups) -> np.ndarray:
+    """Per group of row indices into the (V, d, d) stack ``ops``, the largest
+    entry of any commutator of two of its operators (0 below two), from
+    batched products over the pairs of every group, CHUNK pairs at a time
+    so that memory stays small."""
+    worst = np.zeros(len(groups))
+    pairs = ((g, a, b) for g, group in enumerate(groups) for a, b in itertools.combinations(group, 2))
+    for block in batches(pairs):
+        owner, a, b = np.array(block).T
+        left, right = ops[a], ops[b]
+        np.maximum.at(worst, owner, np.abs(left @ right - right @ left).max(axis=(1, 2)))
+    return worst
+
+
 def _check_commuting(observables: list[np.ndarray]) -> None:
     """Raise ValueError unless the observables commute pairwise within 1e-9."""
-    for i, a in enumerate(observables):
-        for b in observables[i + 1:]:
-            if float(np.max(np.abs(a @ b - b @ a))) > 1e-9:
-                raise ValueError("observables do not commute")
+    if _worst_commutators(np.asarray(observables), [range(len(observables))])[0] > 1e-9:
+        raise ValueError("observables do not commute")
 
 
 def _draw_uniforms(rng: np.random.Generator, count: int) -> list[float]:
@@ -345,8 +354,8 @@ class StrategyStack:
 
     Row v of ``ops`` is variable v's observable and the last row is the
     identity, which pads constraints narrower than the widest in a batch, so
-    a measurement step of a batch is one gather.  Each constraint's
-    observables are checked to commute the first time a round draws it.
+    a measurement step of a batch is one gather.  Every constraint's
+    observables are checked to commute once, when the stack is built.
     """
 
     def __init__(self, bcs: Bcs, sol: OperatorSolution) -> None:
@@ -355,15 +364,13 @@ class StrategyStack:
         self.ops = np.stack(
             [sol.assignment[v] for v in range(bcs.n_vars)] + [np.eye(sol.dim, dtype=complex)]
         )
-        self._checked: set[int] = set()
+        worst = _worst_commutators(self.ops, [c.var_indices for c in bcs.constraints])
+        if np.any(worst > 1e-9):
+            raise ValueError(f"observables of constraint {int(np.argmax(worst > 1e-9))} do not commute")
 
     def draw(self, alpha: int, rng: np.random.Generator) -> list[float]:
         """Alice's uniforms for constraint alpha, one per variable, then Bob's."""
-        members = self.bcs.constraints[alpha].var_indices
-        if alpha not in self._checked:
-            _check_commuting([self.ops[v] for v in members])
-            self._checked.add(alpha)
-        return _draw_uniforms(rng, len(members) + 1)
+        return _draw_uniforms(rng, len(self.bcs.constraints[alpha].var_indices) + 1)
 
     def measure(
         self, amplitudes: np.ndarray, questions: list[tuple[int, int]], draws: list[list[float]]

@@ -17,13 +17,15 @@ correction X^xb Z^za restores |Phi+>.  Swapping is simulated analytically
 (independent uniform Bell outcomes, frames by parity); the state-vector
 oracle in the test suite checks both facts exactly on short chains.
 
-Round 2 plays the complete-graph game on the corrected three-pair state.
-The sampling variant plays on the uncorrected state and succeeds outright
-when every parity is +1, which happens with probability 1/64.  The 64 frame
-states and Alice's 64 corrections are tabulated from Pauli strings on first
-use, keyed by the six frame bits.  One routine builds every round-2 starting
-state from them: for ``run_round2`` as a batch of one, and for ``run_trials``,
-which measures many trials per ``quantum.measure_batch`` call.
+Round 2 plays the complete-graph game on the corrected three-pair state,
+which is |Phi+> itself: the 64 frame states and Alice's 64 corrections are
+tabulated from Pauli strings on first use, keyed by the six frame bits, and
+every correction is checked there, once, to restore its frame state.  The
+sampling variant plays on the uncorrected frame state and succeeds outright
+when every parity is +1, that is at frame key 0, with probability 1/64.  One
+routine builds every round-2 starting state: for ``run_round2`` as a batch
+of one, and for ``run_trials``, which measures many trials per
+``quantum.measure_batch`` call.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
 wires, validated and indexed by layer once, when the wiring is built.
@@ -129,12 +131,6 @@ def frame_key(frame: tuple[tuple[int, int], ...]) -> int:
     return sum((z | x << 1) << 2 * l for l, (z, x) in enumerate(frame))
 
 
-def syndrome_key(p_a, p_b) -> int:
-    """The frame key a syndrome calls for: z_l when p^A_l is -1, x_l when
-    p^B_l is -1."""
-    return frame_key([(int(a < 0), int(b < 0)) for a, b in zip(p_a, p_b)])
-
-
 @functools.cache
 def frame_tables() -> tuple[np.ndarray, np.ndarray]:
     """The 64 frame states and Alice's 64 corrections, by frame key.
@@ -142,8 +138,8 @@ def frame_tables() -> tuple[np.ndarray, np.ndarray]:
     State key is Z^z X^x on every layer's Alice qubit applied to |Phi+> of
     dimension 8, and correction key is X^x Z^z on the same qubits, the
     recovery for the syndrome of that frame.  Both come from Pauli strings
-    (Z X = iY and X Z = -iY per layer); every state, and every correction
-    applied to its own frame state, passes SharedState's norm check.
+    (Z X = iY and X Z = -iY per layer).  Each correction applied to its own
+    frame state is checked to give |Phi+>, all 64 at once.
     """
     phi = phi_plus(8).amplitudes
     states = np.empty((64, 8, 8), dtype=complex)
@@ -152,33 +148,31 @@ def frame_tables() -> tuple[np.ndarray, np.ndarray]:
         z = sum(((key >> 2 * l) & 1) << l for l in range(3))
         x = sum(((key >> 2 * l + 1) & 1) << l for l in range(3))
         ys = (x & z).bit_count()
-        states[key] = SharedState(pauli.to_matrix(PauliString(3, x, z, ys)) @ phi).amplitudes
+        states[key] = pauli.to_matrix(PauliString(3, x, z, ys)) @ phi
         corrections[key] = pauli.to_matrix(PauliString(3, x, z, -ys))
-        SharedState(corrections[key] @ states[key])
+    _check_fidelity(corrections @ states)
     states.flags.writeable = False
     corrections.flags.writeable = False
     return states, corrections
 
 
 def _check_fidelity(amplitudes: np.ndarray) -> None:
-    """Every corrected state of the stack must be |Phi+> of dimension 8."""
+    """Every state of the stack must be |Phi+> of dimension 8, norm included."""
     fidelity = np.abs(np.trace(amplitudes, axis1=1, axis2=2)) ** 2 / 8
-    low = fidelity <= 1 - 1e-9
-    if np.any(low):
-        raise InvariantError(f"correction left fidelity {fidelity[low][0]}")
+    off = np.abs(fidelity - 1) > 1e-9
+    if np.any(off):
+        raise InvariantError(f"correction left fidelity {fidelity[off][0]}")
 
 
-def _round2_states(instances, transcripts, correct: bool) -> np.ndarray:
-    """Round-2 starting states, shape (T, 8, 8): each transcript's frame
-    state and, when ``correct``, Alice's correction for its syndrome, with
-    every corrected state checked to be |Phi+>."""
-    states, corrections = frame_tables()
-    amplitudes = states[[frame_key(t.pauli_frame) for t in transcripts]]
+def _round2_states(keys: list[int], correct: bool) -> np.ndarray:
+    """Round-2 starting states by frame key, shape (T, 8, 8): |Phi+> for
+    every trial when ``correct`` (``frame_tables`` checks that each key's
+    correction restores it), else each key's frame state."""
+    states, _ = frame_tables()
     if correct:
-        keys = [syndrome_key(*compute_syndrome(t, i.j, i.k)) for i, t in zip(instances, transcripts)]
-        amplitudes = corrections[keys] @ amplitudes
-        _check_fidelity(amplitudes)
-    return amplitudes
+        phi = phi_plus(8).amplitudes
+        return np.broadcast_to(phi, (len(keys),) + phi.shape)
+    return states[keys]
 
 
 def _round2_result(width: int, row: list[int]) -> Round2Result:
@@ -195,16 +189,16 @@ def run_round2(
     rng: np.random.Generator,
     apply_correction: bool = True,
 ) -> Round2Result:
-    """Correct the swapped state from the syndrome, then play the game.
+    """Correct the swapped state, then play the game.
 
     Alice measures the observables of constraint alpha in ascending variable
     order (outputs padded to three bits with +1); Bob's meaningful bit is
-    position 1.  With the correction applied, the pre-measurement state must
-    be exactly |Phi+> of dimension 8.
+    position 1.  A corrected round starts from |Phi+> of dimension 8 (see
+    ``frame_tables``), an uncorrected one from the transcript's frame state.
     """
     if sol.dim != 8:
         raise ValueError("round 2 expects the dimension-8 strategy")
-    state = SharedState(_round2_states([instance], [transcript], apply_correction)[0])
+    state = SharedState(_round2_states([frame_key(transcript.pauli_frame)], apply_correction)[0])
     constraint = game.bcs.constraints[instance.alpha]
     alice_obs = [sol.assignment[v] for v in constraint.var_indices]
     a_out, state = measure_commuting(state, "A", alice_obs, rng)
@@ -238,18 +232,16 @@ class SamplingTrial:
     case: str  # "case1", "case2", or "invalid"
 
 
-def _sampling_trial(game: GameBcs, instance: RelationInstance, transcript: Round1Transcript,
+def _sampling_trial(game: GameBcs, instance: RelationInstance, key: int,
                     outputs: Round2Result) -> SamplingTrial:
-    """Classify a played trial: clean when every parity of its syndrome is +1."""
-    p_a, p_b = compute_syndrome(transcript, instance.j, instance.k)
-    clean = all(s == 1 for s in p_a + p_b)
-    if not clean:
+    """Classify a played trial: clean, every syndrome parity +1, at frame key 0."""
+    if key:
         case = "case2"
     elif check_relation(instance, outputs, game):
         case = "case1"
     else:
         case = "invalid"
-    return SamplingTrial(outputs, clean, case)
+    return SamplingTrial(outputs, key == 0, case)
 
 
 def run_sampling_trial(
@@ -266,7 +258,7 @@ def run_sampling_trial(
     """
     transcript = run_round1(instance, rng)
     outputs = run_round2(game, instance, transcript, sol, rng, apply_correction=False)
-    return _sampling_trial(game, instance, transcript, outputs)
+    return _sampling_trial(game, instance, frame_key(transcript.pauli_frame), outputs)
 
 
 def run_trials(
@@ -281,8 +273,8 @@ def run_trials(
     Each trial draws from its own generator in the one-trial order:
     ``random_instance`` on ``sites`` sites (a chain length, or a function
     drawing it from the generator first), ``run_round1``, then Alice's
-    uniforms and Bob's.  So the trials equal ``run_round2`` (corrected, with
-    every trial's fidelity checked) or ``run_sampling_trial`` one for one,
+    uniforms and Bob's, keeping only each transcript's frame key.  So the
+    trials equal ``run_round2`` or ``run_sampling_trial`` one for one,
     whatever the batch size, and passing one generator n times reproduces a
     loop of n trials on it.  Yields (instance, Round2Result) for
     ``mode="relation"`` and (instance, SamplingTrial) for ``"sampling"``.
@@ -293,22 +285,22 @@ def run_trials(
         raise ValueError("round 2 expects the dimension-8 strategy")
     stack = StrategyStack(game.bcs, sol)
     for chunk in batches(rngs):
-        instances, transcripts, draws = [], [], []
+        instances, keys, draws = [], [], []
         for rng in chunk:
             n_sites = sites(rng) if callable(sites) else sites
             instance = random_instance(game, n_sites, rng)
             instances.append(instance)
-            transcripts.append(run_round1(instance, rng))
+            keys.append(frame_key(run_round1(instance, rng).pauli_frame))
             draws.append(stack.draw(instance.alpha, rng))
-        amplitudes = _round2_states(instances, transcripts, mode == "relation")
+        amplitudes = _round2_states(keys, mode == "relation")
         questions = [(i.alpha, i.beta) for i in instances]
         rows = stack.measure(amplitudes, questions, draws)
-        for instance, transcript, row in zip(instances, transcripts, rows):
+        for instance, key, row in zip(instances, keys, rows):
             outputs = _round2_result(len(game.bcs.constraints[instance.alpha].var_indices), row)
             if mode == "relation":
                 yield instance, outputs
             else:
-                yield instance, _sampling_trial(game, instance, transcript, outputs)
+                yield instance, _sampling_trial(game, instance, key, outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcsmagic import bcs, game, quantum
+from bcsmagic import bcs, game, quantum, shallow
 from bcsmagic.cli import _strategy_for, main, trial_rng
 
 
@@ -467,6 +467,32 @@ def test_unusable_out_path_exits_2(tmp_path, mermin_file, capsys, argv):
     argv = [a.format(bcs=mermin_file) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "missing" / "out.txt")]) == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_simulate_closes_its_log_when_a_trial_raises(tmp_path, monkeypatch, capsys):
+    """A fault after the first trial exits 1 and leaves the --out log closed,
+    with that trial's record written."""
+    run_trials = shallow.run_trials
+
+    def one_then_fault(*args, **kwargs):
+        yield next(run_trials(*args, **kwargs))
+        raise bcs.InvariantError("planted fault")
+
+    opened = []
+    path_open = Path.open
+
+    def recording_open(self, *args, **kwargs):
+        opened.append(path_open(self, *args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(shallow, "run_trials", one_then_fault)
+    monkeypatch.setattr(Path, "open", recording_open)
+    log = tmp_path / "trials.jsonl"
+    assert main(["simulate", "--mode", "relation", "--sites", "5", "--trials", "3",
+                 "--seed", "1", "--out", str(log)]) == 1
+    assert "planted fault" in capsys.readouterr().err
+    assert len(opened) == 1 and opened[0].closed
+    assert len(log.read_text().splitlines()) == 1
 
 
 def test_recipes(capsys):

@@ -220,6 +220,24 @@ def test_noncommuting_rejected():
         measure_commuting(phi_plus(2), "A", [x, z], make_rng(0))
 
 
+def test_worst_commutators_equal_a_pair_loop(monkeypatch):
+    """The batched commutator of every group against a loop over its pairs,
+    across block boundaries; the diagonal operators 5..8 commute exactly."""
+    gen = np.random.default_rng(3)
+    ops = gen.normal(size=(9, 4, 4)) + 1j * gen.normal(size=(9, 4, 4))
+    ops[5:] = [np.diag(d) for d in gen.normal(size=(4, 4))]
+    groups = [range(9), (1, 3, 5), (5, 6, 7, 8), (2,), ()]
+    expected = [
+        max((np.abs(ops[a] @ ops[b] - ops[b] @ ops[a]).max() for a, b in itertools.combinations(g, 2)),
+            default=0.0)
+        for g in groups
+    ]
+    monkeypatch.setattr(quantum, "CHUNK", 5)
+    worst = quantum._worst_commutators(ops, groups)
+    np.testing.assert_allclose(worst, expected, rtol=0, atol=1e-12)
+    assert worst[2] == 0 and worst[0] > 1
+
+
 # Uniforms that force a step onto its +1 branch (0) or its -1 branch (the
 # largest double below 1), whenever that branch is possible.
 _FORCE = (0.0, 1 - 2.0 ** -53)
@@ -413,6 +431,14 @@ def test_play_rounds_check_commutation_once_per_constraint():
     sol.assignment[c.var_indices[1]] = to_matrix(parse_pauli("ZI"))
     with pytest.raises(ValueError, match="commute"):
         list(play_rounds(g, sol, (make_rng(t) for t in range(200))))
+    # Checked when the stack is built, before any round draws the constraint.
+    with pytest.raises(ValueError, match="constraint 0 do not commute"):
+        quantum.StrategyStack(g.bcs, sol)
+    with pytest.raises(ValueError, match="commute"):
+        list(play_rounds(g, sol, []))
+    report = quantum.verify_operator_solution(g.bcs, sol)
+    assert (report.worst_commutator, report.failing_constraint) == (2.0, 0)
+    assert not report.commutation_ok
 
 
 # ---------------------------------------------------------------------------

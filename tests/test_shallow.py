@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from swap_oracle import bell_vector, enumerate_swap_branches
 
-from bcsmagic import quantum, shallow
+from bcsmagic import pauli, quantum
 from bcsmagic.bcs import InvariantError
+from bcsmagic.cli import trial_rng
 from bcsmagic.game import build_game_bcs
 from bcsmagic.quantum import make_rng, permutation_solution, phi_plus
 from bcsmagic.shallow import (
@@ -33,7 +34,6 @@ from bcsmagic.shallow import (
     run_round2,
     run_sampling_trial,
     run_trials,
-    syndrome_key,
 )
 
 
@@ -45,6 +45,12 @@ class _ZeroRng:
 
     def random(self):
         return 0.0
+
+
+def syndrome_key(p_a, p_b) -> int:
+    """The frame key a syndrome calls for: z_l when p^A_l is -1, x_l when
+    p^B_l is -1."""
+    return frame_key([(int(a < 0), int(b < 0)) for a, b in zip(p_a, p_b)])
 
 
 @pytest.fixture(scope="module")
@@ -149,18 +155,22 @@ def test_syndrome_single_flip():
     assert p_b == (1, -1, 1)
 
 
-def test_syndrome_matches_direct_products():
-    inst = RelationInstance(N=9, n=8, j=1, k=8, alpha=0, beta=0)
-    rng = make_rng(4)
-    transcript = run_round1(inst, rng)
-    p_a, p_b = compute_syndrome(transcript, 1, 8)
-    for l in range(3):
-        assert p_a[l] == np.prod(transcript.r_alice[:, l])
-        assert p_b[l] == np.prod(transcript.r_bob[:, l])
-    frame = transcript.pauli_frame
-    for l in range(3):
-        assert p_a[l] == 1 - 2 * frame[l][0]
-        assert p_b[l] == 1 - 2 * frame[l][1]
+def test_syndrome_matches_direct_products(game8):
+    """The syndrome names the frame's own key on 2,400 trial streams over
+    chains of 2 to 1000 sites: the fact that lets corrected rounds start
+    from |Phi+> and sampling trials be clean exactly at key 0."""
+    keys = set()
+    for t in range(2400):
+        rng = trial_rng(4, t)
+        inst = random_instance(game8, (2, 3, 9, 40, 1000)[t % 5], rng)
+        transcript = run_round1(inst, rng)
+        p_a, p_b = compute_syndrome(transcript, inst.j, inst.k)
+        for l in range(3):
+            assert p_a[l] == np.prod(transcript.r_alice[:, l])
+            assert p_b[l] == np.prod(transcript.r_bob[:, l])
+        assert syndrome_key(p_a, p_b) == frame_key(transcript.pauli_frame)
+        keys.add(frame_key(transcript.pauli_frame))
+    assert keys == set(range(64))
 
 
 def test_syndrome_range_mismatch():
@@ -307,16 +317,25 @@ def test_run_trials_sampling_equals_a_loop(game8, sol8, monkeypatch):
 
 
 def test_run_trials_checks_every_trials_fidelity(game8, sol8, monkeypatch):
-    """A correction table with one wrong entry is caught by the first trial
-    that uses it."""
-    states, corrections = frame_tables()
-    tampered = corrections.copy()
-    tampered[frame_key(((1, 0), (0, 0), (0, 0)))] = np.eye(8)
-    monkeypatch.setattr(shallow, "frame_tables", lambda: (states, tampered))
-    trials = run_trials(game8, sol8, 40, (make_rng(t) for t in range(400)))
-    with pytest.raises(InvariantError, match="fidelity"):
-        list(trials)
-    assert list(run_trials(game8, sol8, 40, (make_rng(t) for t in range(400)), "sampling"))
+    """Corrected trials start from |Phi+> because frame_tables checks every
+    key's correction once: a table built with one wrong correction (the
+    identity for the frame with a Y on layer 0) fails that check, so no
+    trial of either mode runs on it."""
+    to_matrix = pauli.to_matrix
+
+    def tampered(s):
+        if (s.x_bits, s.z_bits, s.phase) == (1, 1, 3):  # the correction X Z = -iY
+            return np.eye(8, dtype=complex)
+        return to_matrix(s)
+
+    frame_tables.cache_clear()
+    monkeypatch.setattr(pauli, "to_matrix", tampered)
+    try:
+        for mode in ("relation", "sampling"):
+            with pytest.raises(InvariantError, match="fidelity"):
+                list(run_trials(game8, sol8, 40, (make_rng(t) for t in range(4)), mode))
+    finally:
+        frame_tables.cache_clear()
 
 
 def test_run_trials_rejects_bad_mode_and_dimension(game8, sol8):
