@@ -221,12 +221,12 @@ class Elimination:
 def eliminate_free_vars(bcs: Bcs) -> Elimination:
     """Express each variable over a free set by GF(2) elimination.
 
-    Pivoting is lowest-index-first, so the free set is the lexicographically
-    latest choice.  A dependent variable's expression is the ascending list
-    of free variables in its reduced row; each gets a sign unknown.  Free
-    variables stand for themselves.  The reduction is kept: pivot row i
-    belongs to ``dependent[i]``, and the zero rows after them carry the left
-    kernel in their provenance.
+    Pivot columns are those of the unique RREF, so the free set is the
+    lexicographically latest choice.  A dependent variable's expression is
+    the ascending list of free variables in its reduced row; each gets a sign
+    unknown.  Free variables stand for themselves.  The reduction is kept:
+    pivot row i belongs to ``dependent[i]``, and the zero rows after them
+    carry a (not canonical) basis of the left kernel in their provenance.
     """
     reduced = gf2.row_reduce(incidence_system(bcs))
     pivot_cols = reduced.pivot_cols

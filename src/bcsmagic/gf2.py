@@ -8,8 +8,9 @@ vector on the left and to 1 on the right.
 
 Conventions fixed here and relied on elsewhere:
 
-* pivot selection is lowest-index nonzero column, lowest row, which makes
-  elimination traces reproducible;
+* the reduction is the unique RREF: pivot columns, pivot rows and, on a
+  consistent system, their rhs bits are invariant; provenance and the
+  kernel basis are not, so a certificate is one valid choice among several;
 * free columns are assigned 0 when solving.
 """
 from __future__ import annotations
@@ -89,33 +90,32 @@ def set_bits(mask: int) -> list[int]:
 def row_reduce(system: Gf2System) -> ReducedSystem:
     """Reduce to row-reduced echelon form, tracking provenance.
 
-    Pivot rows come first with strictly increasing pivot columns; rows that
-    reduced to zero (possibly with rhs 1, i.e. contradictions) follow.
+    Rows enter an XOR basis keyed by lowest set column, widest rows first,
+    then each pivot row is cleared of the other pivots, highest first.  Pivot
+    rows come first with strictly increasing pivot columns; rows that reduced
+    to zero (possibly with rhs 1, i.e. contradictions) follow.
     """
-    bits = list(system.matrix.bits)
-    rhs = list(system.rhs)
-    prov = list(system.provenance)
-    n_rows, n_cols = system.matrix.rows, system.matrix.cols
-
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        mask = 1 << col
-        pivot = next((i for i in range(r, n_rows) if bits[i] & mask), None)
-        if pivot is None:
-            continue
-        bits[r], bits[pivot] = bits[pivot], bits[r]
-        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-        prov[r], prov[pivot] = prov[pivot], prov[r]
-        for i in range(n_rows):
-            if i != r and bits[i] & mask:
-                bits[i] ^= bits[r]
-                rhs[i] ^= rhs[r]
-                prov[i] ^= prov[r]
-        pivot_cols.append(col)
-        r += 1
-
-    reduced = Gf2System(Gf2Matrix(n_rows, n_cols, bits), rhs, prov)
+    bits, rhs, prov = list(system.matrix.bits), list(system.rhs), list(system.provenance)
+    at: dict[int, int] = {}  # pivot column -> row index
+    inserted = sorted(range(len(bits)), key=lambda i: -bits[i].bit_length())
+    for i in inserted:
+        while bits[i] and (j := at.setdefault((bits[i] & -bits[i]).bit_length() - 1, i)) != i:
+            bits[i] ^= bits[j]
+            rhs[i] ^= rhs[j]
+            prov[i] ^= prov[j]
+    pivot_cols = sorted(at)
+    pivot_mask = sum(1 << c for c in pivot_cols)
+    for c in reversed(pivot_cols):
+        i = at[c]
+        # Higher pivot rows are reduced already: each XOR clears one pivot.
+        for q in set_bits(bits[i] & pivot_mask ^ 1 << c):
+            j = at[q]
+            bits[i] ^= bits[j]
+            rhs[i] ^= rhs[j]
+            prov[i] ^= prov[j]
+    order = [at[c] for c in pivot_cols] + [i for i in inserted if not bits[i]]
+    matrix = Gf2Matrix(len(bits), system.matrix.cols, [bits[i] for i in order])
+    reduced = Gf2System(matrix, [rhs[i] for i in order], [prov[i] for i in order])
     return ReducedSystem(reduced, pivot_cols)
 
 

@@ -65,6 +65,12 @@ def test_criterion_02_solver_classification():
         if n == 8:
             results["n8_under_30s"] = solve_time < 30.0
 
+    g12 = game.build_game_bcs(12)
+    t_12 = time.perf_counter()
+    out12 = bcs.pauli_solve(g12.bcs)
+    results["n12_certificate"] = isinstance(out12, bcs.Certificate) and bcs.verify_certificate(g12.bcs, out12)
+    results["n12_under_5s"] = time.perf_counter() - t_12 < 5.0
+
     elapsed = time.perf_counter() - t0
     _report(2, "solver classification", all(results.values()), f"{results}, {elapsed:.1f}s")
 

@@ -1,5 +1,6 @@
 import random
 
+import gf2_oracle
 import pytest
 from sign_system_oracle import build_sign_system, satisfiable_brute
 
@@ -353,6 +354,26 @@ def test_random_instances_sound_and_oracle_agree():
             assert verify_certificate(b, out)
             assert classical_solve(b) is None  # monotonicity, contrapositive
     assert solved > 0 and solved < checked
+
+
+def test_solutions_invariant_under_gauss_jordan_oracle(monkeypatch):
+    # Only provenance and the kernel basis depend on the reduction, and a
+    # kernel vector pins the signs it could change, so solutions must be
+    # byte-identical; certificates may cite other rows but must replay.
+    rng = random.Random(20241018)
+    corpus = [random_bcs(rng) for _ in range(3000)]
+    corpus += [build_game_bcs(n, modified=m).bcs for n in range(4, 11) for m in (False, True)]
+    corpus += [chsh(), mermin_peres()]
+    shipped = [pauli_solve(b) for b in corpus]
+    monkeypatch.setattr(gf2, "row_reduce", gf2_oracle.row_reduce)
+    reference = [pauli_solve(b) for b in corpus]
+    monkeypatch.undo()
+    for b, out, ref in zip(corpus, shipped, reference):
+        assert type(out) is type(ref)
+        if isinstance(out, PauliSolution):
+            assert serialize_solution(b, out) == serialize_solution(b, ref)
+        else:
+            assert verify_certificate(b, out) and verify_certificate(b, ref)
 
 
 def test_monotonicity_classical_implies_pauli():

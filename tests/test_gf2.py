@@ -1,9 +1,13 @@
 import random
 
+import gf2_oracle
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcsmagic import gf2
+from bcsmagic.bcs import incidence_system
+from bcsmagic.game import build_game_bcs
 from bcsmagic.gf2 import Gf2System, Inconsistency, Solution
 
 
@@ -133,3 +137,39 @@ def test_solve_matches_enumeration(data):
             acc_row ^= rows[i]
             acc_rhs ^= rhs[i]
         assert acc_row == 0 and acc_rhs == 1
+
+
+def assert_matches_oracle(system):
+    """The RREF invariants agree with Gauss-Jordan; provenance replays."""
+    red, ref = gf2.row_reduce(system), gf2_oracle.row_reduce(system)
+    rank = len(ref.pivot_cols)
+    bits, rhs, prov = red.system.matrix.bits, red.system.rhs, red.system.provenance
+    assert red.pivot_cols == ref.pivot_cols
+    assert bits[:rank] == ref.system.matrix.bits[:rank]
+    consistent = not any(ref.system.rhs[rank:])
+    assert consistent == (not any(rhs[rank:]))
+    if consistent:
+        assert rhs[:rank] == ref.system.rhs[:rank]
+    assert len(bits) == system.matrix.rows and not any(bits[rank:])
+    for i in range(system.matrix.rows):
+        acc_row = acc_rhs = 0
+        for j in gf2.set_bits(prov[i]):
+            acc_row ^= system.matrix.bits[j]
+            acc_rhs ^= system.rhs[j]
+        assert (acc_row, acc_rhs) == (bits[i], rhs[i])
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_row_reduce_matches_gauss_jordan_oracle(data):
+    n_cols = data.draw(st.integers(0, 12))
+    n_rows = data.draw(st.integers(0, 12))
+    rows = [data.draw(st.integers(0, (1 << n_cols) - 1)) for _ in range(n_rows)]
+    rhs = [data.draw(st.integers(0, 1)) for _ in range(n_rows)]
+    assert_matches_oracle(Gf2System(gf2.Gf2Matrix(n_rows, n_cols, rows), rhs))
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("modified", [False, True])
+def test_row_reduce_matches_gauss_jordan_oracle_on_games(n, modified):
+    assert_matches_oracle(incidence_system(build_game_bcs(n, modified=modified).bcs))
