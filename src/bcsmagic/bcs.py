@@ -16,17 +16,21 @@ The operator solver works in three steps:
 2. substitute those expressions into the constraints and into the
    commutation requirements of co-occurring pairs, bubbling products into
    ascending order while recording, for every swap of distinct free
-   variables k < l, a commutator unknown for the pair (k, l); equal
-   neighbours cancel because every variable squares to the identity.  The
+   variables k < l, the commutator unknown of the pair (k, l); equal
+   neighbours cancel because every variable squares to the identity.  A
+   product's swap parities are one integer, its pair mask, with bit k*n + l
+   for the pair (k, l) of n variables.  A_i A_j A_i A_j sorts as A_i^2 A_j^2
+   [A_i, A_j]; it swaps the pairs inside the XOR of the two supports.  The
    constraints of a kernel vector multiply to a product of swaps alone, so
    each kernel vector gives one equation over commutator unknowns: the XOR
-   of its constraints' swap pairs equals its accumulated rhs bit;
+   of its constraints' pair masks equals its accumulated rhs bit;
 3. solve that GF(2) system, one row per kernel vector and one per
-   co-occurring pair, over the commutator unknowns only.  A solution lifts
-   to Pauli strings with one qubit per anticommuting pair, and each
-   dependent variable's sign follows by back-substitution into its pivot
-   row; an inconsistency cites the constraints of the kernel vectors
-   involved, plus the commutation facts, whose formal product reduces to -1.
+   co-occurring pair, over the commutator unknowns that occur, in pair
+   order.  A solution lifts to Pauli strings with one qubit per
+   anticommuting pair, and each dependent variable's sign follows by
+   back-substitution into its pivot row; an inconsistency cites the
+   constraints of the kernel vectors involved, plus the commutation facts,
+   whose formal product reduces to -1.
 
 Constraints are canonicalized at parse time: variable lists are sorted
 ascending and repeats are cancelled in pairs.  The set of distinct variables
@@ -37,6 +41,7 @@ together, including variables that cancelled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import gf2, pauli
 from .gf2 import Gf2System, Inconsistency, set_bits
@@ -246,43 +251,29 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
 # Swap bookkeeping
 # ---------------------------------------------------------------------------
 
-def _inversion_parity(blocks: list[tuple[int, ...]], n_vars: int) -> dict[int, int]:
+def _inversion_parity(blocks: list[tuple[int, ...]], n_vars: int) -> int:
     """Swap parity of sorting the concatenation of ascending blocks.
 
-    Returns {smaller var: bitmask of larger partners} for the pairs swapped
-    an odd number of times; pairs of equal variables never swap.
+    Returns a pair mask: bit ``k * n_vars + l`` is set for each pair k < l
+    swapped an odd number of times.  Pairs of equal variables never swap.
     """
-    full = (1 << n_vars) - 1
-    partners: dict[int, int] = {}
-    prefix = 0
+    out = prefix = 0
     for block in blocks:
         mask = 0
         for b in block:
-            hit = prefix & (full ^ ((1 << (b + 1)) - 1))
-            if hit:
-                partners[b] = partners.get(b, 0) ^ hit
+            out ^= (prefix >> (b + 1)) << (b * n_vars + b + 1)
             mask |= 1 << b
         prefix ^= mask
-    return {k: v for k, v in partners.items() if v}
-
-
-def _parity_pairs(parity: dict[int, int]) -> list[tuple[int, int]]:
-    return [(k, l) for k in sorted(parity) for l in set_bits(parity[k])]
+    return out
 
 
 def co_occurrence_pairs(bcs: Bcs) -> list[tuple[int, int]]:
     """Distinct unordered pairs appearing together in some constraint."""
-    pairs: set[tuple[int, int]] = set()
-    for c in bcs.constraints:
-        members = sorted(c.support)
-        for a_i in range(len(members)):
-            for b_i in range(a_i + 1, len(members)):
-                pairs.add((members[a_i], members[b_i]))
-    return sorted(pairs)
+    return sorted({p for c in bcs.constraints for p in combinations(sorted(c.support), 2)})
 
 
-def _constraint_parity(bcs: Bcs, elim: Elimination, j: int) -> dict[int, int]:
-    """Pair parity of constraint j with every variable substituted."""
+def _constraint_parity(bcs: Bcs, elim: Elimination, j: int) -> int:
+    """Pair mask of constraint j with every variable substituted."""
     blocks = [elim.expressions[v].free_support for v in bcs.constraints[j].var_indices]
     cancel = 0
     for block in blocks:
@@ -293,11 +284,19 @@ def _constraint_parity(bcs: Bcs, elim: Elimination, j: int) -> dict[int, int]:
     return _inversion_parity(blocks, bcs.n_vars)
 
 
-def _commutation_row(bcs: Bcs, elim: Elimination, i: int, j: int):
-    """Pair parity of the formal expansion A_i A_j A_i A_j = I."""
-    si = elim.expressions[i].free_support
-    sj = elim.expressions[j].free_support
-    return _inversion_parity([si, sj, si, sj], bcs.n_vars)
+def _commutation_row(d: int, n_vars: int) -> int:
+    """Pair mask of the formal expansion A_i A_j A_i A_j = I, where d is
+    the XOR of the free-support masks of A_i and A_j.
+
+    The expansion sorts as A_i^2 A_j^2 [A_i, A_j]: each square swaps the
+    pairs inside its support, the commutator the pairs across the two.  So
+    a < b swaps (#supports holding a) * (#supports holding b) times, and
+    the row is every pair inside d.
+    """
+    out = 0
+    for a in set_bits(d):
+        out ^= (d >> (a + 1)) << (a * n_vars + a + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,26 +344,30 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
     """
     elim = eliminate_free_vars(bcs)
     reduced = elim.reduced.system
+    n = bcs.n_vars
     rank = len(elim.dependent)
     kernel = range(rank, reduced.matrix.rows)
-    swaps = [frozenset(_parity_pairs(_constraint_parity(bcs, elim, j)))
-             for j in range(len(bcs.constraints))]
-    swapping = sum(1 << j for j, pairs in enumerate(swaps) if pairs)
+    swaps = [_constraint_parity(bcs, elim, j) for j in range(len(bcs.constraints))]
+    swapping = sum(1 << j for j, mask in enumerate(swaps) if mask)
 
     # One row per kernel vector, then one per co-occurring pair, over the
-    # commutator unknowns that occur in some row.
-    row_pairs: list[frozenset[tuple[int, int]]] = []
+    # commutator unknowns that occur in some row.  Pair bit k*n + l maps to
+    # its rank among those bits, so columns keep the order of the pairs.
+    rows: list[int] = []
     for i in kernel:
-        acc: frozenset[tuple[int, int]] = frozenset()
+        acc = 0
         for j in set_bits(reduced.provenance[i] & swapping):
             acc ^= swaps[j]
-        row_pairs.append(acc)
+        rows.append(acc)
     pair_list = co_occurrence_pairs(bcs)
-    row_pairs.extend(frozenset(_parity_pairs(_commutation_row(bcs, elim, i, j)))
-                     for i, j in pair_list)
-    comm = sorted(frozenset().union(*row_pairs))
+    masks = [sum(1 << f for f in e.free_support) for e in elim.expressions]
+    rows.extend(_commutation_row(masks[i] ^ masks[j], n) for i, j in pair_list)
+    used = 0
+    for row in rows:
+        used |= row
+    comm = set_bits(used)
     col = {p: c for c, p in enumerate(comm)}
-    bits = [sum(1 << col[p] for p in pairs) for pairs in row_pairs]
+    bits = [sum(1 << col[p] for p in set_bits(row)) if row else 0 for row in rows]
     rhs = [reduced.rhs[i] for i in kernel] + [0] * len(pair_list)
     out = gf2.solve(Gf2System(gf2.Gf2Matrix(len(bits), len(comm), bits), rhs))
 
@@ -380,60 +383,61 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
         relation = tuple(v for j in constraint_rows for v in bcs.constraints[j].var_indices)
         return Certificate(constraint_rows, tuple(commutation_rows), relation)
 
-    anti_pairs = [p for p, value in zip(comm, out.assignment) if value]
-    anti = frozenset(anti_pairs)
+    anti = sum(1 << p for p, value in zip(comm, out.assignment) if value)
     # Bit j: whether constraint j's swaps pick up an odd number of signs.
-    flip = sum(1 << j for j, pairs in enumerate(swaps) if len(pairs & anti) % 2)
-    n_qubits = len(anti_pairs)
-
-    strings: dict[int, PauliString] = {}
-    for v in elim.free:
-        x = z = 0
-        for q, (k, l) in enumerate(anti_pairs):
-            if v == k:
-                x |= 1 << q
-            elif v == l:
-                z |= 1 << q
-        strings[v] = PauliString(n_qubits, x, z, 0)
+    flip = sum(1 << j for j, mask in enumerate(swaps) if (mask & anti).bit_count() & 1)
+    n_qubits = anti.bit_count()
+    xs, zs, phases = [0] * n, [0] * n, [0] * n
+    for q, p in enumerate(set_bits(anti)):
+        k, l = divmod(p, n)
+        xs[k] |= 1 << q
+        zs[l] |= 1 << q
+    # Free strings carry no Y and no phase, so their normal-form phase is 0.
     for i, v in enumerate(elim.dependent):
-        expr = elim.expressions[v]
-        prod = pauli.multiply_all([strings[f] for f in expr.free_support], n_qubits)
+        x, z, phase = _product(elim.expressions[v].free_support, xs, zs, phases)
         sign = reduced.rhs[i] ^ ((reduced.provenance[i] & flip).bit_count() & 1)
-        strings[v] = PauliString(n_qubits, prod.x_bits, prod.z_bits, prod.phase + 2 * sign)
+        xs[v], zs[v], phases[v] = x, z, phase - (x & z).bit_count() + 2 * sign
 
-    solution = PauliSolution(n_qubits, [strings[v] for v in range(bcs.n_vars)])
+    strings = [PauliString(n_qubits, xs[v], zs[v], phases[v]) for v in range(n)]
+    solution = PauliSolution(n_qubits, strings)
     report = verify_pauli_solution(bcs, solution)
     if not report.ok:
         raise InvariantError(f"internal solver error: constructed solution failed {report}")
     return solution
 
 
+def _product(factors: tuple[int, ...], xs: list[int], zs: list[int],
+             phases: list[int]) -> tuple[int, int, int]:
+    """Ordered product of the strings i^phases[f] X^xs[f] Z^zs[f] as
+    (x, z, phase) in the same normal form.  Letter form i^k P has normal-form
+    phase k + #Y(P); moving Z^z past X^x costs (-1)^popcount(z & x)."""
+    x = z = phase = 0
+    for f in factors:
+        phase += phases[f] + 2 * (z & xs[f]).bit_count()
+        x ^= xs[f]
+        z ^= zs[f]
+    return x, z, phase
+
+
 def verify_pauli_solution(bcs: Bcs, solution: PauliSolution) -> PauliVerifyReport:
-    """Check Hermiticity, within-constraint commutation, and signed products."""
-    report = PauliVerifyReport(True, True, True)
-    for v, s in enumerate(solution.strings):
-        sq = pauli.multiply(s, s)
-        if not s.is_hermitian or not (sq.is_identity_up_to_phase and sq.phase == 0):
-            report.hermitian_ok = False
-            if report.failing_variable is None:
-                report.failing_variable = v
+    """Check Hermiticity (s s = +I, i.e. an even phase), within-constraint
+    commutation and signed products.  Mixed qubit counts raise ValueError."""
+    strings = solution.strings
+    if any(s.n_qubits != solution.qubits for s in strings):
+        raise ValueError("qubit count mismatch")
+    xs = [s.x_bits for s in strings]
+    zs = [s.z_bits for s in strings]
+    nf = [s.phase + (s.x_bits & s.z_bits).bit_count() for s in strings]
+    odd = [v for v, s in enumerate(strings) if s.phase & 1]
+    report = PauliVerifyReport(not odd, True, True, odd[0] if odd else None)
     for j, c in enumerate(bcs.constraints):
-        members = sorted(c.support)
-        pairwise = all(
-            pauli.commutes(solution.strings[a], solution.strings[b])
-            for idx, a in enumerate(members)
-            for b in members[idx + 1:]
-        )
-        prod = pauli.multiply_all(
-            [solution.strings[v] for v in c.var_indices], solution.qubits
-        )
-        target_phase = 0 if c.rhs == 1 else 2
-        product_ok = prod.is_identity_up_to_phase and prod.phase == target_phase
-        if not pairwise:
-            report.commutation_ok = False
-        if not product_ok:
-            report.products_ok = False
-        if (not pairwise or not product_ok) and report.failing_constraint is None:
+        pairwise = not any(((xs[a] & zs[b]) ^ (zs[a] & xs[b])).bit_count() & 1
+                           for a, b in combinations(sorted(c.support), 2))
+        x, z, phase = _product(c.var_indices, xs, zs, nf)
+        product_ok = not (x | z) and phase % 4 == (0 if c.rhs == 1 else 2)
+        report.commutation_ok &= pairwise
+        report.products_ok &= product_ok
+        if not (pairwise and product_ok) and report.failing_constraint is None:
             report.failing_constraint = j
     return report
 
@@ -468,10 +472,7 @@ def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
         return False
 
     # The accumulated sign must be the contradiction I = -I.
-    rhs_parity = 0
-    for j in cert.constraint_rows:
-        rhs_parity ^= 0 if bcs.constraints[j].rhs == 1 else 1
-    if rhs_parity != 1:
+    if sum(bcs.constraints[j].rhs == -1 for j in cert.constraint_rows) % 2 != 1:
         return False
 
     # Swap bookkeeping of the whole product, at the free-variable level,
@@ -481,13 +482,10 @@ def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
     for j in cert.constraint_rows:
         blocks.extend(elim.expressions[v].free_support for v in bcs.constraints[j].var_indices)
     accumulated = _inversion_parity(blocks, bcs.n_vars)
-
-    cited = {}
+    masks = [sum(1 << f for f in e.free_support) for e in elim.expressions]
     for i, j in cert.commutation_rows:
-        for k, mask in _commutation_row(bcs, elim, i, j).items():
-            cited[k] = cited.get(k, 0) ^ mask
-    cited = {k: v for k, v in cited.items() if v}
-    return cited == accumulated
+        accumulated ^= _commutation_row(masks[i] ^ masks[j], bcs.n_vars)
+    return accumulated == 0
 
 
 def serialize_solution(bcs: Bcs, solution: PauliSolution) -> str:

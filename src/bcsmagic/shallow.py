@@ -272,11 +272,12 @@ def run_trials(
 
     Each trial draws from its own generator in the one-trial order:
     ``random_instance`` on ``sites`` sites (a chain length, or a function
-    drawing it from the generator first), ``run_round1``, then Alice's
-    uniforms and Bob's, keeping only each transcript's frame key.  So the
-    trials equal ``run_round2`` or ``run_sampling_trial`` one for one,
-    whatever the batch size, and passing one generator n times reproduces a
-    loop of n trials on it.  Yields (instance, Round2Result) for
+    drawing it from the generator first), round 1's bits as ``run_round1``
+    draws them, then Alice's uniforms and Bob's.  Of round 1 only the frame
+    key is kept, read off the parity of its bits.  So the trials equal
+    ``run_round2`` or ``run_sampling_trial`` one for one, whatever the batch
+    size, and passing one generator n times reproduces a loop of n trials on
+    it.  Yields (instance, Round2Result) for
     ``mode="relation"`` and (instance, SamplingTrial) for ``"sampling"``.
     """
     if mode not in ("relation", "sampling"):
@@ -290,7 +291,8 @@ def run_trials(
             n_sites = sites(rng) if callable(sites) else sites
             instance = random_instance(game, n_sites, rng)
             instances.append(instance)
-            keys.append(frame_key(run_round1(instance, rng).pauli_frame))
+            bits = rng.integers(0, 2, size=(instance.k - instance.j, 3, 2))
+            keys.append(frame_key((bits.sum(axis=0) & 1).tolist()))
             draws.append(stack.draw(instance.alpha, rng))
         amplitudes = _round2_states(keys, mode == "relation")
         questions = [(i.alpha, i.beta) for i in instances]

@@ -9,6 +9,11 @@ unknown and every commutator unknown that occurs.  The system is solvable
 exactly when the BCS has a Pauli-string solution; ``satisfiable_brute``
 decides that by enumerating every assignment, which is slow and obviously
 correct.
+
+It also carries the dict form of the swap bookkeeping as the reference for
+``bcs``'s pair masks: ``_inversion_parity`` maps each smaller variable to
+a bitmask of its larger partners, and ``_commutation_row`` sorts the
+literal expansion A_i A_j A_i A_j block by block.
 """
 from __future__ import annotations
 
@@ -17,18 +22,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from bcsmagic import gf2
-from bcsmagic.bcs import (
-    Bcs,
-    Elimination,
-    _commutation_row,
-    _inversion_parity,
-    _parity_pairs,
-    co_occurrence_pairs,
-)
-from bcsmagic.gf2 import Gf2System
+from bcsmagic.bcs import Bcs, Elimination, co_occurrence_pairs
+from bcsmagic.gf2 import Gf2System, set_bits
 
 SignUnknown = tuple  # ("sign", i) or ("comm", k, l) with k < l
 RowTag = tuple  # ("constraint", j) or ("commutation", i, j) with i < j
+
+
+def _inversion_parity(blocks: list[tuple[int, ...]], n_vars: int) -> dict[int, int]:
+    """Swap parity of sorting the concatenation of ascending blocks.
+
+    Returns {smaller var: bitmask of larger partners} for the pairs swapped
+    an odd number of times; pairs of equal variables never swap.
+    """
+    full = (1 << n_vars) - 1
+    partners: dict[int, int] = {}
+    prefix = 0
+    for block in blocks:
+        mask = 0
+        for b in block:
+            hit = prefix & (full ^ ((1 << (b + 1)) - 1))
+            if hit:
+                partners[b] = partners.get(b, 0) ^ hit
+            mask |= 1 << b
+        prefix ^= mask
+    return {k: v for k, v in partners.items() if v}
+
+
+def _parity_pairs(parity: dict[int, int]) -> list[tuple[int, int]]:
+    return [(k, l) for k in sorted(parity) for l in set_bits(parity[k])]
+
+
+def _commutation_row(bcs: Bcs, elim: Elimination, i: int, j: int):
+    """Pair parity of the formal expansion A_i A_j A_i A_j = I."""
+    si = elim.expressions[i].free_support
+    sj = elim.expressions[j].free_support
+    return _inversion_parity([si, sj, si, sj], bcs.n_vars)
 
 
 @dataclass

@@ -1,7 +1,12 @@
+import hashlib
 import random
 
 import gf2_oracle
+import pauli_report_oracle
 import pytest
+import sign_system_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sign_system_oracle import build_sign_system, satisfiable_brute
 
 from bcsmagic import bcs, gf2, pauli
@@ -23,7 +28,7 @@ from bcsmagic.bcs import (
     verify_pauli_solution,
 )
 from bcsmagic.game import build_game_bcs
-from bcsmagic.pauli import parse_pauli
+from bcsmagic.pauli import PauliString, parse_pauli
 
 
 def solution_from_text(system, table):
@@ -356,24 +361,67 @@ def test_random_instances_sound_and_oracle_agree():
     assert solved > 0 and solved < checked
 
 
-def test_solutions_invariant_under_gauss_jordan_oracle(monkeypatch):
+def planted_bcs(rng: random.Random) -> Bcs:
+    """One or two relabelled magic squares plus up to three random parity
+    constraints, constraints shuffled: Pauli solutions on 2-4 qubits, or
+    certificates when the extra constraints clash with the squares."""
+    squares = rng.randint(1, 2)
+    n_vars = 9 * squares + rng.randint(0, 4)
+    label = rng.sample(range(n_vars), n_vars)
+    cons = [make_constraint([label[9 * k + v] for v in c.var_indices], c.rhs)
+            for k in range(squares) for c in mermin_peres().constraints]
+    for _ in range(rng.randint(0, 3)):
+        cons.append(make_constraint(rng.sample(range(n_vars), 3), rng.choice([1, -1])))
+    rng.shuffle(cons)
+    return Bcs([f"w{i}" for i in range(n_vars)], cons)
+
+
+@pytest.fixture(scope="module")
+def corpus_results():
+    """Random and planted systems, the game family n = 4..10 (plain and
+    modified), CHSH and the magic square, each with its pauli_solve result."""
+    rng = random.Random(20241018)
+    corpus = [random_bcs(rng) for _ in range(3000)]
+    corpus += [planted_bcs(rng) for _ in range(300)]
+    corpus += [build_game_bcs(n, modified=m).bcs for n in range(4, 11) for m in (False, True)]
+    corpus += [chsh(), mermin_peres()]
+    return [(b, pauli_solve(b)) for b in corpus]
+
+
+def result_text(b: Bcs, out) -> str:
+    if isinstance(out, PauliSolution):
+        return serialize_solution(b, out)
+    return repr((out.constraint_rows, out.commutation_rows, out.derived_relation)) + "\n"
+
+
+def test_solutions_invariant_under_gauss_jordan_oracle(corpus_results, monkeypatch):
     # Only provenance and the kernel basis depend on the reduction, and a
     # kernel vector pins the signs it could change, so solutions must be
     # byte-identical; certificates may cite other rows but must replay.
-    rng = random.Random(20241018)
-    corpus = [random_bcs(rng) for _ in range(3000)]
-    corpus += [build_game_bcs(n, modified=m).bcs for n in range(4, 11) for m in (False, True)]
-    corpus += [chsh(), mermin_peres()]
-    shipped = [pauli_solve(b) for b in corpus]
     monkeypatch.setattr(gf2, "row_reduce", gf2_oracle.row_reduce)
-    reference = [pauli_solve(b) for b in corpus]
+    reference = [pauli_solve(b) for b, _ in corpus_results]
     monkeypatch.undo()
-    for b, out, ref in zip(corpus, shipped, reference):
+    for (b, out), ref in zip(corpus_results, reference):
         assert type(out) is type(ref)
         if isinstance(out, PauliSolution):
             assert serialize_solution(b, out) == serialize_solution(b, ref)
         else:
             assert verify_certificate(b, out) and verify_certificate(b, ref)
+
+
+# sha256 of the corpus results' text, recorded with the dict-form swap
+# bookkeeping and the PauliString-object checks that the oracles keep.  It
+# pins solution and certificate bytes, which verification alone does not.
+CORPUS_SHA256 = "9f006bdb3971850bd43bfbc4781c33e7c31d2e2aba10e233dd57c9efa73ab82b"
+
+
+def test_corpus_results_match_recorded_hash(corpus_results):
+    digest = hashlib.sha256()
+    for b, out in corpus_results:
+        digest.update(result_text(b, out).encode())
+    assert digest.hexdigest() == CORPUS_SHA256
+    kinds = [(type(out), getattr(out, "qubits", 0) > 0) for _, out in corpus_results]
+    assert (PauliSolution, True) in kinds and (Certificate, False) in kinds
 
 
 def test_monotonicity_classical_implies_pauli():
@@ -382,3 +430,115 @@ def test_monotonicity_classical_implies_pauli():
         b = random_bcs(rng)
         if classical_solve(b) is not None:
             assert isinstance(pauli_solve(b), PauliSolution)
+
+
+# ---------------------------------------------------------------------------
+# pair masks and integer Pauli checks against the oracles
+# ---------------------------------------------------------------------------
+
+def to_mask(parity: dict[int, int], n: int) -> int:
+    """The oracle's {smaller var: partners} as a pair mask, bit k*n + l."""
+    out = 0
+    for k, partners in parity.items():
+        out ^= partners << (k * n)
+    return out
+
+
+def support_mask(support) -> int:
+    return sum(1 << v for v in support)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_inversion_parity_mask_matches_dict_oracle(data):
+    n = data.draw(st.integers(1, 12))
+    ascending = st.sets(st.integers(0, n - 1)).map(lambda s: tuple(sorted(s)))
+    blocks = data.draw(st.lists(ascending, max_size=6))
+    assert bcs._inversion_parity(blocks, n) == to_mask(
+        sign_system_oracle._inversion_parity(blocks, n), n)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_commutation_row_mask_matches_dict_oracle(data):
+    # Supports share variables on purpose: a shared variable swaps with
+    # nothing only once the squares A_i^2 and A_j^2 of the expansion count.
+    n = data.draw(st.integers(1, 12))
+    var = st.integers(0, n - 1)
+    shared = data.draw(st.sets(var))
+    si = tuple(sorted(shared | data.draw(st.sets(var))))
+    sj = tuple(sorted(shared | data.draw(st.sets(var))))
+    expect = sign_system_oracle._inversion_parity([si, sj, si, sj], n)
+    assert bcs._commutation_row(support_mask(si) ^ support_mask(sj), n) == to_mask(expect, n)
+
+
+def test_pair_masks_match_dict_oracle_on_systems():
+    rng = random.Random(8)
+    systems = [random_bcs(rng) for _ in range(200)] + [planted_bcs(rng) for _ in range(50)]
+    for b in systems + [mermin_peres(), build_game_bcs(4).bcs]:
+        elim = eliminate_free_vars(b)
+        masks = [support_mask(e.free_support) for e in elim.expressions]
+        for j in range(len(b.constraints)):
+            _, parity, _ = sign_system_oracle._constraint_row(b, elim, j)
+            assert bcs._constraint_parity(b, elim, j) == to_mask(parity, b.n_vars)
+        for i, j in bcs.co_occurrence_pairs(b):
+            expect = sign_system_oracle._commutation_row(b, elim, i, j)
+            assert bcs._commutation_row(masks[i] ^ masks[j], b.n_vars) == to_mask(expect, b.n_vars)
+
+
+def solved_pool():
+    rng = random.Random(31)
+    pool = [(mermin_peres(), pauli_solve(mermin_peres()))]
+    while len(pool) < 40:
+        b = planted_bcs(rng) if len(pool) % 4 else random_bcs(rng)
+        out = pauli_solve(b)
+        if isinstance(out, PauliSolution):
+            pool.append((b, out))
+    return pool
+
+
+POOL = solved_pool()
+CORRUPTIONS = ("none", "sign", "odd phase", "x bit", "z bit", "swap")
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_verify_report_matches_object_oracle(data):
+    b, sol = data.draw(st.sampled_from(POOL))
+    strings = list(sol.strings)
+    kind = data.draw(st.sampled_from(CORRUPTIONS))
+    v = data.draw(st.integers(0, len(strings) - 1))
+    s = strings[v]
+    if kind == "sign":
+        strings[v] = PauliString(s.n_qubits, s.x_bits, s.z_bits, s.phase + 2)
+    elif kind == "odd phase":
+        strings[v] = PauliString(s.n_qubits, s.x_bits, s.z_bits, s.phase + data.draw(st.sampled_from([1, 3])))
+    elif kind in ("x bit", "z bit") and sol.qubits:
+        flip = 1 << data.draw(st.integers(0, sol.qubits - 1))
+        x, z = (s.x_bits ^ flip, s.z_bits) if kind == "x bit" else (s.x_bits, s.z_bits ^ flip)
+        strings[v] = PauliString(s.n_qubits, x, z, s.phase)
+    elif kind == "swap":
+        w = data.draw(st.integers(0, len(strings) - 1))
+        strings[v], strings[w] = strings[w], strings[v]
+    corrupted = PauliSolution(sol.qubits, strings)
+    report = verify_pauli_solution(b, corrupted)
+    assert report == pauli_report_oracle.verify_pauli_solution(b, corrupted)
+    assert report.ok or kind != "none"
+
+
+def test_odd_phase_fails_hermiticity():
+    mp = mermin_peres()
+    out = pauli_solve(mp)
+    strings = list(out.strings)
+    strings[3] = PauliString(out.qubits, strings[3].x_bits, strings[3].z_bits, strings[3].phase + 1)
+    report = verify_pauli_solution(mp, PauliSolution(out.qubits, strings))
+    assert (report.hermitian_ok, report.failing_variable) == (False, 3)
+
+
+def test_mixed_qubit_widths_raise():
+    mp = mermin_peres()
+    out = pauli_solve(mp)
+    strings = [parse_pauli("-YYI")] + list(out.strings[1:])
+    for verify in (verify_pauli_solution, pauli_report_oracle.verify_pauli_solution):
+        with pytest.raises(ValueError):
+            verify(mp, PauliSolution(out.qubits, strings))
