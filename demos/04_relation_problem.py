@@ -1,38 +1,28 @@
 """The two-round relation problem and its one-round sampling variant.
 
 Round 1 swaps entanglement between two randomly chosen sites and reports
-the Bell outcomes.  The user turns those into a syndrome; round 2 corrects
-the Pauli frame and plays the game, which then succeeds on every instance.
-Without the correction round, the clean-frame branch alone (probability
-1/64) must satisfy the relation, and it does.
+the Bell outcomes.  Their per-layer parities, the syndrome, name the Pauli
+frame of the three end-to-end pairs; round 2 corrects that frame and plays
+the game, which then succeeds on every instance.  Without the correction
+round, the clean-frame branch alone (probability 1/64) must satisfy the
+relation, and it does.  ``run_trials`` runs both rounds of one trial per
+generator it is given.
 """
 import itertools
 from collections import Counter
 
 from bcsmagic import build_game_bcs, make_rng, permutation_solution
-from bcsmagic.shallow import (
-    check_relation,
-    compute_syndrome,
-    random_instance,
-    run_round1,
-    run_round2,
-    run_trials,
-)
+from bcsmagic.shallow import check_relation, run_trials
 
 game = build_game_bcs(8, modified=True)
 sol = permutation_solution(game)
 rng = make_rng(404)
 
-inst = random_instance(game, N=12, rng=rng)
+# One generator, one trial: a random instance on 12 sites, swapped,
+# corrected and played.
+[(inst, outputs)] = run_trials(game, sol, 12, [rng])
 print(f"instance: sites j={inst.j}, k={inst.k} of N={inst.N}, "
       f"constraint {inst.alpha}, variable {inst.beta}")
-
-transcript = run_round1(inst, rng)
-print("round-1 Pauli frame per layer (z, x):", transcript.pauli_frame)
-p_a, p_b = compute_syndrome(transcript, inst.j, inst.k)
-print("syndrome p^A =", p_a, " p^B =", p_b)
-
-outputs = run_round2(game, inst, transcript, sol, rng)
 print("round-2 outputs: r_a =", outputs.r_a, " r_b =", outputs.r_b)
 print("relation satisfied:", check_relation(inst, outputs, game))
 

@@ -31,18 +31,15 @@ from .game import (
 from .pauli import PauliString, commutes, format_pauli, multiply, parse_pauli, to_matrix
 from .quantum import (
     OperatorSolution,
-    SharedState,
     audit_clifford_strategy,
     classical_to_operator,
     complete_solution,
     correlation,
     make_rng,
     measure_batch,
-    measure_commuting,
     pauli_to_operator,
     permutation_solution,
     phi_plus,
-    play_round,
     play_rounds,
     verify_operator_solution,
 )
@@ -54,14 +51,10 @@ from .shallow import (
     backward_lightcone,
     build_strategy_dag,
     check_relation,
-    compute_syndrome,
     depth_lower_bound,
     forward_lightcone,
     lightcone_disjoint_probability,
     random_instance,
-    run_round1,
-    run_round2,
-    run_sampling_trial,
     run_trials,
 )
 

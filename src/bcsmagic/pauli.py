@@ -25,7 +25,6 @@ _SINGLE = {
     (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
     (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
 }
-_LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _FROM_LETTER = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 MATRIX_QUBIT_LIMIT = 12
@@ -58,9 +57,6 @@ class PauliString:
         if not self.is_hermitian:
             raise ValueError("string has an imaginary phase")
         return 1 if self.phase == 0 else -1
-
-    def letter(self, qubit: int) -> str:
-        return _LETTERS[(self.x_bits >> qubit) & 1, (self.z_bits >> qubit) & 1]
 
 
 def identity(n_qubits: int) -> PauliString:
@@ -140,5 +136,6 @@ def format_pauli(p: PauliString) -> str:
     """Canonical text form; rejects non-Hermitian phases."""
     if not p.is_hermitian:
         raise ValueError("phase +/- i is not representable in text form")
-    letters = "".join(p.letter(q) for q in range(p.n_qubits))
+    x, z = p.x_bits, p.z_bits
+    letters = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(p.n_qubits))
     return ("-" if p.phase == 2 else "") + letters

@@ -14,8 +14,7 @@ gathers one (T, d, d) stack of observables, and each trial keeps the +1
 branch iff its own uniform falls below that branch's probability.  Trials
 draw their uniforms from their own generators before a batch is measured,
 in the order a one-trial loop would, so results never depend on how trials
-are grouped; ``measure_commuting`` and ``play_round`` are batches of one,
-and ``play_rounds`` plays many rounds CHUNK at a time.
+are grouped; ``play_rounds`` plays many rounds CHUNK at a time.
 
 The permutation-flavoured solution for the complete-graph game lives in
 dimension n: vertex operators flip one basis sign, edge operators swap two
@@ -26,7 +25,6 @@ which is exactly why those games need magic.
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -54,28 +52,6 @@ def make_rng(seed: int) -> np.random.Generator:
 class OperatorSolution:
     dim: int
     assignment: dict[int, np.ndarray]
-
-    def to_json(self, bcs: Bcs) -> str:
-        payload = {
-            "dim": self.dim,
-            "variables": {
-                bcs.variables[v]: {
-                    "re": np.real(m).tolist(),
-                    "im": np.imag(m).tolist(),
-                }
-                for v, m in sorted(self.assignment.items())
-            },
-        }
-        return json.dumps(payload, indent=1)
-
-
-def operator_solution_from_json(bcs: Bcs, text: str) -> OperatorSolution:
-    payload = json.loads(text)
-    assignment = {
-        bcs.index(name): np.array(entry["re"], dtype=complex) + 1j * np.array(entry["im"])
-        for name, entry in payload["variables"].items()
-    }
-    return OperatorSolution(payload["dim"], assignment)
 
 
 def classical_to_operator(signs: list[int]) -> OperatorSolution:
@@ -219,28 +195,10 @@ def correlation(a: np.ndarray, b: np.ndarray) -> float:
 # Shared states and projective measurement
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SharedState:
-    amplitudes: np.ndarray  # (d, d) matrix, rows Alice, columns Bob
-
-    def __post_init__(self) -> None:
-        if self.amplitudes.ndim != 2 or self.amplitudes.shape[0] != self.amplitudes.shape[1]:
-            raise ValueError("shared state must be a square amplitude matrix")
-        norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm} is not 1")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.amplitudes.reshape(-1)
-
-
-def phi_plus(dim: int) -> SharedState:
-    return SharedState(np.eye(dim, dtype=complex) / np.sqrt(dim))
+def phi_plus(dim: int) -> np.ndarray:
+    """The maximally entangled state of dimension ``dim`` as its amplitude
+    matrix, the identity over sqrt(dim)."""
+    return np.eye(dim, dtype=complex) / np.sqrt(dim)
 
 
 def measure_batch(
@@ -307,41 +265,6 @@ def _worst_commutators(ops: np.ndarray, groups) -> np.ndarray:
     return worst
 
 
-def _check_commuting(observables: list[np.ndarray]) -> None:
-    """Raise ValueError unless the observables commute pairwise within 1e-9."""
-    if _worst_commutators(np.asarray(observables), [range(len(observables))])[0] > 1e-9:
-        raise ValueError("observables do not commute")
-
-
-def _draw_uniforms(rng: np.random.Generator, count: int) -> list[float]:
-    """The next ``count`` uniforms of a trial's stream, one per step."""
-    return [rng.random() for _ in range(count)]
-
-
-def measure_commuting(
-    state: SharedState,
-    side: str,
-    observables: list[np.ndarray],
-    rng: np.random.Generator,
-) -> tuple[list[int], SharedState]:
-    """Sequential projective measurement of pairwise commuting involutions.
-
-    Projectors are (I +/- O)/2 applied to the named side; outcome
-    probabilities are squared projected norms and the state collapses after
-    each step.  Rejects non-commuting observable sets.  A batch of one for
-    ``measure_batch``.
-    """
-    if side not in ("A", "B"):
-        raise ValueError("side must be 'A' or 'B'")
-    _check_commuting(observables)
-    uniforms = [_draw_uniforms(rng, len(observables))]
-    outcomes, stack = measure_batch(
-        state.amplitudes[None], [(side, obs[None]) for obs in observables], uniforms
-    )
-    state.amplitudes = stack[0]
-    return outcomes[0].tolist(), state
-
-
 def batches(items: Iterable) -> Iterator[list]:
     """Consecutive lists of up to CHUNK items."""
     it = iter(items)
@@ -370,7 +293,7 @@ class StrategyStack:
 
     def draw(self, alpha: int, rng: np.random.Generator) -> list[float]:
         """Alice's uniforms for constraint alpha, one per variable, then Bob's."""
-        return _draw_uniforms(rng, len(self.bcs.constraints[alpha].var_indices) + 1)
+        return [rng.random() for _ in range(len(self.bcs.constraints[alpha].var_indices) + 1)]
 
     def measure(
         self, amplitudes: np.ndarray, questions: list[tuple[int, int]], draws: list[list[float]]
@@ -413,41 +336,23 @@ def _round_result(game: GameBcs, question: tuple[int, int], row: list[int]) -> R
     return RoundResult(alpha, c.var_indices, tuple(a_out), row[-1], prod == c.rhs and agree)
 
 
-def play_round(
-    game: GameBcs,
-    sol: OperatorSolution,
-    question: tuple[int, int],
-    rng: np.random.Generator,
-) -> RoundResult:
-    """One game round on a fresh maximally entangled state.
-
-    Alice measures the observables of constraint alpha in ascending variable
-    order; Bob measures the transpose of the beta observable.  The round is
-    won iff Alice's outcomes multiply to the constraint sign and her value
-    for beta matches Bob's.
-    """
-    alpha, beta = question
-    c = game.bcs.constraints[alpha]
-    if beta not in c.var_indices:
-        raise ValueError(f"variable {beta} is not part of constraint {alpha}")
-    alice_obs = [sol.assignment[v] for v in c.var_indices]
-    a_out, state = measure_commuting(phi_plus(sol.dim), "A", alice_obs, rng)
-    b_out, _ = measure_commuting(state, "B", [sol.assignment[beta].T], rng)
-    return _round_result(game, question, a_out + b_out)
-
-
 def play_rounds(
     game: GameBcs, sol: OperatorSolution, rngs: Iterable[np.random.Generator]
 ) -> Iterator[RoundResult]:
-    """One ``play_round`` per generator, on a uniform (constraint, member)
-    question drawn from it first, measured CHUNK rounds at a time.
+    """One game round per generator, measured CHUNK rounds at a time.
 
-    Each round draws from its generator exactly as ``play_round`` would, so
-    passing one generator n times reproduces a loop of n rounds on it.
+    Each round draws a uniform (constraint alpha, member beta) question from
+    its generator, then one uniform per measurement step.  Both players share
+    a fresh maximally entangled state; Alice measures the observables of
+    alpha in ascending variable order, then Bob measures the transpose of
+    the beta observable, all through ``measure_batch``.  A round is won iff
+    Alice's outcomes multiply to the constraint sign and her value for beta
+    matches Bob's.  Passing one generator n times plays n rounds on it in
+    turn.
     """
     pairs = enumerate_questions(game).pairs
     stack = StrategyStack(game.bcs, sol)
-    phi = phi_plus(sol.dim).amplitudes
+    phi = phi_plus(sol.dim)
     for chunk in batches(rngs):
         questions, draws = [], []
         for rng in chunk:

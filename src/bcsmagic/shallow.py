@@ -22,10 +22,8 @@ which is |Phi+> itself: the 64 frame states and Alice's 64 corrections are
 tabulated from Pauli strings on first use, keyed by the six frame bits, and
 every correction is checked there, once, to restore its frame state.  The
 sampling variant plays on the uncorrected frame state and succeeds outright
-when every parity is +1, that is at frame key 0, with probability 1/64.  One
-routine builds every round-2 starting state: for ``run_round2`` as a batch
-of one, and for ``run_trials``, which measures many trials per
-``quantum.measure_batch`` call.
+when every parity is +1, that is at frame key 0, with probability 1/64.
+``run_trials`` runs both, many trials per ``quantum.measure_batch`` call.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
 wires, validated and indexed by layer once, when the wiring is built.
@@ -49,7 +47,7 @@ from . import pauli
 from .bcs import InvariantError
 from .game import GameBcs
 from .pauli import PauliString
-from .quantum import OperatorSolution, SharedState, StrategyStack, batches, measure_commuting, phi_plus
+from .quantum import OperatorSolution, StrategyStack, batches, phi_plus
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +69,6 @@ class RelationInstance:
 
 
 @dataclass
-class Round1Transcript:
-    j: int
-    k: int
-    r_alice: np.ndarray  # signs, shape (k-j, 3); row i-(j+1) is r^A_i for i in j+1..k
-    r_bob: np.ndarray  # signs, shape (k-j, 3); row i-j is r^B_i for i in j..k-1
-    pauli_frame: tuple[tuple[int, int], ...]  # per layer, (z bit, x bit)
-
-
-@dataclass
 class Round2Result:
     r_a: tuple[int, int, int]
     r_b: tuple[int, int, int]
@@ -95,34 +84,6 @@ def random_instance(game: GameBcs, N: int, rng: np.random.Generator) -> Relation
     alpha = int(rng.integers(len(game.bcs.constraints)))
     beta = int(rng.integers(game.bcs.n_vars))
     return RelationInstance(N, game.n, j, k, alpha, beta)
-
-
-def run_round1(instance: RelationInstance, rng: np.random.Generator) -> Round1Transcript:
-    """Analytic entanglement swapping along the j..k chain.
-
-    Each junction and layer yields two independent uniform bits; the frame
-    is their running parity per layer.
-    """
-    span = instance.k - instance.j
-    bits = rng.integers(0, 2, size=(span, 3, 2))
-    z_bits, x_bits = bits[:, :, 0], bits[:, :, 1]
-    frame = tuple(map(tuple, (bits.sum(axis=0) & 1).tolist()))
-    return Round1Transcript(
-        instance.j,
-        instance.k,
-        1 - 2 * z_bits,
-        1 - 2 * x_bits,
-        frame,
-    )
-
-
-def compute_syndrome(transcript: Round1Transcript, j: int, k: int):
-    """Per-layer parity products of the round-1 outcomes."""
-    if (j, k) != (transcript.j, transcript.k):
-        raise ValueError(f"transcript covers ({transcript.j}, {transcript.k}), not ({j}, {k})")
-    p_a = tuple(np.prod(transcript.r_alice, axis=0).tolist())
-    p_b = tuple(np.prod(transcript.r_bob, axis=0).tolist())
-    return p_a, p_b
 
 
 def frame_key(frame: tuple[tuple[int, int], ...]) -> int:
@@ -141,7 +102,7 @@ def frame_tables() -> tuple[np.ndarray, np.ndarray]:
     (Z X = iY and X Z = -iY per layer).  Each correction applied to its own
     frame state is checked to give |Phi+>, all 64 at once.
     """
-    phi = phi_plus(8).amplitudes
+    phi = phi_plus(8)
     states = np.empty((64, 8, 8), dtype=complex)
     corrections = np.empty_like(states)
     for key in range(64):
@@ -170,7 +131,7 @@ def _round2_states(keys: list[int], correct: bool) -> np.ndarray:
     correction restores it), else each key's frame state."""
     states, _ = frame_tables()
     if correct:
-        phi = phi_plus(8).amplitudes
+        phi = phi_plus(8)
         return np.broadcast_to(phi, (len(keys),) + phi.shape)
     return states[keys]
 
@@ -179,31 +140,6 @@ def _round2_result(width: int, row: list[int]) -> Round2Result:
     """Alice's first ``width`` outcomes padded to three bits with +1; Bob's
     meaningful bit is position 1."""
     return Round2Result(tuple(row[:width]) + (1,) * (3 - width), (row[-1], 1, 1))
-
-
-def run_round2(
-    game: GameBcs,
-    instance: RelationInstance,
-    transcript: Round1Transcript,
-    sol: OperatorSolution,
-    rng: np.random.Generator,
-    apply_correction: bool = True,
-) -> Round2Result:
-    """Correct the swapped state, then play the game.
-
-    Alice measures the observables of constraint alpha in ascending variable
-    order (outputs padded to three bits with +1); Bob's meaningful bit is
-    position 1.  A corrected round starts from |Phi+> of dimension 8 (see
-    ``frame_tables``), an uncorrected one from the transcript's frame state.
-    """
-    if sol.dim != 8:
-        raise ValueError("round 2 expects the dimension-8 strategy")
-    state = SharedState(_round2_states([frame_key(transcript.pauli_frame)], apply_correction)[0])
-    constraint = game.bcs.constraints[instance.alpha]
-    alice_obs = [sol.assignment[v] for v in constraint.var_indices]
-    a_out, state = measure_commuting(state, "A", alice_obs, rng)
-    b_out, _ = measure_commuting(state, "B", [sol.assignment[instance.beta].T], rng)
-    return _round2_result(len(a_out), a_out + b_out)
 
 
 def check_relation(instance: RelationInstance, outputs: Round2Result, game: GameBcs) -> bool:
@@ -244,23 +180,6 @@ def _sampling_trial(game: GameBcs, instance: RelationInstance, key: int,
     return SamplingTrial(outputs, key == 0, case)
 
 
-def run_sampling_trial(
-    game: GameBcs,
-    instance: RelationInstance,
-    sol: OperatorSolution,
-    rng: np.random.Generator,
-) -> SamplingTrial:
-    """One-round variant: play on the uncorrected swapped state.
-
-    case1: every parity is +1 and the relation holds; case2: some parity is
-    -1 (any outputs accepted); invalid: clean parities but a violated
-    relation, which the exact strategy never produces.
-    """
-    transcript = run_round1(instance, rng)
-    outputs = run_round2(game, instance, transcript, sol, rng, apply_correction=False)
-    return _sampling_trial(game, instance, frame_key(transcript.pauli_frame), outputs)
-
-
 def run_trials(
     game: GameBcs,
     sol: OperatorSolution,
@@ -270,15 +189,17 @@ def run_trials(
 ) -> Iterator[tuple[RelationInstance, Round2Result | SamplingTrial]]:
     """Relation or sampling trials, one per generator, measured in batches.
 
-    Each trial draws from its own generator in the one-trial order:
+    Each trial draws from its own generator, in this order: a
     ``random_instance`` on ``sites`` sites (a chain length, or a function
-    drawing it from the generator first), round 1's bits as ``run_round1``
-    draws them, then Alice's uniforms and Bob's.  Of round 1 only the frame
-    key is kept, read off the parity of its bits.  So the trials equal
-    ``run_round2`` or ``run_sampling_trial`` one for one, whatever the batch
-    size, and passing one generator n times reproduces a loop of n trials on
-    it.  Yields (instance, Round2Result) for
-    ``mode="relation"`` and (instance, SamplingTrial) for ``"sampling"``.
+    drawing it from the generator first); round 1's Bell outcomes, two
+    independent bits per junction and layer, of which only the frame key
+    of their per-layer parities is kept; then Alice's uniforms and Bob's.
+    A relation trial plays round 2 on the corrected state, |Phi+>, and
+    yields (instance, Round2Result).  A sampling trial plays on its
+    uncorrected frame state and yields (instance, SamplingTrial).  Every
+    measurement goes through ``quantum.measure_batch``; no output depends
+    on the batch size, and passing one generator n times runs n trials on
+    it in turn.
     """
     if mode not in ("relation", "sampling"):
         raise ValueError(f"unknown trial mode {mode!r}")

@@ -6,7 +6,7 @@ import numpy as np
 
 from bcsmagic.bcs import PauliSolution
 from bcsmagic.pauli import parse_pauli
-from bcsmagic.quantum import OperatorSolution, SharedState
+from bcsmagic.quantum import OperatorSolution
 
 TABLE_N4 = {
     "a1": "-ZZ", "a2": "II", "a3": "ZI", "a4": "IZ",
@@ -36,13 +36,14 @@ def table_operator_solution(game) -> OperatorSolution:
     )
 
 
-def enumerate_distribution(state: SharedState, plan: list[tuple[str, np.ndarray]]):
-    """Exact joint outcome distribution of a measurement plan.
+def enumerate_distribution(amplitudes: np.ndarray, plan: list[tuple[str, np.ndarray]]):
+    """Exact joint outcome distribution of a measurement plan on the shared
+    state with (d, d) amplitude matrix ``amplitudes``.
 
     ``plan`` is a list of (side, observable); the returned dict maps outcome
     tuples to probabilities, with zero-probability branches dropped.
     """
-    eye = np.eye(state.dim)
+    eye = np.eye(len(amplitudes))
     dist: dict[tuple[int, ...], float] = {}
 
     def recurse(m: np.ndarray, prefix: tuple[int, ...], weight: float, step: int):
@@ -59,5 +60,5 @@ def enumerate_distribution(state: SharedState, plan: list[tuple[str, np.ndarray]
             if p > 1e-15:
                 recurse(branch / np.sqrt(p), prefix + (outcome,), weight * p, step + 1)
 
-    recurse(state.amplitudes, (), 1.0, 0)
+    recurse(amplitudes, (), 1.0, 0)
     return dist

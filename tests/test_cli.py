@@ -380,7 +380,7 @@ def test_no_wiring_json_makes_lightcone_exit_1(text):
 
 
 # Recorded from the one-trial-at-a-time implementation (a loop of
-# play_round calls), keyed by (n, modified).
+# play_round calls, kept in trial_oracle.py), keyed by (n, modified).
 _GOLDEN_ROUNDS = {
     (8, False): "8f80217a38a3aed18c33948cff7fa7f0ad7752c0318c8312e1bd6ac637506d36",
     (4, False): "f0bcf7cb0ef470481429bb0bc617145dac2f2ad6560b7540c2e4ab834e02a015",

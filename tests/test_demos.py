@@ -1,5 +1,7 @@
-"""Smoke test: every demo script runs to completion as a fresh process."""
+"""Smoke tests: every demo script runs to completion as a fresh process,
+and every Python block of the README runs in a fresh namespace."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -21,3 +24,8 @@ def test_demo_runs(demo):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("code", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(code):
+    exec(code, {})

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from helpers import enumerate_distribution, table_operator_solution, table_pauli_solution
+from trial_oracle import measure_commuting, play_round
 
 from bcsmagic import bcs, game, pauli, quantum
 from bcsmagic.bcs import mermin_peres, pauli_solve, verify_pauli_solution
@@ -15,12 +16,9 @@ from bcsmagic.quantum import (
     correlation,
     make_rng,
     measure_batch,
-    measure_commuting,
-    operator_solution_from_json,
     pauli_to_operator,
     permutation_solution,
     phi_plus,
-    play_round,
     play_rounds,
     verify_operator_solution,
 )
@@ -171,16 +169,17 @@ def test_measure_reflection_probability_eighth():
     assert dist[(1,)] == pytest.approx(7 / 8, abs=1e-12)
 
 
+def _repeat(a, trials):
+    return np.broadcast_to(a, (trials,) + a.shape)
+
+
 def test_measure_repeatability():
     g = build_game_bcs(8)
-    sol = permutation_solution(g)
-    rng = make_rng(11)
-    for _ in range(50):
-        state = phi_plus(8)
-        obs = sol.assignment[g.x(2, 5)]
-        first, state = measure_commuting(state, "A", [obs], rng)
-        second, state = measure_commuting(state, "A", [obs], rng)
-        assert first == second
+    obs = _repeat(permutation_solution(g).assignment[g.x(2, 5)], 50)
+    outcomes, _ = measure_batch(_repeat(phi_plus(8), 50), [("A", obs), ("A", obs)],
+                                make_rng(11).random((50, 2)))
+    assert np.all(outcomes[:, 0] == outcomes[:, 1])
+    assert set(outcomes[:, 0]) == {1, -1}
 
 
 def test_alice_bob_transpose_always_agree():
@@ -188,12 +187,10 @@ def test_alice_bob_transpose_always_agree():
     sol = permutation_solution(g)
     rng = make_rng(13)
     for name in (g.a(3), g.x(1, 4), g.z(2, 6)):
-        obs = sol.assignment[name]
-        for _ in range(40):
-            state = phi_plus(8)
-            a_out, state = measure_commuting(state, "A", [obs], rng)
-            b_out, state = measure_commuting(state, "B", [obs.T], rng)
-            assert a_out == b_out
+        obs = _repeat(sol.assignment[name], 40)
+        outcomes, _ = measure_batch(_repeat(phi_plus(8), 40), [("A", obs), ("B", obs.swapaxes(1, 2))],
+                                    rng.random((40, 2)))
+        assert np.all(outcomes[:, 0] == outcomes[:, 1])
 
 
 def test_measurement_order_invariance():
@@ -288,7 +285,7 @@ def test_measure_batch_matches_branch_enumeration(n, strategy):
         for beta in c.var_indices:
             plan = alice + [("B", sol.assignment[beta].T)]
             expected = enumerate_distribution(phi, plan)
-            forced = _forced_distribution(phi.amplitudes, plan)
+            forced = _forced_distribution(phi, plan)
             assert set(forced) == set(expected)
             for outcome, p in expected.items():
                 assert abs(forced[outcome] - p) <= 1e-12
@@ -296,7 +293,7 @@ def test_measure_batch_matches_branch_enumeration(n, strategy):
 
 def test_measure_batch_rejects_a_zero_probability_branch_in_any_row():
     z = to_matrix(parse_pauli("Z"))
-    stack = np.stack([phi_plus(2).amplitudes] * 3)
+    stack = np.stack([phi_plus(2)] * 3)
     steps = [("A", np.stack([z] * 3)), ("B", np.stack([z] * 3))]
     # Alice's Z fixes Bob's; a uniform above every probability makes row 1
     # take the opposite, impossible outcome.
@@ -312,9 +309,9 @@ def test_measure_batch_identity_steps_are_no_ops():
     g = build_game_bcs(8)
     obs = permutation_solution(g).assignment[g.x(1, 2)]
     eye = np.eye(8, dtype=complex)
-    plain, plain_state = measure_batch(phi_plus(8).amplitudes[None], [("A", obs[None])], [[0.3]])
+    plain, plain_state = measure_batch(phi_plus(8)[None], [("A", obs[None])], [[0.3]])
     padded, padded_state = measure_batch(
-        phi_plus(8).amplitudes[None], [("A", obs[None]), ("A", eye[None]), ("B", eye[None])],
+        phi_plus(8)[None], [("A", obs[None]), ("A", eye[None]), ("B", eye[None])],
         [[0.3, 0.0, 0.0]],
     )
     assert padded.tolist() == [[plain[0, 0], 1, 1]]
@@ -324,9 +321,9 @@ def test_measure_batch_identity_steps_are_no_ops():
 def test_measure_batch_needs_one_uniform_per_step():
     x = to_matrix(parse_pauli("X"))
     with pytest.raises(ValueError, match="uniforms"):
-        measure_batch(phi_plus(2).amplitudes[None], [("A", x[None])], [[0.1, 0.2]])
+        measure_batch(phi_plus(2)[None], [("A", x[None])], [[0.1, 0.2]])
     with pytest.raises(ValueError, match="side"):
-        measure_batch(phi_plus(2).amplitudes[None], [("C", x[None])], [[0.1]])
+        measure_batch(phi_plus(2)[None], [("C", x[None])], [[0.1]])
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +362,6 @@ def test_play_round_flipped_operator_loses():
     assert not any(results)
 
 
-def test_play_round_rejects_foreign_variable():
-    g = build_game_bcs(4)
-    sol = permutation_solution(g)
-    with pytest.raises(ValueError):
-        play_round(g, sol, (0, g.bcs.n_vars - 1), make_rng(0))
-
-
 def _conjugated(sol, seed):
     """The strategy U A U^dagger for a random unitary U: still perfect, and
     no longer made of symmetric matrices, so Bob's transpose matters."""
@@ -400,7 +390,7 @@ def test_strategy_stack_matches_one_trial_measurements():
         rng = make_rng(100 + t)
         members = g.bcs.constraints[alpha].var_indices
         alice = [sol.assignment[v] for v in members]
-        a_out, state = measure_commuting(quantum.SharedState(states[t].copy()), "A", alice, rng)
+        a_out, state = measure_commuting(states[t], "A", alice, rng)
         b_out, _ = measure_commuting(state, "B", [sol.assignment[beta].T], rng)
         assert row == a_out + [1] * (8 - len(members)) + b_out
 
@@ -497,16 +487,6 @@ def test_audit_rejects_mixed_qubit_counts():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def test_operator_solution_json_round_trip():
-    g = build_game_bcs(4)
-    sol = permutation_solution(g)
-    text = sol.to_json(g.bcs)
-    back = operator_solution_from_json(g.bcs, text)
-    assert back.dim == sol.dim
-    for v in sol.assignment:
-        np.testing.assert_allclose(back.assignment[v], sol.assignment[v], atol=0)
-
 
 def test_pauli_lift_round_trip():
     mp = mermin_peres()

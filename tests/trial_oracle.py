@@ -1,0 +1,140 @@
+"""One game round and one relation or sampling trial at a time, with its
+own projector arithmetic.
+
+``quantum.play_rounds`` and ``shallow.run_trials`` measure many trials per
+``quantum.measure_batch`` call.  This module keeps the protocol one trial
+at a time as their reference, and shares no measurement code with them.
+A step draws one uniform, projects the named side onto (I + O)/2 and
+(I - O)/2, takes the +1 branch iff the uniform falls below its squared
+norm, and renormalises the branch it took.  Round 2 starts from the frame
+state built from the two-by-two X and Z matrices, and a corrected round
+applies the correction that the round-1 syndrome names.
+
+Each function draws from its generator in the order the batched drivers
+promise, so a loop over one generator reproduces their results exactly.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from functools import reduce
+
+import numpy as np
+
+from bcsmagic.bcs import InvariantError
+from bcsmagic.quantum import RoundResult
+from bcsmagic.shallow import Round2Result, SamplingTrial, check_relation
+
+_I = np.eye(2, dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def measure_commuting(amplitudes, side, observables, rng):
+    """Measure pairwise commuting involutions one after another on the
+    named side ("A" or "B") of a (d, d) amplitude matrix.  Returns the
+    outcomes and the collapsed state; rejects non-commuting observables."""
+    for a, b in itertools.combinations(observables, 2):
+        if np.abs(a @ b - b @ a).max() > 1e-9:
+            raise ValueError("observables do not commute")
+    eye = np.eye(len(amplitudes))
+    m = amplitudes
+    outcomes = []
+    for obs in observables:
+        u = rng.random()
+        branches = {}
+        for outcome in (1, -1):
+            proj = (eye + outcome * obs) / 2
+            branches[outcome] = proj @ m if side == "A" else m @ proj.T
+        outcome = 1 if u < np.linalg.norm(branches[1]) ** 2 else -1
+        p = np.linalg.norm(branches[outcome]) ** 2
+        if p <= 1e-12:
+            raise InvariantError("sampled a zero-probability branch")
+        m = branches[outcome] / np.sqrt(p)
+        outcomes.append(outcome)
+    return outcomes, m
+
+
+def play_round(game, sol, question, rng) -> RoundResult:
+    """One round of question (alpha, beta) on a fresh maximally entangled
+    state: Alice measures alpha's observables in ascending variable order,
+    then Bob the transpose of beta's."""
+    alpha, beta = question
+    c = game.bcs.constraints[alpha]
+    phi = np.eye(sol.dim, dtype=complex) / np.sqrt(sol.dim)
+    a_out, m = measure_commuting(phi, "A", [sol.assignment[v] for v in c.var_indices], rng)
+    (b_out,), _ = measure_commuting(m, "B", [sol.assignment[beta].T], rng)
+    won = math.prod(a_out) == c.rhs and a_out[c.var_indices.index(beta)] == b_out
+    return RoundResult(alpha, c.var_indices, tuple(a_out), b_out, won)
+
+
+@dataclass
+class Round1Transcript:
+    r_alice: np.ndarray  # signs, shape (k-j, 3); row i-(j+1) is r^A_i for i in j+1..k
+    r_bob: np.ndarray  # signs, shape (k-j, 3); row i-j is r^B_i for i in j..k-1
+    pauli_frame: tuple[tuple[int, int], ...]  # per layer, (z bit, x bit)
+
+
+def run_round1(instance, rng) -> Round1Transcript:
+    """Analytic entanglement swapping along the j..k chain: two independent
+    uniform bits per junction and layer, the frame their running parity."""
+    bits = rng.integers(0, 2, size=(instance.k - instance.j, 3, 2))
+    frame = tuple(map(tuple, (bits.sum(axis=0) & 1).tolist()))
+    return Round1Transcript(1 - 2 * bits[:, :, 0], 1 - 2 * bits[:, :, 1], frame)
+
+
+def compute_syndrome(transcript: Round1Transcript):
+    """Per-layer parity products (p^A, p^B) of the round-1 outcomes."""
+    p_a = tuple(np.prod(transcript.r_alice, axis=0).tolist())
+    p_b = tuple(np.prod(transcript.r_bob, axis=0).tolist())
+    return p_a, p_b
+
+
+def _on_layers(ops) -> np.ndarray:
+    """Alice's operator with one 2 x 2 factor per layer, layer 0 first."""
+    return reduce(np.kron, ops)
+
+
+def frame_state(frame) -> np.ndarray:
+    """Z^z X^x on each layer's Alice qubit, applied to |Phi+> of dimension 8."""
+    ops = [(_Z if z else _I) @ (_X if x else _I) for z, x in frame]
+    return _on_layers(ops) @ (np.eye(8, dtype=complex) / np.sqrt(8))
+
+
+def correction(p_a, p_b) -> np.ndarray:
+    """Alice's X^xb Z^za per layer, with za set where p^A is -1 and xb where
+    p^B is -1."""
+    return _on_layers([
+        (_X if b < 0 else _I) @ (_Z if a < 0 else _I) for a, b in zip(p_a, p_b)
+    ])
+
+
+def run_round2(game, instance, transcript, sol, rng, apply_correction=True) -> Round2Result:
+    """Round 2 on the swapped state, corrected by the syndrome unless
+    ``apply_correction`` is false.  Alice's outcomes are padded to three
+    bits with +1; Bob's meaningful bit is position 1."""
+    state = frame_state(transcript.pauli_frame)
+    if apply_correction:
+        state = correction(*compute_syndrome(transcript)) @ state
+    alice = [sol.assignment[v] for v in game.bcs.constraints[instance.alpha].var_indices]
+    a_out, state = measure_commuting(state, "A", alice, rng)
+    (b_out,), _ = measure_commuting(state, "B", [sol.assignment[instance.beta].T], rng)
+    return Round2Result(tuple(a_out) + (1,) * (3 - len(a_out)), (b_out, 1, 1))
+
+
+def run_sampling_trial(game, instance, sol, rng) -> SamplingTrial:
+    """Round 1, then round 2 on the uncorrected state.  case1: every
+    syndrome parity is +1 and the relation holds; case2: some parity is -1;
+    invalid: clean parities but a violated relation."""
+    transcript = run_round1(instance, rng)
+    outputs = run_round2(game, instance, transcript, sol, rng, apply_correction=False)
+    p_a, p_b = compute_syndrome(transcript)
+    clean = all(p == 1 for p in p_a + p_b)
+    if not clean:
+        case = "case2"
+    elif check_relation(instance, outputs, game):
+        case = "case1"
+    else:
+        case = "invalid"
+    return SamplingTrial(outputs, clean, case)
