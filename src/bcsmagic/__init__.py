@@ -50,7 +50,6 @@ from .shallow import (
     backward_cone_sizes,
     backward_lightcone,
     build_strategy_dag,
-    check_relation,
     depth_lower_bound,
     forward_lightcone,
     lightcone_disjoint_probability,

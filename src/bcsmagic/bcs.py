@@ -149,9 +149,13 @@ def parse_bcs(text: str) -> Bcs:
 
 
 def serialize_bcs(bcs: Bcs) -> str:
+    """The text format, read back by ``parse_bcs`` as the same system: each
+    cancelled support variable is written twice after the kept ones, so
+    its commutation requirement survives the round trip."""
     lines = ["vars: " + " ".join(bcs.variables)]
     for c in bcs.constraints:
-        lhs = " ".join(bcs.variables[v] for v in c.var_indices)
+        cancelled = sorted(c.support.difference(c.var_indices))
+        lhs = " ".join(bcs.variables[v] for v in list(c.var_indices) + cancelled * 2)
         lines.append(f"{lhs} = {c.rhs}".lstrip())
     return "\n".join(lines) + "\n"
 

@@ -168,21 +168,20 @@ def cmd_simulate(args) -> int:
     rngs = (trial_rng(args.seed, t) for t in range(args.trials))
     trials = shallow.run_trials(game, sol, args.sites, rngs, args.mode)
     with Path(args.out).open("w") if args.out else contextlib.nullcontext() as sink:
-        for t, (instance, result) in enumerate(trials):
+        for t, (instance, result, clean) in enumerate(trials):
             record = {
                 "N": instance.N, "n": instance.n, "j": instance.j, "k": instance.k,
                 "alpha": instance.alpha, "beta": instance.beta, "seed": args.seed, "trial": t,
+                "r_a": list(result.alice_outcomes) + [1] * (3 - len(result.alice_outcomes)),
+                "r_b": [result.bob_outcome, 1, 1],
             }
             if args.mode == "relation":
-                ok = shallow.check_relation(instance, result, game)
-                ok_count += ok
-                record.update({"r_a": list(result.r_a), "r_b": list(result.r_b), "ok": ok})
+                ok_count += result.won
+                record["ok"] = result.won
             else:
-                cases[result.case] += 1
-                record.update({
-                    "r_a": list(result.outputs.r_a), "r_b": list(result.outputs.r_b),
-                    "case": result.case,
-                })
+                case = ("case1" if result.won else "invalid") if clean else "case2"
+                cases[case] += 1
+                record["case"] = case
             if sink:
                 sink.write(json.dumps(record) + "\n")
 

@@ -15,6 +15,9 @@ branch iff its own uniform falls below that branch's probability.  Trials
 draw their uniforms from their own generators before a batch is measured,
 in the order a one-trial loop would, so results never depend on how trials
 are grouped; ``play_rounds`` plays many rounds CHUNK at a time.
+``StrategyStack.measure`` returns every round, game round or shallow-circuit
+trial, as one ``RoundResult`` judged by the game's win rule, the library's
+only one.
 
 The permutation-flavoured solution for the complete-graph game lives in
 dimension n: vertex operators flip one basis sign, edge operators swap two
@@ -25,6 +28,7 @@ which is exactly why those games need magic.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -272,6 +276,16 @@ def batches(items: Iterable) -> Iterator[list]:
         yield chunk
 
 
+@dataclass
+class RoundResult:
+    """One judged round: Alice's outcomes for her constraint's variables in
+    ascending order, Bob's outcome, and whether the round is won."""
+    constraint: int
+    alice_outcomes: tuple[int, ...]
+    bob_outcome: int
+    won: bool
+
+
 class StrategyStack:
     """A strategy's observables stacked for batched rounds.
 
@@ -297,10 +311,11 @@ class StrategyStack:
 
     def measure(
         self, amplitudes: np.ndarray, questions: list[tuple[int, int]], draws: list[list[float]]
-    ) -> list[list[int]]:
+    ) -> list[RoundResult]:
         """Measure trial t's question (alpha, beta) on ``amplitudes[t]`` with
-        the uniforms ``draws[t]``; each row holds Alice's outcomes, padded
-        with +1 to the batch's widest constraint, then Bob's."""
+        the uniforms ``draws[t]`` and judge it by the game's win rule: Alice's
+        outcomes multiply to the constraint sign and, when beta belongs to
+        alpha, her value for beta equals Bob's."""
         width = max(len(d) for d in draws) - 1
         uniforms = [d[:-1] + [0.0] * (width + 1 - len(d)) + d[-1:] for d in draws]
         rows = [self.bcs.constraints[alpha].var_indices for alpha, _ in questions]
@@ -313,27 +328,13 @@ class StrategyStack:
             yield "B", self.ops[betas].swapaxes(1, 2)
 
         outcomes, _ = measure_batch(amplitudes, steps(), uniforms)
-        return outcomes.tolist()
-
-
-@dataclass
-class RoundResult:
-    constraint: int
-    variables: tuple[int, ...]
-    alice_outcomes: tuple[int, ...]
-    bob_outcome: int
-    won: bool
-
-
-def _round_result(game: GameBcs, question: tuple[int, int], row: list[int]) -> RoundResult:
-    alpha, beta = question
-    c = game.bcs.constraints[alpha]
-    a_out = row[:len(c.var_indices)]
-    prod = 1
-    for o in a_out:
-        prod *= o
-    agree = a_out[c.var_indices.index(beta)] == row[-1]
-    return RoundResult(alpha, c.var_indices, tuple(a_out), row[-1], prod == c.rhs and agree)
+        results = []
+        for (alpha, beta), row in zip(questions, outcomes.tolist()):
+            c = self.bcs.constraints[alpha]
+            alice, bob = tuple(row[:len(c.var_indices)]), row[-1]
+            agree = beta not in c.var_indices or alice[c.var_indices.index(beta)] == bob
+            results.append(RoundResult(alpha, alice, bob, math.prod(alice) == c.rhs and agree))
+        return results
 
 
 def play_rounds(
@@ -345,10 +346,9 @@ def play_rounds(
     its generator, then one uniform per measurement step.  Both players share
     a fresh maximally entangled state; Alice measures the observables of
     alpha in ascending variable order, then Bob measures the transpose of
-    the beta observable, all through ``measure_batch``.  A round is won iff
-    Alice's outcomes multiply to the constraint sign and her value for beta
-    matches Bob's.  Passing one generator n times plays n rounds on it in
-    turn.
+    the beta observable, all through ``measure_batch``, and
+    ``StrategyStack.measure`` judges each round.  Passing one generator n
+    times plays n rounds on it in turn.
     """
     pairs = enumerate_questions(game).pairs
     stack = StrategyStack(game.bcs, sol)
@@ -360,8 +360,7 @@ def play_rounds(
             draws.append(stack.draw(question[0], rng))
             questions.append(question)
         amplitudes = np.broadcast_to(phi, (len(chunk),) + phi.shape)
-        for question, row in zip(questions, stack.measure(amplitudes, questions, draws)):
-            yield _round_result(game, question, row)
+        yield from stack.measure(amplitudes, questions, draws)
 
 
 # ---------------------------------------------------------------------------

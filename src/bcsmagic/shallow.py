@@ -23,7 +23,9 @@ tabulated from Pauli strings on first use, keyed by the six frame bits, and
 every correction is checked there, once, to restore its frame state.  The
 sampling variant plays on the uncorrected frame state and succeeds outright
 when every parity is +1, that is at frame key 0, with probability 1/64.
-``run_trials`` runs both, many trials per ``quantum.measure_batch`` call.
+``run_trials`` runs both, many trials per ``quantum.measure_batch`` call,
+and returns each trial's round 2 as the game round it is, judged by the
+game's win rule in ``quantum.StrategyStack.measure``.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
 wires, validated and indexed by layer once, when the wiring is built.
@@ -46,8 +48,9 @@ import numpy as np
 from . import pauli
 from .bcs import InvariantError
 from .game import GameBcs
+from .gf2 import set_bits
 from .pauli import PauliString
-from .quantum import OperatorSolution, StrategyStack, batches, phi_plus
+from .quantum import OperatorSolution, RoundResult, StrategyStack, batches, phi_plus
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +69,6 @@ class RelationInstance:
     def __post_init__(self) -> None:
         if not 1 <= self.j < self.k <= self.N:
             raise ValueError(f"need 1 <= j < k <= N, got j={self.j}, k={self.k}, N={self.N}")
-
-
-@dataclass
-class Round2Result:
-    r_a: tuple[int, int, int]
-    r_b: tuple[int, int, int]
 
 
 def random_instance(game: GameBcs, N: int, rng: np.random.Generator) -> RelationInstance:
@@ -136,57 +133,13 @@ def _round2_states(keys: list[int], correct: bool) -> np.ndarray:
     return states[keys]
 
 
-def _round2_result(width: int, row: list[int]) -> Round2Result:
-    """Alice's first ``width`` outcomes padded to three bits with +1; Bob's
-    meaningful bit is position 1."""
-    return Round2Result(tuple(row[:width]) + (1,) * (3 - width), (row[-1], 1, 1))
-
-
-def check_relation(instance: RelationInstance, outputs: Round2Result, game: GameBcs) -> bool:
-    """Alice's bits must satisfy her constraint; when beta belongs to it,
-    Bob's first bit must match Alice's bit for that variable."""
-    if not 0 <= instance.alpha < len(game.bcs.constraints):
-        raise ValueError(f"unknown constraint id {instance.alpha}")
-    if not 0 <= instance.beta < game.bcs.n_vars:
-        raise ValueError(f"unknown variable id {instance.beta}")
-    constraint = game.bcs.constraints[instance.alpha]
-    members = constraint.var_indices
-    prod = 1
-    for pos in range(len(members)):
-        prod *= outputs.r_a[pos]
-    if prod != constraint.rhs:
-        return False
-    if instance.beta in members:
-        return outputs.r_b[0] == outputs.r_a[members.index(instance.beta)]
-    return True
-
-
-@dataclass
-class SamplingTrial:
-    outputs: Round2Result
-    parities_ok: bool
-    case: str  # "case1", "case2", or "invalid"
-
-
-def _sampling_trial(game: GameBcs, instance: RelationInstance, key: int,
-                    outputs: Round2Result) -> SamplingTrial:
-    """Classify a played trial: clean, every syndrome parity +1, at frame key 0."""
-    if key:
-        case = "case2"
-    elif check_relation(instance, outputs, game):
-        case = "case1"
-    else:
-        case = "invalid"
-    return SamplingTrial(outputs, key == 0, case)
-
-
 def run_trials(
     game: GameBcs,
     sol: OperatorSolution,
     sites: int | Callable[[np.random.Generator], int],
     rngs: Iterable[np.random.Generator],
     mode: str = "relation",
-) -> Iterator[tuple[RelationInstance, Round2Result | SamplingTrial]]:
+) -> Iterator[tuple[RelationInstance, RoundResult, bool]]:
     """Relation or sampling trials, one per generator, measured in batches.
 
     Each trial draws from its own generator, in this order: a
@@ -194,17 +147,23 @@ def run_trials(
     drawing it from the generator first); round 1's Bell outcomes, two
     independent bits per junction and layer, of which only the frame key
     of their per-layer parities is kept; then Alice's uniforms and Bob's.
-    A relation trial plays round 2 on the corrected state, |Phi+>, and
-    yields (instance, Round2Result).  A sampling trial plays on its
-    uncorrected frame state and yields (instance, SamplingTrial).  Every
-    measurement goes through ``quantum.measure_batch``; no output depends
-    on the batch size, and passing one generator n times runs n trials on
-    it in turn.
+    A relation trial plays round 2 on the corrected state, |Phi+>, and a
+    sampling trial on its uncorrected frame state; the mode chooses nothing
+    else.  Every trial yields (instance, RoundResult, clean): the round as
+    ``quantum.StrategyStack.measure`` judged it, and whether every syndrome
+    parity is +1, that is its frame key is 0.  A relation trial satisfies
+    the relation iff its round is won; a sampling trial is case 1 iff it is
+    clean and won.  Every measurement goes through ``quantum.measure_batch``;
+    no output depends on the batch size, and passing one generator n times
+    runs n trials on it in turn.  Constraints wider than a site's three
+    layers are rejected before any trial.
     """
     if mode not in ("relation", "sampling"):
         raise ValueError(f"unknown trial mode {mode!r}")
     if sol.dim != 8:
         raise ValueError("round 2 expects the dimension-8 strategy")
+    if any(len(c.var_indices) > 3 for c in game.bcs.constraints):
+        raise ValueError("a site's three layers hold constraints of at most three variables")
     stack = StrategyStack(game.bcs, sol)
     for chunk in batches(rngs):
         instances, keys, draws = [], [], []
@@ -216,14 +175,9 @@ def run_trials(
             keys.append(frame_key((bits.sum(axis=0) & 1).tolist()))
             draws.append(stack.draw(instance.alpha, rng))
         amplitudes = _round2_states(keys, mode == "relation")
-        questions = [(i.alpha, i.beta) for i in instances]
-        rows = stack.measure(amplitudes, questions, draws)
-        for instance, key, row in zip(instances, keys, rows):
-            outputs = _round2_result(len(game.bcs.constraints[instance.alpha].var_indices), row)
-            if mode == "relation":
-                yield instance, outputs
-            else:
-                yield instance, _sampling_trial(game, instance, key, outputs)
+        results = stack.measure(amplitudes, [(i.alpha, i.beta) for i in instances], draws)
+        for instance, key, result in zip(instances, keys, results):
+            yield instance, result, key == 0
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +374,6 @@ def _sweep(dag: CircuitDag, seeds, forward: bool) -> list[int]:
     return bits
 
 
-def _bit_positions(mask: int):
-    """Positions of the set bits of ``mask``, lowest first."""
-    position = -1
-    while mask:
-        step = (mask & -mask).bit_length()
-        position += step
-        mask >>= step
-        yield position
-
-
 def _one_cone(dag: CircuitDag, wires, forward: bool) -> set[int]:
     seed = [wires] if isinstance(wires, int) else list(wires)
     return {w for w, bits in enumerate(_sweep(dag, [seed], forward)) if bits}
@@ -450,7 +394,7 @@ def backward_cone_sizes(dag: CircuitDag, groups) -> list[int]:
     """Size of the backward lightcone of every wire group, from one sweep."""
     sizes = [0] * len(groups)
     for bits in _sweep(dag, groups, forward=False):
-        for q in _bit_positions(bits):
+        for q in set_bits(bits):
             sizes[q] += 1
     return sizes
 
@@ -479,7 +423,7 @@ def lightcone_disjoint_probability(dag: CircuitDag) -> float:
     crossing = [reach & ((1 << k) - 1) for k, reach in enumerate(from_alice)]
     from_bob = _reach(dag, dag.bob_inputs, dag.alice_outputs)
     for j, reach in enumerate(from_bob):
-        for i in _bit_positions(reach >> (j + 1)):
+        for i in set_bits(reach >> (j + 1)):
             crossing[j + 1 + i] |= 1 << j
     bad = sum(mask.bit_count() for mask in crossing)
     total = sites * (sites - 1) // 2

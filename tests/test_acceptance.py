@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+import trial_oracle
 from helpers import table_pauli_solution
 from sign_system_oracle import build_sign_system, satisfiable_brute
 from swap_oracle import enumerate_swap_branches
@@ -131,9 +132,10 @@ def test_criterion_06_relation_problem():
     sol = quantum.permutation_solution(g)
     rng = quantum.make_rng(61803)
     trials = 10 ** 4
+    # Recounted from the outcomes by the oracle's rule, not read from ``won``.
     satisfied = sum(
-        shallow.check_relation(inst, outputs, g)
-        for inst, outputs in shallow.run_trials(
+        trial_oracle.wins(g.bcs.constraints[inst.alpha], inst.beta, result.alice_outcomes, result.bob_outcome)
+        for inst, result, _ in shallow.run_trials(
             g, sol, lambda r: int(r.integers(2, 1001)), itertools.repeat(rng, trials)
         )
     )
@@ -158,8 +160,9 @@ def test_criterion_07_sampling_variant():
     rng = quantum.make_rng(271828)
     trials = 10 ** 5
     cases = {"case1": 0, "case2": 0, "invalid": 0}
-    for _, trial in shallow.run_trials(g, sol, 50, itertools.repeat(rng, trials), "sampling"):
-        cases[trial.case] += 1
+    for inst, r, clean in shallow.run_trials(g, sol, 50, itertools.repeat(rng, trials), "sampling"):
+        won = trial_oracle.wins(g.bcs.constraints[inst.alpha], inst.beta, r.alice_outcomes, r.bob_outcome)
+        cases[("case1" if won else "invalid") if clean else "case2"] += 1
     elapsed = time.perf_counter() - t0
     p = 1 / 64
     sigma = (trials * p * (1 - p)) ** 0.5

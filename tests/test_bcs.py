@@ -63,8 +63,21 @@ def test_parse_chsh_shape():
 
 
 def test_parse_round_trip_on_canonical_form():
-    text = serialize_bcs(mermin_peres())
-    assert serialize_bcs(parse_bcs(text)) == text
+    """A serialized system parses back to the same constraints, supports
+    included.  ``v5 v9 v5 v9 = 1`` keeps no variable but still makes v5 and
+    v9 commute, which leaves the magic square no Pauli solution."""
+    extended = parse_bcs(
+        serialize_bcs(mermin_peres()) + "v5 v9 v5 v9 = 1\nv1 v6 v1 = 1\nv2 v7 v4 v7 = -1\n"
+    )
+    for original in (mermin_peres(), extended):
+        text = serialize_bcs(original)
+        again = parse_bcs(text)
+        assert serialize_bcs(again) == text
+        assert [(c.var_indices, c.rhs, c.support) for c in again.constraints] == [
+            (c.var_indices, c.rhs, c.support) for c in original.constraints
+        ]
+        assert type(pauli_solve(again)) is type(pauli_solve(original))
+    assert isinstance(pauli_solve(again), Certificate)
 
 
 def test_parse_errors():

@@ -1,0 +1,53 @@
+"""Every backticked dotted name that starts at a ``bcsmagic`` module, in
+README.md, the demo docstrings and the library's docstrings, names
+something that exists, such as ``quantum.measure_batch``."""
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import bcsmagic
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = {m.name for m in pkgutil.iter_modules(bcsmagic.__path__)}
+DOTTED = re.compile(r"`+((?:bcsmagic\.)?[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`+")
+
+
+def _docstrings(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    nodes = [tree] + [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    return [doc for doc in map(ast.get_docstring, nodes) if doc]
+
+
+def _doc_texts() -> dict[str, str]:
+    texts = {"README.md": (ROOT / "README.md").read_text()}
+    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "src" / "bcsmagic").glob("*.py")):
+        texts[str(path.relative_to(ROOT))] = "\n".join(_docstrings(path))
+    return texts
+
+
+def _resolves(dotted: str) -> bool:
+    module, *attrs = dotted.removeprefix("bcsmagic.").split(".")
+    obj = importlib.import_module(f"bcsmagic.{module}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_doc_references_resolve():
+    references = {
+        (where, name)
+        for where, text in _doc_texts().items()
+        for name in DOTTED.findall(text)
+        if name.removeprefix("bcsmagic.").split(".")[0] in MODULES
+    }
+    assert ("README.md", "quantum.measure_batch") in references
+    assert ("src/bcsmagic/shallow.py", "quantum.StrategyStack.measure") in references
+    missing = sorted((where, name) for where, name in references if not _resolves(name))
+    assert not missing, f"doc references that name nothing: {missing}"

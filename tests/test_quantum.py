@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from helpers import enumerate_distribution, table_operator_solution, table_pauli_solution
-from trial_oracle import measure_commuting, play_round
+from trial_oracle import measure_commuting, play_round, wins
 
 from bcsmagic import bcs, game, pauli, quantum
 from bcsmagic.bcs import mermin_peres, pauli_solve, verify_pauli_solution
@@ -372,8 +372,9 @@ def _conjugated(sol, seed):
 
 def test_strategy_stack_matches_one_trial_measurements():
     """Random states and a batch mixing the width-8 product constraint with
-    width-3 ones: every row equals measure_commuting on Alice's observables,
-    then on Bob's transpose, with the same generator, padded with +1."""
+    width-3 ones: every round's outcomes equal measure_commuting on Alice's
+    observables, then on Bob's transpose, with the same generator, and the
+    round is won as the oracle's rule judges it."""
     g = build_game_bcs(8)
     sol = _conjugated(permutation_solution(g), 5)
     gen = np.random.default_rng(6)
@@ -385,14 +386,15 @@ def test_strategy_stack_matches_one_trial_measurements():
     states /= np.linalg.norm(states, axis=(1, 2))[:, None, None]
     stack = quantum.StrategyStack(g.bcs, sol)
     draws = [stack.draw(alpha, make_rng(100 + t)) for t, (alpha, _) in enumerate(questions)]
-    rows = stack.measure(states, questions, draws)
-    for t, ((alpha, beta), row) in enumerate(zip(questions, rows)):
+    results = stack.measure(states, questions, draws)
+    for t, ((alpha, beta), r) in enumerate(zip(questions, results)):
         rng = make_rng(100 + t)
-        members = g.bcs.constraints[alpha].var_indices
-        alice = [sol.assignment[v] for v in members]
+        c = g.bcs.constraints[alpha]
+        alice = [sol.assignment[v] for v in c.var_indices]
         a_out, state = measure_commuting(states[t], "A", alice, rng)
-        b_out, _ = measure_commuting(state, "B", [sol.assignment[beta].T], rng)
-        assert row == a_out + [1] * (8 - len(members)) + b_out
+        (b_out,), _ = measure_commuting(state, "B", [sol.assignment[beta].T], rng)
+        assert r == quantum.RoundResult(alpha, tuple(a_out), b_out, wins(c, beta, a_out, b_out))
+    assert {r.won for r in results} == {True, False}
 
 
 @pytest.mark.parametrize("n,conjugate", [(8, False), (8, True), (4, True), (5, False)])

@@ -6,22 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from swap_oracle import bell_vector, enumerate_swap_branches
-from trial_oracle import compute_syndrome, run_round1, run_round2, run_sampling_trial
+from trial_oracle import clean, compute_syndrome, run_round1, run_round2, run_sampling_trial
 
 from bcsmagic import pauli, quantum
 from bcsmagic.bcs import InvariantError
 from bcsmagic.cli import trial_rng
 from bcsmagic.game import build_game_bcs
-from bcsmagic.quantum import make_rng, permutation_solution, phi_plus
+from bcsmagic.quantum import OperatorSolution, make_rng, permutation_solution, phi_plus
 from bcsmagic.shallow import (
     CircuitDag,
     Gate,
     RelationInstance,
-    Round2Result,
     backward_cone_sizes,
     backward_lightcone,
     build_strategy_dag,
-    check_relation,
     dag_from_json,
     depth_lower_bound,
     forward_lightcone,
@@ -178,8 +176,7 @@ def test_round2_relation_always_holds(game8, sol8):
     for _ in range(200):
         inst = random_instance(game8, N=40, rng=rng)
         transcript = run_round1(inst, rng)
-        outputs = run_round2(game8, inst, transcript, sol8, rng)
-        assert check_relation(inst, outputs, game8)
+        assert run_round2(game8, inst, transcript, sol8, rng).won
 
 
 def test_round2_without_correction_violates_sometimes(game8, sol8):
@@ -196,8 +193,7 @@ def test_round2_without_correction_violates_sometimes(game8, sol8):
         if all(f == (0, 0) for f in transcript.pauli_frame):
             continue
         trials += 1
-        outputs = run_round2(game8, inst, transcript, sol8, rng, apply_correction=False)
-        violations += not check_relation(inst, outputs, game8)
+        violations += not run_round2(game8, inst, transcript, sol8, rng, apply_correction=False).won
     assert violations > 0
 
 
@@ -206,24 +202,24 @@ def test_round2_identity_frame_without_correction(game8, sol8):
     for _ in range(20):
         inst = random_instance(game8, N=10, rng=rng)
         transcript = run_round1(inst, _ZeroRng())
-        outputs = run_round2(game8, inst, transcript, sol8, rng, apply_correction=False)
-        assert check_relation(inst, outputs, game8)
+        assert run_round2(game8, inst, transcript, sol8, rng, apply_correction=False).won
 
 
-def test_check_relation_foreign_beta_vacuous(game8):
+def test_check_relation_foreign_beta_vacuous(game8, sol8):
+    """With beta outside constraint alpha, Bob's outcome does not matter:
+    the round is won on every draw, whichever sign Bob reads, and lost on
+    every draw once one of Alice's observables is negated."""
     c = game8.bcs.constraints[0]
     beta = next(v for v in range(game8.bcs.n_vars) if v not in c.var_indices)
-    inst = RelationInstance(N=4, n=8, j=1, k=2, alpha=0, beta=beta)
-    good = Round2Result((1, 1, 1) if c.rhs == 1 else (-1, 1, 1), (-1, 1, 1))
-    assert check_relation(inst, good, game8)
-    bad = Round2Result((-1,) * 3 if c.rhs == 1 else (1, -1, -1), (1, 1, 1))
-    assert not check_relation(inst, bad, game8)
-
-
-def test_check_relation_unknown_ids(game8):
-    inst = RelationInstance(N=4, n=8, j=1, k=2, alpha=10 ** 6, beta=0)
-    with pytest.raises(ValueError):
-        check_relation(inst, Round2Result((1, 1, 1), (1, 1, 1)), game8)
+    v = c.var_indices[0]
+    flipped = OperatorSolution(8, {**sol8.assignment, v: -sol8.assignment[v]})
+    phi = np.broadcast_to(phi_plus(8), (40, 8, 8))
+    for sol, won in ((sol8, True), (flipped, False)):
+        stack = quantum.StrategyStack(game8.bcs, sol)
+        draws = [stack.draw(0, make_rng(t)) for t in range(40)]
+        results = stack.measure(phi, [(0, beta)] * 40, draws)
+        assert {r.won for r in results} == {won}
+        assert {r.bob_outcome for r in results} == {1, -1}
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +232,8 @@ def test_sampling_split_and_case1_rate(game8, sol8):
     cases = {"case1": 0, "case2": 0, "invalid": 0}
     for _ in range(trials):
         inst = random_instance(game8, N=12, rng=rng)
-        trial = run_sampling_trial(game8, inst, sol8, rng)
-        cases[trial.case] += 1
+        result, is_clean = run_sampling_trial(game8, inst, sol8, rng)
+        cases[("case1" if result.won else "invalid") if is_clean else "case2"] += 1
     assert cases["invalid"] == 0
     assert cases["case1"] + cases["case2"] == trials
     p = 1 / 64
@@ -256,9 +252,8 @@ def test_sampling_forced_clean_bits_is_case1(game8, sol8):
             return float(rng.random())
 
     inst = RelationInstance(N=6, n=8, j=2, k=5, alpha=3, beta=game8.bcs.constraints[3].var_indices[0])
-    trial = run_sampling_trial(game8, inst, sol8, _CleanRound1Rng())
-    assert trial.case == "case1"
-    assert trial.parities_ok
+    result, is_clean = run_sampling_trial(game8, inst, sol8, _CleanRound1Rng())
+    assert is_clean and result.won
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +271,12 @@ def test_run_trials_relation_equals_a_loop(game8, sol8, monkeypatch):
     expected = []
     for _ in range(150):
         inst = random_instance(game8, _draw_sites(rng), rng)
-        expected.append((inst, run_round2(game8, inst, run_round1(inst, rng), sol8, rng)))
+        transcript = run_round1(inst, rng)
+        expected.append((inst, run_round2(game8, inst, transcript, sol8, rng), clean(transcript)))
     monkeypatch.setattr(quantum, "CHUNK", 16)
     batched = list(run_trials(game8, sol8, _draw_sites, itertools.repeat(make_rng(2718), 150)))
     assert batched == expected
-    assert all(check_relation(inst, outputs, game8) for inst, outputs in batched)
+    assert all(result.won for _, result, _ in batched)
 
 
 def test_run_trials_sampling_equals_a_loop(game8, sol8, monkeypatch):
@@ -288,11 +284,12 @@ def test_run_trials_sampling_equals_a_loop(game8, sol8, monkeypatch):
     expected = []
     for _ in range(300):
         inst = random_instance(game8, 6, rng)
-        expected.append((inst, run_sampling_trial(game8, inst, sol8, rng)))
+        expected.append((inst, *run_sampling_trial(game8, inst, sol8, rng)))
     monkeypatch.setattr(quantum, "CHUNK", 45)
     batched = list(run_trials(game8, sol8, 6, itertools.repeat(make_rng(1414), 300), "sampling"))
     assert batched == expected
-    assert {trial.case for _, trial in batched} == {"case1", "case2"}
+    assert {is_clean for _, _, is_clean in batched} == {True, False}
+    assert all(result.won for _, result, is_clean in batched if is_clean)
 
 
 def test_run_trials_checks_every_trials_fidelity(game8, sol8, monkeypatch):
@@ -318,13 +315,15 @@ def test_run_trials_checks_every_trials_fidelity(game8, sol8, monkeypatch):
 
 
 def test_run_trials_rejects_bad_mode_and_dimension(game8, sol8):
-    from bcsmagic.quantum import OperatorSolution
-
     with pytest.raises(ValueError, match="mode"):
         next(run_trials(game8, sol8, 5, [make_rng(0)], "both"))
     bad = OperatorSolution(4, {v: np.eye(4, dtype=complex) for v in sol8.assignment})
     with pytest.raises(ValueError, match="dimension"):
         next(run_trials(game8, bad, 5, [make_rng(0)]))
+    # The unmodified game's product constraint has eight variables.
+    wide = build_game_bcs(8)
+    with pytest.raises(ValueError, match="three variables"):
+        next(run_trials(wide, permutation_solution(wide), 5, [make_rng(0)]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ A step draws one uniform, projects the named side onto (I + O)/2 and
 (I - O)/2, takes the +1 branch iff the uniform falls below its squared
 norm, and renormalises the branch it took.  Round 2 starts from the frame
 state built from the two-by-two X and Z matrices, and a corrected round
-applies the correction that the round-1 syndrome names.
+applies the correction that the round-1 syndrome names.  Rounds are judged
+by this module's own reading of the game's win rule, ``wins``.
 
 Each function draws from its generator in the order the batched drivers
 promise, so a loop over one generator reproduces their results exactly.
@@ -16,7 +17,6 @@ promise, so a loop over one generator reproduces their results exactly.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -24,7 +24,6 @@ import numpy as np
 
 from bcsmagic.bcs import InvariantError
 from bcsmagic.quantum import RoundResult
-from bcsmagic.shallow import Round2Result, SamplingTrial, check_relation
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,6 +55,16 @@ def measure_commuting(amplitudes, side, observables, rng):
     return outcomes, m
 
 
+def wins(constraint, beta, alice_outcomes, bob_outcome) -> bool:
+    """Alice's outcomes multiply to the constraint's sign, and every one of
+    her outcomes for a variable equal to beta agrees with Bob's: there is
+    none when beta lies outside the constraint."""
+    agree = all(
+        a == bob_outcome for v, a in zip(constraint.var_indices, alice_outcomes) if v == beta
+    )
+    return bool(np.prod(alice_outcomes) == constraint.rhs) and agree
+
+
 def play_round(game, sol, question, rng) -> RoundResult:
     """One round of question (alpha, beta) on a fresh maximally entangled
     state: Alice measures alpha's observables in ascending variable order,
@@ -65,8 +74,7 @@ def play_round(game, sol, question, rng) -> RoundResult:
     phi = np.eye(sol.dim, dtype=complex) / np.sqrt(sol.dim)
     a_out, m = measure_commuting(phi, "A", [sol.assignment[v] for v in c.var_indices], rng)
     (b_out,), _ = measure_commuting(m, "B", [sol.assignment[beta].T], rng)
-    won = math.prod(a_out) == c.rhs and a_out[c.var_indices.index(beta)] == b_out
-    return RoundResult(alpha, c.var_indices, tuple(a_out), b_out, won)
+    return RoundResult(alpha, tuple(a_out), b_out, wins(c, beta, a_out, b_out))
 
 
 @dataclass
@@ -110,31 +118,28 @@ def correction(p_a, p_b) -> np.ndarray:
     ])
 
 
-def run_round2(game, instance, transcript, sol, rng, apply_correction=True) -> Round2Result:
+def clean(transcript) -> bool:
+    """Every syndrome parity is +1."""
+    p_a, p_b = compute_syndrome(transcript)
+    return all(p == 1 for p in p_a + p_b)
+
+
+def run_round2(game, instance, transcript, sol, rng, apply_correction=True) -> RoundResult:
     """Round 2 on the swapped state, corrected by the syndrome unless
-    ``apply_correction`` is false.  Alice's outcomes are padded to three
-    bits with +1; Bob's meaningful bit is position 1."""
+    ``apply_correction`` is false, judged by ``wins``."""
     state = frame_state(transcript.pauli_frame)
     if apply_correction:
         state = correction(*compute_syndrome(transcript)) @ state
-    alice = [sol.assignment[v] for v in game.bcs.constraints[instance.alpha].var_indices]
-    a_out, state = measure_commuting(state, "A", alice, rng)
+    c = game.bcs.constraints[instance.alpha]
+    a_out, state = measure_commuting(state, "A", [sol.assignment[v] for v in c.var_indices], rng)
     (b_out,), _ = measure_commuting(state, "B", [sol.assignment[instance.beta].T], rng)
-    return Round2Result(tuple(a_out) + (1,) * (3 - len(a_out)), (b_out, 1, 1))
+    return RoundResult(instance.alpha, tuple(a_out), b_out, wins(c, instance.beta, a_out, b_out))
 
 
-def run_sampling_trial(game, instance, sol, rng) -> SamplingTrial:
-    """Round 1, then round 2 on the uncorrected state.  case1: every
-    syndrome parity is +1 and the relation holds; case2: some parity is -1;
-    invalid: clean parities but a violated relation."""
+def run_sampling_trial(game, instance, sol, rng) -> tuple[RoundResult, bool]:
+    """Round 1, then round 2 on the uncorrected state; the round and
+    whether the trial is clean.  Case 1 is clean and won, case 2 not clean,
+    and invalid clean but lost."""
     transcript = run_round1(instance, rng)
-    outputs = run_round2(game, instance, transcript, sol, rng, apply_correction=False)
-    p_a, p_b = compute_syndrome(transcript)
-    clean = all(p == 1 for p in p_a + p_b)
-    if not clean:
-        case = "case2"
-    elif check_relation(instance, outputs, game):
-        case = "case1"
-    else:
-        case = "invalid"
-    return SamplingTrial(outputs, clean, case)
+    result = run_round2(game, instance, transcript, sol, rng, apply_correction=False)
+    return result, clean(transcript)
