@@ -26,9 +26,8 @@ from .game import (
     clifford_bound,
     count_questions,
     enumerate_questions,
-    sample_question,
 )
-from .pauli import PauliString, commutes, format_pauli, multiply, parse_pauli, to_matrix
+from .pauli import PauliString, format_pauli, parse_pauli, to_matrix
 from .quantum import (
     OperatorSolution,
     audit_clifford_strategy,

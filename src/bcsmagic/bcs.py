@@ -40,12 +40,16 @@ together, including variables that cancelled.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import gf2, pauli
 from .gf2 import Gf2System, Inconsistency, set_bits
 from .pauli import PauliString
+
+# (x, z, phase) parts of Pauli strings, indexed by variable.
+Bits = Sequence[int] | Mapping[int, int]
 
 
 class InvariantError(Exception):
@@ -77,9 +81,6 @@ class Bcs:
     @property
     def n_vars(self) -> int:
         return len(self.variables)
-
-    def index(self, name: str) -> int:
-        return self.variables.index(name)
 
 
 def make_constraint(var_indices: list[int], rhs: int) -> Constraint:
@@ -143,7 +144,7 @@ def parse_bcs(text: str) -> Bcs:
         toks = lhs.split()
         constraints.append(make_constraint([lookup(t) for t in toks], rhs))
 
-    if not names and not constraints:
+    if not declared and not constraints:
         raise ValueError("empty BCS file")
     return Bcs(names, constraints)
 
@@ -198,32 +199,15 @@ def classical_solve(bcs: Bcs) -> list[int] | None:
     return [1 - 2 * b for b in out.assignment]
 
 
-def check_classical_assignment(bcs: Bcs, signs: list[int]) -> bool:
-    for c in bcs.constraints:
-        prod = 1
-        for v in c.var_indices:
-            prod *= signs[v]
-        if prod != c.rhs:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Free-variable elimination
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FreeVarExpression:
-    var: int
-    sign_unknown: int | None
-    free_support: tuple[int, ...]
-
 
 @dataclass
 class Elimination:
     free: list[int]
     dependent: list[int]
-    expressions: list[FreeVarExpression]
+    supports: list[tuple[int, ...]]
     reduced: gf2.ReducedSystem
 
 
@@ -231,9 +215,9 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
     """Express each variable over a free set by GF(2) elimination.
 
     Pivot columns are those of the unique RREF, so the free set is the
-    lexicographically latest choice.  A dependent variable's expression is
-    the ascending list of free variables in its reduced row; each gets a sign
-    unknown.  Free variables stand for themselves.  The reduction is kept:
+    lexicographically latest choice.  ``supports[v]`` is the ascending list
+    of free variables in dependent v's reduced row, which fixes v up to a
+    sign; a free variable's support is itself.  The reduction is kept:
     pivot row i belongs to ``dependent[i]``, and the zero rows after them
     carry a (not canonical) basis of the left kernel in their provenance.
     """
@@ -241,14 +225,11 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
     pivot_cols = reduced.pivot_cols
     pivot_set = set(pivot_cols)
     free = [v for v in range(bcs.n_vars) if v not in pivot_set]
-    expressions: list[FreeVarExpression] = [
-        FreeVarExpression(v, None, (v,)) for v in range(bcs.n_vars)
-    ]
+    supports = [(v,) for v in range(bcs.n_vars)]
     for row_i, col in enumerate(pivot_cols):
         row = reduced.system.matrix.bits[row_i]
-        support = tuple(v for v in free if (row >> v) & 1)
-        expressions[col] = FreeVarExpression(col, col, support)
-    return Elimination(free, sorted(pivot_cols), expressions, reduced)
+        supports[col] = tuple(v for v in free if (row >> v) & 1)
+    return Elimination(free, sorted(pivot_cols), supports, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +259,7 @@ def co_occurrence_pairs(bcs: Bcs) -> list[tuple[int, int]]:
 
 def _constraint_parity(bcs: Bcs, elim: Elimination, j: int) -> int:
     """Pair mask of constraint j with every variable substituted."""
-    blocks = [elim.expressions[v].free_support for v in bcs.constraints[j].var_indices]
+    blocks = [elim.supports[v] for v in bcs.constraints[j].var_indices]
     cancel = 0
     for block in blocks:
         for b in block:
@@ -364,7 +345,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
             acc ^= swaps[j]
         rows.append(acc)
     pair_list = co_occurrence_pairs(bcs)
-    masks = [sum(1 << f for f in e.free_support) for e in elim.expressions]
+    masks = [sum(1 << f for f in support) for support in elim.supports]
     rows.extend(_commutation_row(masks[i] ^ masks[j], n) for i, j in pair_list)
     used = 0
     for row in rows:
@@ -398,7 +379,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
         zs[l] |= 1 << q
     # Free strings carry no Y and no phase, so their normal-form phase is 0.
     for i, v in enumerate(elim.dependent):
-        x, z, phase = _product(elim.expressions[v].free_support, xs, zs, phases)
+        x, z, phase = _product(elim.supports[v], xs, zs, phases)
         sign = reduced.rhs[i] ^ ((reduced.provenance[i] & flip).bit_count() & 1)
         xs[v], zs[v], phases[v] = x, z, phase - (x & z).bit_count() + 2 * sign
 
@@ -410,8 +391,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
     return solution
 
 
-def _product(factors: tuple[int, ...], xs: list[int], zs: list[int],
-             phases: list[int]) -> tuple[int, int, int]:
+def _product(factors: tuple[int, ...], xs: Bits, zs: Bits, phases: Bits) -> tuple[int, int, int]:
     """Ordered product of the strings i^phases[f] X^xs[f] Z^zs[f] as
     (x, z, phase) in the same normal form.  Letter form i^k P has normal-form
     phase k + #Y(P); moving Z^z past X^x costs (-1)^popcount(z & x)."""
@@ -421,6 +401,16 @@ def _product(factors: tuple[int, ...], xs: list[int], zs: list[int],
         x ^= xs[f]
         z ^= zs[f]
     return x, z, phase
+
+
+def check_pauli_constraint(c: Constraint, xs: Bits, zs: Bits, nf: Bits) -> tuple[bool, bool]:
+    """(pairwise, product_ok) for constraint c over the strings
+    i^nf[v] X^xs[v] Z^zs[v] (normal form): every pair of its support
+    commutes, and its members multiply to its sign times the identity."""
+    pairwise = not any(((xs[a] & zs[b]) ^ (zs[a] & xs[b])).bit_count() & 1
+                       for a, b in combinations(sorted(c.support), 2))
+    x, z, phase = _product(c.var_indices, xs, zs, nf)
+    return pairwise, not (x | z) and phase % 4 == (0 if c.rhs == 1 else 2)
 
 
 def verify_pauli_solution(bcs: Bcs, solution: PauliSolution) -> PauliVerifyReport:
@@ -435,10 +425,7 @@ def verify_pauli_solution(bcs: Bcs, solution: PauliSolution) -> PauliVerifyRepor
     odd = [v for v, s in enumerate(strings) if s.phase & 1]
     report = PauliVerifyReport(not odd, True, True, odd[0] if odd else None)
     for j, c in enumerate(bcs.constraints):
-        pairwise = not any(((xs[a] & zs[b]) ^ (zs[a] & xs[b])).bit_count() & 1
-                           for a, b in combinations(sorted(c.support), 2))
-        x, z, phase = _product(c.var_indices, xs, zs, nf)
-        product_ok = not (x | z) and phase % 4 == (0 if c.rhs == 1 else 2)
+        pairwise, product_ok = check_pauli_constraint(c, xs, zs, nf)
         report.commutation_ok &= pairwise
         report.products_ok &= product_ok
         if not (pairwise and product_ok) and report.failing_constraint is None:
@@ -484,9 +471,9 @@ def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
     elim = eliminate_free_vars(bcs)
     blocks: list[tuple[int, ...]] = []
     for j in cert.constraint_rows:
-        blocks.extend(elim.expressions[v].free_support for v in bcs.constraints[j].var_indices)
+        blocks.extend(elim.supports[v] for v in bcs.constraints[j].var_indices)
     accumulated = _inversion_parity(blocks, bcs.n_vars)
-    masks = [sum(1 << f for f in e.free_support) for e in elim.expressions]
+    masks = [sum(1 << f for f in support) for support in elim.supports]
     for i, j in cert.commutation_rows:
         accumulated ^= _commutation_row(masks[i] ^ masks[j], bcs.n_vars)
     return accumulated == 0

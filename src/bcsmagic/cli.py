@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bound", help="magic-free winning-probability cap")
+    p = sub.add_parser("bound", help="the paper's upper bound on magic-free strategies")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_bound)

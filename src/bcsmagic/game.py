@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .bcs import Bcs, make_constraint
 
 Edge = tuple[int, int]
@@ -77,13 +75,6 @@ class GameBcs:
     def chain(self, k: int) -> int:
         """Variable standing for the product a_1 ... a_k, 2 <= k <= n-2."""
         return self.var_index[f"a1..{k}"]
-
-
-@dataclass
-class QuestionSpace:
-    alice_questions: list[int]
-    bob_questions: list[int]
-    pairs: list[tuple[int, int]]
 
 
 @dataclass
@@ -186,8 +177,11 @@ def count_questions(n: int) -> QuestionCounts:
 
 
 def clifford_bound(n: int) -> float:
-    """Best average winning probability of magic-free strategies on the
-    modified game, 1 - 1/(6 |Q^A|); defined only in the magic regime."""
+    """The paper's upper bound on magic-free strategies: their average
+    winning probability on the modified game is at most 1 - 1/(6 |Q^A|).
+    Defined only in the magic regime.  Nothing in the package shows that it
+    is attained: the best Pauli strategy on |Phi+> that the tests build
+    wins 1 - 1/(3 |Q^A|)."""
     if classify(n) is not GameClass.MAGIC_REQUIRED:
         raise ValueError(f"no Clifford bound applies at n={n}")
     return 1.0 - 1.0 / (6 * count_questions(n).modified_alice)
@@ -203,18 +197,6 @@ def classify(n: int) -> GameClass:
     return GameClass.MAGIC_REQUIRED
 
 
-def enumerate_questions(game: GameBcs) -> QuestionSpace:
-    alice = list(range(len(game.bcs.constraints)))
-    bob = list(range(game.bcs.n_vars))
-    pairs = [
-        (alpha, beta)
-        for alpha in alice
-        for beta in game.bcs.constraints[alpha].var_indices
-    ]
-    return QuestionSpace(alice, bob, pairs)
-
-
-def sample_question(game: GameBcs, rng: np.random.Generator) -> tuple[int, int]:
-    """Uniform over (constraint, member variable) pairs."""
-    pairs = enumerate_questions(game).pairs
-    return pairs[int(rng.integers(len(pairs)))]
+def enumerate_questions(game: GameBcs) -> list[tuple[int, int]]:
+    """Every (constraint alpha, member beta) question pair, in order."""
+    return [(alpha, beta) for alpha, c in enumerate(game.bcs.constraints) for beta in c.var_indices]

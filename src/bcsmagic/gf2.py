@@ -32,13 +32,6 @@ class Gf2Matrix:
             if r & ~mask:
                 raise ValueError("row has bits outside the column range")
 
-    @classmethod
-    def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "Gf2Matrix":
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        bits = [sum((v & 1) << j for j, v in enumerate(row)) for row in rows]
-        return cls(len(rows), cols, bits)
-
 
 @dataclass
 class Gf2System:
@@ -55,10 +48,6 @@ class Gf2System:
         elif len(self.provenance) != self.matrix.rows:
             raise ValueError("provenance length does not match row count")
 
-    @classmethod
-    def from_rows(cls, rows: list[list[int]], rhs: list[int], cols: int | None = None) -> "Gf2System":
-        return cls(Gf2Matrix.from_rows(rows, cols), [b & 1 for b in rhs])
-
 
 @dataclass
 class ReducedSystem:
@@ -69,7 +58,6 @@ class ReducedSystem:
 @dataclass
 class Solution:
     assignment: list[int]
-    free_cols: list[int]
 
 
 @dataclass
@@ -136,12 +124,4 @@ def solve(system: Gf2System) -> Solution | Inconsistency:
     assignment = [0] * sys_r.matrix.cols
     for i, col in enumerate(reduced.pivot_cols):
         assignment[col] = sys_r.rhs[i]
-    pivot_set = set(reduced.pivot_cols)
-    free_cols = [c for c in range(sys_r.matrix.cols) if c not in pivot_set]
-    return Solution(assignment, free_cols)
-
-
-def evaluate(system: Gf2System, assignment: list[int]) -> list[int]:
-    """Return matrix @ assignment over GF(2), one bit per row."""
-    vec = sum((b & 1) << j for j, b in enumerate(assignment))
-    return [(row & vec).bit_count() & 1 for row in system.matrix.bits]
+    return Solution(assignment)

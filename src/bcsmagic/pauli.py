@@ -47,59 +47,6 @@ class PauliString:
     def is_hermitian(self) -> bool:
         return self.phase in (0, 2)
 
-    @property
-    def is_identity_up_to_phase(self) -> bool:
-        return self.x_bits == 0 and self.z_bits == 0
-
-    @property
-    def sign(self) -> int:
-        """+1 or -1 for Hermitian strings."""
-        if not self.is_hermitian:
-            raise ValueError("string has an imaginary phase")
-        return 1 if self.phase == 0 else -1
-
-
-def identity(n_qubits: int) -> PauliString:
-    return PauliString(n_qubits, 0, 0, 0)
-
-
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Group product p * q with exact Z4 phase tracking."""
-    if p.n_qubits != q.n_qubits:
-        raise ValueError("qubit count mismatch")
-    # Work in X^x Z^z normal form: letter form differs by i^{#Y}.
-    phase = p.phase + (p.x_bits & p.z_bits).bit_count()
-    phase += q.phase + (q.x_bits & q.z_bits).bit_count()
-    phase += 2 * (p.z_bits & q.x_bits).bit_count()
-    x = p.x_bits ^ q.x_bits
-    z = p.z_bits ^ q.z_bits
-    phase -= (x & z).bit_count()
-    return PauliString(p.n_qubits, x, z, phase % 4)
-
-
-def multiply_all(factors: list[PauliString], n_qubits: int | None = None) -> PauliString:
-    if not factors:
-        if n_qubits is None:
-            raise ValueError("empty product needs an explicit qubit count")
-        return identity(n_qubits)
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = multiply(acc, f)
-    return acc
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff the symplectic form <p.x, q.z> + <p.z, q.x> vanishes."""
-    if p.n_qubits != q.n_qubits:
-        raise ValueError("qubit count mismatch")
-    return (((p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()) & 1) == 0
-
-
-def transpose(p: PauliString) -> PauliString:
-    """Operator transpose: every Y letter flips sign."""
-    flips = (p.x_bits & p.z_bits).bit_count()
-    return PauliString(p.n_qubits, p.x_bits, p.z_bits, p.phase + 2 * flips)
-
 
 def to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix; guarded to keep test oracles small."""

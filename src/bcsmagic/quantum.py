@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pauli
-from .bcs import Bcs, InvariantError, PauliSolution
+from .bcs import Bcs, InvariantError, PauliSolution, check_pauli_constraint
 from .game import GameBcs, enumerate_questions
 from .pauli import PauliString
 
@@ -350,7 +350,7 @@ def play_rounds(
     ``StrategyStack.measure`` judges each round.  Passing one generator n
     times plays n rounds on it in turn.
     """
-    pairs = enumerate_questions(game).pairs
+    pairs = enumerate_questions(game)
     stack = StrategyStack(game.bcs, sol)
     phi = phi_plus(sol.dim)
     for chunk in batches(rngs):
@@ -375,6 +375,19 @@ class CliffordAudit:
     avg_win: float = 0.0
 
 
+def _agreement(a: PauliString, b: PauliString) -> float:
+    """(1 + t)/2 for t the normalized trace of A B^T.  A B^T is +/-I exactly
+    when the (x, z) bits match, and then it is i^k I with
+    k = a.phase + b.phase + 2 #Y, since the transpose flips every Y; t = 0
+    otherwise.  An odd k, an imaginary product, raises ValueError."""
+    if (a.x_bits, a.z_bits) != (b.x_bits, b.z_bits):
+        return 0.5
+    k = (a.phase + b.phase + 2 * (a.x_bits & a.z_bits).bit_count()) % 4
+    if k & 1:
+        raise ValueError("agreement product has an imaginary phase")
+    return 1.0 if k == 0 else 0.0
+
+
 def audit_clifford_strategy(
     game: GameBcs,
     alice: dict[int, dict[int, PauliString]],
@@ -383,10 +396,11 @@ def audit_clifford_strategy(
     """Score a Pauli (stabilizer-measurement) strategy pair.
 
     Alice may choose per-constraint observables; a constraint whose set
-    fails to commute or to multiply to its sign is lost outright.  For the
-    rest, the agreement on (alpha, beta) is (1 + t)/2 where t is the
-    normalized trace of A_beta^(alpha) B_beta^T, always 0 or +/-1 for Pauli
-    strings.  Averages are over the uniform question distribution.
+    fails ``bcs.check_pauli_constraint`` is lost outright.  For the rest,
+    the agreement on (alpha, beta) is (1 + t)/2 where t is the normalized
+    trace of A_beta^(alpha) B_beta^T, always 0 or +/-1 for Pauli strings.
+    Averages are over the uniform question distribution.  Mixed qubit
+    counts raise ValueError.
     """
     qubits = {s.n_qubits for obs in alice.values() for s in obs.values()}
     qubits |= {s.n_qubits for s in bob.values()}
@@ -394,31 +408,19 @@ def audit_clifford_strategy(
         raise ValueError(f"mixed qubit counts in strategy: {sorted(qubits)}")
     audit = CliffordAudit()
     total = 0.0
-    n_pairs = 0
     for alpha, c in enumerate(game.bcs.constraints):
         obs = alice[alpha]
-        members = list(c.var_indices)
-        valid = all(
-            pauli.commutes(obs[a], obs[b])
-            for i, a in enumerate(members)
-            for b in members[i + 1:]
-        )
-        if valid:
-            prod = pauli.multiply_all([obs[v] for v in members])
-            target = 0 if c.rhs == 1 else 2
-            valid = prod.is_identity_up_to_phase and prod.phase == target
+        xs = {v: s.x_bits for v, s in obs.items()}
+        zs = {v: s.z_bits for v, s in obs.items()}
+        nf = {v: s.phase + (s.x_bits & s.z_bits).bit_count() for v, s in obs.items()}
+        valid = all(check_pauli_constraint(c, xs, zs, nf))
         if not valid:
             audit.invalid_constraints.append(alpha)
-        for beta in members:
-            if valid:
-                p = pauli.multiply(obs[beta], pauli.transpose(bob[beta]))
-                t = p.sign if p.is_identity_up_to_phase else 0
-                agreement = (1 + t) / 2
-            else:
-                agreement = 0.0
+        for beta in c.var_indices:
+            agreement = _agreement(obs[beta], bob[beta]) if valid else 0.0
             audit.pair_agreements[(alpha, beta)] = agreement
             audit.min_pair = min(audit.min_pair, agreement)
             total += agreement
-            n_pairs += 1
+    n_pairs = len(audit.pair_agreements)
     audit.avg_win = total / n_pairs if n_pairs else 0.0
     return audit

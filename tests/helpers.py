@@ -1,10 +1,12 @@
-"""Shared fixtures: the published two-qubit table for the n=4 game and a
-branch-enumeration oracle for measurement distributions."""
+"""Shared fixtures: the published two-qubit table for the n=4 game, a
+branch-enumeration oracle for measurement distributions, and direct checks
+of GF(2) and scalar assignments."""
 from __future__ import annotations
 
 import numpy as np
 
-from bcsmagic.bcs import PauliSolution
+from bcsmagic.bcs import Bcs, PauliSolution, make_constraint
+from bcsmagic.gf2 import Gf2Matrix, Gf2System
 from bcsmagic.pauli import parse_pauli
 from bcsmagic.quantum import OperatorSolution
 
@@ -62,3 +64,38 @@ def enumerate_distribution(amplitudes: np.ndarray, plan: list[tuple[str, np.ndar
 
     recurse(amplitudes, (), 1.0, 0)
     return dist
+
+
+def gf2_system(rows: list[list[int]], rhs: list[int], cols: int | None = None) -> Gf2System:
+    """A GF(2) system from 0/1 row lists; ``cols`` defaults to the width of
+    the first row."""
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+    bits = [sum((v & 1) << j for j, v in enumerate(row)) for row in rows]
+    return Gf2System(Gf2Matrix(len(rows), cols, bits), [b & 1 for b in rhs])
+
+
+def gf2_evaluate(system: Gf2System, assignment: list[int]) -> list[int]:
+    """matrix @ assignment over GF(2), one bit per row."""
+    vec = sum((b & 1) << j for j, b in enumerate(assignment))
+    return [(row & vec).bit_count() & 1 for row in system.matrix.bits]
+
+
+def check_classical_assignment(bcs: Bcs, signs: list[int]) -> bool:
+    """Every constraint's +/-1 product equals its sign."""
+    for c in bcs.constraints:
+        prod = 1
+        for v in c.var_indices:
+            prod *= signs[v]
+        if prod != c.rhs:
+            return False
+    return True
+
+
+def split_variable(bcs: Bcs, alpha: int, v: int) -> Bcs:
+    """``bcs`` with variable v replaced, in constraint alpha only, by a fresh
+    variable appended last."""
+    constraints = list(bcs.constraints)
+    c = constraints[alpha]
+    constraints[alpha] = make_constraint([bcs.n_vars if u == v else u for u in c.var_indices], c.rhs)
+    return Bcs(bcs.variables + ["fresh"], constraints)

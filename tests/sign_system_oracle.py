@@ -55,8 +55,8 @@ def _parity_pairs(parity: dict[int, int]) -> list[tuple[int, int]]:
 
 def _commutation_row(bcs: Bcs, elim: Elimination, i: int, j: int):
     """Pair parity of the formal expansion A_i A_j A_i A_j = I."""
-    si = elim.expressions[i].free_support
-    sj = elim.expressions[j].free_support
+    si = elim.supports[i]
+    sj = elim.supports[j]
     return _inversion_parity([si, sj, si, sj], bcs.n_vars)
 
 
@@ -70,8 +70,8 @@ class SignSystem:
 def _constraint_row(bcs: Bcs, elim: Elimination, j: int):
     """Substituted form of constraint j: sign unknowns, pair parity, rhs bit."""
     c = bcs.constraints[j]
-    blocks = [elim.expressions[v].free_support for v in c.var_indices]
-    sign_unknowns = [v for v in c.var_indices if elim.expressions[v].sign_unknown is not None]
+    blocks = [elim.supports[v] for v in c.var_indices]
+    sign_unknowns = [v for v in c.var_indices if v in elim.dependent]
     cancel = 0
     for block in blocks:
         for b in block:

@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 import trial_oracle
-from helpers import table_pauli_solution
+from helpers import check_classical_assignment, split_variable, table_pauli_solution
+from pauli_report_oracle import identity, transpose
 from sign_system_oracle import build_sign_system, satisfiable_brute
 from swap_oracle import enumerate_swap_branches
 
@@ -52,7 +53,7 @@ def test_criterion_02_solver_classification():
 
     for n in (5, 7):
         signs = bcs.classical_solve(game.build_game_bcs(n).bcs)
-        results[f"n{n}_classical"] = signs is not None and bcs.check_classical_assignment(
+        results[f"n{n}_classical"] = signs is not None and check_classical_assignment(
             game.build_game_bcs(n).bcs, signs
         )
 
@@ -212,20 +213,37 @@ def test_criterion_09_depth_bound_ingredients():
     g = game.build_game_bcs(8)
     alice = {}
     for alpha, c in enumerate(g.bcs.constraints):
-        obs = {v: pauli.identity(1) for v in c.var_indices}
+        obs = {v: identity(1) for v in c.var_indices}
         if c.rhs == -1:
             obs[c.var_indices[-1]] = pauli.parse_pauli("-I")
         alice[alpha] = obs
     audits = [
-        quantum.audit_clifford_strategy(g, alice, {v: pauli.identity(1) for v in range(g.bcs.n_vars)}),
+        quantum.audit_clifford_strategy(g, alice, {v: identity(1) for v in range(g.bcs.n_vars)}),
         quantum.audit_clifford_strategy(g, alice, {v: pauli.parse_pauli("Z") for v in range(g.bcs.n_vars)}),
     ]
+    # Witness on the modified game: split v out of the last chain
+    # constraint; its Pauli solution has fresh = -v, so Alice answers -v
+    # there and loses exactly that one pair against Bob's transpose of v.
+    gm = game.build_game_bcs(8, modified=True)
+    last = len(gm.bcs.constraints) - 1
+    v = gm.bcs.constraints[last].var_indices[0]
+    split = bcs.pauli_solve(split_variable(gm.bcs, last, v))
+    witness = {alpha: {u: split.strings[u] for u in c.var_indices}
+               for alpha, c in enumerate(gm.bcs.constraints)}
+    witness[last][v] = split.strings[-1]
+    audit = quantum.audit_clifford_strategy(
+        gm, witness, {u: transpose(split.strings[u]) for u in range(gm.bcs.n_vars)})
+    q_alice = game.count_questions(8).modified_alice
     checks = {
         "bound_positive_above": bound_above > 0,
         "bound_negative_below": bound_below < 0,
         "threshold": abs(threshold - 96 * 6252) < 1e-6,
         "audit_min_pair": all(a.min_pair <= 0.5 for a in audits),
         "audit_capped": all(a.avg_win <= p_clif for a in audits),
+        "witness_qubits": split.qubits == 0 and not audit.invalid_constraints,
+        "witness_win": audit.avg_win == 1 - 1 / (3 * q_alice) <= p_clif,
+        "witness_lost_pair": audit.min_pair == 0.0
+        and [p for p, a in audit.pair_agreements.items() if a != 1.0] == [(last, v)],
     }
     _report(9, "depth bound ingredients", all(checks.values()), str(checks))
 

@@ -5,8 +5,10 @@ import gf2_oracle
 import pauli_report_oracle
 import pytest
 import sign_system_oracle
+from helpers import check_classical_assignment
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pauli_report_oracle import commutes
 from sign_system_oracle import build_sign_system, satisfiable_brute
 
 from bcsmagic import bcs, gf2, pauli
@@ -16,7 +18,6 @@ from bcsmagic.bcs import (
     PauliSolution,
     chsh,
     classical_solve,
-    check_classical_assignment,
     eliminate_free_vars,
     make_constraint,
     mermin_peres,
@@ -69,7 +70,7 @@ def test_parse_round_trip_on_canonical_form():
     extended = parse_bcs(
         serialize_bcs(mermin_peres()) + "v5 v9 v5 v9 = 1\nv1 v6 v1 = 1\nv2 v7 v4 v7 = -1\n"
     )
-    for original in (mermin_peres(), extended):
+    for original in (Bcs([], []), mermin_peres(), extended):
         text = serialize_bcs(original)
         again = parse_bcs(text)
         assert serialize_bcs(again) == text
@@ -78,6 +79,23 @@ def test_parse_round_trip_on_canonical_form():
         ]
         assert type(pauli_solve(again)) is type(pauli_solve(original))
     assert isinstance(pauli_solve(again), Certificate)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_serialize_parse_round_trip_property(data):
+    """Systems of up to six variables and six constraints, the empty system
+    and repeated (cancelled) support variables included, read back alike."""
+    n = data.draw(st.integers(0, 6))
+    members = st.lists(st.integers(0, n - 1), max_size=6) if n else st.just([])
+    cons = [make_constraint(m, data.draw(st.sampled_from([1, -1])))
+            for m in data.draw(st.lists(members, max_size=6))]
+    original = Bcs([f"v{i}" for i in range(n)], cons)
+    again = parse_bcs(serialize_bcs(original))
+    assert again.variables == original.variables
+    assert [(c.var_indices, c.rhs, c.support) for c in again.constraints] == [
+        (c.var_indices, c.rhs, c.support) for c in original.constraints
+    ]
 
 
 def test_parse_errors():
@@ -131,19 +149,19 @@ def test_classical_solution_satisfies():
 def test_mermin_peres_free_set_and_expressions():
     elim = eliminate_free_vars(mermin_peres())
     assert elim.free == [4, 5, 7, 8]
-    assert elim.expressions[1].free_support == (4, 7)
-    assert elim.expressions[0].free_support == (4, 5, 7, 8)
+    assert elim.dependent == [0, 1, 2, 3, 6]
+    assert elim.supports[1] == (4, 7)
+    assert elim.supports[0] == (4, 5, 7, 8)
     for v in elim.free:
-        assert elim.expressions[v].sign_unknown is None
-        assert elim.expressions[v].free_support == (v,)
+        assert elim.supports[v] == (v,)
 
 
 def test_single_constraint_elimination():
     b = parse_bcs("a1 a2 = -1\n")
     elim = eliminate_free_vars(b)
     assert elim.free == [1]
-    assert elim.expressions[0].free_support == (1,)
-    assert elim.expressions[0].sign_unknown == 0
+    assert elim.dependent == [0]
+    assert elim.supports[0] == (1,)
 
 
 def test_disjoint_blocks_do_not_mix():
@@ -151,8 +169,8 @@ def test_disjoint_blocks_do_not_mix():
     elim = eliminate_free_vars(b)
     red = gf2.row_reduce(bcs.incidence_system(b))
     assert red.pivot_cols == [0, 2]
-    assert elim.expressions[0].free_support == (1,)
-    assert elim.expressions[2].free_support == (3,)
+    assert elim.supports[0] == (1,)
+    assert elim.supports[2] == (3,)
 
 
 def test_mermin_peres_substitution_row():
@@ -203,9 +221,9 @@ def test_mermin_peres_pauli_solution():
         "v6": "IX", "v7": "ZZ", "v8": "IZ", "v9": "ZI",
     }
     # Anticommuting free pairs, 1-indexed: (5,9) and (6,8).
-    assert not pauli.commutes(out.strings[4], out.strings[8])
-    assert not pauli.commutes(out.strings[5], out.strings[7])
-    assert pauli.commutes(out.strings[4], out.strings[7])
+    assert not commutes(out.strings[4], out.strings[8])
+    assert not commutes(out.strings[5], out.strings[7])
+    assert commutes(out.strings[4], out.strings[7])
 
 
 def test_mermin_peres_textbook_solution_verifies():
@@ -338,7 +356,7 @@ def random_bcs(rng: random.Random) -> Bcs:
 
 def anticommuting_free_pairs(solution, free):
     return [(k, l) for i, k in enumerate(free) for l in free[i + 1:]
-            if not pauli.commutes(solution.strings[k], solution.strings[l])]
+            if not commutes(solution.strings[k], solution.strings[l])]
 
 
 def test_random_instances_sound_and_oracle_agree():
@@ -490,7 +508,7 @@ def test_pair_masks_match_dict_oracle_on_systems():
     systems = [random_bcs(rng) for _ in range(200)] + [planted_bcs(rng) for _ in range(50)]
     for b in systems + [mermin_peres(), build_game_bcs(4).bcs]:
         elim = eliminate_free_vars(b)
-        masks = [support_mask(e.free_support) for e in elim.expressions]
+        masks = [support_mask(support) for support in elim.supports]
         for j in range(len(b.constraints)):
             _, parity, _ = sign_system_oracle._constraint_row(b, elim, j)
             assert bcs._constraint_parity(b, elim, j) == to_mask(parity, b.n_vars)
@@ -546,6 +564,17 @@ def test_odd_phase_fails_hermiticity():
     strings[3] = PauliString(out.qubits, strings[3].x_bits, strings[3].z_bits, strings[3].phase + 1)
     report = verify_pauli_solution(mp, PauliSolution(out.qubits, strings))
     assert (report.hermitian_ok, report.failing_variable) == (False, 3)
+
+
+def test_verify_checks_commutation_of_cancelled_support():
+    """``v5 v9 v5 v9 = 1`` keeps no variable, but v5 and v9 must commute,
+    and the magic square's solution anticommutes them."""
+    mp = mermin_peres()
+    out = pauli_solve(mp)
+    extended = parse_bcs(serialize_bcs(mp) + "v5 v9 v5 v9 = 1\n")
+    for verify in (verify_pauli_solution, pauli_report_oracle.verify_pauli_solution):
+        report = verify(extended, out)
+        assert (report.commutation_ok, report.products_ok, report.failing_constraint) == (False, True, 6)
 
 
 def test_mixed_qubit_widths_raise():

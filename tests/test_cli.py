@@ -4,6 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from helpers import check_classical_assignment
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,7 +112,7 @@ def test_gen_then_solve_pipeline(tmp_path, capsys):
     assert main(["solve", str(odd), "--mode", "classical"]) == 0
     lines = odd.with_suffix(".solution.txt").read_text().strip().splitlines()
     signs = [1 if line.endswith(" 1") else -1 for line in lines]
-    assert bcs.check_classical_assignment(bcs.parse_bcs(odd.read_text()), signs)
+    assert check_classical_assignment(bcs.parse_bcs(odd.read_text()), signs)
 
 
 def test_bound_output(capsys):

@@ -1,5 +1,5 @@
 """Every backticked dotted name that starts at a ``bcsmagic`` module, in
-README.md, the demo docstrings and the library's docstrings, names
+README.md and the docstrings of the demos, the library and the tests, names
 something that exists, such as ``quantum.measure_batch``."""
 import ast
 import importlib
@@ -25,8 +25,9 @@ def _docstrings(path: Path) -> list[str]:
 
 def _doc_texts() -> dict[str, str]:
     texts = {"README.md": (ROOT / "README.md").read_text()}
-    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "src" / "bcsmagic").glob("*.py")):
-        texts[str(path.relative_to(ROOT))] = "\n".join(_docstrings(path))
+    for folder in ("demos", "src/bcsmagic", "tests"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            texts[str(path.relative_to(ROOT))] = "\n".join(_docstrings(path))
     return texts
 
 
@@ -49,5 +50,6 @@ def test_doc_references_resolve():
     }
     assert ("README.md", "quantum.measure_batch") in references
     assert ("src/bcsmagic/shallow.py", "quantum.StrategyStack.measure") in references
+    assert ("tests/pauli_report_oracle.py", "bcs.check_pauli_constraint") in references
     missing = sorted((where, name) for where, name in references if not _resolves(name))
     assert not missing, f"doc references that name nothing: {missing}"

@@ -2,6 +2,7 @@ import random
 
 import gf2_oracle
 import pytest
+from helpers import gf2_evaluate, gf2_system
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +21,13 @@ def brute_force(rows, rhs, n_cols):
     return None
 
 
+def free_cols(system):
+    pivots = gf2.row_reduce(system).pivot_cols
+    return [c for c in range(system.matrix.cols) if c not in pivots]
+
+
 def test_one_by_one_identity():
-    sys1 = Gf2System.from_rows([[1]], [1])
+    sys1 = gf2_system([[1]], [1])
     red = gf2.row_reduce(sys1)
     assert red.pivot_cols == [0]
     sol = gf2.solve(sys1)
@@ -31,37 +37,38 @@ def test_one_by_one_identity():
 
 def test_three_rows_consistent_rank_two():
     # x0+x1=1, x1+x2=0, x0+x2=1: rank 2, one free column.
-    sys3 = Gf2System.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [1, 0, 1])
+    sys3 = gf2_system([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [1, 0, 1])
     red = gf2.row_reduce(sys3)
     assert red.pivot_cols == [0, 1]
     sol = gf2.solve(sys3)
     assert isinstance(sol, Solution)
-    assert sol.free_cols == [2]
-    assert gf2.evaluate(sys3, sol.assignment) == sys3.rhs
+    assert free_cols(sys3) == [2]
+    assert sol.assignment[2] == 0
+    assert gf2_evaluate(sys3, sol.assignment) == sys3.rhs
     assert brute_force(sys3.matrix.bits, sys3.rhs, 3) is not None
 
 
 def test_contradictory_duplicate():
-    sysc = Gf2System.from_rows([[1, 0], [1, 0]], [1, 0])
+    sysc = gf2_system([[1, 0], [1, 0]], [1, 0])
     out = gf2.solve(sysc)
     assert isinstance(out, Inconsistency)
     assert out.rows == frozenset({0, 1})
 
 
 def test_empty_system_all_free():
-    empty = Gf2System.from_rows([], [], cols=2)
+    empty = gf2_system([], [], cols=2)
     sol = gf2.solve(empty)
     assert isinstance(sol, Solution)
     assert sol.assignment == [0, 0]
-    assert sol.free_cols == [0, 1]
+    assert free_cols(empty) == [0, 1]
 
 
 def test_single_equation_free_default():
-    sys1 = Gf2System.from_rows([[1, 1]], [1])
+    sys1 = gf2_system([[1, 1]], [1])
     sol = gf2.solve(sys1)
     assert isinstance(sol, Solution)
     assert sol.assignment == [1, 0]
-    assert sol.free_cols == [1]
+    assert free_cols(sys1) == [1]
 
 
 def test_mermin_peres_classical_inconsistent():
@@ -74,7 +81,7 @@ def test_mermin_peres_classical_inconsistent():
         [0, 0, 1, 0, 0, 1, 0, 0, 1],
     ]
     rhs = [0, 0, 0, 0, 0, 1]
-    out = gf2.solve(Gf2System.from_rows(rows, rhs))
+    out = gf2.solve(gf2_system(rows, rhs))
     assert isinstance(out, Inconsistency)
     # Certificate check: cited rows XOR to zero with rhs parity 1.
     acc_row = 0
@@ -109,7 +116,7 @@ def test_row_reduce_idempotent():
         n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
         rows = [[rng.randint(0, 1) for _ in range(n_cols)] for _ in range(n_rows)]
         rhs = [rng.randint(0, 1) for _ in range(n_rows)]
-        once = gf2.row_reduce(Gf2System.from_rows(rows, rhs))
+        once = gf2.row_reduce(gf2_system(rows, rhs))
         twice = gf2.row_reduce(once.system)
         assert once.system.matrix.bits == twice.system.matrix.bits
         assert once.system.rhs == twice.system.rhs
@@ -129,7 +136,7 @@ def test_solve_matches_enumeration(data):
     witness = brute_force(rows, rhs, n_cols)
     if isinstance(out, Solution):
         assert witness is not None
-        assert gf2.evaluate(system, out.assignment) == rhs
+        assert gf2_evaluate(system, out.assignment) == rhs
     else:
         assert witness is None
         acc_row = acc_rhs = 0

@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import numpy as np
+import pauli_report_oracle
 import pytest
-from helpers import enumerate_distribution, table_operator_solution, table_pauli_solution
+from helpers import enumerate_distribution, split_variable, table_operator_solution, table_pauli_solution
+from pauli_report_oracle import identity, transpose
 from trial_oracle import measure_commuting, play_round, wins
 
 from bcsmagic import bcs, game, pauli, quantum
@@ -334,7 +337,7 @@ def test_play_round_perfect_n8():
     g = build_game_bcs(8)
     sol = permutation_solution(g)
     rng = make_rng(2024)
-    pairs = enumerate_questions(g).pairs
+    pairs = enumerate_questions(g)
     for _ in range(300):
         q = pairs[int(rng.integers(len(pairs)))]
         assert play_round(g, sol, q, rng).won
@@ -344,7 +347,7 @@ def test_play_round_classical_embedding_odd_n():
     g = build_game_bcs(5)
     sol = classical_to_operator(bcs.classical_solve(g.bcs))
     rng = make_rng(77)
-    pairs = enumerate_questions(g).pairs
+    pairs = enumerate_questions(g)
     for _ in range(200):
         q = pairs[int(rng.integers(len(pairs)))]
         assert play_round(g, sol, q, rng).won
@@ -378,7 +381,7 @@ def test_strategy_stack_matches_one_trial_measurements():
     g = build_game_bcs(8)
     sol = _conjugated(permutation_solution(g), 5)
     gen = np.random.default_rng(6)
-    pairs = enumerate_questions(g).pairs
+    pairs = enumerate_questions(g)
     product_row = len(g.bcs.constraints) - 1
     questions = [pairs[i] for i in gen.integers(len(pairs), size=30)]
     questions += [(product_row, v) for v in g.bcs.constraints[product_row].var_indices[:3]]
@@ -406,7 +409,7 @@ def test_play_rounds_equal_a_loop_of_play_round(n, conjugate, monkeypatch):
            else permutation_solution(g))
     if conjugate:
         sol = _conjugated(sol, n)
-    pairs = enumerate_questions(g).pairs
+    pairs = enumerate_questions(g)
     rng = make_rng(90 + n)
     expected = [play_round(g, sol, pairs[int(rng.integers(len(pairs)))], rng) for _ in range(300)]
     monkeypatch.setattr(quantum, "CHUNK", 37)
@@ -437,25 +440,57 @@ def test_play_rounds_check_commutation_once_per_constraint():
 # audit
 # ---------------------------------------------------------------------------
 
-def test_audit_table_strategy_is_perfect():
-    g = build_game_bcs(4)
+def _table_strategy(g):
     psol = table_pauli_solution(g)
     alice = {
         alpha: {v: psol.strings[v] for v in c.var_indices}
         for alpha, c in enumerate(g.bcs.constraints)
     }
-    bob = {v: pauli.transpose(psol.strings[v]) for v in range(g.bcs.n_vars)}
-    audit = quantum.audit_clifford_strategy(g, alice, bob)
+    return alice, {v: transpose(psol.strings[v]) for v in range(g.bcs.n_vars)}
+
+
+def test_audit_table_strategy_is_perfect():
+    g = build_game_bcs(4)
+    audit = quantum.audit_clifford_strategy(g, *_table_strategy(g))
     assert audit.min_pair == 1.0
     assert audit.avg_win == 1.0
     assert not audit.invalid_constraints
+
+
+def test_audit_loses_constraints_that_anticommute_or_miss_their_sign():
+    """Constraint 0 (a1 a2 y1_2) gets XI, ZI and i*YI: they multiply to +I,
+    its sign, but X and Z anticommute.  Constraint 1 (a1 a3 y1_3) keeps
+    commuting strings with a3 negated, so its product is -I against +1.
+    Both are lost outright; every other pair still agrees."""
+    g = build_game_bcs(4)
+    alice, bob = _table_strategy(g)
+    a1, a2, a3, y12 = g.a(1), g.a(2), g.a(3), g.y(1, 2)
+    alice[0] = {a1: parse_pauli("XI"), a2: parse_pauli("ZI"), y12: pauli.PauliString(2, 1, 1, 1)}
+    alice[1][a3] = parse_pauli("-ZI")
+    audit = quantum.audit_clifford_strategy(g, alice, bob)
+    assert audit.invalid_constraints == [0, 1]
+    lost = {(alpha, beta) for alpha in (0, 1) for beta in g.bcs.constraints[alpha].var_indices}
+    assert {p for p, a in audit.pair_agreements.items() if a != 1.0} == lost
+    assert all(audit.pair_agreements[p] == 0.0 for p in lost)
+    assert len(audit.pair_agreements) == 82
+    assert audit.min_pair == 0.0
+    assert audit.avg_win == 1 - 6 / 82
+
+
+def test_audit_rejects_an_imaginary_agreement_product():
+    g = build_game_bcs(4)
+    alice, bob = _table_strategy(g)
+    s = bob[g.a(3)]
+    bob[g.a(3)] = pauli.PauliString(s.n_qubits, s.x_bits, s.z_bits, s.phase + 1)
+    with pytest.raises(ValueError, match="imaginary"):
+        quantum.audit_clifford_strategy(g, alice, bob)
 
 
 def _per_constraint_strategy(g):
     """Constraint-local identities: always satisfies its row, never coordinated."""
     alice = {}
     for alpha, c in enumerate(g.bcs.constraints):
-        obs = {v: pauli.identity(1) for v in c.var_indices}
+        obs = {v: identity(1) for v in c.var_indices}
         last = c.var_indices[-1]
         if c.rhs == -1:
             obs[last] = parse_pauli("-I")
@@ -466,7 +501,7 @@ def _per_constraint_strategy(g):
 def test_audit_magic_game_pauli_strategies_capped():
     g = build_game_bcs(8)
     alice = _per_constraint_strategy(g)
-    bob = {v: pauli.identity(1) for v in range(g.bcs.n_vars)}
+    bob = {v: identity(1) for v in range(g.bcs.n_vars)}
     audit = quantum.audit_clifford_strategy(g, alice, bob)
     assert not audit.invalid_constraints
     assert audit.min_pair <= 0.5
@@ -481,9 +516,78 @@ def test_audit_magic_game_pauli_strategies_capped():
 def test_audit_rejects_mixed_qubit_counts():
     g = build_game_bcs(4)
     alice = _per_constraint_strategy(g)
-    bob = {v: pauli.identity(2) for v in range(g.bcs.n_vars)}
+    bob = {v: identity(2) for v in range(g.bcs.n_vars)}
     with pytest.raises(ValueError):
         quantum.audit_clifford_strategy(g, alice, bob)
+
+
+def test_split_search_n6_solves_only_negated_splits():
+    """A Pauli strategy on |Phi+> that loses only half of one pair needs a
+    Pauli solution of the modified game with v replaced by a fresh variable
+    in one constraint alpha, the fresh one not +/-v.  Of the 732 splits at
+    n = 6, pauli_solve solves 12, all on zero qubits with fresh = -v, so
+    such a strategy loses a whole pair."""
+    gm = build_game_bcs(6, modified=True)
+    splits = enumerate_questions(gm)
+    assert len(splits) == 732
+    solved = []
+    for alpha, v in splits:
+        out = pauli_solve(split_variable(gm.bcs, alpha, v))
+        if isinstance(out, bcs.PauliSolution):
+            solved.append((alpha, v))
+            fresh, s = out.strings[-1], out.strings[v]
+            assert out.qubits == 0
+            assert (fresh.x_bits, fresh.z_bits, fresh.phase) == (s.x_bits, s.z_bits, s.phase ^ 2)
+    assert len(solved) == 12
+    assert {alpha for alpha, _ in solved} == set(range(len(gm.bcs.constraints) - 4, len(gm.bcs.constraints)))
+
+
+AUDIT_GAMES = {n: build_game_bcs(n) for n in (4, 5, 6)}
+
+
+def _random_audit_strategy(g, rng, qubits):
+    """Per constraint, signed products of two commuting random strings,
+    completed to the constraint's sign (valid); one third of constraints
+    then get one arbitrary string, odd phases included.  Bob mostly takes
+    the transpose of one of Alice's valid strings for his variable, up to
+    sign, so many pairs match Alice's bits, Y letters included."""
+    def string(phases=(0, 2)):
+        return pauli.PauliString(qubits, rng.getrandbits(qubits), rng.getrandbits(qubits),
+                                 rng.choice(phases))
+
+    alice, seen = {}, {}
+    for alpha, c in enumerate(g.bcs.constraints):
+        p, q = string(), string()
+        if not pauli_report_oracle.commutes(p, q):
+            q = identity(qubits)
+        obs = {}
+        for v in c.var_indices[:-1]:
+            s = identity(qubits)
+            for factor in (p, q):
+                if rng.random() < 0.5:
+                    s = pauli_report_oracle.multiply(s, factor)
+            obs[v] = pauli.PauliString(qubits, s.x_bits, s.z_bits, s.phase + rng.choice((0, 2)))
+        prod = pauli_report_oracle.multiply_all(list(obs.values()), qubits)
+        obs[c.var_indices[-1]] = pauli.PauliString(qubits, prod.x_bits, prod.z_bits, prod.phase + 1 - c.rhs)
+        for v, s in obs.items():
+            seen.setdefault(v, []).append(s)
+        if rng.random() < 1 / 3:
+            obs[rng.choice(c.var_indices)] = string(range(4))
+        alice[alpha] = obs
+    bob = {}
+    for v in range(g.bcs.n_vars):
+        s = transpose(rng.choice(seen[v])) if rng.random() < 0.75 else string()
+        bob[v] = pauli.PauliString(qubits, s.x_bits, s.z_bits, s.phase + rng.choice((0, 2)))
+    return alice, bob
+
+
+def test_audit_matches_string_oracle():
+    rng = random.Random(20261018)
+    for trial in range(300):
+        g = AUDIT_GAMES[(4, 5, 6)[trial % 3]]
+        alice, bob = _random_audit_strategy(g, rng, 1 + trial // 3 % 2)
+        expect = pauli_report_oracle.audit_clifford_strategy(g, alice, bob)
+        assert quantum.audit_clifford_strategy(g, alice, bob) == expect
 
 
 # ---------------------------------------------------------------------------
