@@ -2,10 +2,10 @@
 
 The swap-and-play wiring keeps its depth as the number of sites grows and
 never needs a gate reading more than 14 inputs (an 11-bit question plus 3
-qubits).  For any bounded fan-in wiring, backward cones stay below |O| K^D,
-and the probability that two random sites fall outside each other's cones
-obeys the 1 - 48 K^D / N bound that drives the depth lower bound for
-magic-free circuits.
+qubits).  For any bounded fan-in wiring, backward cones stay within
+|O| (K + 1)^D wires, and the probability that two random sites fall outside
+each other's cones obeys the 1 - 48 K^D / N bound that drives the depth
+lower bound for magic-free circuits.
 """
 from bcsmagic import build_strategy_dag, clifford_bound
 from bcsmagic.shallow import (

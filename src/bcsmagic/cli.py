@@ -233,7 +233,8 @@ def cmd_lightcone(args) -> int:
             print("bound violated", file=sys.stderr)
             if not args.dag:
                 return EXIT_INTERNAL
-    p_clif = game_mod.clifford_bound(args.n)
+    # The strategy wiring plays the modified n = 8 game (shallow.QUESTION_BITS).
+    p_clif = game_mod.clifford_bound(8)
     payload["clifford_cap"] = p_clif
     # The bound needs fan-in at least 2; narrower wirings report none.
     payload["depth_lower_bound"] = (
@@ -326,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lightcone", help="wiring statistics and hardness bounds")
     p.add_argument("--dag", default=None, help="load a wiring from JSON")
     p.add_argument("--sites", type=int, default=16, help="strategy wiring size when no --dag")
-    p.add_argument("--n", type=int, default=8)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_lightcone)
 

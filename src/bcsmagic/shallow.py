@@ -31,9 +31,10 @@ Circuit wirings are layered gate lists over persistent classical/quantum
 wires, validated and indexed by layer once, when the wiring is built.
 Lightcones are support propagation, bit-sliced: one layered sweep carries
 one integer bitset per wire, bit q marking membership in the cone of seed
-set q, so every site's cone comes out of a single pass.  The disjointness
-probability counts every crossing (j, k) site pair exactly from two such
-sweeps.
+set q, so every site's cone comes out of a single pass.  Both directions
+follow one rule, so each is the exact dual of the other.  The disjointness
+probability counts every crossing (j, k) site pair exactly from one forward
+sweep seeded with every site's inputs.
 """
 from __future__ import annotations
 
@@ -206,7 +207,8 @@ class CircuitDag:
     bob_outputs: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        """Validate the wiring, then index its gates by layer.
+        """Index the gates by layer, then validate the wiring by walking
+        that index; ``depth`` and ``max_fan_in`` are set here too.
 
         Layers and wire ids must be plain ``int`` (not bool or float).  Call
         again after editing ``gates`` or the site groups in place.
@@ -215,7 +217,8 @@ class CircuitDag:
         wire that an earlier gate of the same layer produced, unless that
         gate also read it (a transform).  So ``[Gate(1, (1,), (2,)),
         Gate(1, (0,), (1,))]`` is valid, and the same two gates in the other
-        order are not.  Backward cones grow in the same list order.
+        order are not.  List order matters to validation only: lightcones
+        see each layer as it stood before it.
         """
         n_wires = len(self.wire_kinds)
         for w, kind in enumerate(self.wire_kinds):
@@ -224,24 +227,33 @@ class CircuitDag:
         for g in self.gates:
             if type(g.layer) is not int or g.layer < 1:
                 raise ValueError(f"gate layers are integers from 1, got {g.layer!r}")
+        # The gates of each non-empty layer, in list order, layers ascending.
+        by_layer: dict[int, list[Gate]] = {}
+        for g in self.gates:
+            by_layer.setdefault(g.layer, []).append(g)
+        self._layers: list[list[Gate]] = [by_layer[layer] for layer in sorted(by_layer)]
+        self.depth = max(by_layer, default=0)
+        self.max_fan_in = max((g.fan_in for g in self.gates), default=0)
+
         first_written: dict[int, int] = {}
-        written_at: set[tuple[int, int]] = set()
-        for g in sorted(self.gates, key=lambda g: g.layer):
-            for w in g.inputs:
-                if type(w) is not int or not 0 <= w < n_wires:
-                    raise ValueError(f"gate reads unknown wire {w!r}")
-                if w in first_written and first_written[w] >= g.layer:
-                    raise ValueError(f"wire {w} read at layer {g.layer} before it is produced")
-            for w in g.outputs:
-                if type(w) is not int or not 0 <= w < n_wires:
-                    raise ValueError(f"gate writes unknown wire {w!r}")
-                if (g.layer, w) in written_at:
-                    raise ValueError(f"wire {w} written twice in layer {g.layer}")
-                written_at.add((g.layer, w))
-                # reads of w in the same or later layers stay legal when w is
-                # also an input of this gate (transform style)
-                if w not in g.inputs:
-                    first_written.setdefault(w, g.layer)
+        for layer in self._layers:
+            written: set[int] = set()
+            for g in layer:
+                for w in g.inputs:
+                    if type(w) is not int or not 0 <= w < n_wires:
+                        raise ValueError(f"gate reads unknown wire {w!r}")
+                    if w in first_written and first_written[w] >= g.layer:
+                        raise ValueError(f"wire {w} read at layer {g.layer} before it is produced")
+                for w in g.outputs:
+                    if type(w) is not int or not 0 <= w < n_wires:
+                        raise ValueError(f"gate writes unknown wire {w!r}")
+                    if w in written:
+                        raise ValueError(f"wire {w} written twice in layer {g.layer}")
+                    written.add(w)
+                    # reads of w in the same or later layers stay legal when w is
+                    # also an input of this gate (transform style)
+                    if w not in g.inputs:
+                        first_written.setdefault(w, g.layer)
 
         sides = (self.alice_inputs, self.bob_inputs, self.alice_outputs, self.bob_outputs)
         if len({len(groups) for groups in sides}) > 1:
@@ -260,17 +272,6 @@ class CircuitDag:
                         raise ValueError(
                             f"wire {w} is in {side}'s output groups of sites {owner[w]} and {s}"
                         )
-
-        self.depth = max((g.layer for g in self.gates), default=0)
-        # The gates of each non-empty layer, in list order, layers ascending.
-        by_layer: dict[int, list[Gate]] = {}
-        for g in self.gates:
-            by_layer.setdefault(g.layer, []).append(g)
-        self._layers: list[list[Gate]] = [by_layer[layer] for layer in sorted(by_layer)]
-
-    @property
-    def max_fan_in(self) -> int:
-        return max((g.fan_in for g in self.gates), default=0)
 
     @property
     def n_sites(self) -> int:
@@ -338,10 +339,12 @@ def _sweep(dag: CircuitDag, seeds, forward: bool) -> list[int]:
     """Bit-sliced cone propagation: bit q of entry w is set when wire w lies
     in the cone of the wire set ``seeds[q]``.
 
-    Forward, every gate of a layer fires on the cones as they stood at the
-    start of that layer and adds its outputs.  Backward, layers run from the
-    deepest down, and within a layer the cones grow gate by gate in list
-    order: a gate whose outputs meet a cone adds its inputs to it.
+    One rule serves both directions: every gate of a layer fires on the
+    cones as they stood before that layer.  Forward, layers run from the
+    first, and a gate that reads a cone wire adds its outputs; backward,
+    layers run from the deepest, and a gate that writes a cone wire adds its
+    inputs.  So wire o is in the forward cone of wire i exactly when i is in
+    the backward cone of o.
     """
     n_wires = len(dag.wire_kinds)
     bits = [0] * n_wires
@@ -350,27 +353,18 @@ def _sweep(dag: CircuitDag, seeds, forward: bool) -> list[int]:
             if type(w) is not int or not 0 <= w < n_wires:
                 raise ValueError(f"unknown wire {w!r}")
             bits[w] |= 1 << q
-    if forward:
-        for layer in dag._layers:
-            fired = []
-            for g in layer:
-                mask = 0
-                for w in g.inputs:
-                    mask |= bits[w]
-                if mask:
-                    fired.append((g.outputs, mask))
-            for outputs, mask in fired:
-                for w in outputs:
-                    bits[w] |= mask
-    else:
-        for layer in reversed(dag._layers):
-            for g in layer:
-                mask = 0
-                for w in g.outputs:
-                    mask |= bits[w]
-                if mask:
-                    for w in g.inputs:
-                        bits[w] |= mask
+    for layer in dag._layers if forward else reversed(dag._layers):
+        fired = []
+        for g in layer:
+            reads, writes = (g.inputs, g.outputs) if forward else (g.outputs, g.inputs)
+            mask = 0
+            for w in reads:
+                mask |= bits[w]
+            if mask:
+                fired.append((writes, mask))
+        for writes, mask in fired:
+            for w in writes:
+                bits[w] |= mask
     return bits
 
 
@@ -386,7 +380,9 @@ def forward_lightcone(dag: CircuitDag, wires) -> set[int]:
 
 
 def backward_lightcone(dag: CircuitDag, wires) -> set[int]:
-    """Wires the outputs may depend on; at most |O| K^D of them."""
+    """Wires the outputs O may depend on, the wires whose forward cone meets
+    O; at most |O| (K + 1)^D of them, since the gates a layer fires write
+    distinct cone wires and each adds at most K inputs."""
     return _one_cone(dag, wires, forward=False)
 
 
@@ -399,18 +395,6 @@ def backward_cone_sizes(dag: CircuitDag, groups) -> list[int]:
     return sizes
 
 
-def _reach(dag: CircuitDag, inputs, outputs) -> list[int]:
-    """Per output group, the bitset of input groups whose forward cone meets it."""
-    bits = _sweep(dag, inputs, forward=True)
-    reach = []
-    for group in outputs:
-        mask = 0
-        for w in group:
-            mask |= bits[w]
-        reach.append(mask)
-    return reach
-
-
 def lightcone_disjoint_probability(dag: CircuitDag) -> float:
     """Exact probability over uniform site pairs j < k that neither selected
     input's forward cone reaches the other side's selected output bits."""
@@ -418,12 +402,19 @@ def lightcone_disjoint_probability(dag: CircuitDag) -> float:
     if sites < 2:
         raise ValueError("need at least two sites")
 
+    # Bit j marks Alice's input at site j, bit sites + k Bob's at site k.
+    bits = _sweep(dag, dag.alice_inputs + dag.bob_inputs, forward=True)
+
+    def reach(group: list[int]) -> int:
+        mask = 0
+        for w in group:
+            mask |= bits[w]
+        return mask
+
     # crossing[k] has bit j set when the pair (j, k), j < k, crosses.
-    from_alice = _reach(dag, dag.alice_inputs, dag.bob_outputs)
-    crossing = [reach & ((1 << k) - 1) for k, reach in enumerate(from_alice)]
-    from_bob = _reach(dag, dag.bob_inputs, dag.alice_outputs)
-    for j, reach in enumerate(from_bob):
-        for i in set_bits(reach >> (j + 1)):
+    crossing = [reach(group) & ((1 << k) - 1) for k, group in enumerate(dag.bob_outputs)]
+    for j, group in enumerate(dag.alice_outputs):
+        for i in set_bits(reach(group) >> (sites + j + 1)):
             crossing[j + 1 + i] |= 1 << j
     bad = sum(mask.bit_count() for mask in crossing)
     total = sites * (sites - 1) // 2

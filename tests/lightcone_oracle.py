@@ -1,10 +1,11 @@
 """Per-seed lightcone reference for the bit-sliced sweep in ``shallow``.
 
-Each cone is grown from one seed set at a time, with plain Python sets.
-Forward: every gate of a layer fires on the cone as it stood at the start
-of that layer.  Backward: layers run from the deepest down, and within a
-layer the cone grows gate by gate in list order.  The disjointness
-probability collects crossing site pairs into a set.  Slow (O(sites x
+Each forward cone is grown from one seed set at a time, with plain Python
+sets: every gate of a layer fires on the cone as it stood at the start of
+that layer.  There is no backward rule: backward cones come from the
+forward cone of every wire, by duality, since wire i may influence the
+outputs O exactly when its forward cone meets O.  The disjointness
+probability collects crossing site pairs into a set.  Slow (O(wires x
 gates)) and obviously correct; the tests compare the fast path against it.
 """
 from __future__ import annotations
@@ -40,16 +41,12 @@ def forward_lightcone(dag, wires) -> set[int]:
     return cone
 
 
-def backward_lightcone(dag, wires) -> set[int]:
-    cone = _seed(dag, wires)
-    by_layer: dict[int, list] = {}
-    for g in dag.gates:
-        by_layer.setdefault(g.layer, []).append(g)
-    for layer in range(_depth(dag), 0, -1):
-        for g in by_layer.get(layer, ()):
-            if cone.intersection(g.outputs):
-                cone.update(g.inputs)
-    return cone
+def backward_lightcones(dag, groups) -> list[set[int]]:
+    """The backward cone of each wire group: the wires whose forward cone
+    meets it."""
+    groups = [_seed(dag, group) for group in groups]
+    cones = [forward_lightcone(dag, i) for i in range(len(dag.wire_kinds))]
+    return [{i for i, cone in enumerate(cones) if not cone.isdisjoint(group)} for group in groups]
 
 
 def lightcone_disjoint_probability(dag) -> float:

@@ -183,6 +183,7 @@ def test_simulate_rejects_one_site(capsys):
     ["play", "--n", "4", "--trials", "5", "--seed", "1", "--tol", "1e-9"],
     ["simulate", "--mode", "relation", "--sites", "10", "--trials", "5", "--seed", "1",
      "--n", "8"],
+    ["lightcone", "--n", "8"],
 ])
 def test_removed_settings_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -224,6 +225,23 @@ def test_lightcone_fan_in_1_wiring(tmp_path, capsys):
     assert payload["sites"] == 2
     assert payload["max_backward_cone"] == 2
     assert payload["depth_lower_bound"] is None
+
+
+def test_lightcone_one_layer_chain(tmp_path, capsys):
+    """Gate t writes the wire gate t - 1 read, all in layer 1: a layer's gates
+    fire on the cone as it stood before the layer, so only gate 0 joins the
+    backward cone of wire 0, within the cap 3 * K^D = 6."""
+    from bcsmagic.shallow import CircuitDag, Gate
+
+    dag = CircuitDag(list("c" * 11), [Gate(1, (t + 1, t + 6), (t,)) for t in range(5)],
+                     alice_inputs=[[], []], bob_inputs=[[], []],
+                     alice_outputs=[[], []], bob_outputs=[[], [0]])
+    path = tmp_path / "dag.json"
+    path.write_text(dag.to_json())
+    assert main(["lightcone", "--dag", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_backward_cone"] == 3
+    assert payload["backward_cone_cap"] == 6
 
 
 def test_lightcone_2000_sites(capsys):

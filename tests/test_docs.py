@@ -1,13 +1,16 @@
 """Every backticked dotted name that starts at a ``bcsmagic`` module, in
 README.md and the docstrings of the demos, the library and the tests, names
-something that exists, such as ``quantum.measure_batch``."""
+something that exists, such as ``quantum.measure_batch``; every command in
+the README's command-line block parses."""
 import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import bcsmagic
+from bcsmagic import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = {m.name for m in pkgutil.iter_modules(bcsmagic.__path__)}
@@ -53,3 +56,13 @@ def test_doc_references_resolve():
     assert ("tests/pauli_report_oracle.py", "bcs.check_pauli_constraint") in references
     missing = sorted((where, name) for where, name in references if not _resolves(name))
     assert not missing, f"doc references that name nothing: {missing}"
+
+
+def test_readme_commands_parse():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("bcsmagic ")]
+    assert len(commands) == 10
+    parser = cli.build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])

@@ -421,6 +421,7 @@ def test_dag_index_follows_edits():
     (lambda d: d.gates.append(Gate(True, (0,), (1,))), "layers"),
     (lambda d: d.gates.append(Gate(1, (0.5,), (1,))), "reads unknown wire"),
     (lambda d: d.gates.append(Gate(1, (0,), (True,))), "writes unknown wire"),
+    (lambda d: d.gates.extend([Gate(2, (0,), (2,)), Gate(2, (1,), (2,))]), "written twice"),
     (lambda d: d.bob_inputs[1].append(99), "site group"),
     (lambda d: d.alice_outputs.append([4]), "one group per site"),
     (lambda d: d.alice_outputs[1].append(d.alice_outputs[0][0]), "output groups of sites 0 and 1"),
@@ -534,9 +535,9 @@ def valid_wirings(draw):
     writes each wire at most once, and once a gate writes a wire it does not
     read, later gates of that layer may not read it.  Transform gates (a wire
     both read and written) and gates that write a wire an earlier gate of the
-    same layer read are both common, which is where the forward rule (start
-    of layer) and the backward rule (gate by gate) part ways.  The layers
-    are then interleaved in the gate list, keeping each layer's own order.
+    same layer read are both common; the latter chain gates within one
+    layer, a chain that the cones must not follow.  The layers are then
+    interleaved in the gate list, keeping each layer's own order.
     """
     def some(pool, most, unique=False):
         return draw(st.lists(st.sampled_from(pool), max_size=most, unique=unique)) if pool else []
@@ -584,12 +585,30 @@ def test_sweep_matches_per_seed_oracle(dag):
     for seed in seeds:
         assert forward_lightcone(dag, seed) == oracle.forward_lightcone(dag, seed)
     out_groups = seeds + dag.alice_outputs + dag.bob_outputs
-    for group in out_groups:
-        assert backward_lightcone(dag, group) == oracle.backward_lightcone(dag, group)
-    assert backward_cone_sizes(dag, out_groups) == [
-        len(oracle.backward_lightcone(dag, group)) for group in out_groups
-    ]
+    expected = oracle.backward_lightcones(dag, out_groups)
+    for group, cone in zip(out_groups, expected):
+        assert backward_lightcone(dag, group) == cone
+    assert backward_cone_sizes(dag, out_groups) == [len(cone) for cone in expected]
     assert lightcone_disjoint_probability(dag) == oracle.lightcone_disjoint_probability(dag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_wirings())
+def test_forward_and_backward_cones_are_dual(dag):
+    wires = range(len(dag.wire_kinds))
+    forward = [forward_lightcone(dag, w) for w in wires]
+    backward = [backward_lightcone(dag, w) for w in wires]
+    for i, o in itertools.product(wires, wires):
+        assert (o in forward[i]) == (i in backward[o])
+
+
+@settings(max_examples=500, deadline=None)
+@given(valid_wirings())
+def test_backward_cones_meet_the_fan_in_bound(dag):
+    groups = [[w] for w in range(len(dag.wire_kinds))] + dag.alice_outputs + dag.bob_outputs
+    cap = (dag.max_fan_in + 1) ** dag.depth
+    for group, size in zip(groups, backward_cone_sizes(dag, groups)):
+        assert size <= len(group) * cap
 
 
 def test_strategy_dag_cones_match_oracle():
@@ -599,7 +618,7 @@ def test_strategy_dag_cones_match_oracle():
             assert forward_lightcone(dag, group) == oracle.forward_lightcone(dag, group)
     out_groups = dag.alice_outputs + dag.bob_outputs
     assert backward_cone_sizes(dag, out_groups) == [
-        len(oracle.backward_lightcone(dag, group)) for group in out_groups
+        len(cone) for cone in oracle.backward_lightcones(dag, out_groups)
     ]
     assert lightcone_disjoint_probability(dag) == oracle.lightcone_disjoint_probability(dag)
 
