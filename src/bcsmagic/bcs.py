@@ -14,16 +14,19 @@ The operator solver works in three steps:
    variables; the zero rows' provenance spans the left kernel, the sets of
    constraints whose product cancels every variable;
 2. substitute those expressions into the constraints and into the
-   commutation requirements of co-occurring pairs, bubbling products into
-   ascending order while recording, for every swap of distinct free
-   variables k < l, the commutator unknown of the pair (k, l); equal
-   neighbours cancel because every variable squares to the identity.  A
-   product's swap parities are one integer, its pair mask, with bit k*n + l
-   for the pair (k, l) of n variables.  A_i A_j A_i A_j sorts as A_i^2 A_j^2
-   [A_i, A_j]; it swaps the pairs inside the XOR of the two supports.  The
-   constraints of a kernel vector multiply to a product of swaps alone, so
-   each kernel vector gives one equation over commutator unknowns: the XOR
-   of its constraints' pair masks equals its accumulated rhs bit;
+   commutation requirements of co-occurring pairs.  A free support is a
+   mask of free variables, and one sort, ``_sort_parity``, bubbles a list
+   of such blocks into ascending order while recording, for every swap of
+   distinct free variables k < l, the commutator unknown of the pair
+   (k, l); equal neighbours cancel because every variable squares to the
+   identity.  A product's swap parities are one integer, its pair mask,
+   with bit k*n + l for the pair (k, l) of n variables.  A_i A_j A_i A_j
+   sorts as A_i^2 A_j^2 [A_i, A_j], so the commutation row of (i, j) is the
+   sort of the blocks [d, d], d the XOR of the two supports: every pair
+   inside d.  The constraints of a kernel vector multiply to a product of
+   swaps alone, so each kernel vector gives one equation over commutator
+   unknowns: the XOR of its constraints' pair masks equals its accumulated
+   rhs bit;
 3. solve that GF(2) system, one row per kernel vector and one per
    co-occurring pair, over the commutator unknowns that occur, in pair
    order.  A solution lifts to Pauli strings with one qubit per
@@ -205,9 +208,8 @@ def classical_solve(bcs: Bcs) -> list[int] | None:
 
 @dataclass
 class Elimination:
-    free: list[int]
     dependent: list[int]
-    supports: list[tuple[int, ...]]
+    supports: list[int]
     reduced: gf2.ReducedSystem
 
 
@@ -215,41 +217,42 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
     """Express each variable over a free set by GF(2) elimination.
 
     Pivot columns are those of the unique RREF, so the free set is the
-    lexicographically latest choice.  ``supports[v]`` is the ascending list
-    of free variables in dependent v's reduced row, which fixes v up to a
-    sign; a free variable's support is itself.  The reduction is kept:
-    pivot row i belongs to ``dependent[i]``, and the zero rows after them
-    carry a (not canonical) basis of the left kernel in their provenance.
+    lexicographically latest choice.  ``supports[v]`` is the mask of free
+    variables that fixes v up to a sign: a free variable's is its own bit,
+    and a dependent variable's is its pivot row without the pivot bit,
+    since an RREF pivot row holds no other pivot column.  The reduction is
+    kept: pivot row i belongs to ``dependent[i]``, and the zero rows after
+    them carry a (not canonical) basis of the left kernel in their
+    provenance.
     """
     reduced = gf2.row_reduce(incidence_system(bcs))
-    pivot_cols = reduced.pivot_cols
-    pivot_set = set(pivot_cols)
-    free = [v for v in range(bcs.n_vars) if v not in pivot_set]
-    supports = [(v,) for v in range(bcs.n_vars)]
-    for row_i, col in enumerate(pivot_cols):
-        row = reduced.system.matrix.bits[row_i]
-        supports[col] = tuple(v for v in free if (row >> v) & 1)
-    return Elimination(free, sorted(pivot_cols), supports, reduced)
+    supports = [1 << v for v in range(bcs.n_vars)]
+    for row, col in zip(reduced.system.matrix.bits, reduced.pivot_cols):
+        supports[col] = row ^ 1 << col
+    return Elimination(reduced.pivot_cols, supports, reduced)
 
 
 # ---------------------------------------------------------------------------
 # Swap bookkeeping
 # ---------------------------------------------------------------------------
 
-def _inversion_parity(blocks: list[tuple[int, ...]], n_vars: int) -> int:
-    """Swap parity of sorting the concatenation of ascending blocks.
+def _sort_parity(blocks: Sequence[int], n_vars: int) -> tuple[int, int]:
+    """Swap parity of sorting the concatenation of ascending blocks, each
+    given as the mask of its variables.
 
-    Returns a pair mask: bit ``k * n_vars + l`` is set for each pair k < l
-    swapped an odd number of times.  Pairs of equal variables never swap.
+    Returns (pair mask, leftover): bit ``k * n_vars + l`` of the pair mask
+    is set for each pair k < l swapped an odd number of times, and leftover
+    is the XOR of the blocks.  Pairs of equal variables never swap.
+    Appending [d, d] XORs the pair mask with every pair inside d: the
+    terms against the blocks before them occur twice and cancel.
     """
     out = prefix = 0
     for block in blocks:
-        mask = 0
-        for b in block:
-            out ^= (prefix >> (b + 1)) << (b * n_vars + b + 1)
-            mask |= 1 << b
-        prefix ^= mask
-    return out
+        if prefix:
+            for b in set_bits(block):
+                out ^= (prefix >> (b + 1)) << (b * n_vars + b + 1)
+        prefix ^= block
+    return out, prefix
 
 
 def co_occurrence_pairs(bcs: Bcs) -> list[tuple[int, int]]:
@@ -259,29 +262,11 @@ def co_occurrence_pairs(bcs: Bcs) -> list[tuple[int, int]]:
 
 def _constraint_parity(bcs: Bcs, elim: Elimination, j: int) -> int:
     """Pair mask of constraint j with every variable substituted."""
-    blocks = [elim.supports[v] for v in bcs.constraints[j].var_indices]
-    cancel = 0
-    for block in blocks:
-        for b in block:
-            cancel ^= 1 << b
-    if cancel:
+    swaps, leftover = _sort_parity(
+        [elim.supports[v] for v in bcs.constraints[j].var_indices], bcs.n_vars)
+    if leftover:
         raise InvariantError(f"free supports failed to cancel in constraint {j}")
-    return _inversion_parity(blocks, bcs.n_vars)
-
-
-def _commutation_row(d: int, n_vars: int) -> int:
-    """Pair mask of the formal expansion A_i A_j A_i A_j = I, where d is
-    the XOR of the free-support masks of A_i and A_j.
-
-    The expansion sorts as A_i^2 A_j^2 [A_i, A_j]: each square swaps the
-    pairs inside its support, the commutator the pairs across the two.  So
-    a < b swaps (#supports holding a) * (#supports holding b) times, and
-    the row is every pair inside d.
-    """
-    out = 0
-    for a in set_bits(d):
-        out ^= (d >> (a + 1)) << (a * n_vars + a + 1)
-    return out
+    return swaps
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +313,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
     the cited commutation pairs form the certificate.
     """
     elim = eliminate_free_vars(bcs)
-    reduced = elim.reduced.system
+    reduced, supports = elim.reduced.system, elim.supports
     n = bcs.n_vars
     rank = len(elim.dependent)
     kernel = range(rank, reduced.matrix.rows)
@@ -345,8 +330,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
             acc ^= swaps[j]
         rows.append(acc)
     pair_list = co_occurrence_pairs(bcs)
-    masks = [sum(1 << f for f in support) for support in elim.supports]
-    rows.extend(_commutation_row(masks[i] ^ masks[j], n) for i, j in pair_list)
+    rows.extend(_sort_parity([supports[i] ^ supports[j]] * 2, n)[0] for i, j in pair_list)
     used = 0
     for row in rows:
         used |= row
@@ -379,7 +363,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
         zs[l] |= 1 << q
     # Free strings carry no Y and no phase, so their normal-form phase is 0.
     for i, v in enumerate(elim.dependent):
-        x, z, phase = _product(elim.supports[v], xs, zs, phases)
+        x, z, phase = _product(set_bits(supports[v]), xs, zs, phases)
         sign = reduced.rhs[i] ^ ((reduced.provenance[i] & flip).bit_count() & 1)
         xs[v], zs[v], phases[v] = x, z, phase - (x & z).bit_count() + 2 * sign
 
@@ -391,7 +375,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
     return solution
 
 
-def _product(factors: tuple[int, ...], xs: Bits, zs: Bits, phases: Bits) -> tuple[int, int, int]:
+def _product(factors: Sequence[int], xs: Bits, zs: Bits, phases: Bits) -> tuple[int, int, int]:
     """Ordered product of the strings i^phases[f] X^xs[f] Z^zs[f] as
     (x, z, phase) in the same normal form.  Letter form i^k P has normal-form
     phase k + #Y(P); moving Z^z past X^x costs (-1)^popcount(z & x)."""
@@ -467,16 +451,13 @@ def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
         return False
 
     # Swap bookkeeping of the whole product, at the free-variable level,
-    # must match the XOR of the cited commutation facts.
-    elim = eliminate_free_vars(bcs)
-    blocks: list[tuple[int, ...]] = []
-    for j in cert.constraint_rows:
-        blocks.extend(elim.supports[v] for v in bcs.constraints[j].var_indices)
-    accumulated = _inversion_parity(blocks, bcs.n_vars)
-    masks = [sum(1 << f for f in support) for support in elim.supports]
+    # must be exactly discharged by the cited commutation facts: one sort of
+    # the constraints' blocks, with [d, d] appended for each cited pair.
+    supports = eliminate_free_vars(bcs).supports
+    blocks = [supports[v] for j in cert.constraint_rows for v in bcs.constraints[j].var_indices]
     for i, j in cert.commutation_rows:
-        accumulated ^= _commutation_row(masks[i] ^ masks[j], bcs.n_vars)
-    return accumulated == 0
+        blocks += [supports[i] ^ supports[j]] * 2
+    return _sort_parity(blocks, bcs.n_vars) == (0, 0)
 
 
 def serialize_solution(bcs: Bcs, solution: PauliSolution) -> str:

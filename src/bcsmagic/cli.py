@@ -215,16 +215,21 @@ def cmd_lightcone(args) -> int:
         "max_fan_in": dag.max_fan_in,
         "sites": dag.n_sites,
     }
-    # K^D, or inf once it leaves the float range (very deep or wide wirings)
     K, D = dag.max_fan_in, dag.depth
-    cone_cap = K ** D if K < 2 or D < 1000 / math.log2(K) else math.inf
+
+    def power(base: int) -> float:
+        """base^D, or inf once it leaves the float range (very deep or wide wirings)."""
+        return base ** D if base < 2 or D < 1000 / math.log2(base) else math.inf
+
     out_groups = dag.alice_outputs + dag.bob_outputs
     if out_groups:
         payload["max_backward_cone"] = max(shallow.backward_cone_sizes(dag, out_groups))
-        payload["backward_cone_cap"] = 3 * cone_cap
+        # shallow.backward_lightcone's bound |O| (K + 1)^D, for the widest group
+        widest = max(map(len, out_groups))
+        payload["backward_cone_cap"] = widest * power(K + 1) if widest else 0
     if dag.n_sites >= 2:
         prob = shallow.lightcone_disjoint_probability(dag)
-        bound = 1 - 48 * cone_cap / dag.n_sites
+        bound = 1 - 48 * power(K) / dag.n_sites
         payload["disjoint_probability"] = prob
         payload["disjoint_bound"] = bound
         if prob < bound:

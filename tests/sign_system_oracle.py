@@ -11,18 +11,21 @@ decides that by enumerating every assignment, which is slow and obviously
 correct.
 
 It also carries the dict form of the swap bookkeeping as the reference for
-``bcs``'s pair masks: ``_inversion_parity`` maps each smaller variable to
-a bitmask of its larger partners, and ``_commutation_row`` sorts the
-literal expansion A_i A_j A_i A_j block by block.
+``bcs._sort_parity``'s pair masks: ``_inversion_parity`` maps each smaller
+variable to a bitmask of its larger partners, and ``_commutation_row`` sorts
+the literal expansion A_i A_j A_i A_j block by block.  ``verify_certificate``
+replays a certificate with both, as the judge of ``bcs.verify_certificate``.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from bcsmagic import gf2
-from bcsmagic.bcs import Bcs, Elimination, co_occurrence_pairs
+from bcsmagic.bcs import Bcs, Certificate, Elimination, co_occurrence_pairs, eliminate_free_vars
 from bcsmagic.gf2 import Gf2System, set_bits
 
 SignUnknown = tuple  # ("sign", i) or ("comm", k, l) with k < l
@@ -53,11 +56,38 @@ def _parity_pairs(parity: dict[int, int]) -> list[tuple[int, int]]:
     return [(k, l) for k in sorted(parity) for l in set_bits(parity[k])]
 
 
+def _block(elim: Elimination, v: int) -> tuple[int, ...]:
+    """The free support of variable v as an ascending tuple."""
+    return tuple(set_bits(elim.supports[v]))
+
+
 def _commutation_row(bcs: Bcs, elim: Elimination, i: int, j: int):
     """Pair parity of the formal expansion A_i A_j A_i A_j = I."""
-    si = elim.supports[i]
-    sj = elim.supports[j]
+    si = _block(elim, i)
+    sj = _block(elim, j)
     return _inversion_parity([si, sj, si, sj], bcs.n_vars)
+
+
+def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
+    """Replay a certificate literally: the cited pairs co-occur in some
+    constraint, every variable of the cited constraints occurs an even
+    number of times, their signs multiply to -1, and the swaps of sorting
+    their substituted blocks, XORed with each cited pair's four-block
+    expansion, leave every pair swapped an even number of times."""
+    legal = {p for c in bcs.constraints for p in combinations(sorted(c.support), 2)}
+    if not set(cert.commutation_rows) <= legal:
+        return False
+    relation = [v for j in cert.constraint_rows for v in bcs.constraints[j].var_indices]
+    if any(count % 2 for count in Counter(relation).values()):
+        return False
+    if [bcs.constraints[j].rhs for j in cert.constraint_rows].count(-1) % 2 == 0:
+        return False
+    elim = eliminate_free_vars(bcs)
+    partners: dict[int, int] = _inversion_parity([_block(elim, v) for v in relation], bcs.n_vars)
+    for i, j in cert.commutation_rows:
+        for k, bits in _commutation_row(bcs, elim, i, j).items():
+            partners[k] = partners.get(k, 0) ^ bits
+    return not any(partners.values())
 
 
 @dataclass
@@ -70,7 +100,7 @@ class SignSystem:
 def _constraint_row(bcs: Bcs, elim: Elimination, j: int):
     """Substituted form of constraint j: sign unknowns, pair parity, rhs bit."""
     c = bcs.constraints[j]
-    blocks = [elim.supports[v] for v in c.var_indices]
+    blocks = [_block(elim, v) for v in c.var_indices]
     sign_unknowns = [v for v in c.var_indices if v in elim.dependent]
     cancel = 0
     for block in blocks:

@@ -91,7 +91,8 @@ def test_criterion_03_mermin_peres_pipeline():
     out = bcs.pauli_solve(mp)
     elapsed = time.perf_counter() - t0
     checks = {
-        "free_set": elim.free == [4, 5, 7, 8],  # variables v5, v6, v8, v9
+        # variables v5, v6, v8, v9
+        "free_set": [v for v in range(mp.n_vars) if v not in elim.dependent] == [4, 5, 7, 8],
         "anti_pairs": anti == {("comm", 4, 8), ("comm", 5, 7)},  # (5,9) and (6,8)
         "two_qubits": isinstance(out, bcs.PauliSolution) and out.qubits == 2,
         "verifies": bcs.verify_pauli_solution(mp, out).ok,

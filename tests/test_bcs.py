@@ -1,5 +1,7 @@
 import hashlib
 import random
+from functools import reduce
+from operator import xor
 
 import gf2_oracle
 import pauli_report_oracle
@@ -146,22 +148,27 @@ def test_classical_solution_satisfies():
 # elimination and the sign system (magic-square worked example)
 # ---------------------------------------------------------------------------
 
+def free_vars(elim) -> list[int]:
+    """The free set: every variable that is not a pivot column."""
+    return [v for v in range(len(elim.supports)) if v not in elim.dependent]
+
+
 def test_mermin_peres_free_set_and_expressions():
     elim = eliminate_free_vars(mermin_peres())
-    assert elim.free == [4, 5, 7, 8]
+    assert free_vars(elim) == [4, 5, 7, 8]
     assert elim.dependent == [0, 1, 2, 3, 6]
-    assert elim.supports[1] == (4, 7)
-    assert elim.supports[0] == (4, 5, 7, 8)
-    for v in elim.free:
-        assert elim.supports[v] == (v,)
+    assert gf2.set_bits(elim.supports[1]) == [4, 7]
+    assert gf2.set_bits(elim.supports[0]) == [4, 5, 7, 8]
+    for v in free_vars(elim):
+        assert elim.supports[v] == 1 << v
 
 
 def test_single_constraint_elimination():
     b = parse_bcs("a1 a2 = -1\n")
     elim = eliminate_free_vars(b)
-    assert elim.free == [1]
+    assert free_vars(elim) == [1]
     assert elim.dependent == [0]
-    assert elim.supports[0] == (1,)
+    assert elim.supports[0] == 1 << 1
 
 
 def test_disjoint_blocks_do_not_mix():
@@ -169,8 +176,8 @@ def test_disjoint_blocks_do_not_mix():
     elim = eliminate_free_vars(b)
     red = gf2.row_reduce(bcs.incidence_system(b))
     assert red.pivot_cols == [0, 2]
-    assert elim.supports[0] == (1,)
-    assert elim.supports[2] == (3,)
+    assert elim.supports[0] == 1 << 1
+    assert elim.supports[2] == 1 << 3
 
 
 def test_mermin_peres_substitution_row():
@@ -381,7 +388,7 @@ def test_random_instances_sound_and_oracle_agree():
             anti = [u[1:] for u, bit in zip(system.unknowns, oracle.assignment)
                     if u[0] == "comm" and bit]
             assert out.qubits == len(anti)
-            assert anticommuting_free_pairs(out, eliminate_free_vars(b).free) == anti
+            assert anticommuting_free_pairs(out, free_vars(eliminate_free_vars(b))) == anti
             cls = classical_solve(b)
             if cls is not None:
                 assert check_classical_assignment(b, cls)
@@ -455,6 +462,37 @@ def test_corpus_results_match_recorded_hash(corpus_results):
     assert (PauliSolution, True) in kinds and (Certificate, False) in kinds
 
 
+def single_edits(b: Bcs, cert: Certificate, rng: random.Random):
+    """Each cited pair dropped, one legal uncited pair added, and each
+    cited constraint row dropped."""
+    rows, pairs = cert.constraint_rows, cert.commutation_rows
+    for k in range(len(pairs)):
+        yield Certificate(rows, pairs[:k] + pairs[k + 1:], cert.derived_relation)
+    uncited = [p for p in bcs.co_occurrence_pairs(b) if p not in pairs]
+    if uncited:
+        added = tuple(sorted(pairs + (rng.choice(uncited),)))
+        yield Certificate(rows, added, cert.derived_relation)
+    for k in range(len(rows)):
+        yield Certificate(rows[:k] + rows[k + 1:], pairs, cert.derived_relation)
+
+
+def test_certificate_replay_matches_oracle(corpus_results):
+    certs = [(b, out) for b, out in corpus_results if isinstance(out, Certificate)]
+    for b, cert in certs:
+        assert verify_certificate(b, cert)
+        assert sign_system_oracle.verify_certificate(b, cert)
+    rng = random.Random(12)
+    verdicts = set()
+    citing = [(b, cert) for b, cert in certs if cert.commutation_rows]
+    assert citing
+    for b, cert in citing:
+        for edited in single_edits(b, cert, rng):
+            verdict = verify_certificate(b, edited)
+            assert verdict == sign_system_oracle.verify_certificate(b, edited), edited
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_monotonicity_classical_implies_pauli():
     rng = random.Random(55)
     for _ in range(200):
@@ -479,28 +517,57 @@ def support_mask(support) -> int:
     return sum(1 << v for v in support)
 
 
+def blocks_of(n: int):
+    """Lists of ascending blocks over n variables, as tuples."""
+    ascending = st.sets(st.integers(0, n - 1)).map(lambda s: tuple(sorted(s)))
+    return st.lists(ascending, max_size=6)
+
+
+def support_pair(data, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two supports that share variables on purpose: a shared variable
+    swaps with nothing only once the squares A_i^2 and A_j^2 of the
+    expansion A_i A_j A_i A_j count."""
+    var = st.integers(0, n - 1)
+    shared = data.draw(st.sets(var))
+    si = tuple(sorted(shared | data.draw(st.sets(var))))
+    sj = tuple(sorted(shared | data.draw(st.sets(var))))
+    return si, sj
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_inversion_parity_mask_matches_dict_oracle(data):
     n = data.draw(st.integers(1, 12))
-    ascending = st.sets(st.integers(0, n - 1)).map(lambda s: tuple(sorted(s)))
-    blocks = data.draw(st.lists(ascending, max_size=6))
-    assert bcs._inversion_parity(blocks, n) == to_mask(
-        sign_system_oracle._inversion_parity(blocks, n), n)
+    blocks = data.draw(blocks_of(n))
+    masks = [support_mask(block) for block in blocks]
+    assert bcs._sort_parity(masks, n) == (
+        to_mask(sign_system_oracle._inversion_parity(blocks, n), n), reduce(xor, masks, 0))
 
 
 @settings(max_examples=300)
 @given(st.data())
 def test_commutation_row_mask_matches_dict_oracle(data):
-    # Supports share variables on purpose: a shared variable swaps with
-    # nothing only once the squares A_i^2 and A_j^2 of the expansion count.
     n = data.draw(st.integers(1, 12))
-    var = st.integers(0, n - 1)
-    shared = data.draw(st.sets(var))
-    si = tuple(sorted(shared | data.draw(st.sets(var))))
-    sj = tuple(sorted(shared | data.draw(st.sets(var))))
+    si, sj = support_pair(data, n)
+    d = support_mask(si) ^ support_mask(sj)
     expect = sign_system_oracle._inversion_parity([si, sj, si, sj], n)
-    assert bcs._commutation_row(support_mask(si) ^ support_mask(sj), n) == to_mask(expect, n)
+    assert bcs._sort_parity([d, d], n) == (to_mask(expect, n), 0)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_sort_parity_appended_pair_xors_its_row(data):
+    # The certificate replay sorts the cited constraints' blocks with
+    # [d, d] appended per cited pair: that must XOR exactly the pair's row
+    # into the pair mask and leave the leftover alone.
+    n = data.draw(st.integers(1, 12))
+    masks = [support_mask(block) for block in data.draw(blocks_of(n))]
+    si, sj = support_pair(data, n)
+    d = support_mask(si) ^ support_mask(sj)
+    row = to_mask(sign_system_oracle._inversion_parity([si, sj, si, sj], n), n)
+    pair_mask, leftover = bcs._sort_parity(masks, n)
+    assert bcs._sort_parity(masks + [d, d], n) == (pair_mask ^ row, leftover)
+    assert leftover == reduce(xor, masks, 0)
 
 
 def test_pair_masks_match_dict_oracle_on_systems():
@@ -508,13 +575,13 @@ def test_pair_masks_match_dict_oracle_on_systems():
     systems = [random_bcs(rng) for _ in range(200)] + [planted_bcs(rng) for _ in range(50)]
     for b in systems + [mermin_peres(), build_game_bcs(4).bcs]:
         elim = eliminate_free_vars(b)
-        masks = [support_mask(support) for support in elim.supports]
         for j in range(len(b.constraints)):
             _, parity, _ = sign_system_oracle._constraint_row(b, elim, j)
             assert bcs._constraint_parity(b, elim, j) == to_mask(parity, b.n_vars)
         for i, j in bcs.co_occurrence_pairs(b):
             expect = sign_system_oracle._commutation_row(b, elim, i, j)
-            assert bcs._commutation_row(masks[i] ^ masks[j], b.n_vars) == to_mask(expect, b.n_vars)
+            d = elim.supports[i] ^ elim.supports[j]
+            assert bcs._sort_parity([d, d], b.n_vars)[0] == to_mask(expect, b.n_vars)
 
 
 def solved_pool():

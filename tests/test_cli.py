@@ -230,7 +230,7 @@ def test_lightcone_fan_in_1_wiring(tmp_path, capsys):
 def test_lightcone_one_layer_chain(tmp_path, capsys):
     """Gate t writes the wire gate t - 1 read, all in layer 1: a layer's gates
     fire on the cone as it stood before the layer, so only gate 0 joins the
-    backward cone of wire 0, within the cap 3 * K^D = 6."""
+    backward cone of wire 0, within the cap |O| (K + 1)^D = 1 * 3^1."""
     from bcsmagic.shallow import CircuitDag, Gate
 
     dag = CircuitDag(list("c" * 11), [Gate(1, (t + 1, t + 6), (t,)) for t in range(5)],
@@ -241,7 +241,24 @@ def test_lightcone_one_layer_chain(tmp_path, capsys):
     assert main(["lightcone", "--dag", str(path), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_backward_cone"] == 3
-    assert payload["backward_cone_cap"] == 6
+    assert payload["backward_cone_cap"] == 3
+
+
+def test_lightcone_cap_bounds_a_wide_output_group(tmp_path, capsys):
+    """A fan-in-1 gate writes one wire of a six-wire output group, whose
+    backward cone is then 7 wires: the cap scales with the widest group,
+    6 * (K + 1)^D = 12, where 3 * K^D would read 3."""
+    from bcsmagic.shallow import CircuitDag, Gate
+
+    dag = CircuitDag(list("c" * 10), [Gate(1, (0,), (4,))],
+                     alice_inputs=[[0], [1]], bob_inputs=[[2], [3]],
+                     alice_outputs=[[4, 5, 6, 7, 8, 9], []], bob_outputs=[[], []])
+    path = tmp_path / "dag.json"
+    path.write_text(dag.to_json())
+    assert main(["lightcone", "--dag", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_backward_cone"] == 7
+    assert payload["backward_cone_cap"] == 6 * 2 ** 1
 
 
 def test_lightcone_2000_sites(capsys):
@@ -315,7 +332,8 @@ def test_lightcone_loaded_wiring_below_the_bound_is_reported(tmp_path, capsys):
 
 def test_lightcone_deep_layers_and_nesting(tmp_path, capsys):
     """A gate at layer 10^400 costs one index entry, and K^D past the float
-    range reads as infinite; JSON nested past the parser's limit exits 2."""
+    range reads as infinite, though a cap on empty output groups stays 0;
+    JSON nested past the parser's limit exits 2."""
     wiring = {
         "wires": [{"id": i, "kind": "c"} for i in range(16)],
         "gates": [{"layer": 10 ** 400, "inputs": list(range(14)), "outputs": [15]}],
@@ -329,6 +347,11 @@ def test_lightcone_deep_layers_and_nesting(tmp_path, capsys):
     assert payload["depth"] == 10 ** 400
     assert payload["backward_cone_cap"] == float("inf")
     assert payload["disjoint_bound"] == float("-inf")
+    wiring.update(alice_outputs=[[], []], bob_outputs=[[], []])
+    path.write_text(json.dumps(wiring))
+    assert main(["lightcone", "--dag", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_backward_cone"] == payload["backward_cone_cap"] == 0
     path.write_text("[" * 100000)
     assert main(["lightcone", "--dag", str(path)]) == 2
 
