@@ -1,7 +1,8 @@
 """Solving small constraint systems classically and over Pauli strings.
 
-The magic-square system has no scalar solution, yet nine two-qubit Pauli
-observables satisfy every row; the CHSH system cannot be satisfied even with
+The magic-square system has no scalar solution, and the classical solver
+says which constraints contradict each other; yet nine two-qubit Pauli
+observables satisfy every row.  The CHSH system cannot be satisfied even with
 operators, and the solver proves it with a replayable certificate.
 """
 from bcsmagic import (
@@ -19,7 +20,9 @@ mp = mermin_peres()
 print("The magic-square system:")
 print(serialize_bcs(mp))
 
-print("classical solve:", classical_solve(mp))
+scalar = classical_solve(mp)
+print(f"classical solve: no scalar solution; constraints {list(scalar.constraint_rows)}")
+print("  cancel every variable and multiply to -1, so as numbers 1 = -1")
 
 solution = pauli_solve(mp)
 print(f"\nPauli solver found a {solution.qubits}-qubit assignment:")

@@ -29,7 +29,7 @@ for n in range(4, 11):
 print("\nCross-checking n = 4..8 against the solvers:")
 for n in range(4, 9):
     game = build_game_bcs(n)
-    has_classical = classical_solve(game.bcs) is not None
+    has_classical = not isinstance(classical_solve(game.bcs), Certificate)
     operator = pauli_solve(game.bcs)
     if isinstance(operator, Certificate):
         status = f"no Pauli solution (certificate verifies: {verify_certificate(game.bcs, operator)})"

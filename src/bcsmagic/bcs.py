@@ -2,10 +2,13 @@
 
 A BCS is a list of named +/-1 variables and parity constraints: each
 constraint requires the product of a subset of variables to equal a fixed
-sign.  Two solvers live here.  ``classical_solve`` looks for a scalar
-assignment by GF(2) elimination.  ``pauli_solve`` decides whether signed
-Pauli strings can satisfy the system when scalars cannot, and returns either
-an explicit assignment or a replayable contradiction certificate.
+sign.  Two solvers live here, and each returns either a solution or a
+``Certificate``, a set of cited constraints whose formal product collapses
+to I = -I.  ``classical_solve`` looks for a scalar assignment by GF(2)
+elimination; its certificates cite no commutation facts.  ``pauli_solve``
+decides whether signed Pauli strings can satisfy the system when scalars
+cannot; its certificates may also cite commutation facts, and
+``verify_certificate`` replays them.
 
 The operator solver works in three steps:
 
@@ -128,6 +131,8 @@ def parse_bcs(text: str) -> Bcs:
             if declared or constraints:
                 raise ValueError(f"line {lineno}: vars: header must come first")
             for tok in line[len("vars:"):].split():
+                if "=" in tok:
+                    raise ValueError(f"line {lineno}: variable name {tok!r} contains '='")
                 if tok in index:
                     raise ValueError(f"line {lineno}: duplicate variable {tok!r}")
                 index[tok] = len(names)
@@ -186,6 +191,21 @@ def chsh() -> Bcs:
 # Classical solving
 # ---------------------------------------------------------------------------
 
+@dataclass
+class Certificate:
+    constraint_rows: tuple[int, ...]
+    commutation_rows: tuple[tuple[int, int], ...]
+    derived_relation: tuple[int, ...]
+
+
+def _certificate(bcs: Bcs, rows: Sequence[int], pairs: Sequence[tuple[int, int]] = ()) -> Certificate:
+    """The certificate citing constraints ``rows`` and commutation facts
+    ``pairs``; its derived relation is the cited constraints' variables,
+    concatenated in cited order."""
+    relation = tuple(v for j in rows for v in bcs.constraints[j].var_indices)
+    return Certificate(tuple(rows), tuple(pairs), relation)
+
+
 def incidence_system(bcs: Bcs) -> Gf2System:
     rows = [sum(1 << v for v in c.var_indices) for c in bcs.constraints]
     rhs = [0 if c.rhs == 1 else 1 for c in bcs.constraints]
@@ -193,13 +213,14 @@ def incidence_system(bcs: Bcs) -> Gf2System:
     return Gf2System(matrix, rhs)
 
 
-def classical_solve(bcs: Bcs) -> list[int] | None:
-    """Return a satisfying +/-1 assignment, or None if the GF(2) system is
-    inconsistent.  Free variables default to +1."""
+def classical_solve(bcs: Bcs) -> list[int] | Certificate:
+    """A satisfying +/-1 assignment, free variables +1, or a certificate
+    citing constraints, ascending, whose product cancels every variable and
+    has sign -1; it cites no commutation facts."""
     out = gf2.solve(incidence_system(bcs))
     if isinstance(out, Inconsistency):
-        return None
-    return [1 - 2 * b for b in out.assignment]
+        return _certificate(bcs, sorted(out.rows))
+    return [1 - 2 * b for b in out]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +229,6 @@ def classical_solve(bcs: Bcs) -> list[int] | None:
 
 @dataclass
 class Elimination:
-    dependent: list[int]
     supports: list[int]
     reduced: gf2.ReducedSystem
 
@@ -221,15 +241,15 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
     variables that fixes v up to a sign: a free variable's is its own bit,
     and a dependent variable's is its pivot row without the pivot bit,
     since an RREF pivot row holds no other pivot column.  The reduction is
-    kept: pivot row i belongs to ``dependent[i]``, and the zero rows after
-    them carry a (not canonical) basis of the left kernel in their
-    provenance.
+    kept: pivot row i belongs to the dependent variable
+    ``reduced.pivot_cols[i]``, and the zero rows after them carry a (not
+    canonical) basis of the left kernel in their provenance.
     """
     reduced = gf2.row_reduce(incidence_system(bcs))
     supports = [1 << v for v in range(bcs.n_vars)]
     for row, col in zip(reduced.system.matrix.bits, reduced.pivot_cols):
         supports[col] = row ^ 1 << col
-    return Elimination(reduced.pivot_cols, supports, reduced)
+    return Elimination(supports, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +303,6 @@ class PauliSolution:
 
 
 @dataclass
-class Certificate:
-    constraint_rows: tuple[int, ...]
-    commutation_rows: tuple[tuple[int, int], ...]
-    derived_relation: tuple[int, ...]
-
-
-@dataclass
 class PauliVerifyReport:
     hermitian_ok: bool
     commutation_ok: bool
@@ -315,8 +328,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
     elim = eliminate_free_vars(bcs)
     reduced, supports = elim.reduced.system, elim.supports
     n = bcs.n_vars
-    rank = len(elim.dependent)
-    kernel = range(rank, reduced.matrix.rows)
+    kernel = range(len(elim.reduced.pivot_cols), reduced.matrix.rows)
     swaps = [_constraint_parity(bcs, elim, j) for j in range(len(bcs.constraints))]
     swapping = sum(1 << j for j, mask in enumerate(swaps) if mask)
 
@@ -348,11 +360,9 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
                 cited ^= reduced.provenance[kernel[row]]
             else:
                 commutation_rows.append(pair_list[row - len(kernel)])
-        constraint_rows = tuple(set_bits(cited))
-        relation = tuple(v for j in constraint_rows for v in bcs.constraints[j].var_indices)
-        return Certificate(constraint_rows, tuple(commutation_rows), relation)
+        return _certificate(bcs, set_bits(cited), commutation_rows)
 
-    anti = sum(1 << p for p, value in zip(comm, out.assignment) if value)
+    anti = sum(1 << p for p, value in zip(comm, out) if value)
     # Bit j: whether constraint j's swaps pick up an odd number of signs.
     flip = sum(1 << j for j, mask in enumerate(swaps) if (mask & anti).bit_count() & 1)
     n_qubits = anti.bit_count()
@@ -362,7 +372,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
         xs[k] |= 1 << q
         zs[l] |= 1 << q
     # Free strings carry no Y and no phase, so their normal-form phase is 0.
-    for i, v in enumerate(elim.dependent):
+    for i, v in enumerate(elim.reduced.pivot_cols):
         x, z, phase = _product(set_bits(supports[v]), xs, zs, phases)
         sign = reduced.rhs[i] ^ ((reduced.provenance[i] & flip).bit_count() & 1)
         xs[v], zs[v], phases[v] = x, z, phase - (x & z).bit_count() + 2 * sign
@@ -420,11 +430,12 @@ def verify_pauli_solution(bcs: Bcs, solution: PauliSolution) -> PauliVerifyRepor
 def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
     """Replay a contradiction certificate against the BCS.
 
-    The formal product of the cited constraints must cancel every variable,
-    its swap bookkeeping must be exactly discharged by the cited commutation
-    facts, and the accumulated right-hand side must be -1.  Cited commutation
-    pairs must actually co-occur somewhere in the system, which is what makes
-    them axioms rather than assumptions.
+    The derived relation must be the cited constraints' variables in cited
+    order, that formal product must cancel every variable, its swap
+    bookkeeping must be exactly discharged by the cited commutation facts,
+    and the accumulated right-hand side must be -1.  Cited commutation pairs
+    must actually co-occur somewhere in the system, which is what makes them
+    axioms rather than assumptions.
     """
     m = len(bcs.constraints)
     for j in cert.constraint_rows:
@@ -434,15 +445,17 @@ def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
         if not (0 <= i < bcs.n_vars and 0 <= j < bcs.n_vars and i < j):
             raise IndexError(f"certificate cites bad commutation pair {(i, j)}")
 
+    relation = _certificate(bcs, cert.constraint_rows).derived_relation
+    if tuple(cert.derived_relation) != relation:
+        return False
     legal_pairs = set(co_occurrence_pairs(bcs))
     if any(p not in legal_pairs for p in cert.commutation_rows):
         return False
 
     # Every variable must cancel in the concatenated product.
     var_parity = 0
-    for j in cert.constraint_rows:
-        for v in bcs.constraints[j].var_indices:
-            var_parity ^= 1 << v
+    for v in relation:
+        var_parity ^= 1 << v
     if var_parity:
         return False
 
@@ -454,7 +467,7 @@ def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
     # must be exactly discharged by the cited commutation facts: one sort of
     # the constraints' blocks, with [d, d] appended for each cited pair.
     supports = eliminate_free_vars(bcs).supports
-    blocks = [supports[v] for j in cert.constraint_rows for v in bcs.constraints[j].var_indices]
+    blocks = [supports[v] for v in relation]
     for i, j in cert.commutation_rows:
         blocks += [supports[i] ^ supports[j]] * 2
     return _sort_parity(blocks, bcs.n_vars) == (0, 0)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import bcs as bcs_mod
 from . import game as game_mod
-from . import gf2, quantum, shallow
+from . import quantum, shallow
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -42,53 +44,27 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _certificate_payload(cert: bcs_mod.Certificate, mode: str) -> dict:
-    return {
-        "mode": mode,
-        "constraint_rows": list(cert.constraint_rows),
-        "commutation_rows": [list(p) for p in cert.commutation_rows],
-        "derived_relation": list(cert.derived_relation),
-    }
-
-
 def cmd_solve(args) -> int:
-    text = Path(args.path).read_text()
-    try:
-        system = bcs_mod.parse_bcs(text)
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    out = Path(args.out) if args.out else None
-    if args.mode == "classical":
-        solved = gf2.solve(bcs_mod.incidence_system(system))
-        if isinstance(solved, gf2.Inconsistency):
-            rows = tuple(sorted(solved.rows))
-            relation = tuple(
-                v for j in rows for v in system.constraints[j].var_indices
-            )
-            cert = bcs_mod.Certificate(rows, (), relation)
-            path = out or Path(args.path).with_suffix(".certificate.json")
-            path.write_text(json.dumps(_certificate_payload(cert, "classical"), indent=1) + "\n")
-            print(f"no classical solution; certificate written to {path}")
-            return EXIT_NO_SOLUTION
-        path = out or Path(args.path).with_suffix(".solution.txt")
-        lines = [f"{name} = {1 - 2 * b}" for name, b in zip(system.variables, solved.assignment)]
+    system = bcs_mod.parse_bcs(Path(args.path).read_text())
+    classical = args.mode == "classical"
+    result = (bcs_mod.classical_solve if classical else bcs_mod.pauli_solve)(system)
+    if isinstance(result, bcs_mod.Certificate):
+        if not classical and not bcs_mod.verify_certificate(system, result):
+            raise bcs_mod.InvariantError("certificate failed its replay")
+        path = Path(args.out or Path(args.path).with_suffix(".certificate.json"))
+        payload = {"mode": args.mode, **dataclasses.asdict(result)}
+        path.write_text(json.dumps(payload, indent=1) + "\n")
+        print(f"no {'classical' if classical else 'Pauli-string'} solution; "
+              f"certificate written to {path}")
+        return EXIT_NO_SOLUTION
+    path = Path(args.out or Path(args.path).with_suffix(".solution.txt"))
+    if classical:
+        lines = [f"{name} = {sign}" for name, sign in zip(system.variables, result)]
         path.write_text("\n".join(lines) + "\n")
         print(f"classical solution written to {path}")
-        return EXIT_OK
-
-    result = bcs_mod.pauli_solve(system)
-    if isinstance(result, bcs_mod.Certificate):
-        if not bcs_mod.verify_certificate(system, result):
-            raise bcs_mod.InvariantError("certificate failed its replay")
-        path = out or Path(args.path).with_suffix(".certificate.json")
-        path.write_text(json.dumps(_certificate_payload(result, "pauli"), indent=1) + "\n")
-        print(f"no Pauli-string solution; certificate written to {path}")
-        return EXIT_NO_SOLUTION
-    path = out or Path(args.path).with_suffix(".solution.txt")
-    path.write_text(bcs_mod.serialize_solution(system, result))
-    print(f"Pauli solution on {result.qubits} qubit(s) written to {path}")
+    else:
+        path.write_text(bcs_mod.serialize_solution(system, result))
+        print(f"Pauli solution on {result.qubits} qubit(s) written to {path}")
     return EXIT_OK
 
 
@@ -129,16 +105,14 @@ def cmd_classify(args) -> int:
 
 def _strategy_for(game: game_mod.GameBcs) -> quantum.OperatorSolution:
     label = game_mod.classify(game.n)
-    if label is game_mod.GameClass.CLASSICAL:
-        signs = bcs_mod.classical_solve(game.bcs)
-        if signs is None:
-            raise bcs_mod.InvariantError(f"n={game.n} is classed classical but has no scalar solution")
-        return quantum.classical_to_operator(signs)
-    if label is game_mod.GameClass.CLIFFORD_ONLY:
-        solution = bcs_mod.pauli_solve(game.bcs)
-        if not isinstance(solution, bcs_mod.PauliSolution):
-            raise bcs_mod.InvariantError(f"n={game.n} is classed Clifford but has no Pauli solution")
-        return quantum.pauli_to_operator(solution)
+    if label is not game_mod.GameClass.MAGIC_REQUIRED:
+        classical = label is game_mod.GameClass.CLASSICAL
+        solution = (bcs_mod.classical_solve if classical else bcs_mod.pauli_solve)(game.bcs)
+        if isinstance(solution, bcs_mod.Certificate):
+            raise bcs_mod.InvariantError(f"n={game.n} is classed {label.value} but its solver "
+                                         "returned a certificate")
+        lift = quantum.classical_to_operator if classical else quantum.pauli_to_operator
+        return lift(solution)
     sol = quantum.permutation_solution(game)
     report = quantum.verify_operator_solution(game.bcs, sol)
     if not report.ok:
@@ -167,6 +141,8 @@ def cmd_simulate(args) -> int:
     cases = {"case1": 0, "case2": 0, "invalid": 0}
     rngs = (trial_rng(args.seed, t) for t in range(args.trials))
     trials = shallow.run_trials(game, sol, args.sites, rngs, args.mode)
+    # A rejected run raises on its first trial, before the log is opened.
+    trials = itertools.chain([next(trials)], trials)
     with Path(args.out).open("w") if args.out else contextlib.nullcontext() as sink:
         for t, (instance, result, clean) in enumerate(trials):
             record = {

@@ -4,7 +4,8 @@ Rows are stored as Python integers used as bitsets: bit ``j`` of a row is the
 coefficient of column ``j``.  Every reduced row carries a provenance bitset
 naming the original rows whose XOR produced it, so an inconsistent system
 yields a checkable certificate: the cited original rows XOR to the zero
-vector on the left and to 1 on the right.
+vector on the left and to 1 on the right.  ``solve`` returns either the
+assignment, a list of bits, or that ``Inconsistency``.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -56,11 +57,6 @@ class ReducedSystem:
 
 
 @dataclass
-class Solution:
-    assignment: list[int]
-
-
-@dataclass
 class Inconsistency:
     rows: frozenset[int]
 
@@ -107,12 +103,12 @@ def row_reduce(system: Gf2System) -> ReducedSystem:
     return ReducedSystem(reduced, pivot_cols)
 
 
-def solve(system: Gf2System) -> Solution | Inconsistency:
-    """Solve the system, or certify that no solution exists.
+def solve(system: Gf2System) -> list[int] | Inconsistency:
+    """One bit per column solving the system, or a certificate that none
+    exists.
 
-    On success the assignment sets every free column to 0.  On failure the
-    returned row set names original rows whose XOR is the all-zero vector
-    with rhs bit 1.
+    The assignment sets every free column to 0.  An inconsistency's row set
+    names original rows whose XOR is the all-zero vector with rhs bit 1.
     """
     reduced = row_reduce(system)
     sys_r = reduced.system
@@ -124,4 +120,4 @@ def solve(system: Gf2System) -> Solution | Inconsistency:
     assignment = [0] * sys_r.matrix.cols
     for i, col in enumerate(reduced.pivot_cols):
         assignment[col] = sys_r.rhs[i]
-    return Solution(assignment)
+    return assignment

@@ -101,7 +101,7 @@ def _constraint_row(bcs: Bcs, elim: Elimination, j: int):
     """Substituted form of constraint j: sign unknowns, pair parity, rhs bit."""
     c = bcs.constraints[j]
     blocks = [_block(elim, v) for v in c.var_indices]
-    sign_unknowns = [v for v in c.var_indices if v in elim.dependent]
+    sign_unknowns = [v for v in c.var_indices if v in elim.reduced.pivot_cols]
     cancel = 0
     for block in blocks:
         for b in block:
@@ -128,7 +128,7 @@ def build_sign_system(bcs: Bcs, elim: Elimination) -> SignSystem:
     for parity in commutation_rows:
         comm_pairs.update(_parity_pairs(parity))
 
-    unknowns: list[SignUnknown] = [("sign", v) for v in elim.dependent]
+    unknowns: list[SignUnknown] = [("sign", v) for v in elim.reduced.pivot_cols]
     unknowns.extend(("comm", k, l) for k, l in sorted(comm_pairs))
     col: dict[SignUnknown, int] = {u: i for i, u in enumerate(unknowns)}
 

@@ -109,6 +109,9 @@ def test_parse_errors():
         parse_bcs("a b = 2\n")
     with pytest.raises(ValueError):
         parse_bcs("a b\n")
+    # A constraint typed on the header line is not four variable names.
+    with pytest.raises(ValueError, match="line 2: variable name '='"):
+        parse_bcs("# header\nvars: a b = 1\n")
 
 
 def test_parse_comments_and_repeats():
@@ -127,8 +130,9 @@ def test_empty_constraint_canonicalization():
 # classical solving
 # ---------------------------------------------------------------------------
 
-def test_classical_mermin_peres_none():
-    assert classical_solve(mermin_peres()) is None
+def test_classical_mermin_peres_certificate():
+    rows_then_columns = (0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 3, 6, 1, 4, 7, 2, 5, 8)
+    assert classical_solve(mermin_peres()) == Certificate((0, 1, 2, 3, 4, 5), (), rows_then_columns)
 
 
 def test_classical_all_plus_rhs():
@@ -140,8 +144,40 @@ def test_classical_all_plus_rhs():
 def test_classical_solution_satisfies():
     b = parse_bcs("a b = -1\nb c = 1\n")
     signs = classical_solve(b)
-    assert signs is not None
+    assert isinstance(signs, list)
     assert check_classical_assignment(b, signs)
+
+
+def classical_corpus():
+    """Random systems, the game family n = 4..8 (plain and modified), CHSH
+    and the magic square."""
+    rng = random.Random(20261018)
+    yield from (random_bcs(rng) for _ in range(500))
+    yield from (build_game_bcs(n, modified=m).bcs for n in range(4, 9) for m in (False, True))
+    yield from (chsh(), mermin_peres())
+
+
+def test_classical_results_are_judged():
+    """Signs satisfy every constraint.  A certificate cites strictly
+    ascending rows whose variables cancel and whose signs hold an odd number
+    of -1, cites no commutation fact, and derives the cited rows' variables
+    concatenated in cited order."""
+    kinds = set()
+    for b in classical_corpus():
+        out = classical_solve(b)
+        kinds.add(type(out))
+        if not isinstance(out, Certificate):
+            assert len(out) == b.n_vars and set(out) <= {1, -1}
+            assert check_classical_assignment(b, out)
+            continue
+        rows = out.constraint_rows
+        assert all(i < j for i, j in zip(rows, rows[1:]))
+        cited = [b.constraints[j] for j in rows]
+        assert reduce(xor, (1 << v for c in cited for v in c.var_indices), 0) == 0
+        assert sum(c.rhs == -1 for c in cited) % 2 == 1
+        assert out.commutation_rows == ()
+        assert out.derived_relation == tuple(v for c in cited for v in c.var_indices)
+    assert kinds == {list, Certificate}
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +186,13 @@ def test_classical_solution_satisfies():
 
 def free_vars(elim) -> list[int]:
     """The free set: every variable that is not a pivot column."""
-    return [v for v in range(len(elim.supports)) if v not in elim.dependent]
+    return [v for v in range(len(elim.supports)) if v not in elim.reduced.pivot_cols]
 
 
 def test_mermin_peres_free_set_and_expressions():
     elim = eliminate_free_vars(mermin_peres())
     assert free_vars(elim) == [4, 5, 7, 8]
-    assert elim.dependent == [0, 1, 2, 3, 6]
+    assert elim.reduced.pivot_cols == [0, 1, 2, 3, 6]
     assert gf2.set_bits(elim.supports[1]) == [4, 7]
     assert gf2.set_bits(elim.supports[0]) == [4, 5, 7, 8]
     for v in free_vars(elim):
@@ -167,7 +203,7 @@ def test_single_constraint_elimination():
     b = parse_bcs("a1 a2 = -1\n")
     elim = eliminate_free_vars(b)
     assert free_vars(elim) == [1]
-    assert elim.dependent == [0]
+    assert elim.reduced.pivot_cols == [0]
     assert elim.supports[0] == 1 << 1
 
 
@@ -285,6 +321,13 @@ def test_certificate_citing_commutation_rows():
     assert not verify_certificate(b, padded)
 
 
+def test_certificate_with_wrong_relation_fails():
+    b = chsh()
+    assert verify_certificate(b, Certificate((0, 1), (), (0, 1, 0, 1)))
+    for relation in ((7, 7, 7), (), (0, 0, 1, 1), (0, 1, 0, 1, 0, 1)):
+        assert not verify_certificate(b, Certificate((0, 1), (), relation))
+
+
 def test_certificate_dangling_index_raises():
     b = chsh()
     with pytest.raises(IndexError):
@@ -385,17 +428,17 @@ def test_random_instances_sound_and_oracle_agree():
             # The oracle's least solution anticommutes exactly the pairs
             # that got a qubit.
             oracle = gf2.solve(system.equations)
-            anti = [u[1:] for u, bit in zip(system.unknowns, oracle.assignment)
+            anti = [u[1:] for u, bit in zip(system.unknowns, oracle)
                     if u[0] == "comm" and bit]
             assert out.qubits == len(anti)
             assert anticommuting_free_pairs(out, free_vars(eliminate_free_vars(b))) == anti
             cls = classical_solve(b)
-            if cls is not None:
+            if not isinstance(cls, Certificate):
                 assert check_classical_assignment(b, cls)
         else:
             assert not expect
             assert verify_certificate(b, out)
-            assert classical_solve(b) is None  # monotonicity, contrapositive
+            assert isinstance(classical_solve(b), Certificate)  # monotonicity, contrapositive
     assert solved > 0 and solved < checked
 
 
@@ -497,7 +540,7 @@ def test_monotonicity_classical_implies_pauli():
     rng = random.Random(55)
     for _ in range(200):
         b = random_bcs(rng)
-        if classical_solve(b) is not None:
+        if not isinstance(classical_solve(b), Certificate):
             assert isinstance(pauli_solve(b), PauliSolution)
 
 

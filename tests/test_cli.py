@@ -56,11 +56,40 @@ def test_solve_unverified_certificate_exits_1(chsh_file, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
-def test_solve_parse_error(tmp_path):
+def test_solve_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.bcs"
     bad.write_text("a b = 2\n")
     assert main(["solve", str(bad)]) == 2
     assert main(["solve", str(tmp_path / "missing.bcs")]) == 2
+    header = tmp_path / "header.bcs"
+    header.write_text("vars: a b = 1\n")
+    capsys.readouterr()
+    for mode in ("classical", "pauli"):
+        assert main(["solve", str(header), "--mode", mode]) == 2
+        assert "error: line 1: variable name '='" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.bcs", "header.bcs"]
+
+
+@pytest.mark.parametrize("system", [bcs.mermin_peres(), bcs.chsh(), game.build_game_bcs(5).bcs,
+                                    game.build_game_bcs(6, modified=True).bcs])
+def test_solve_classical_writes_the_library_result(tmp_path, system):
+    path = tmp_path / "system.bcs"
+    path.write_text(bcs.serialize_bcs(system))
+    out = bcs.classical_solve(system)
+    written = tmp_path / "out"
+    code = main(["solve", str(path), "--mode", "classical", "--out", str(written)])
+    if isinstance(out, bcs.Certificate):
+        assert code == 3
+        assert json.loads(written.read_text()) == {
+            "mode": "classical",
+            "constraint_rows": list(out.constraint_rows),
+            "commutation_rows": [],
+            "derived_relation": list(out.derived_relation),
+        }
+    else:
+        assert code == 0
+        assert written.read_text().splitlines() == [
+            f"{name} = {sign}" for name, sign in zip(system.variables, out)]
 
 
 def test_gen_counts_banner(tmp_path, capsys):
@@ -173,10 +202,15 @@ def test_simulate_sampling_summary(capsys):
     assert "invalid: 0" in out
 
 
-def test_simulate_rejects_one_site(capsys):
+def test_simulate_rejects_one_site(tmp_path, capsys):
     assert main(["simulate", "--mode", "relation", "--sites", "1",
                  "--trials", "5", "--seed", "1"]) == 2
     assert "need at least two sites" in capsys.readouterr().err
+    log = tmp_path / "trials.jsonl"
+    assert main(["simulate", "--mode", "relation", "--sites", "1",
+                 "--trials", "5", "--seed", "1", "--out", str(log)]) == 2
+    assert "need at least two sites" in capsys.readouterr().err
+    assert not log.exists()
 
 
 @pytest.mark.parametrize("argv", [

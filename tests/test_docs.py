@@ -1,7 +1,8 @@
 """Every backticked dotted name that starts at a ``bcsmagic`` module, in
 README.md and the docstrings of the demos, the library and the tests, names
 something that exists, such as ``quantum.measure_batch``; every command in
-the README's command-line block parses."""
+the README's command-line block parses; and every bcsmagic name that the
+benchmark's scripts in ``bench/`` read exists."""
 import ast
 import importlib
 import pkgutil
@@ -66,3 +67,42 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command)[1:])
+
+
+def _bench_reads() -> set[tuple[str, str, str]]:
+    """(file, module, attribute) for every attribute that ``bench/*.py``
+    reads from a name bound to a bcsmagic module, and every name it imports
+    from one."""
+    reads = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> the bcsmagic module it names
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "bcsmagic":
+                        bound[alias.asname or "bcsmagic"] = alias.name if alias.asname else "bcsmagic"
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bcsmagic":
+                for alias in node.names:
+                    if node.module == "bcsmagic" and alias.name in MODULES:
+                        bound[alias.asname or alias.name] = f"bcsmagic.{alias.name}"
+                    else:
+                        reads.add((path.name, node.module, alias.name))
+        reads.update(
+            (path.name, bound[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in bound
+        )
+    return reads
+
+
+def test_bench_reads_only_existing_api():
+    """The benchmark drives the program through these names; one that is
+    removed fails here rather than in a benchmark run."""
+    reads = _bench_reads()
+    for known in [("run.py", "bcsmagic.bcs", "Certificate"), ("run.py", "bcsmagic.cli", "main"),
+                  ("run.py", "bcsmagic.shallow", "build_strategy_dag")]:
+        assert known in reads
+    missing = sorted(read for read in reads
+                     if not hasattr(importlib.import_module(read[1]), read[2]))
+    assert not missing, f"bench reads names that do not exist: {missing}"

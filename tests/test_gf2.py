@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bcsmagic import gf2
 from bcsmagic.bcs import incidence_system
 from bcsmagic.game import build_game_bcs
-from bcsmagic.gf2 import Gf2System, Inconsistency, Solution
+from bcsmagic.gf2 import Gf2System, Inconsistency
 
 
 def brute_force(rows, rhs, n_cols):
@@ -30,9 +30,7 @@ def test_one_by_one_identity():
     sys1 = gf2_system([[1]], [1])
     red = gf2.row_reduce(sys1)
     assert red.pivot_cols == [0]
-    sol = gf2.solve(sys1)
-    assert isinstance(sol, Solution)
-    assert sol.assignment == [1]
+    assert gf2.solve(sys1) == [1]
 
 
 def test_three_rows_consistent_rank_two():
@@ -41,10 +39,10 @@ def test_three_rows_consistent_rank_two():
     red = gf2.row_reduce(sys3)
     assert red.pivot_cols == [0, 1]
     sol = gf2.solve(sys3)
-    assert isinstance(sol, Solution)
+    assert isinstance(sol, list)
     assert free_cols(sys3) == [2]
-    assert sol.assignment[2] == 0
-    assert gf2_evaluate(sys3, sol.assignment) == sys3.rhs
+    assert sol[2] == 0
+    assert gf2_evaluate(sys3, sol) == sys3.rhs
     assert brute_force(sys3.matrix.bits, sys3.rhs, 3) is not None
 
 
@@ -57,17 +55,13 @@ def test_contradictory_duplicate():
 
 def test_empty_system_all_free():
     empty = gf2_system([], [], cols=2)
-    sol = gf2.solve(empty)
-    assert isinstance(sol, Solution)
-    assert sol.assignment == [0, 0]
+    assert gf2.solve(empty) == [0, 0]
     assert free_cols(empty) == [0, 1]
 
 
 def test_single_equation_free_default():
     sys1 = gf2_system([[1, 1]], [1])
-    sol = gf2.solve(sys1)
-    assert isinstance(sol, Solution)
-    assert sol.assignment == [1, 0]
+    assert gf2.solve(sys1) == [1, 0]
     assert free_cols(sys1) == [1]
 
 
@@ -134,9 +128,9 @@ def test_solve_matches_enumeration(data):
 
     out = gf2.solve(system)
     witness = brute_force(rows, rhs, n_cols)
-    if isinstance(out, Solution):
+    if isinstance(out, list):
         assert witness is not None
-        assert gf2_evaluate(system, out.assignment) == rhs
+        assert gf2_evaluate(system, out) == rhs
     else:
         assert witness is None
         acc_row = acc_rhs = 0
