@@ -4,8 +4,6 @@ Odd sizes are won by sharing a scalar assignment; n = 4 by measuring
 two-qubit Pauli strings on two EPR pairs; even n >= 6 by the dimension-n
 reflection/swap operators, which are not Pauli strings of any size.
 """
-import itertools
-
 import numpy as np
 
 from bcsmagic import (
@@ -13,7 +11,6 @@ from bcsmagic import (
     classical_solve,
     classical_to_operator,
     correlation,
-    make_rng,
     pauli_solve,
     pauli_to_operator,
     permutation_solution,
@@ -23,8 +20,8 @@ from bcsmagic import (
 
 
 def run_rounds(game, sol, seed, trials=2000):
-    # One generator shared by every round; rounds are measured in batches.
-    rounds = play_rounds(game, sol, itertools.repeat(make_rng(seed), trials))
+    # Round t draws from its own stream of the seed; rounds are measured in batches.
+    rounds = play_rounds(game, sol, seed, trials)
     return sum(r.won for r in rounds), trials
 
 

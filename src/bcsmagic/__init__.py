@@ -52,7 +52,6 @@ from .shallow import (
     depth_lower_bound,
     forward_lightcone,
     lightcone_disjoint_probability,
-    random_instance,
     run_trials,
 )
 

@@ -3,24 +3,20 @@
 Exit codes: 0 success (including a found solution), 3 proven no-solution
 (a result, not an error), 2 usage or parse problems or an unusable path, 1
 internal failures or violated exactness invariants.  Stochastic commands
-require --seed and are byte-reproducible: trial t uses the Philox stream
-spawned from (seed, t), so each trial's outcome depends only on the seed
-and its own index.  Trials are measured in batches; each trial draws
-everything from its own stream before its batch is measured, so no output
-depends on the batch size.
+require --seed and are byte-reproducible: trial t reads every number from
+fixed slots of its own counter-based stream, ``quantum.TrialStream``, so
+each trial's outcome depends only on the seed and its own index.  Trials
+are measured in batches, and no output depends on the batch size.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import bcs as bcs_mod
 from . import game as game_mod
@@ -30,10 +26,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_NO_SOLUTION = 3
-
-
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(trial,))))
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -123,8 +115,7 @@ def _strategy_for(game: game_mod.GameBcs) -> quantum.OperatorSolution:
 def cmd_play(args) -> int:
     game = game_mod.build_game_bcs(args.n, modified=args.modified)
     sol = _strategy_for(game)
-    rngs = (trial_rng(args.seed, t) for t in range(args.trials))
-    wins = sum(result.won for result in quantum.play_rounds(game, sol, rngs))
+    wins = sum(result.won for result in quantum.play_rounds(game, sol, args.seed, args.trials))
     print(f"n={args.n} strategy={game_mod.classify(args.n).value} dim={sol.dim}")
     print(f"wins: {wins}/{args.trials} (win rate {wins / args.trials})")
     print("target: every round wins (rate 1)")
@@ -139,26 +130,21 @@ def cmd_simulate(args) -> int:
     sol = quantum.permutation_solution(game)
     ok_count = 0
     cases = {"case1": 0, "case2": 0, "invalid": 0}
-    rngs = (trial_rng(args.seed, t) for t in range(args.trials))
-    trials = shallow.run_trials(game, sol, args.sites, rngs, args.mode)
-    # A rejected run raises on its first trial, before the log is opened.
-    trials = itertools.chain([next(trials)], trials)
+    # A rejected run raises here, before the log is opened.
+    trials = shallow.run_trials(game, sol, args.sites, args.seed, args.trials, args.mode)
     with Path(args.out).open("w") if args.out else contextlib.nullcontext() as sink:
         for t, (instance, result, clean) in enumerate(trials):
-            record = {
-                "N": instance.N, "n": instance.n, "j": instance.j, "k": instance.k,
-                "alpha": instance.alpha, "beta": instance.beta, "seed": args.seed, "trial": t,
-                "r_a": list(result.alice_outcomes) + [1] * (3 - len(result.alice_outcomes)),
-                "r_b": [result.bob_outcome, 1, 1],
-            }
-            if args.mode == "relation":
-                ok_count += result.won
-                record["ok"] = result.won
-            else:
-                case = ("case1" if result.won else "invalid") if clean else "case2"
-                cases[case] += 1
-                record["case"] = case
-            if sink:
+            ok_count += result.won
+            case = ("case1" if result.won else "invalid") if clean else "case2"
+            cases[case] += 1
+            if sink:  # records are built only to be written
+                record = {
+                    "N": instance.N, "n": instance.n, "j": instance.j, "k": instance.k,
+                    "alpha": instance.alpha, "beta": instance.beta, "seed": args.seed, "trial": t,
+                    "r_a": list(result.alice_outcomes) + [1] * (3 - len(result.alice_outcomes)),
+                    "r_b": [result.bob_outcome, 1, 1],
+                }
+                record.update({"ok": result.won} if args.mode == "relation" else {"case": case})
                 sink.write(json.dumps(record) + "\n")
 
     if args.mode == "relation":

@@ -23,9 +23,9 @@ tabulated from Pauli strings on first use, keyed by the six frame bits, and
 every correction is checked there, once, to restore its frame state.  The
 sampling variant plays on the uncorrected frame state and succeeds outright
 when every parity is +1, that is at frame key 0, with probability 1/64.
-``run_trials`` runs both, many trials per ``quantum.measure_batch`` call,
-and returns each trial's round 2 as the game round it is, judged by the
-game's win rule in ``quantum.StrategyStack.measure``.
+``run_trials`` runs both, a chunk of ``quantum.TrialStream`` trials per
+``quantum.measure_batch`` call, and returns each trial's round 2 as the
+game round it is, judged by the win rule in ``quantum.StrategyStack.measure``.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
 wires, validated and indexed by layer once, when the wiring is built.
@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +51,8 @@ from .bcs import InvariantError
 from .game import GameBcs
 from .gf2 import set_bits
 from .pauli import PauliString
-from .quantum import OperatorSolution, RoundResult, StrategyStack, batches, phi_plus
+from .quantum import (OperatorSolution, RoundResult, StrategyStack, TrialStream, batches, below,
+                      phi_plus, uniforms)
 
 
 # ---------------------------------------------------------------------------
@@ -72,27 +73,10 @@ class RelationInstance:
             raise ValueError(f"need 1 <= j < k <= N, got j={self.j}, k={self.k}, N={self.N}")
 
 
-def random_instance(game: GameBcs, N: int, rng: np.random.Generator) -> RelationInstance:
-    """Uniform (j, k, alpha, beta); beta ranges over every variable, whether
-    or not it belongs to constraint alpha."""
-    if N < 2:
-        raise ValueError("need at least two sites")
-    j = int(rng.integers(1, N))
-    k = int(rng.integers(j + 1, N + 1))
-    alpha = int(rng.integers(len(game.bcs.constraints)))
-    beta = int(rng.integers(game.bcs.n_vars))
-    return RelationInstance(N, game.n, j, k, alpha, beta)
-
-
-def frame_key(frame: tuple[tuple[int, int], ...]) -> int:
-    """Index of a per-layer (z, x) frame: bit 2l is layer l's z bit, bit
-    2l + 1 its x bit."""
-    return sum((z | x << 1) << 2 * l for l, (z, x) in enumerate(frame))
-
-
 @functools.cache
 def frame_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The 64 frame states and Alice's 64 corrections, by frame key.
+    """The 64 frame states and Alice's 64 corrections, by frame key: bit
+    2l of a key is layer l's z bit, and bit 2l + 1 its x bit.
 
     State key is Z^z X^x on every layer's Alice qubit applied to |Phi+> of
     dimension 8, and correction key is X^x Z^z on the same qubits, the
@@ -109,55 +93,52 @@ def frame_tables() -> tuple[np.ndarray, np.ndarray]:
         ys = (x & z).bit_count()
         states[key] = pauli.to_matrix(PauliString(3, x, z, ys)) @ phi
         corrections[key] = pauli.to_matrix(PauliString(3, x, z, -ys))
-    _check_fidelity(corrections @ states)
+    # Every corrected state must be |Phi+> of dimension 8, norm included.
+    fidelity = np.abs(np.trace(corrections @ states, axis1=1, axis2=2)) ** 2 / 8
+    off = np.abs(fidelity - 1) > 1e-9
+    if np.any(off):
+        raise InvariantError(f"correction left fidelity {fidelity[off][0]}")
     states.flags.writeable = False
     corrections.flags.writeable = False
     return states, corrections
 
 
-def _check_fidelity(amplitudes: np.ndarray) -> None:
-    """Every state of the stack must be |Phi+> of dimension 8, norm included."""
-    fidelity = np.abs(np.trace(amplitudes, axis1=1, axis2=2)) ** 2 / 8
-    off = np.abs(fidelity - 1) > 1e-9
-    if np.any(off):
-        raise InvariantError(f"correction left fidelity {fidelity[off][0]}")
+BELL_SLOT = 8
+_LOW_BITS = np.array([(1 << n) - 1 for n in range(65)], dtype=np.uint64)
 
 
-def _round2_states(keys: list[int], correct: bool) -> np.ndarray:
-    """Round-2 starting states by frame key, shape (T, 8, 8): |Phi+> for
-    every trial when ``correct`` (``frame_tables`` checks that each key's
-    correction restores it), else each key's frame state."""
-    states, _ = frame_tables()
-    if correct:
-        phi = phi_plus(8)
-        return np.broadcast_to(phi, (len(keys),) + phi.shape)
-    return states[keys]
+def _frame_keys(stream: TrialStream, trials: np.ndarray, junctions: np.ndarray) -> np.ndarray:
+    """Each trial's frame key from its round-1 Bell outcomes: junction i's
+    bit (layer l, e) is bit i mod 64 of slot BELL_SLOT + 6 (i // 64) + 2l + e,
+    and key bit 2l + e is their parity, XOR-folded over the trial's words."""
+    blocks = -(-junctions // 64)
+    owner = np.repeat(np.arange(len(trials)), blocks)
+    firsts = np.cumsum(blocks) - blocks
+    block = np.arange(len(owner)) - firsts[owner]
+    words = stream.words(trials[owner, None], BELL_SLOT + 6 * block[:, None] + np.arange(6))
+    valid = np.minimum(junctions[owner] - 64 * block, 64)
+    folded = np.bitwise_xor.reduceat(words & _LOW_BITS[valid][:, None], firsts)
+    for shift in (32, 16, 8, 4, 2, 1):
+        folded ^= folded >> np.uint64(shift)
+    return ((folded & np.uint64(1)).astype(int) << np.arange(6)).sum(axis=1)
 
 
-def run_trials(
-    game: GameBcs,
-    sol: OperatorSolution,
-    sites: int | Callable[[np.random.Generator], int],
-    rngs: Iterable[np.random.Generator],
-    mode: str = "relation",
-) -> Iterator[tuple[RelationInstance, RoundResult, bool]]:
-    """Relation or sampling trials, one per generator, measured in batches.
+def run_trials(game: GameBcs, sol: OperatorSolution, sites: int | tuple[int, int], seed: int,
+               trials: int, mode: str = "relation") -> Iterator[tuple[RelationInstance, RoundResult, bool]]:
+    """``trials`` relation or sampling trials, measured CHUNK at a time.
 
-    Each trial draws from its own generator, in this order: a
-    ``random_instance`` on ``sites`` sites (a chain length, or a function
-    drawing it from the generator first); round 1's Bell outcomes, two
-    independent bits per junction and layer, of which only the frame key
-    of their per-layer parities is kept; then Alice's uniforms and Bob's.
-    A relation trial plays round 2 on the corrected state, |Phi+>, and a
-    sampling trial on its uncorrected frame state; the mode chooses nothing
-    else.  Every trial yields (instance, RoundResult, clean): the round as
-    ``quantum.StrategyStack.measure`` judged it, and whether every syndrome
-    parity is +1, that is its frame key is 0.  A relation trial satisfies
-    the relation iff its round is won; a sampling trial is case 1 iff it is
-    clean and won.  Every measurement goes through ``quantum.measure_batch``;
-    no output depends on the batch size, and passing one generator n times
-    runs n trials on it in turn.  Constraints wider than a site's three
-    layers are rejected before any trial.
+    Trial t's ``quantum.TrialStream`` slots 0 to 3 draw a uniform instance,
+    sites j < k and a question (alpha, beta), beta over every variable;
+    slots 4 to 6 are Alice's uniforms, slot 7 Bob's, and round 1's Bell
+    outcomes start at ``BELL_SLOT``.  ``sites`` is the chain length, or a
+    pair (lo, hi) from which slot -1 draws it.  Round 2 starts from the
+    corrected state, |Phi+>, in a relation trial and from the uncorrected
+    frame state in a sampling trial.  Each yields (instance, RoundResult,
+    clean): the round as ``quantum.StrategyStack.measure`` judged it, and
+    whether its frame key is 0.  A relation trial holds iff its round is
+    won; a sampling trial is case 1 iff clean and won.  Mode, dimension,
+    constraint width (three per site), sites, trial count and seed are
+    checked when this is called.
     """
     if mode not in ("relation", "sampling"):
         raise ValueError(f"unknown trial mode {mode!r}")
@@ -165,20 +146,34 @@ def run_trials(
         raise ValueError("round 2 expects the dimension-8 strategy")
     if any(len(c.var_indices) > 3 for c in game.bcs.constraints):
         raise ValueError("a site's three layers hold constraints of at most three variables")
+    lo, hi = (sites, sites + 1) if isinstance(sites, int) else sites
+    if lo < 2 or hi <= lo:
+        raise ValueError(f"need at least two sites, got {sites}")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    stream = TrialStream(seed)
     stack = StrategyStack(game.bcs, sol)
-    for chunk in batches(rngs):
-        instances, keys, draws = [], [], []
-        for rng in chunk:
-            n_sites = sites(rng) if callable(sites) else sites
-            instance = random_instance(game, n_sites, rng)
-            instances.append(instance)
-            bits = rng.integers(0, 2, size=(instance.k - instance.j, 3, 2))
-            keys.append(frame_key((bits.sum(axis=0) & 1).tolist()))
-            draws.append(stack.draw(instance.alpha, rng))
-        amplitudes = _round2_states(keys, mode == "relation")
-        results = stack.measure(amplitudes, [(i.alpha, i.beta) for i in instances], draws)
-        for instance, key, result in zip(instances, keys, results):
-            yield instance, result, key == 0
+
+    def generate() -> Iterator[tuple[RelationInstance, RoundResult, bool]]:
+        for chunk in batches(range(trials)):
+            chunk = np.array(chunk)
+            words = stream.words(chunk[:, None], np.arange(-1, 8))
+            n_sites = lo + below(words[:, 0], hi - lo)
+            j = 1 + below(words[:, 1], n_sites - 1)
+            k = j + 1 + below(words[:, 2], n_sites - j)
+            alphas = below(words[:, 3], len(game.bcs.constraints))
+            betas = below(words[:, 4], game.bcs.n_vars)
+            u = uniforms(words[:, 5:])
+            keys = _frame_keys(stream, chunk, k - j)
+            states = frame_tables()[0][keys]
+            if mode == "relation":  # |Phi+>, as frame_tables checks every correction
+                states = np.broadcast_to(phi_plus(8), states.shape)
+            results = stack.measure(states, alphas, betas, u, u[:, 3])
+            fields = zip(n_sites.tolist(), j.tolist(), k.tolist(), alphas.tolist(), betas.tolist())
+            for (N, j_t, k_t, alpha, beta), key, result in zip(fields, keys.tolist(), results):
+                yield RelationInstance(N, game.n, j_t, k_t, alpha, beta), result, key == 0
+
+    return generate()
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,8 @@ def _commutation_row(bcs: Bcs, elim: Elimination, i: int, j: int):
 
 
 def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
-    """Replay a certificate literally: the cited pairs co-occur in some
+    """Replay a certificate literally: the derived relation is the cited
+    constraints' variables in cited order, the cited pairs co-occur in some
     constraint, every variable of the cited constraints occurs an even
     number of times, their signs multiply to -1, and the swaps of sorting
     their substituted blocks, XORed with each cited pair's four-block
@@ -78,6 +79,8 @@ def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
     if not set(cert.commutation_rows) <= legal:
         return False
     relation = [v for j in cert.constraint_rows for v in bcs.constraints[j].var_indices]
+    if list(cert.derived_relation) != relation:
+        return False
     if any(count % 2 for count in Counter(relation).values()):
         return False
     if [bcs.constraints[j].rhs for j in cert.constraint_rows].count(-1) % 2 == 0:

@@ -506,17 +506,22 @@ def test_corpus_results_match_recorded_hash(corpus_results):
 
 
 def single_edits(b: Bcs, cert: Certificate, rng: random.Random):
-    """Each cited pair dropped, one legal uncited pair added, and each
-    cited constraint row dropped."""
-    rows, pairs = cert.constraint_rows, cert.commutation_rows
+    """Each cited pair dropped, one legal uncited pair added, each cited
+    constraint row dropped, and the derived relation with its last entry
+    dropped, an entry appended, or two unequal entries swapped."""
+    rows, pairs, relation = cert.constraint_rows, cert.commutation_rows, cert.derived_relation
     for k in range(len(pairs)):
-        yield Certificate(rows, pairs[:k] + pairs[k + 1:], cert.derived_relation)
+        yield Certificate(rows, pairs[:k] + pairs[k + 1:], relation)
     uncited = [p for p in bcs.co_occurrence_pairs(b) if p not in pairs]
     if uncited:
         added = tuple(sorted(pairs + (rng.choice(uncited),)))
-        yield Certificate(rows, added, cert.derived_relation)
+        yield Certificate(rows, added, relation)
     for k in range(len(rows)):
-        yield Certificate(rows[:k] + rows[k + 1:], pairs, cert.derived_relation)
+        yield Certificate(rows[:k] + rows[k + 1:], pairs, relation)
+    yield Certificate(rows, pairs, relation[:-1])
+    yield Certificate(rows, pairs, relation + (relation[0],))
+    k = next(k for k in range(1, len(relation)) if relation[k] != relation[0])
+    yield Certificate(rows, pairs, (relation[k],) + relation[1:k] + (relation[0],) + relation[k + 1:])
 
 
 def test_certificate_replay_matches_oracle(corpus_results):
@@ -534,6 +539,10 @@ def test_certificate_replay_matches_oracle(corpus_results):
             assert verdict == sign_system_oracle.verify_certificate(b, edited), edited
             verdicts.add(verdict)
     assert verdicts == {True, False}
+    # CHSH's cited rows with a relation that is not theirs.
+    chsh_cert = Certificate((0, 1), (), (7, 7, 7))
+    assert not verify_certificate(bcs.chsh(), chsh_cert)
+    assert not sign_system_oracle.verify_certificate(bcs.chsh(), chsh_cert)
 
 
 def test_monotonicity_classical_implies_pauli():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcsmagic import bcs, game, quantum, shallow
-from bcsmagic.cli import _strategy_for, main, trial_rng
+from bcsmagic.cli import _strategy_for, main
 
 
 @pytest.fixture()
@@ -210,6 +210,22 @@ def test_simulate_rejects_one_site(tmp_path, capsys):
     assert main(["simulate", "--mode", "relation", "--sites", "1",
                  "--trials", "5", "--seed", "1", "--out", str(log)]) == 2
     assert "need at least two sites" in capsys.readouterr().err
+    assert not log.exists()
+
+
+def test_seeds_are_any_non_negative_integer(tmp_path, capsys):
+    """A negative seed exits 2, before simulate opens its log; seeds past 64
+    bits still run."""
+    log = tmp_path / "trials.jsonl"
+    for argv in (["play", "--n", "4"], ["simulate", "--mode", "sampling", "--sites", "9",
+                                        "--out", str(log)]):
+        assert main(argv + ["--trials", "3", "--seed", "-1"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert main(argv + ["--trials", "3", "--seed", str(2 ** 70)]) == 0
+    assert len(log.read_text().splitlines()) == 3
+    log.unlink()
+    assert main(["simulate", "--mode", "relation", "--sites", "9", "--trials", "3",
+                 "--seed", "-1", "--out", str(log)]) == 2
     assert not log.exists()
 
 
@@ -455,15 +471,16 @@ def test_no_wiring_json_makes_lightcone_exit_1(text):
         assert main(["lightcone", "--dag", str(path), "--format", "json"]) in (0, 2)
 
 
-# Recorded from the one-trial-at-a-time implementation (a loop of
-# play_round calls, kept in trial_oracle.py), keyed by (n, modified).
+# Recorded one trial at a time: a loop of trial_oracle.py's play_round,
+# run_round1 and run_round2 calls, each trial's numbers read from the
+# scalar stream oracle (stream_oracle.py).  Keyed by (n, modified).
 _GOLDEN_ROUNDS = {
-    (8, False): "8f80217a38a3aed18c33948cff7fa7f0ad7752c0318c8312e1bd6ac637506d36",
-    (4, False): "f0bcf7cb0ef470481429bb0bc617145dac2f2ad6560b7540c2e4ab834e02a015",
-    (7, False): "9ade6cc3c9e9788de013a65c345a9f99564a9c4d2334e6d77ac130fa196d7a74",
-    (8, True): "86fab30c0f21cbca3372fe21bbf9abb06438113e9943f424b8c65deea7877217",
-    (4, True): "fc16873ccc3d4df81c09c8e9204bf627e2e3bff1f5b333b67ac1e600c5544866",
-    (7, True): "e93589677eddcc2f449931b6f585064b109aad4e29daeac890efb009d12b7356",
+    (8, False): "d584a17f95785e20e702fc19e5845df605eb721df2a080393df11ad417bb362e",
+    (4, False): "eb2a7b19167b8b596d89b2b8b1f4d5c109c7dc96b03be5fb520ae8e7eb45fe4c",
+    (7, False): "586d756b805819439e242ba19b72f3d66a49f167f0ae3481bed7cd576b4ae093",
+    (8, True): "26cf7fcbacb64604a82a05df98c5675319680d0bf7a81b97bc98537cbd7eacf8",
+    (4, True): "f9ad37d502137cf55f41ca5de9b690e221e0c44b5c5ccd32928e566a03618092",
+    (7, True): "a4707ddeb12b7e55510d329ff338e1db7ab397a3b91795d641bbfc226a6fb6f1",
 }
 _GOLDEN_PLAY = {
     (8, False): "n=8 strategy=MagicRequired dim=8\n",
@@ -476,12 +493,12 @@ _GOLDEN_PLAY = {
 _GOLDEN_LOGS = {
     ("relation", "1000"): (
         "relation trials: 400, satisfied: 400\ntarget: all trials satisfy the relation\n",
-        "b5d3dae0d90ce15867b36e52be963ecb2cc116816251456ff37ab0084f1236a8",
+        "bc3e658ae00ae855644e1c3e34b76d6a67af410eeb20e1e7b72dfeb3787d8faa",
     ),
     ("sampling", "50"): (
-        "sampling trials: 400\ncase1: 10 (rate 0.025), case2: 390, invalid: 0\n"
+        "sampling trials: 400\ncase1: 6 (rate 0.015), case2: 394, invalid: 0\n"
         "target: case1 rate near 1/64 = 0.015625, invalid exactly 0\n",
-        "30f5362dcdbe00033c892d34da5a6eac4d31bcc655ad1348d5660e19864409f3",
+        "e53ec7ad825dfbf6d0ffa5881ef61cad90a2e5591eb982fbb29a7e8ff3926c81",
     ),
 }
 
@@ -499,7 +516,7 @@ def test_play_golden(n, modified, capsys):
     g = game.build_game_bcs(n, modified=modified)
     rounds = [
         (r.constraint, r.alice_outcomes, r.bob_outcome)
-        for r in quantum.play_rounds(g, _strategy_for(g), (trial_rng(7, t) for t in range(300)))
+        for r in quantum.play_rounds(g, _strategy_for(g), 7, 300)
     ]
     assert hashlib.sha256(repr(rounds).encode()).hexdigest() == _GOLDEN_ROUNDS[n, modified]
 

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pauli_report_oracle
 import pytest
+import stream_oracle
 from helpers import enumerate_distribution, split_variable, table_operator_solution, table_pauli_solution
 from pauli_report_oracle import identity, transpose
 from trial_oracle import measure_commuting, play_round, wins
@@ -373,10 +374,20 @@ def _conjugated(sol, seed):
     return OperatorSolution(sol.dim, {v: u @ m @ u.conj().T for v, m in sol.assignment.items()})
 
 
+class _Uniforms:
+    """A generator stand-in that returns the given uniforms in turn."""
+
+    def __init__(self, values) -> None:
+        self.values = iter(values)
+
+    def random(self) -> float:
+        return next(self.values)
+
+
 def test_strategy_stack_matches_one_trial_measurements():
     """Random states and a batch mixing the width-8 product constraint with
     width-3 ones: every round's outcomes equal measure_commuting on Alice's
-    observables, then on Bob's transpose, with the same generator, and the
+    observables, then on Bob's transpose, with the same uniforms, and the
     round is won as the oracle's rule judges it."""
     g = build_game_bcs(8)
     sol = _conjugated(permutation_solution(g), 5)
@@ -388,11 +399,12 @@ def test_strategy_stack_matches_one_trial_measurements():
     states = gen.normal(size=(len(questions), 8, 8)) + 1j * gen.normal(size=(len(questions), 8, 8))
     states /= np.linalg.norm(states, axis=(1, 2))[:, None, None]
     stack = quantum.StrategyStack(g.bcs, sol)
-    draws = [stack.draw(alpha, make_rng(100 + t)) for t, (alpha, _) in enumerate(questions)]
-    results = stack.measure(states, questions, draws)
+    alphas, betas = np.array(questions).T
+    u = gen.random((len(questions), 9))
+    results = stack.measure(states, alphas, betas, u[:, :8], u[:, 8])
     for t, ((alpha, beta), r) in enumerate(zip(questions, results)):
-        rng = make_rng(100 + t)
         c = g.bcs.constraints[alpha]
+        rng = _Uniforms([*u[t, :len(c.var_indices)], u[t, 8]])
         alice = [sol.assignment[v] for v in c.var_indices]
         a_out, state = measure_commuting(states[t], "A", alice, rng)
         (b_out,), _ = measure_commuting(state, "B", [sol.assignment[beta].T], rng)
@@ -402,18 +414,23 @@ def test_strategy_stack_matches_one_trial_measurements():
 
 @pytest.mark.parametrize("n,conjugate", [(8, False), (8, True), (4, True), (5, False)])
 def test_play_rounds_equal_a_loop_of_play_round(n, conjugate, monkeypatch):
-    """One shared generator: the batched rounds draw and measure exactly as
-    a loop of play_round calls, across several batch boundaries."""
+    """Each round replayed alone from the scalar stream oracle: the batched
+    rounds draw and measure exactly as a loop of play_round calls, across
+    several batch boundaries."""
     g = build_game_bcs(n)
     sol = (classical_to_operator(bcs.classical_solve(g.bcs)) if n % 2
            else permutation_solution(g))
     if conjugate:
         sol = _conjugated(sol, n)
     pairs = enumerate_questions(g)
-    rng = make_rng(90 + n)
-    expected = [play_round(g, sol, pairs[int(rng.integers(len(pairs)))], rng) for _ in range(300)]
+    seed = 90 + n
+    expected = []
+    for t in range(300):
+        alpha, beta = stream_oracle.play_question(pairs, seed, t)
+        draws = stream_oracle.play_draws(seed, t, len(g.bcs.constraints[alpha].var_indices))
+        expected.append(play_round(g, sol, (alpha, beta), draws))
     monkeypatch.setattr(quantum, "CHUNK", 37)
-    batched = list(play_rounds(g, sol, itertools.repeat(make_rng(90 + n), 300)))
+    batched = list(play_rounds(g, sol, seed, 300))
     assert batched == expected
     assert all(r.won for r in batched)
 
@@ -424,16 +441,78 @@ def test_play_rounds_check_commutation_once_per_constraint():
     c = g.bcs.constraints[0]
     sol.assignment[c.var_indices[0]] = to_matrix(parse_pauli("XI"))
     sol.assignment[c.var_indices[1]] = to_matrix(parse_pauli("ZI"))
-    with pytest.raises(ValueError, match="commute"):
-        list(play_rounds(g, sol, (make_rng(t) for t in range(200))))
     # Checked when the stack is built, before any round draws the constraint.
+    with pytest.raises(ValueError, match="commute"):
+        play_rounds(g, sol, 0, 200)
     with pytest.raises(ValueError, match="constraint 0 do not commute"):
         quantum.StrategyStack(g.bcs, sol)
     with pytest.raises(ValueError, match="commute"):
-        list(play_rounds(g, sol, []))
+        play_rounds(g, sol, 0, 0)
     report = quantum.verify_operator_solution(g.bcs, sol)
     assert (report.worst_commutator, report.failing_constraint) == (2.0, 0)
     assert not report.commutation_ok
+
+
+def test_play_rounds_validate_when_called():
+    """A bad seed or trial count raises when play_rounds is called, before
+    the first round is asked for."""
+    g = build_game_bcs(4)
+    sol = permutation_solution(g)
+    with pytest.raises(ValueError, match="seed"):
+        play_rounds(g, sol, -1, 5)
+    with pytest.raises(ValueError, match="trials"):
+        play_rounds(g, sol, 7, -1)
+    assert list(play_rounds(g, sol, 2 ** 70, 0)) == []
+
+
+# ---------------------------------------------------------------------------
+# trial streams
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1, 2 ** 70])
+def test_trial_words_equal_the_scalar_oracle(seed):
+    """Words of trials on both sides of a chunk boundary, computed together
+    and as one-trial chunks, equal the oracle's Python-integer words."""
+    stream = quantum.TrialStream(seed)
+    trials = np.arange(quantum.CHUNK - 3, quantum.CHUNK + 3)
+    slots = np.arange(-1, 20)
+    expected = [[stream_oracle.word(seed, int(t), int(s)) for s in slots] for t in trials]
+    assert stream.words(trials[:, None], slots).tolist() == expected
+    for t, row in zip(trials, expected):
+        assert stream.words(np.array([[t]]), slots).tolist() == [row]
+    assert quantum.uniforms(stream.words(trials, 0)).tolist() == [
+        stream_oracle.uniform(row[1]) for row in expected
+    ]
+
+
+def test_trial_stream_rejects_negative_seeds_and_keeps_large_ones_apart():
+    with pytest.raises(ValueError, match="non-negative"):
+        quantum.TrialStream(-1)
+    keys = {int(quantum.TrialStream(seed).key[0]) for seed in (0, 1, 2 ** 64, 2 ** 64 + 1, 2 ** 128)}
+    assert len(keys) == 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 722, 1042, 2 ** 31])
+def test_integer_draws_fall_in_their_range(n):
+    words = quantum.TrialStream(3).words(np.arange(20_000), 0)
+    draws = quantum.below(words, n)
+    assert draws.min() >= 0 and draws.max() < n
+    assert draws.tolist() == [stream_oracle.below(int(w), n) for w in words]
+    if n <= 722:
+        assert len(set(draws.tolist())) == n
+
+
+def test_play_question_index_is_uniform():
+    """Chi-square of the n = 8 game's question index over 311,600 rounds of
+    seed 7, 100 expected per question: within 5 standard deviations of its
+    mean, the degrees of freedom."""
+    cells = len(enumerate_questions(build_game_bcs(8)))
+    rounds = 100 * cells
+    words = quantum.TrialStream(7).words(np.arange(rounds), 0)
+    counts = np.bincount(quantum.below(words, cells), minlength=cells)
+    chi2 = float(((counts - 100) ** 2).sum() / 100)
+    dof = cells - 1
+    assert abs(chi2 - dof) < 5 * np.sqrt(2 * dof)
 
 
 # ---------------------------------------------------------------------------

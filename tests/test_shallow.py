@@ -3,14 +3,14 @@ import itertools
 import lightcone_oracle as oracle
 import numpy as np
 import pytest
+import stream_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from swap_oracle import bell_vector, enumerate_swap_branches
-from trial_oracle import clean, compute_syndrome, run_round1, run_round2, run_sampling_trial
+from trial_oracle import clean, compute_syndrome, frame_key, run_round1, run_round2, run_sampling_trial
 
-from bcsmagic import pauli, quantum
+from bcsmagic import pauli, quantum, shallow
 from bcsmagic.bcs import InvariantError
-from bcsmagic.cli import trial_rng
 from bcsmagic.game import build_game_bcs
 from bcsmagic.quantum import OperatorSolution, make_rng, permutation_solution, phi_plus
 from bcsmagic.shallow import (
@@ -23,10 +23,8 @@ from bcsmagic.shallow import (
     dag_from_json,
     depth_lower_bound,
     forward_lightcone,
-    frame_key,
     frame_tables,
     lightcone_disjoint_probability,
-    random_instance,
     run_trials,
 )
 
@@ -155,9 +153,8 @@ def test_syndrome_matches_direct_products(game8):
     from |Phi+> and sampling trials be clean exactly at key 0."""
     keys = set()
     for t in range(2400):
-        rng = trial_rng(4, t)
-        inst = random_instance(game8, (2, 3, 9, 40, 1000)[t % 5], rng)
-        transcript = run_round1(inst, rng)
+        inst = stream_oracle.instance(game8, (2, 3, 9, 40, 1000)[t % 5], 4, t)
+        transcript = run_round1(inst, stream_oracle.trial_draws(4, t, 0))
         p_a, p_b = compute_syndrome(transcript)
         for l in range(3):
             assert p_a[l] == np.prod(transcript.r_alice[:, l])
@@ -171,12 +168,18 @@ def test_syndrome_matches_direct_products(game8):
 # round 2
 # ---------------------------------------------------------------------------
 
+def _oracle_trial(game, sites, seed, t):
+    """Trial t's instance and its draws, from the scalar stream oracle."""
+    inst = stream_oracle.instance(game, sites, seed, t)
+    width = len(game.bcs.constraints[inst.alpha].var_indices)
+    return inst, stream_oracle.trial_draws(seed, t, width)
+
+
 def test_round2_relation_always_holds(game8, sol8):
-    rng = make_rng(123)
-    for _ in range(200):
-        inst = random_instance(game8, N=40, rng=rng)
-        transcript = run_round1(inst, rng)
-        assert run_round2(game8, inst, transcript, sol8, rng).won
+    for t in range(200):
+        inst, draws = _oracle_trial(game8, 40, 123, t)
+        transcript = run_round1(inst, draws)
+        assert run_round2(game8, inst, transcript, sol8, draws).won
 
 
 def test_round2_without_correction_violates_sometimes(game8, sol8):
@@ -198,11 +201,10 @@ def test_round2_without_correction_violates_sometimes(game8, sol8):
 
 
 def test_round2_identity_frame_without_correction(game8, sol8):
-    rng = make_rng(5)
-    for _ in range(20):
-        inst = random_instance(game8, N=10, rng=rng)
+    for t in range(20):
+        inst, draws = _oracle_trial(game8, 10, 5, t)
         transcript = run_round1(inst, _ZeroRng())
-        assert run_round2(game8, inst, transcript, sol8, rng, apply_correction=False).won
+        assert run_round2(game8, inst, transcript, sol8, draws, apply_correction=False).won
 
 
 def test_check_relation_foreign_beta_vacuous(game8, sol8):
@@ -214,10 +216,10 @@ def test_check_relation_foreign_beta_vacuous(game8, sol8):
     v = c.var_indices[0]
     flipped = OperatorSolution(8, {**sol8.assignment, v: -sol8.assignment[v]})
     phi = np.broadcast_to(phi_plus(8), (40, 8, 8))
+    u = make_rng(0).random((40, 4))
     for sol, won in ((sol8, True), (flipped, False)):
         stack = quantum.StrategyStack(game8.bcs, sol)
-        draws = [stack.draw(0, make_rng(t)) for t in range(40)]
-        results = stack.measure(phi, [(0, beta)] * 40, draws)
+        results = stack.measure(phi, np.zeros(40, dtype=int), np.full(40, beta), u, u[:, 3])
         assert {r.won for r in results} == {won}
         assert {r.bob_outcome for r in results} == {1, -1}
 
@@ -227,12 +229,11 @@ def test_check_relation_foreign_beta_vacuous(game8, sol8):
 # ---------------------------------------------------------------------------
 
 def test_sampling_split_and_case1_rate(game8, sol8):
-    rng = make_rng(777)
     trials = 6000
     cases = {"case1": 0, "case2": 0, "invalid": 0}
-    for _ in range(trials):
-        inst = random_instance(game8, N=12, rng=rng)
-        result, is_clean = run_sampling_trial(game8, inst, sol8, rng)
+    for t in range(trials):
+        inst, draws = _oracle_trial(game8, 12, 777, t)
+        result, is_clean = run_sampling_trial(game8, inst, sol8, draws)
         cases[("case1" if result.won else "invalid") if is_clean else "case2"] += 1
     assert cases["invalid"] == 0
     assert cases["case1"] + cases["case2"] == trials
@@ -260,36 +261,44 @@ def test_sampling_forced_clean_bits_is_case1(game8, sol8):
 # batched trials
 # ---------------------------------------------------------------------------
 
-def _draw_sites(rng):
-    return int(rng.integers(2, 60))
-
-
 def test_run_trials_relation_equals_a_loop(game8, sol8, monkeypatch):
-    """One shared generator, a chain length drawn per trial: the batched
-    relation trials equal a loop of run_round1 and run_round2 calls."""
-    rng = make_rng(2718)
+    """A chain length drawn per trial, up to 400 sites so that round 1 spans
+    several Bell words: each trial replayed alone from the scalar stream
+    oracle equals the batched one, across several batch boundaries."""
     expected = []
-    for _ in range(150):
-        inst = random_instance(game8, _draw_sites(rng), rng)
-        transcript = run_round1(inst, rng)
-        expected.append((inst, run_round2(game8, inst, transcript, sol8, rng), clean(transcript)))
+    for t in range(150):
+        inst, draws = _oracle_trial(game8, (2, 400), 2718, t)
+        transcript = run_round1(inst, draws)
+        expected.append((inst, run_round2(game8, inst, transcript, sol8, draws), clean(transcript)))
     monkeypatch.setattr(quantum, "CHUNK", 16)
-    batched = list(run_trials(game8, sol8, _draw_sites, itertools.repeat(make_rng(2718), 150)))
+    batched = list(run_trials(game8, sol8, (2, 400), 2718, 150))
     assert batched == expected
     assert all(result.won for _, result, _ in batched)
+    assert max(inst.k - inst.j for inst, _, _ in batched) > 128
 
 
 def test_run_trials_sampling_equals_a_loop(game8, sol8, monkeypatch):
-    rng = make_rng(1414)
     expected = []
-    for _ in range(300):
-        inst = random_instance(game8, 6, rng)
-        expected.append((inst, *run_sampling_trial(game8, inst, sol8, rng)))
+    for t in range(300):
+        inst, draws = _oracle_trial(game8, 6, 1414, t)
+        expected.append((inst, *run_sampling_trial(game8, inst, sol8, draws)))
     monkeypatch.setattr(quantum, "CHUNK", 45)
-    batched = list(run_trials(game8, sol8, 6, itertools.repeat(make_rng(1414), 300), "sampling"))
+    batched = list(run_trials(game8, sol8, 6, 1414, 300, "sampling"))
     assert batched == expected
     assert {is_clean for _, _, is_clean in batched} == {True, False}
     assert all(result.won for _, result, is_clean in batched if is_clean)
+
+
+def test_frame_keys_span_bell_words(game8):
+    """Chains of 1 to 999 junctions, around every 64-junction word edge:
+    the packed frame keys equal the frame of the oracle's Bell bits."""
+    junctions = np.array([1, 2, 63, 64, 65, 127, 128, 129, 500, 999])
+    trials = np.arange(len(junctions)) + 1000
+    keys = shallow._frame_keys(quantum.TrialStream(11), trials, junctions)
+    for t, m, key in zip(trials.tolist(), junctions.tolist(), keys.tolist()):
+        inst = RelationInstance(N=m + 1, n=8, j=1, k=m + 1, alpha=0, beta=0)
+        assert key == frame_key(run_round1(inst, stream_oracle.trial_draws(11, t, 0)).pauli_frame)
+    assert len(set(keys.tolist())) > 5
 
 
 def test_run_trials_checks_every_trials_fidelity(game8, sol8, monkeypatch):
@@ -309,21 +318,30 @@ def test_run_trials_checks_every_trials_fidelity(game8, sol8, monkeypatch):
     try:
         for mode in ("relation", "sampling"):
             with pytest.raises(InvariantError, match="fidelity"):
-                list(run_trials(game8, sol8, 40, (make_rng(t) for t in range(4)), mode))
+                list(run_trials(game8, sol8, 40, 0, 4, mode))
     finally:
         frame_tables.cache_clear()
 
 
 def test_run_trials_rejects_bad_mode_and_dimension(game8, sol8):
+    """Every check runs when run_trials is called, before the first trial
+    is asked for."""
     with pytest.raises(ValueError, match="mode"):
-        next(run_trials(game8, sol8, 5, [make_rng(0)], "both"))
+        run_trials(game8, sol8, 5, 0, 1, "both")
     bad = OperatorSolution(4, {v: np.eye(4, dtype=complex) for v in sol8.assignment})
     with pytest.raises(ValueError, match="dimension"):
-        next(run_trials(game8, bad, 5, [make_rng(0)]))
+        run_trials(game8, bad, 5, 0, 1)
     # The unmodified game's product constraint has eight variables.
     wide = build_game_bcs(8)
     with pytest.raises(ValueError, match="three variables"):
-        next(run_trials(wide, permutation_solution(wide), 5, [make_rng(0)]))
+        run_trials(wide, permutation_solution(wide), 5, 0, 1)
+    for sites in (1, (1, 5), (4, 4)):
+        with pytest.raises(ValueError, match="two sites"):
+            run_trials(game8, sol8, sites, 0, 1)
+    with pytest.raises(ValueError, match="trials"):
+        run_trials(game8, sol8, 5, 0, -1)
+    with pytest.raises(ValueError, match="seed"):
+        run_trials(game8, sol8, 5, -3, 1)
 
 
 # ---------------------------------------------------------------------------

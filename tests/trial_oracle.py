@@ -92,6 +92,12 @@ def run_round1(instance, rng) -> Round1Transcript:
     return Round1Transcript(1 - 2 * bits[:, :, 0], 1 - 2 * bits[:, :, 1], frame)
 
 
+def frame_key(frame) -> int:
+    """Index of a per-layer (z, x) frame in ``shallow.frame_tables``: bit 2l
+    is layer l's z bit, bit 2l + 1 its x bit."""
+    return sum((z | x << 1) << 2 * l for l, (z, x) in enumerate(frame))
+
+
 def compute_syndrome(transcript: Round1Transcript):
     """Per-layer parity products (p^A, p^B) of the round-1 outcomes."""
     p_a = tuple(np.prod(transcript.r_alice, axis=0).tolist())
