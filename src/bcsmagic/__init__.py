@@ -34,7 +34,6 @@ from .quantum import (
     classical_to_operator,
     complete_solution,
     correlation,
-    make_rng,
     measure_batch,
     pauli_to_operator,
     permutation_solution,

@@ -1,12 +1,15 @@
 """Dense-operator game strategies and simulated measurement.
 
-Operators are plain complex numpy arrays.  A strategy assigns one involution
-per BCS variable; the two players share the maximally entangled state of the
-operator dimension, Alice measures the observables of her constraint, and
-Bob measures the transpose of his variable's observable.  Shared states are
-kept as d x d amplitude matrices M with ``M[i, j] = <i|_A <j|_B psi``, so the
-maximally entangled state is the identity over sqrt(d), Alice-side operators
-act by left multiplication, and Bob-side operators act by M A^T.
+Operators are float64 arrays wherever they are real, as the permutation and
+classical strategies and the shared states are, and complex only where they
+must be, as Pauli lifts with a Y are; a stack is complex iff a member is.
+A strategy assigns one involution per BCS variable; the two players share
+the maximally entangled state of the operator dimension, Alice measures the
+observables of her constraint, and Bob measures the transpose of his
+variable's observable.  Shared states are kept as d x d amplitude matrices
+M with ``M[i, j] = <i|_A <j|_B psi``, so the maximally entangled state is
+the identity over sqrt(d), Alice-side operators act by left multiplication,
+and Bob-side operators act by M A^T.
 
 Every projective measurement runs through ``measure_batch``, which measures
 a stack of T such states, shape (T, d, d), one step at a time: each step
@@ -27,6 +30,7 @@ which is exactly why those games need magic.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections.abc import Iterable, Iterator
@@ -42,11 +46,6 @@ from .pauli import PauliString
 # Trials measured together by the batched drivers; no output depends on it.
 # On the simulate commands 64 ran ~10% slower, 256 or 512 no faster.
 CHUNK = 128
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """A seeded Philox generator; rounds and trials read a ``TrialStream``."""
-    return np.random.Generator(np.random.Philox(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +109,7 @@ class OperatorSolution:
 
 def classical_to_operator(signs: list[int]) -> OperatorSolution:
     """Embed a scalar solution as one-dimensional operators."""
-    return OperatorSolution(1, {v: np.array([[s]], dtype=complex) for v, s in enumerate(signs)})
+    return OperatorSolution(1, {v: np.array([[s]], dtype=float) for v, s in enumerate(signs)})
 
 
 def pauli_to_operator(solution: PauliSolution) -> OperatorSolution:
@@ -132,12 +131,12 @@ def permutation_solution(game: GameBcs) -> OperatorSolution:
     n = game.n
     assignment: dict[int, np.ndarray] = {}
     for v in range(1, n + 1):
-        m = np.eye(n, dtype=complex)
+        m = np.eye(n)
         m[v - 1, v - 1] = -1
         assignment[game.a(v)] = m
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
-            m = np.eye(n, dtype=complex)
+            m = np.eye(n)
             m[[u - 1, v - 1]] = m[[v - 1, u - 1]]
             assignment[game.x(u, v)] = m
     return complete_solution(game.bcs, OperatorSolution(n, assignment))
@@ -148,13 +147,15 @@ def complete_solution(bcs: Bcs, partial: OperatorSolution) -> OperatorSolution:
     constraint, iterating until the assignment is total.
 
     The unknown of ``A_1 .. U .. A_k = c`` is the reversed product of the
-    knowns on each side (inverses of involutions), times the sign.
+    knowns on each side (inverses of involutions), times the sign.  The
+    completion keeps the knowns' dtype: real knowns give a real solution.
     """
     dim = partial.dim
     assignment = dict(partial.assignment)
     for m in assignment.values():
         if m.shape != (dim, dim):
             raise ValueError("partial assignment has mixed dimensions")
+    dtype = np.result_type(float, *assignment.values())
     remaining = set(range(bcs.n_vars)) - set(assignment)
     while remaining:
         progress = False
@@ -166,13 +167,8 @@ def complete_solution(bcs: Bcs, partial: OperatorSolution) -> OperatorSolution:
             pos = c.var_indices.index(u)
             left = [assignment[v] for v in c.var_indices[:pos]]
             right = [assignment[v] for v in c.var_indices[pos + 1:]]
-            m = np.eye(dim, dtype=complex)
-            for f in reversed(left):
-                m = m @ f
-            m = m * c.rhs
-            for f in reversed(right):
-                m = m @ f
-            assignment[u] = m
+            sign = c.rhs * np.eye(dim, dtype=dtype)
+            assignment[u] = functools.reduce(np.matmul, left[::-1] + [sign] + right[::-1])
             remaining.discard(u)
             progress = True
         if not progress:
@@ -211,29 +207,23 @@ class OperatorVerifyReport:
 
 def verify_operator_solution(bcs: Bcs, sol: OperatorSolution, tol: float = 1e-9) -> OperatorVerifyReport:
     """Max-norm checks of Hermiticity, involution, within-constraint
-    commutation, and signed constraint products."""
-    dim = sol.dim
-    eye = np.eye(dim)
-    report = OperatorVerifyReport(tol)
-    for v in range(bcs.n_vars):
-        m = sol.assignment[v]
-        if m.shape != (dim, dim):
-            raise ValueError(f"variable {v} has dimension {m.shape}, expected {dim}")
-        report.worst_hermitian = max(report.worst_hermitian, float(np.max(np.abs(m - m.conj().T))))
-        report.worst_involution = max(report.worst_involution, float(np.max(np.abs(m @ m - eye))))
-    ops = np.stack([sol.assignment[v] for v in range(bcs.n_vars)])
+    commutation, and signed constraint products, over the whole ``_stack``
+    at once, products as gathers of its padded member rows.
+    ``failing_constraint`` is the first whose commutators or product fail."""
+    ops, members, rhs = _stack(bcs, sol)
+    eye = np.eye(sol.dim)
+    hermitian = float(np.abs(ops - ops.conj().swapaxes(1, 2)).max())
+    involution = float(np.abs(ops @ ops - eye).max())
     commutators = _worst_commutators(ops, [sorted(c.support) for c in bcs.constraints])
-    for j, c in enumerate(bcs.constraints):
-        worst_here = float(commutators[j])
-        prod = np.eye(dim, dtype=complex)
-        for v in c.var_indices:
-            prod = prod @ sol.assignment[v]
-        prod_err = float(np.max(np.abs(prod - c.rhs * eye)))
-        report.worst_commutator = max(report.worst_commutator, worst_here)
-        report.worst_product = max(report.worst_product, prod_err)
-        if (worst_here > tol or prod_err > tol) and report.failing_constraint is None:
-            report.failing_constraint = j
-    return report
+    errors = np.zeros(len(members))
+    for block in batches(range(len(members))):  # CHUNK products at a time, so memory stays small
+        products = np.broadcast_to(eye, (len(block), sol.dim, sol.dim))
+        for column in members[block].T:
+            products = products @ ops[column]
+        errors[block] = np.abs(products - rhs[block, None, None] * eye).max(axis=(1, 2), initial=0.0)
+    failing = np.flatnonzero((commutators > tol) | (errors > tol))
+    return OperatorVerifyReport(tol, hermitian, involution, float(commutators.max(initial=0.0)),
+                                float(errors.max(initial=0.0)), int(failing[0]) if len(failing) else None)
 
 
 def correlation(a: np.ndarray, b: np.ndarray) -> float:
@@ -252,7 +242,7 @@ def correlation(a: np.ndarray, b: np.ndarray) -> float:
 def phi_plus(dim: int) -> np.ndarray:
     """The maximally entangled state of dimension ``dim`` as its amplitude
     matrix, the identity over sqrt(dim)."""
-    return np.eye(dim, dtype=complex) / np.sqrt(dim)
+    return np.eye(dim) / np.sqrt(dim)
 
 
 def measure_batch(
@@ -336,27 +326,33 @@ class RoundResult:
     won: bool
 
 
-class StrategyStack:
-    """A strategy's observables stacked for batched rounds.
+def _stack(bcs: Bcs, sol: OperatorSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (V + 1, d, d) stack of observables, the constraints' members as
+    rows of indices into it, and their signs.  Row v is variable v's
+    observable, and row V the real identity, which pads each constraint's
+    row to the widest.  A missing or misshapen observable raises ValueError."""
+    for v, name in enumerate(bcs.variables):
+        shape = sol.assignment[v].shape if v in sol.assignment else "none"
+        if shape != (sol.dim, sol.dim):
+            raise ValueError(f"variable {v} ({name}) needs a {sol.dim} x {sol.dim} observable, got {shape}")
+    ops = np.stack([sol.assignment[v] for v in range(bcs.n_vars)] + [np.eye(sol.dim)])
+    rows = [c.var_indices for c in bcs.constraints]
+    width = max(map(len, rows), default=0)
+    members = np.array([row + (bcs.n_vars,) * (width - len(row)) for row in rows], dtype=int)
+    return ops, members.reshape(len(rows), width), np.array([c.rhs for c in bcs.constraints], dtype=int)
 
-    Row v of ``ops`` is variable v's observable, and row ``pad`` the
-    identity, which pads row alpha of ``members``, constraint alpha's
-    variables, to the widest constraint: a batch's step is one gather.
-    Each constraint's observables are checked to commute once, here.
+
+class StrategyStack:
+    """A strategy's observables laid out by ``_stack`` for batched rounds,
+    so that a batch's step is one gather of ``ops`` rows, row ``pad`` the
+    identity.  Each constraint's observables are checked to commute once, here.
     """
 
     def __init__(self, bcs: Bcs, sol: OperatorSolution) -> None:
         self.pad = bcs.n_vars
-        self.ops = np.stack(
-            [sol.assignment[v] for v in range(bcs.n_vars)] + [np.eye(sol.dim, dtype=complex)]
-        )
-        rows = [c.var_indices for c in bcs.constraints]
-        self.widths = np.array([len(row) for row in rows], dtype=int)
-        width = max(self.widths, default=0)
-        self.members = np.array([row + (self.pad,) * (width - len(row)) for row in rows],
-                                dtype=int).reshape(len(rows), width)
-        self.rhs = np.array([c.rhs for c in bcs.constraints], dtype=int)
-        worst = _worst_commutators(self.ops, rows)
+        self.ops, self.members, self.rhs = _stack(bcs, sol)
+        self.widths = np.sum(self.members != self.pad, axis=1)
+        worst = _worst_commutators(self.ops, [c.var_indices for c in bcs.constraints])
         if np.any(worst > 1e-9):
             raise ValueError(f"observables of constraint {int(np.argmax(worst > 1e-9))} do not commute")
 

@@ -81,18 +81,21 @@ def frame_tables() -> tuple[np.ndarray, np.ndarray]:
     State key is Z^z X^x on every layer's Alice qubit applied to |Phi+> of
     dimension 8, and correction key is X^x Z^z on the same qubits, the
     recovery for the syndrome of that frame.  Both come from Pauli strings
-    (Z X = iY and X Z = -iY per layer).  Each correction applied to its own
+    (Z X = iY and X Z = -iY per layer), so both are real, which is checked
+    exactly, and are stored as float64.  Each correction applied to its own
     frame state is checked to give |Phi+>, all 64 at once.
     """
-    phi = phi_plus(8)
     states = np.empty((64, 8, 8), dtype=complex)
     corrections = np.empty_like(states)
     for key in range(64):
         z = sum(((key >> 2 * l) & 1) << l for l in range(3))
         x = sum(((key >> 2 * l + 1) & 1) << l for l in range(3))
         ys = (x & z).bit_count()
-        states[key] = pauli.to_matrix(PauliString(3, x, z, ys)) @ phi
+        states[key] = pauli.to_matrix(PauliString(3, x, z, ys)) @ phi_plus(8)
         corrections[key] = pauli.to_matrix(PauliString(3, x, z, -ys))
+    if np.any(states.imag != 0) or np.any(corrections.imag != 0):
+        raise InvariantError("a frame state or correction is not real")
+    states, corrections = states.real.copy(), corrections.real.copy()
     # Every corrected state must be |Phi+> of dimension 8, norm included.
     fidelity = np.abs(np.trace(corrections @ states, axis1=1, axis2=2)) ** 2 / 8
     off = np.abs(fidelity - 1) > 1e-9

@@ -1,6 +1,6 @@
 """Shared fixtures: the published two-qubit table for the n=4 game, a
-branch-enumeration oracle for measurement distributions, and direct checks
-of GF(2) and scalar assignments."""
+seeded generator for test data, a branch-enumeration oracle for measurement
+distributions, and direct checks of GF(2) and scalar assignments."""
 from __future__ import annotations
 
 import numpy as np
@@ -36,6 +36,12 @@ def table_operator_solution(game) -> OperatorSolution:
         4,
         {i: to_matrix(parse_pauli(TABLE_N4[name])) for i, name in enumerate(game.bcs.variables)},
     )
+
+
+def philox_rng(seed: int) -> np.random.Generator:
+    """A seeded Philox generator for test data; the library's rounds and
+    trials draw from ``quantum.TrialStream`` instead."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def enumerate_distribution(amplitudes: np.ndarray, plan: list[tuple[str, np.ndarray]]):

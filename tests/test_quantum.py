@@ -2,10 +2,12 @@ import itertools
 import random
 
 import numpy as np
+import operator_oracle
 import pauli_report_oracle
 import pytest
 import stream_oracle
-from helpers import enumerate_distribution, split_variable, table_operator_solution, table_pauli_solution
+from helpers import (enumerate_distribution, philox_rng, split_variable, table_operator_solution,
+                     table_pauli_solution)
 from pauli_report_oracle import identity, transpose
 from trial_oracle import measure_commuting, play_round, wins
 
@@ -18,7 +20,6 @@ from bcsmagic.quantum import (
     classical_to_operator,
     complete_solution,
     correlation,
-    make_rng,
     measure_batch,
     pauli_to_operator,
     permutation_solution,
@@ -88,6 +89,116 @@ def test_negated_vertex_fails_product_row():
     assert product_row in bad_rows
 
 
+def _reflections_and_swaps(dim):
+    """Every basis reflection and basis swap of dimension ``dim``: real
+    Hermitian involutions with small integer entries."""
+    for k in range(dim):
+        m = np.eye(dim)
+        m[k, k] = -1
+        yield m
+    for k, l in itertools.combinations(range(dim), 2):
+        m = np.eye(dim)
+        m[[k, l]] = m[[l, k]]
+        yield m
+
+
+def _corrupted(strategy, n, fault, seed):
+    """A perfect strategy of the n-vertex game with one kind of fault
+    planted at seeded places, and the system to check it against."""
+    g = build_game_bcs(n)
+    system = g.bcs
+    sol = permutation_solution(g) if strategy == "permutation" else table_operator_solution(g)
+    rng = random.Random(seed)
+    v = rng.randrange(system.n_vars)
+    if fault == "hermitian":
+        sol.assignment[v] = sol.assignment[v].copy()
+        sol.assignment[v][0, -1] += 0.5
+    elif fault == "involution":
+        sol.assignment[v] = 2 * sol.assignment[v]
+    elif fault == "commutation":
+        c = rng.choice([c for c in system.constraints if len(c.var_indices) >= 2])
+        other = sol.assignment[c.var_indices[1]]
+        sol.assignment[c.var_indices[0]] = next(
+            m for m in _reflections_and_swaps(sol.dim) if np.abs(m @ other - other @ m).max() > 0)
+    else:  # two constraint signs flipped
+        flipped = rng.sample(range(len(system.constraints)), 2)
+        system = bcs.Bcs(system.variables, [
+            bcs.Constraint(c.var_indices, -c.rhs if j in flipped else c.rhs, c.support)
+            for j, c in enumerate(system.constraints)])
+    return system, sol
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("fault", ("hermitian", "involution", "commutation", "sign"))
+@pytest.mark.parametrize("strategy,n", [("permutation", 4), ("permutation", 6), ("table", 4)])
+def test_batched_verification_equals_loop_oracle(strategy, n, fault, seed):
+    """Every report field of the batched check, failing_constraint included,
+    equals the one-at-a-time loop's on a corrupted real or complex strategy."""
+    system, sol = _corrupted(strategy, n, fault, seed)
+    report = verify_operator_solution(system, sol, 1e-9)
+    assert vars(report) == vars(operator_oracle.verify_operator_solution(system, sol, 1e-9))
+    assert not report.ok and report.failing_constraint is not None
+    failed = {"hermitian": report.worst_hermitian, "involution": report.worst_involution,
+              "commutation": report.worst_commutator, "sign": report.worst_product}
+    assert failed[fault] > 1e-9
+    if fault == "sign":
+        assert report.hermitian_ok and report.commutation_ok
+        flipped = [j for j, (a, b) in enumerate(zip(system.constraints, build_game_bcs(n).bcs.constraints))
+                   if a.rhs != b.rhs]
+        assert report.failing_constraint == flipped[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_verification_equals_loop_oracle_on_random_matrices(seed):
+    """On unstructured real and complex matrices, where every check fails
+    and product order matters, the reports still agree field for field."""
+    rng = random.Random(seed)
+    gen = np.random.default_rng(seed)
+    dim = rng.choice((2, 3, 5, 8))
+    constraints = [bcs.make_constraint(rng.sample(range(7), rng.randint(1, 4)), rng.choice((1, -1)))
+                   for _ in range(6)]
+    system = bcs.Bcs([f"v{i}" for i in range(7)], constraints)
+    mats = gen.normal(size=(7, dim, dim)) + (1j * gen.normal(size=(7, dim, dim)) if seed % 2 else 0)
+    sol = OperatorSolution(dim, dict(enumerate(mats)))
+    report = verify_operator_solution(system, sol)
+    assert vars(report) == vars(operator_oracle.verify_operator_solution(system, sol))
+    assert report.failing_constraint == 0
+
+
+def test_verify_empty_system_is_ok():
+    empty = bcs.parse_bcs("vars:\n")
+    sol = OperatorSolution(2, {})
+    report = verify_operator_solution(empty, sol)
+    assert report.ok and report.failing_constraint is None
+    assert vars(report) == vars(operator_oracle.verify_operator_solution(empty, sol))
+
+
+def test_verify_names_a_missing_or_misshapen_variable():
+    mp = mermin_peres()
+    sol = pauli_to_operator(pauli_solve(mp))
+    del sol.assignment[3]
+    with pytest.raises(ValueError, match=r"variable 3 \(v4\)"):
+        verify_operator_solution(mp, sol)
+    sol.assignment[3] = np.eye(2)
+    with pytest.raises(ValueError, match=r"variable 3 \(v4\) needs a 4 x 4 observable"):
+        verify_operator_solution(mp, sol)
+
+
+def test_real_strategies_stay_real_and_pauli_lifts_with_y_complex():
+    """Permutation, classical and completed real strategies are float64 and
+    stack as float64; a Pauli lift with a Y stacks as complex."""
+    g8, g5, g4 = build_game_bcs(8), build_game_bcs(5), build_game_bcs(4)
+    for g, sol in ((g8, permutation_solution(g8)), (g5, classical_to_operator(bcs.classical_solve(g5.bcs)))):
+        assert {m.dtype for m in sol.assignment.values()} == {np.dtype(np.float64)}
+        assert quantum.StrategyStack(g.bcs, sol).ops.dtype == np.float64
+    assert phi_plus(8).dtype == np.float64
+    assert any(s.x_bits & s.z_bits for s in table_pauli_solution(g4).strings)
+    lifted = pauli_to_operator(table_pauli_solution(g4))
+    assert quantum.StrategyStack(g4.bcs, lifted).ops.dtype == np.complex128
+    partial = OperatorSolution(4, {v: lifted.assignment[v] for v in range(g4.bcs.n_vars) if v != 0})
+    assert complete_solution(g4.bcs, partial).assignment[0].dtype == np.complex128
+
+
 # ---------------------------------------------------------------------------
 # completion
 # ---------------------------------------------------------------------------
@@ -153,7 +264,7 @@ def test_correlation_x_z_and_sign_flip():
 
 
 def test_correlation_trace_linearity():
-    rng = make_rng(5)
+    rng = philox_rng(5)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     b = rng.normal(size=(6, 6))
     c = rng.normal(size=(6, 6))
@@ -181,7 +292,7 @@ def test_measure_repeatability():
     g = build_game_bcs(8)
     obs = _repeat(permutation_solution(g).assignment[g.x(2, 5)], 50)
     outcomes, _ = measure_batch(_repeat(phi_plus(8), 50), [("A", obs), ("A", obs)],
-                                make_rng(11).random((50, 2)))
+                                philox_rng(11).random((50, 2)))
     assert np.all(outcomes[:, 0] == outcomes[:, 1])
     assert set(outcomes[:, 0]) == {1, -1}
 
@@ -189,7 +300,7 @@ def test_measure_repeatability():
 def test_alice_bob_transpose_always_agree():
     g = build_game_bcs(8)
     sol = permutation_solution(g)
-    rng = make_rng(13)
+    rng = philox_rng(13)
     for name in (g.a(3), g.x(1, 4), g.z(2, 6)):
         obs = _repeat(sol.assignment[name], 40)
         outcomes, _ = measure_batch(_repeat(phi_plus(8), 40), [("A", obs), ("B", obs.swapaxes(1, 2))],
@@ -218,7 +329,7 @@ def test_noncommuting_rejected():
     x = to_matrix(parse_pauli("X"))
     z = to_matrix(parse_pauli("Z"))
     with pytest.raises(ValueError, match="commute"):
-        measure_commuting(phi_plus(2), "A", [x, z], make_rng(0))
+        measure_commuting(phi_plus(2), "A", [x, z], philox_rng(0))
 
 
 def test_worst_commutators_equal_a_pair_loop(monkeypatch):
@@ -337,7 +448,7 @@ def test_measure_batch_needs_one_uniform_per_step():
 def test_play_round_perfect_n8():
     g = build_game_bcs(8)
     sol = permutation_solution(g)
-    rng = make_rng(2024)
+    rng = philox_rng(2024)
     pairs = enumerate_questions(g)
     for _ in range(300):
         q = pairs[int(rng.integers(len(pairs)))]
@@ -347,7 +458,7 @@ def test_play_round_perfect_n8():
 def test_play_round_classical_embedding_odd_n():
     g = build_game_bcs(5)
     sol = classical_to_operator(bcs.classical_solve(g.bcs))
-    rng = make_rng(77)
+    rng = philox_rng(77)
     pairs = enumerate_questions(g)
     for _ in range(200):
         q = pairs[int(rng.integers(len(pairs)))]
@@ -358,7 +469,7 @@ def test_play_round_flipped_operator_loses():
     g = build_game_bcs(6)
     sol = permutation_solution(g)
     sol.assignment[g.a(2)] = -sol.assignment[g.a(2)]
-    rng = make_rng(5)
+    rng = philox_rng(5)
     product_row = len(g.bcs.constraints) - 1
     results = [
         play_round(g, sol, (product_row, g.a(1)), rng).won for _ in range(20)

@@ -4,6 +4,7 @@ import lightcone_oracle as oracle
 import numpy as np
 import pytest
 import stream_oracle
+from helpers import philox_rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from swap_oracle import bell_vector, enumerate_swap_branches
@@ -11,8 +12,8 @@ from trial_oracle import clean, compute_syndrome, frame_key, run_round1, run_rou
 
 from bcsmagic import pauli, quantum, shallow
 from bcsmagic.bcs import InvariantError
-from bcsmagic.game import build_game_bcs
-from bcsmagic.quantum import OperatorSolution, make_rng, permutation_solution, phi_plus
+from bcsmagic.game import build_game_bcs, enumerate_questions
+from bcsmagic.quantum import OperatorSolution, permutation_solution, phi_plus
 from bcsmagic.shallow import (
     CircuitDag,
     Gate,
@@ -114,11 +115,29 @@ def test_frame_tables_are_read_only():
     with pytest.raises(ValueError):
         corrections[0, 0, 0] = 0
     assert frame_tables() is frame_tables()
+    assert states.dtype == corrections.dtype == np.float64
+
+
+def test_frame_tables_reject_an_imaginary_entry(monkeypatch):
+    """A table built with one correction times i, Y in place of X Z = -iY,
+    is caught by the exact check before anything is stored as real."""
+    to_matrix = pauli.to_matrix
+
+    def tampered(s):
+        return 1j * to_matrix(s) if (s.x_bits, s.z_bits, s.phase) == (1, 1, 3) else to_matrix(s)
+
+    frame_tables.cache_clear()
+    monkeypatch.setattr(pauli, "to_matrix", tampered)
+    try:
+        with pytest.raises(InvariantError, match="not real"):
+            frame_tables()
+    finally:
+        frame_tables.cache_clear()
 
 
 def test_frame_distribution_uniform_over_layers():
     inst = RelationInstance(N=20, n=8, j=3, k=11, alpha=0, beta=0)
-    rng = make_rng(99)
+    rng = philox_rng(99)
     counts = {}
     trials = 20000
     for _ in range(trials):
@@ -185,7 +204,7 @@ def test_round2_relation_always_holds(game8, sol8):
 def test_round2_without_correction_violates_sometimes(game8, sol8):
     # The agreement clause only bites when beta belongs to the constraint,
     # so sample questions from the game's own pair set.
-    rng = make_rng(321)
+    rng = philox_rng(321)
     violations = 0
     trials = 0
     while trials < 200:
@@ -216,12 +235,29 @@ def test_check_relation_foreign_beta_vacuous(game8, sol8):
     v = c.var_indices[0]
     flipped = OperatorSolution(8, {**sol8.assignment, v: -sol8.assignment[v]})
     phi = np.broadcast_to(phi_plus(8), (40, 8, 8))
-    u = make_rng(0).random((40, 4))
+    u = philox_rng(0).random((40, 4))
     for sol, won in ((sol8, True), (flipped, False)):
         stack = quantum.StrategyStack(game8.bcs, sol)
         results = stack.measure(phi, np.zeros(40, dtype=int), np.full(40, beta), u, u[:, 3])
         assert {r.won for r in results} == {won}
         assert {r.bob_outcome for r in results} == {1, -1}
+
+
+def test_real_and_complex_stacks_measure_alike(game8, sol8):
+    """The real strategy and the same strategy cast to complex, measured on
+    the same frame states with shared uniforms, give the same rounds."""
+    cast = OperatorSolution(8, {v: m.astype(complex) for v, m in sol8.assignment.items()})
+    real, complex_ = quantum.StrategyStack(game8.bcs, sol8), quantum.StrategyStack(game8.bcs, cast)
+    assert (real.ops.dtype, complex_.ops.dtype) == (np.float64, np.complex128)
+    questions = np.array(enumerate_questions(game8))
+    rng = philox_rng(16)
+    for _ in range(3):
+        states = frame_tables()[0][rng.integers(64, size=128)]
+        alphas, betas = questions[rng.integers(len(questions), size=128)].T
+        u = rng.random((128, 4))
+        results = real.measure(states, alphas, betas, u, u[:, 3])
+        assert results == complex_.measure(states.astype(complex), alphas, betas, u, u[:, 3])
+        assert {r.won for r in results} == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +279,7 @@ def test_sampling_split_and_case1_rate(game8, sol8):
 
 
 def test_sampling_forced_clean_bits_is_case1(game8, sol8):
-    rng = make_rng(31337)
+    rng = philox_rng(31337)
 
     class _CleanRound1Rng:
         def integers(self, low, high=None, size=None):
@@ -534,7 +570,7 @@ def random_local_dag(n_sites, K, D, rng):
 
 
 def test_random_local_dags_meet_hardness_bound():
-    rng = make_rng(2718)
+    rng = philox_rng(2718)
     for n_sites in (64, 256):
         dag = random_local_dag(n_sites, K=3, D=4, rng=rng)
         assert dag.max_fan_in <= 3 and dag.depth == 4
