@@ -7,6 +7,7 @@ reflection/swap operators, which are not Pauli strings of any size.
 import numpy as np
 
 from bcsmagic import (
+    StrategyStack,
     build_game_bcs,
     classical_solve,
     classical_to_operator,
@@ -20,9 +21,10 @@ from bcsmagic import (
 
 
 def run_rounds(game, sol, seed, trials=2000):
-    # Round t draws from its own stream of the seed; rounds are measured in batches.
-    rounds = play_rounds(game, sol, seed, trials)
-    return sum(r.won for r in rounds), trials
+    # Round t draws from its own stream of the seed; rounds are measured in
+    # batches, and each batch comes back as one record of arrays.
+    records = play_rounds(game, StrategyStack(game.bcs, sol), seed, trials)
+    return sum(int(record.won.sum()) for record in records), trials
 
 
 for n, describe in ((5, "scalar"), (4, "two-qubit Pauli"), (8, "dimension-8 magic")):

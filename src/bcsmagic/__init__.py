@@ -30,6 +30,7 @@ from .game import (
 from .pauli import PauliString, format_pauli, parse_pauli, to_matrix
 from .quantum import (
     OperatorSolution,
+    StrategyStack,
     audit_clifford_strategy,
     classical_to_operator,
     complete_solution,
@@ -44,7 +45,6 @@ from .quantum import (
 from .shallow import (
     CircuitDag,
     Gate,
-    RelationInstance,
     backward_cone_sizes,
     backward_lightcone,
     build_strategy_dag,

@@ -6,7 +6,8 @@ internal failures or violated exactness invariants.  Stochastic commands
 require --seed and are byte-reproducible: trial t reads every number from
 fixed slots of its own counter-based stream, ``quantum.TrialStream``, so
 each trial's outcome depends only on the seed and its own index.  Trials
-are measured in batches, and no output depends on the batch size.
+are measured in batches, each one record of arrays, and no output depends
+on the batch size.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import bcs as bcs_mod
 from . import game as game_mod
@@ -95,28 +98,33 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _strategy_for(game: game_mod.GameBcs) -> quantum.OperatorSolution:
+def _strategy_for(game: game_mod.GameBcs) -> quantum.StrategyStack:
+    """The game's perfect strategy, laid out for play and verified in full."""
     label = game_mod.classify(game.n)
-    if label is not game_mod.GameClass.MAGIC_REQUIRED:
+    if label is game_mod.GameClass.MAGIC_REQUIRED:
+        sol = quantum.permutation_solution(game)
+    else:
         classical = label is game_mod.GameClass.CLASSICAL
         solution = (bcs_mod.classical_solve if classical else bcs_mod.pauli_solve)(game.bcs)
         if isinstance(solution, bcs_mod.Certificate):
             raise bcs_mod.InvariantError(f"n={game.n} is classed {label.value} but its solver "
                                          "returned a certificate")
-        lift = quantum.classical_to_operator if classical else quantum.pauli_to_operator
-        return lift(solution)
-    sol = quantum.permutation_solution(game)
-    report = quantum.verify_operator_solution(game.bcs, sol)
+        sol = (quantum.classical_to_operator if classical else quantum.pauli_to_operator)(solution)
+    try:
+        stack = quantum.StrategyStack(game.bcs, sol)
+    except ValueError as exc:
+        raise bcs_mod.InvariantError(f"strategy failed verification: {exc}") from exc
+    report = stack.verify()
     if not report.ok:
         raise bcs_mod.InvariantError(f"strategy failed verification: {report}")
-    return sol
+    return stack
 
 
 def cmd_play(args) -> int:
     game = game_mod.build_game_bcs(args.n, modified=args.modified)
-    sol = _strategy_for(game)
-    wins = sum(result.won for result in quantum.play_rounds(game, sol, args.seed, args.trials))
-    print(f"n={args.n} strategy={game_mod.classify(args.n).value} dim={sol.dim}")
+    stack = _strategy_for(game)
+    wins = sum(int(rounds.won.sum()) for rounds in quantum.play_rounds(game, stack, args.seed, args.trials))
+    print(f"n={args.n} strategy={game_mod.classify(args.n).value} dim={stack.dim}")
     print(f"wins: {wins}/{args.trials} (win rate {wins / args.trials})")
     print("target: every round wins (rate 1)")
     if wins != args.trials:
@@ -125,41 +133,46 @@ def cmd_play(args) -> int:
     return EXIT_OK
 
 
+def _log_lines(chunk: shallow.Trials, n: int, seed: int, mode: str) -> str:
+    """The chunk's trial log lines, each as ``json.dumps`` writes its record
+    dict: ``r_a`` the Alice columns, three in the modified game."""
+    alice = chunk.outcomes[:, :-1].T
+    key, result = (("ok", np.where(chunk.won, "true", "false")) if mode == "relation" else
+                   ("case", np.where(chunk.clean, np.where(chunk.won, '"case1"', '"invalid"'), '"case2"')))
+    template = (f'{{"N": %d, "n": {n}, "j": %d, "k": %d, "alpha": %d, "beta": %d, "seed": {seed}, '
+                f'"trial": %d, "r_a": [{", ".join(["%d"] * len(alice))}], "r_b": [%d, 1, 1], "{key}": %s}}\n')
+    columns = [chunk.N, chunk.j, chunk.k, chunk.alphas, chunk.betas, chunk.trials, *alice,
+               chunk.outcomes[:, -1], result]
+    return "".join(template % row for row in zip(*(column.tolist() for column in columns)))
+
+
 def cmd_simulate(args) -> int:
     game = game_mod.build_game_bcs(8, modified=True)
     sol = quantum.permutation_solution(game)
-    ok_count = 0
-    cases = {"case1": 0, "case2": 0, "invalid": 0}
+    won = clean_won = clean = 0
     # A rejected run raises here, before the log is opened.
     trials = shallow.run_trials(game, sol, args.sites, args.seed, args.trials, args.mode)
     with Path(args.out).open("w") if args.out else contextlib.nullcontext() as sink:
-        for t, (instance, result, clean) in enumerate(trials):
-            ok_count += result.won
-            case = ("case1" if result.won else "invalid") if clean else "case2"
-            cases[case] += 1
-            if sink:  # records are built only to be written
-                record = {
-                    "N": instance.N, "n": instance.n, "j": instance.j, "k": instance.k,
-                    "alpha": instance.alpha, "beta": instance.beta, "seed": args.seed, "trial": t,
-                    "r_a": list(result.alice_outcomes) + [1] * (3 - len(result.alice_outcomes)),
-                    "r_b": [result.bob_outcome, 1, 1],
-                }
-                record.update({"ok": result.won} if args.mode == "relation" else {"case": case})
-                sink.write(json.dumps(record) + "\n")
+        for chunk in trials:
+            won += int(chunk.won.sum())
+            clean_won += int((chunk.clean & chunk.won).sum())
+            clean += int(chunk.clean.sum())
+            if sink:  # lines are formatted only to be written
+                sink.write(_log_lines(chunk, game.n, args.seed, args.mode))
 
     if args.mode == "relation":
-        print(f"relation trials: {args.trials}, satisfied: {ok_count}")
+        print(f"relation trials: {args.trials}, satisfied: {won}")
         print("target: all trials satisfy the relation")
-        if ok_count != args.trials:
+        if won != args.trials:
             print("exactness violated: relation failed", file=sys.stderr)
             return EXIT_INTERNAL
     else:
-        rate = cases["case1"] / args.trials
+        invalid = clean - clean_won
         print(f"sampling trials: {args.trials}")
-        print(f"case1: {cases['case1']} (rate {rate}), case2: {cases['case2']}, "
-              f"invalid: {cases['invalid']}")
+        print(f"case1: {clean_won} (rate {clean_won / args.trials}), case2: {args.trials - clean}, "
+              f"invalid: {invalid}")
         print(f"target: case1 rate near 1/64 = {1 / 64}, invalid exactly 0")
-        if cases["invalid"]:
+        if invalid:
             print("exactness violated: invalid trials occurred", file=sys.stderr)
             return EXIT_INTERNAL
     return EXIT_OK

@@ -18,9 +18,9 @@ branch iff its own uniform falls below that branch's probability.  Trial
 t reads each number from a fixed slot of its own ``TrialStream``, a pure
 function of (seed, t, slot), so results never depend on how trials are
 grouped; ``play_rounds`` plays many rounds CHUNK at a time.
-``StrategyStack.measure`` returns every round, game round or shallow-circuit
-trial, as one ``RoundResult`` judged by the game's win rule, the library's
-only one.
+``StrategyStack.measure`` judges a chunk of game rounds or trials by the
+game's win rule, the library's only one, and returns one ``Rounds`` record
+of arrays, a row per round.
 
 The permutation-flavoured solution for the complete-graph game lives in
 dimension n: vertex operators flip one basis sign, edge operators swap two
@@ -46,6 +46,8 @@ from .pauli import PauliString
 # Trials measured together by the batched drivers; no output depends on it.
 # On the simulate commands 64 ran ~10% slower, 256 or 512 no faster.
 CHUNK = 128
+# The largest error the strategy checks forgive, commutators' and reports' alike.
+TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +207,22 @@ class OperatorVerifyReport:
         return self.hermitian_ok and self.commutation_ok and self.products_ok
 
 
-def verify_operator_solution(bcs: Bcs, sol: OperatorSolution, tol: float = 1e-9) -> OperatorVerifyReport:
+def verify_operator_solution(bcs: Bcs, sol: OperatorSolution, tol: float = TOL) -> OperatorVerifyReport:
     """Max-norm checks of Hermiticity, involution, within-constraint
     commutation, and signed constraint products, over the whole ``_stack``
     at once, products as gathers of its padded member rows.
     ``failing_constraint`` is the first whose commutators or product fail."""
-    ops, members, rhs = _stack(bcs, sol)
-    eye = np.eye(sol.dim)
+    return _verify(*_stack(bcs, sol), tol)
+
+
+def _verify(ops, members, rhs, commutators, tol: float) -> OperatorVerifyReport:
+    """The report on a ``_stack`` layout."""
+    eye = np.eye(ops.shape[-1])
     hermitian = float(np.abs(ops - ops.conj().swapaxes(1, 2)).max())
     involution = float(np.abs(ops @ ops - eye).max())
-    commutators = _worst_commutators(ops, [sorted(c.support) for c in bcs.constraints])
     errors = np.zeros(len(members))
     for block in batches(range(len(members))):  # CHUNK products at a time, so memory stays small
-        products = np.broadcast_to(eye, (len(block), sol.dim, sol.dim))
+        products = np.broadcast_to(eye, (len(block),) + eye.shape)
         for column in members[block].T:
             products = products @ ops[column]
         errors[block] = np.abs(products - rhs[block, None, None] * eye).max(axis=(1, 2), initial=0.0)
@@ -317,18 +322,22 @@ def batches(items: Iterable) -> Iterator[list]:
 
 
 @dataclass
-class RoundResult:
-    """One judged round: Alice's outcomes for her constraint's variables in
-    ascending order, Bob's outcome, and whether the round is won."""
-    constraint: int
-    alice_outcomes: tuple[int, ...]
-    bob_outcome: int
-    won: bool
+class Rounds:
+    """Judged rounds as arrays, row t one round: question (``alphas[t]``,
+    ``betas[t]``) of ``widths[t]`` variables, Alice's outcomes in ascending
+    variable order, +1 on her padded steps, then Bob's, in ``outcomes[t]``,
+    and ``won[t]`` by the game's win rule."""
+    alphas: np.ndarray
+    betas: np.ndarray
+    widths: np.ndarray
+    outcomes: np.ndarray
+    won: np.ndarray
 
 
-def _stack(bcs: Bcs, sol: OperatorSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stack(bcs: Bcs, sol: OperatorSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The (V + 1, d, d) stack of observables, the constraints' members as
-    rows of indices into it, and their signs.  Row v is variable v's
+    rows of indices into it, their signs, and their worst commutators over
+    their supports, cancelled variables included.  Row v is variable v's
     observable, and row V the real identity, which pads each constraint's
     row to the widest.  A missing or misshapen observable raises ValueError."""
     for v, name in enumerate(bcs.variables):
@@ -339,25 +348,31 @@ def _stack(bcs: Bcs, sol: OperatorSolution) -> tuple[np.ndarray, np.ndarray, np.
     rows = [c.var_indices for c in bcs.constraints]
     width = max(map(len, rows), default=0)
     members = np.array([row + (bcs.n_vars,) * (width - len(row)) for row in rows], dtype=int)
-    return ops, members.reshape(len(rows), width), np.array([c.rhs for c in bcs.constraints], dtype=int)
+    rhs = np.array([c.rhs for c in bcs.constraints], dtype=int)
+    commutators = _worst_commutators(ops, [sorted(c.support) for c in bcs.constraints])
+    return ops, members.reshape(len(rows), width), rhs, commutators
 
 
 class StrategyStack:
-    """A strategy's observables laid out by ``_stack`` for batched rounds,
-    so that a batch's step is one gather of ``ops`` rows, row ``pad`` the
-    identity.  Each constraint's observables are checked to commute once, here.
+    """A strategy's observables laid out by ``_stack`` for ``bcs``'s batched
+    rounds, so that a batch's step is one gather of ``ops`` rows, row ``pad``
+    the identity.  Each constraint's support is checked to commute once, here;
+    ``verify`` reuses that check in ``verify_operator_solution``'s report.
     """
 
     def __init__(self, bcs: Bcs, sol: OperatorSolution) -> None:
-        self.pad = bcs.n_vars
-        self.ops, self.members, self.rhs = _stack(bcs, sol)
+        self.bcs, self.dim, self.pad = bcs, sol.dim, bcs.n_vars
+        self.ops, self.members, self.rhs, self.commutators = _stack(bcs, sol)
         self.widths = np.sum(self.members != self.pad, axis=1)
-        worst = _worst_commutators(self.ops, [c.var_indices for c in bcs.constraints])
-        if np.any(worst > 1e-9):
-            raise ValueError(f"observables of constraint {int(np.argmax(worst > 1e-9))} do not commute")
+        if np.any(self.commutators > TOL):
+            raise ValueError(f"observables of constraint {np.argmax(self.commutators > TOL)} do not commute")
+
+    def verify(self) -> OperatorVerifyReport:
+        """The strategy's ``verify_operator_solution`` report at ``TOL``."""
+        return _verify(self.ops, self.members, self.rhs, self.commutators, TOL)
 
     def measure(self, amplitudes: np.ndarray, alphas: np.ndarray, betas: np.ndarray,
-                alice_uniforms: np.ndarray, bob_uniforms: np.ndarray) -> list[RoundResult]:
+                alice_uniforms: np.ndarray, bob_uniforms: np.ndarray) -> Rounds:
         """Measure trial t's question (alphas[t], betas[t]) on ``amplitudes[t]``,
         Alice's step i at ``alice_uniforms[t, i]`` (uniform 0 where it pads a
         narrower constraint) and Bob's at ``bob_uniforms[t]``, and judge it by
@@ -377,35 +392,36 @@ class StrategyStack:
         alice, bob = outcomes[:, :-1], outcomes[:, -1:]
         agree = np.all((members != betas[:, None]) | (alice == bob), axis=1)
         won = (alice.prod(axis=1) == self.rhs[alphas]) & agree
-        rows = zip(alphas.tolist(), widths.tolist(), outcomes.tolist(), won.tolist())
-        return [RoundResult(alpha, tuple(row[:width]), row[-1], ok) for alpha, width, row, ok in rows]
+        return Rounds(alphas, betas, widths, outcomes, won)
 
 
-def play_rounds(game: GameBcs, sol: OperatorSolution, seed: int, trials: int) -> Iterator[RoundResult]:
-    """``trials`` game rounds, measured CHUNK rounds at a time.
+def play_rounds(game: GameBcs, stack: StrategyStack, seed: int, trials: int) -> Iterator[Rounds]:
+    """``trials`` game rounds of ``stack``'s strategy, a ``Rounds`` per CHUNK.
 
     Round t's ``TrialStream`` slot 0 picks a uniform (constraint alpha,
     member beta) question, and slots 1, 2, ... are its steps' uniforms.  On
     a fresh maximally entangled state Alice measures alpha's observables in
     ascending variable order, then Bob the transpose of beta's, through
     ``measure_batch``; ``StrategyStack.measure`` judges each round.  Seed,
-    trial count and commutation are checked when this is called.
+    trial count and that ``stack`` lays out ``game``'s BCS are checked when
+    this is called.
     """
+    if stack.bcs is not game.bcs:
+        raise ValueError("the strategy stack is not laid out for this game's BCS")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     stream = TrialStream(seed)
     questions = np.array(enumerate_questions(game), dtype=int).reshape(-1, 2)
-    stack = StrategyStack(game.bcs, sol)
     slots = range(2 + stack.members.shape[1])
 
-    def rounds() -> Iterator[RoundResult]:
+    def rounds() -> Iterator[Rounds]:
         for chunk in batches(range(trials)):
             words = stream.words(np.array(chunk)[:, None], slots)
             alphas, betas = questions[below(words[:, 0], len(questions))].T
             u = uniforms(words[:, 1:])
-            phi = np.broadcast_to(phi_plus(sol.dim), (len(chunk), sol.dim, sol.dim))
+            phi = np.broadcast_to(phi_plus(stack.dim), (len(chunk), stack.dim, stack.dim))
             # Bob's step follows Alice's, so it reads slot 1 + width.
-            yield from stack.measure(phi, alphas, betas, u, u[np.arange(len(chunk)), stack.widths[alphas]])
+            yield stack.measure(phi, alphas, betas, u, u[np.arange(len(chunk)), stack.widths[alphas]])
 
     return rounds()
 

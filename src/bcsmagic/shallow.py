@@ -24,8 +24,8 @@ every correction is checked there, once, to restore its frame state.  The
 sampling variant plays on the uncorrected frame state and succeeds outright
 when every parity is +1, that is at frame key 0, with probability 1/64.
 ``run_trials`` runs both, a chunk of ``quantum.TrialStream`` trials per
-``quantum.measure_batch`` call, and returns each trial's round 2 as the
-game round it is, judged by the win rule in ``quantum.StrategyStack.measure``.
+``quantum.measure_batch`` call, and returns each chunk as one ``Trials``
+record of arrays, round 2 judged as a game round.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
 wires, validated and indexed by layer once, when the wiring is built.
@@ -51,26 +51,23 @@ from .bcs import InvariantError
 from .game import GameBcs
 from .gf2 import set_bits
 from .pauli import PauliString
-from .quantum import (OperatorSolution, RoundResult, StrategyStack, TrialStream, batches, below,
-                      phi_plus, uniforms)
+from .quantum import (OperatorSolution, Rounds, StrategyStack, TrialStream, batches, below, phi_plus,
+                      uniforms)
 
 
 # ---------------------------------------------------------------------------
 # Relation problem
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationInstance:
-    N: int
-    n: int
-    j: int
-    k: int
-    alpha: int
-    beta: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.j < self.k <= self.N:
-            raise ValueError(f"need 1 <= j < k <= N, got j={self.j}, k={self.k}, N={self.N}")
+@dataclass
+class Trials(Rounds):
+    """Trials' round 2 as ``Rounds``, and per trial its chain length ``N``,
+    sites ``j`` < ``k``, index in ``trials``, and whether its frame is clean."""
+    N: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    trials: np.ndarray
+    clean: np.ndarray
 
 
 @functools.cache
@@ -127,8 +124,8 @@ def _frame_keys(stream: TrialStream, trials: np.ndarray, junctions: np.ndarray) 
 
 
 def run_trials(game: GameBcs, sol: OperatorSolution, sites: int | tuple[int, int], seed: int,
-               trials: int, mode: str = "relation") -> Iterator[tuple[RelationInstance, RoundResult, bool]]:
-    """``trials`` relation or sampling trials, measured CHUNK at a time.
+               trials: int, mode: str = "relation") -> Iterator[Trials]:
+    """``trials`` relation or sampling trials, a ``Trials`` per CHUNK.
 
     Trial t's ``quantum.TrialStream`` slots 0 to 3 draw a uniform instance,
     sites j < k and a question (alpha, beta), beta over every variable;
@@ -136,12 +133,11 @@ def run_trials(game: GameBcs, sol: OperatorSolution, sites: int | tuple[int, int
     outcomes start at ``BELL_SLOT``.  ``sites`` is the chain length, or a
     pair (lo, hi) from which slot -1 draws it.  Round 2 starts from the
     corrected state, |Phi+>, in a relation trial and from the uncorrected
-    frame state in a sampling trial.  Each yields (instance, RoundResult,
-    clean): the round as ``quantum.StrategyStack.measure`` judged it, and
-    whether its frame key is 0.  A relation trial holds iff its round is
-    won; a sampling trial is case 1 iff clean and won.  Mode, dimension,
-    constraint width (three per site), sites, trial count and seed are
-    checked when this is called.
+    frame state in a sampling trial, and ``quantum.StrategyStack.measure``
+    judges it.  A relation trial holds iff its round is won; a sampling
+    trial is case 1 iff clean and won.  Mode, dimension, constraint width
+    (three per site), sites, trial count and seed are checked when this is
+    called.
     """
     if mode not in ("relation", "sampling"):
         raise ValueError(f"unknown trial mode {mode!r}")
@@ -157,7 +153,7 @@ def run_trials(game: GameBcs, sol: OperatorSolution, sites: int | tuple[int, int
     stream = TrialStream(seed)
     stack = StrategyStack(game.bcs, sol)
 
-    def generate() -> Iterator[tuple[RelationInstance, RoundResult, bool]]:
+    def generate() -> Iterator[Trials]:
         for chunk in batches(range(trials)):
             chunk = np.array(chunk)
             words = stream.words(chunk[:, None], np.arange(-1, 8))
@@ -171,10 +167,8 @@ def run_trials(game: GameBcs, sol: OperatorSolution, sites: int | tuple[int, int
             states = frame_tables()[0][keys]
             if mode == "relation":  # |Phi+>, as frame_tables checks every correction
                 states = np.broadcast_to(phi_plus(8), states.shape)
-            results = stack.measure(states, alphas, betas, u, u[:, 3])
-            fields = zip(n_sites.tolist(), j.tolist(), k.tolist(), alphas.tolist(), betas.tolist())
-            for (N, j_t, k_t, alpha, beta), key, result in zip(fields, keys.tolist(), results):
-                yield RelationInstance(N, game.n, j_t, k_t, alpha, beta), result, key == 0
+            rounds = stack.measure(states, alphas, betas, u, u[:, 3])
+            yield Trials(**vars(rounds), N=n_sites, j=j, k=k, trials=chunk, clean=keys == 0)
 
     return generate()
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from bcsmagic.shallow import RelationInstance
+from trial_oracle import RelationInstance
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15

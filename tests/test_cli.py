@@ -4,6 +4,8 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import stream_oracle
+import trial_oracle
 from helpers import check_classical_assignment
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -516,7 +518,8 @@ def test_play_golden(n, modified, capsys):
     g = game.build_game_bcs(n, modified=modified)
     rounds = [
         (r.constraint, r.alice_outcomes, r.bob_outcome)
-        for r in quantum.play_rounds(g, _strategy_for(g), 7, 300)
+        for record in quantum.play_rounds(g, _strategy_for(g), 7, 300)
+        for r in trial_oracle.rows(record)
     ]
     assert hashlib.sha256(repr(rounds).encode()).hexdigest() == _GOLDEN_ROUNDS[n, modified]
 
@@ -563,8 +566,8 @@ def test_unusable_out_path_exits_2(tmp_path, mermin_file, capsys, argv):
 
 
 def test_simulate_closes_its_log_when_a_trial_raises(tmp_path, monkeypatch, capsys):
-    """A fault after the first trial exits 1 and leaves the --out log closed,
-    with that trial's record written."""
+    """A fault after the first chunk of trials exits 1 and leaves the --out
+    log closed, with that chunk's records written."""
     run_trials = shallow.run_trials
 
     def one_then_fault(*args, **kwargs):
@@ -585,7 +588,57 @@ def test_simulate_closes_its_log_when_a_trial_raises(tmp_path, monkeypatch, caps
                  "--seed", "1", "--out", str(log)]) == 1
     assert "planted fault" in capsys.readouterr().err
     assert len(opened) == 1 and opened[0].closed
-    assert len(log.read_text().splitlines()) == 1
+    assert [json.loads(line)["trial"] for line in log.read_text().splitlines()] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("mode", ["relation", "sampling"])
+@pytest.mark.parametrize("seed,sites", [(0, 30), (2 ** 64 + 3, 17), (5, 2)])
+def test_simulate_log_lines_are_json_dumps_of_the_oracle_records(mode, seed, sites, tmp_path):
+    """Every --out line, across a chunk boundary, is json.dumps of the
+    record the one-trial oracle builds from the scalar stream oracle."""
+    trials = quantum.CHUNK + 12
+    log = tmp_path / "trials.jsonl"
+    assert main(["simulate", "--mode", mode, "--sites", str(sites), "--trials", str(trials),
+                 "--seed", str(seed), "--out", str(log)]) == 0
+    g = game.build_game_bcs(8, modified=True)
+    sol = quantum.permutation_solution(g)
+    expected = []
+    for t in range(trials):
+        inst = stream_oracle.instance(g, sites, seed, t)
+        draws = stream_oracle.trial_draws(seed, t, len(g.bcs.constraints[inst.alpha].var_indices))
+        if mode == "relation":
+            transcript = trial_oracle.run_round1(inst, draws)
+            result = trial_oracle.run_round2(g, inst, transcript, sol, draws)
+            is_clean = trial_oracle.clean(transcript)
+        else:
+            result, is_clean = trial_oracle.run_sampling_trial(g, inst, sol, draws)
+        expected.append(json.dumps(trial_oracle.log_record(mode, seed, t, inst, result, is_clean)))
+    assert log.read_text().splitlines() == expected
+    if mode == "sampling":
+        assert {json.loads(line)["case"] for line in expected} >= {"case1", "case2"}
+
+
+def test_play_verifies_the_strategy_and_checks_commutators_once(monkeypatch, capsys):
+    """play --n 8 checks the magic strategy's commutators once, and a
+    strategy that fails any check is an internal fault, exit 1."""
+    calls = []
+    worst = quantum._worst_commutators
+    monkeypatch.setattr(quantum, "_worst_commutators", lambda *a: calls.append(1) or worst(*a))
+    assert main(["play", "--n", "8", "--trials", "10", "--seed", "1"]) == 0
+    assert len(calls) == 1
+    g = game.build_game_bcs(8)
+    good = quantum.permutation_solution(g)
+    c = g.bcs.constraints[0]
+    swapped = dict(good.assignment)  # two of constraint 0's observables no longer commute
+    swapped[c.var_indices[0]] = good.assignment[g.x(1, 2)]
+    flipped = {**good.assignment, g.a(1): -good.assignment[g.a(1)]}  # commutes, products fail
+    for assignment, reason in ((swapped, "do not commute"), (flipped, "worst_product")):
+        bad = quantum.OperatorSolution(8, assignment)
+        monkeypatch.setattr(quantum, "permutation_solution", lambda _game, bad=bad: bad)
+        capsys.readouterr()
+        assert main(["play", "--n", "8", "--trials", "10", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "strategy failed verification" in err and reason in err
 
 
 def test_recipes(capsys):

@@ -9,7 +9,7 @@ import stream_oracle
 from helpers import (enumerate_distribution, philox_rng, split_variable, table_operator_solution,
                      table_pauli_solution)
 from pauli_report_oracle import identity, transpose
-from trial_oracle import measure_commuting, play_round, wins
+from trial_oracle import RoundResult, measure_commuting, play_round, rows, wins
 
 from bcsmagic import bcs, game, pauli, quantum
 from bcsmagic.bcs import mermin_peres, pauli_solve, verify_pauli_solution
@@ -138,6 +138,12 @@ def test_batched_verification_equals_loop_oracle(strategy, n, fault, seed):
     report = verify_operator_solution(system, sol, 1e-9)
     assert vars(report) == vars(operator_oracle.verify_operator_solution(system, sol, 1e-9))
     assert not report.ok and report.failing_constraint is not None
+    # A stack's report reuses its commutation check; a stack rejects non-commuting observables.
+    if not report.commutation_ok:
+        with pytest.raises(ValueError, match="do not commute"):
+            quantum.StrategyStack(system, sol)
+    else:
+        assert vars(quantum.StrategyStack(system, sol).verify()) == vars(report)
     failed = {"hermitian": report.worst_hermitian, "involution": report.worst_involution,
               "commutation": report.worst_commutator, "sign": report.worst_product}
     assert failed[fault] > 1e-9
@@ -163,6 +169,18 @@ def test_batched_verification_equals_loop_oracle_on_random_matrices(seed):
     report = verify_operator_solution(system, sol)
     assert vars(report) == vars(operator_oracle.verify_operator_solution(system, sol))
     assert report.failing_constraint == 0
+
+
+def test_cancelled_support_variables_must_commute():
+    """A variable that cancels out of a constraint's product still belongs
+    to its support: the report and the stack both check its commutators."""
+    system = bcs.Bcs(["a", "b"], [bcs.make_constraint([0, 1, 1], 1)])
+    sol = OperatorSolution(2, {0: to_matrix(parse_pauli("X")), 1: to_matrix(parse_pauli("Z"))})
+    report = verify_operator_solution(system, sol)
+    assert vars(report) == vars(operator_oracle.verify_operator_solution(system, sol))
+    assert (report.worst_commutator, report.failing_constraint) == (2.0, 0)
+    with pytest.raises(ValueError, match="constraint 0 do not commute"):
+        quantum.StrategyStack(system, sol)
 
 
 def test_verify_empty_system_is_ok():
@@ -513,14 +531,16 @@ def test_strategy_stack_matches_one_trial_measurements():
     alphas, betas = np.array(questions).T
     u = gen.random((len(questions), 9))
     results = stack.measure(states, alphas, betas, u[:, :8], u[:, 8])
-    for t, ((alpha, beta), r) in enumerate(zip(questions, results)):
+    assert results.outcomes.shape == (len(questions), 9)
+    assert (results.alphas.tolist(), results.betas.tolist()) == (alphas.tolist(), betas.tolist())
+    for t, ((alpha, beta), r) in enumerate(zip(questions, rows(results), strict=True)):
         c = g.bcs.constraints[alpha]
         rng = _Uniforms([*u[t, :len(c.var_indices)], u[t, 8]])
         alice = [sol.assignment[v] for v in c.var_indices]
         a_out, state = measure_commuting(states[t], "A", alice, rng)
         (b_out,), _ = measure_commuting(state, "B", [sol.assignment[beta].T], rng)
-        assert r == quantum.RoundResult(alpha, tuple(a_out), b_out, wins(c, beta, a_out, b_out))
-    assert {r.won for r in results} == {True, False}
+        assert r == RoundResult(alpha, tuple(a_out), b_out, wins(c, beta, a_out, b_out))
+    assert set(results.won.tolist()) == {True, False}
 
 
 @pytest.mark.parametrize("n,conjugate", [(8, False), (8, True), (4, True), (5, False)])
@@ -535,14 +555,18 @@ def test_play_rounds_equal_a_loop_of_play_round(n, conjugate, monkeypatch):
         sol = _conjugated(sol, n)
     pairs = enumerate_questions(g)
     seed = 90 + n
-    expected = []
+    expected, questions = [], []
     for t in range(300):
         alpha, beta = stream_oracle.play_question(pairs, seed, t)
         draws = stream_oracle.play_draws(seed, t, len(g.bcs.constraints[alpha].var_indices))
         expected.append(play_round(g, sol, (alpha, beta), draws))
+        questions.append((alpha, beta))
     monkeypatch.setattr(quantum, "CHUNK", 37)
-    batched = list(play_rounds(g, sol, seed, 300))
+    records = list(play_rounds(g, quantum.StrategyStack(g.bcs, sol), seed, 300))
+    assert [len(r.won) for r in records] == [37] * 8 + [4]
+    batched = [r for record in records for r in rows(record)]
     assert batched == expected
+    assert [(a, b) for r in records for a, b in zip(r.alphas.tolist(), r.betas.tolist())] == questions
     assert all(r.won for r in batched)
 
 
@@ -553,27 +577,27 @@ def test_play_rounds_check_commutation_once_per_constraint():
     sol.assignment[c.var_indices[0]] = to_matrix(parse_pauli("XI"))
     sol.assignment[c.var_indices[1]] = to_matrix(parse_pauli("ZI"))
     # Checked when the stack is built, before any round draws the constraint.
-    with pytest.raises(ValueError, match="commute"):
-        play_rounds(g, sol, 0, 200)
     with pytest.raises(ValueError, match="constraint 0 do not commute"):
         quantum.StrategyStack(g.bcs, sol)
-    with pytest.raises(ValueError, match="commute"):
-        play_rounds(g, sol, 0, 0)
     report = quantum.verify_operator_solution(g.bcs, sol)
     assert (report.worst_commutator, report.failing_constraint) == (2.0, 0)
     assert not report.commutation_ok
 
 
 def test_play_rounds_validate_when_called():
-    """A bad seed or trial count raises when play_rounds is called, before
-    the first round is asked for."""
+    """A bad seed or trial count, or a stack laid out for another game's
+    BCS, raises when play_rounds is called, before the first round is asked
+    for."""
     g = build_game_bcs(4)
-    sol = permutation_solution(g)
+    stack = quantum.StrategyStack(g.bcs, permutation_solution(g))
+    for other in (build_game_bcs(8), build_game_bcs(4)):  # larger, and equal but not the same BCS
+        with pytest.raises(ValueError, match="not laid out for this game"):
+            play_rounds(other, stack, 7, 5)
     with pytest.raises(ValueError, match="seed"):
-        play_rounds(g, sol, -1, 5)
+        play_rounds(g, stack, -1, 5)
     with pytest.raises(ValueError, match="trials"):
-        play_rounds(g, sol, 7, -1)
-    assert list(play_rounds(g, sol, 2 ** 70, 0)) == []
+        play_rounds(g, stack, 7, -1)
+    assert list(play_rounds(g, stack, 2 ** 70, 0)) == []
 
 
 # ---------------------------------------------------------------------------

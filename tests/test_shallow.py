@@ -8,7 +8,8 @@ from helpers import philox_rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from swap_oracle import bell_vector, enumerate_swap_branches
-from trial_oracle import clean, compute_syndrome, frame_key, run_round1, run_round2, run_sampling_trial
+from trial_oracle import (RelationInstance, clean, compute_syndrome, frame_key, rows, run_round1, run_round2,
+                          run_sampling_trial, trial_rows)
 
 from bcsmagic import pauli, quantum, shallow
 from bcsmagic.bcs import InvariantError
@@ -17,7 +18,6 @@ from bcsmagic.quantum import OperatorSolution, permutation_solution, phi_plus
 from bcsmagic.shallow import (
     CircuitDag,
     Gate,
-    RelationInstance,
     backward_cone_sizes,
     backward_lightcone,
     build_strategy_dag,
@@ -239,8 +239,8 @@ def test_check_relation_foreign_beta_vacuous(game8, sol8):
     for sol, won in ((sol8, True), (flipped, False)):
         stack = quantum.StrategyStack(game8.bcs, sol)
         results = stack.measure(phi, np.zeros(40, dtype=int), np.full(40, beta), u, u[:, 3])
-        assert {r.won for r in results} == {won}
-        assert {r.bob_outcome for r in results} == {1, -1}
+        assert set(results.won.tolist()) == {won}
+        assert set(results.outcomes[:, -1].tolist()) == {1, -1}
 
 
 def test_real_and_complex_stacks_measure_alike(game8, sol8):
@@ -256,8 +256,11 @@ def test_real_and_complex_stacks_measure_alike(game8, sol8):
         alphas, betas = questions[rng.integers(len(questions), size=128)].T
         u = rng.random((128, 4))
         results = real.measure(states, alphas, betas, u, u[:, 3])
-        assert results == complex_.measure(states.astype(complex), alphas, betas, u, u[:, 3])
-        assert {r.won for r in results} == {True, False}
+        cast_results = complex_.measure(states.astype(complex), alphas, betas, u, u[:, 3])
+        assert rows(results) == rows(cast_results)
+        for name, column in vars(results).items():
+            np.testing.assert_array_equal(column, getattr(cast_results, name), strict=True)
+        assert set(results.won.tolist()) == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +310,9 @@ def test_run_trials_relation_equals_a_loop(game8, sol8, monkeypatch):
         transcript = run_round1(inst, draws)
         expected.append((inst, run_round2(game8, inst, transcript, sol8, draws), clean(transcript)))
     monkeypatch.setattr(quantum, "CHUNK", 16)
-    batched = list(run_trials(game8, sol8, (2, 400), 2718, 150))
+    records = list(run_trials(game8, sol8, (2, 400), 2718, 150))
+    assert [r.trials.tolist() for r in records] == [list(range(t, min(t + 16, 150))) for t in range(0, 150, 16)]
+    batched = [row for record in records for row in trial_rows(record, 8)]
     assert batched == expected
     assert all(result.won for _, result, _ in batched)
     assert max(inst.k - inst.j for inst, _, _ in batched) > 128
@@ -319,7 +324,9 @@ def test_run_trials_sampling_equals_a_loop(game8, sol8, monkeypatch):
         inst, draws = _oracle_trial(game8, 6, 1414, t)
         expected.append((inst, *run_sampling_trial(game8, inst, sol8, draws)))
     monkeypatch.setattr(quantum, "CHUNK", 45)
-    batched = list(run_trials(game8, sol8, 6, 1414, 300, "sampling"))
+    records = list(run_trials(game8, sol8, 6, 1414, 300, "sampling"))
+    assert [r.trials.tolist() for r in records] == [list(range(t, min(t + 45, 300))) for t in range(0, 300, 45)]
+    batched = [row for record in records for row in trial_rows(record, 8)]
     assert batched == expected
     assert {is_clean for _, _, is_clean in batched} == {True, False}
     assert all(result.won for _, result, is_clean in batched if is_clean)

@@ -2,8 +2,12 @@
 own projector arithmetic.
 
 ``quantum.play_rounds`` and ``shallow.run_trials`` measure many trials per
-``quantum.measure_batch`` call.  This module keeps the protocol one trial
-at a time as their reference, and shares no measurement code with them.
+``quantum.measure_batch`` call and return each chunk as one record of
+arrays.  This module keeps the protocol one trial at a time as their
+reference, a round as a ``RoundResult`` and an instance as a
+``RelationInstance``, and shares no measurement code with them; ``rows``
+reads a record's rows as ``RoundResult``s, and ``log_record`` is the trial
+log's record as ``simulate --out`` writes it.
 A step draws one uniform, projects the named side onto (I + O)/2 and
 (I - O)/2, takes the +1 branch iff the uniform falls below its squared
 norm, and renormalises the branch it took.  Round 2 starts from the frame
@@ -23,11 +27,70 @@ from functools import reduce
 import numpy as np
 
 from bcsmagic.bcs import InvariantError
-from bcsmagic.quantum import RoundResult
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+@dataclass
+class RoundResult:
+    """One judged round: Alice's outcomes for her constraint's variables in
+    ascending order, Bob's outcome, and whether the round is won."""
+    constraint: int
+    alice_outcomes: tuple[int, ...]
+    bob_outcome: int
+    won: bool
+
+
+@dataclass(frozen=True)
+class RelationInstance:
+    N: int
+    n: int
+    j: int
+    k: int
+    alpha: int
+    beta: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.j < self.k <= self.N:
+            raise ValueError(f"need 1 <= j < k <= N, got j={self.j}, k={self.k}, N={self.N}")
+
+
+def rows(record) -> list[RoundResult]:
+    """A ``quantum.Rounds`` record's rows, Alice's outcomes cut to each
+    constraint's width.  Her padded steps must read +1."""
+    outcomes = record.outcomes.tolist()
+    for row, width in zip(outcomes, record.widths.tolist()):
+        if row[width:-1] != [1] * (len(row) - 1 - width):
+            raise AssertionError(f"a padded step read {row[width:-1]}")
+    return [RoundResult(alpha, tuple(row[:width]), row[-1], won)
+            for alpha, width, row, won in zip(record.alphas.tolist(), record.widths.tolist(), outcomes,
+                                              record.won.tolist())]
+
+
+def trial_rows(record, n) -> list[tuple[RelationInstance, RoundResult, bool]]:
+    """A ``shallow.Trials`` record's rows as (instance, round, clean), for
+    the game of n vertices; each instance is checked as it is built."""
+    fields = zip(record.N.tolist(), record.j.tolist(), record.k.tolist(), record.alphas.tolist(),
+                 record.betas.tolist())
+    return [(RelationInstance(N, n, j, k, alpha, beta), result, is_clean)
+            for (N, j, k, alpha, beta), result, is_clean in zip(fields, rows(record), record.clean.tolist())]
+
+
+def log_record(mode, seed, t, instance, result, is_clean) -> dict:
+    """Trial t's ``simulate --out`` record: ``r_a`` Alice's outcomes padded
+    with +1 to three, ``r_b`` Bob's padded to three, then ``ok`` for a
+    relation trial or the case for a sampling trial."""
+    record = {
+        "N": instance.N, "n": instance.n, "j": instance.j, "k": instance.k,
+        "alpha": instance.alpha, "beta": instance.beta, "seed": seed, "trial": t,
+        "r_a": list(result.alice_outcomes) + [1] * (3 - len(result.alice_outcomes)),
+        "r_b": [result.bob_outcome, 1, 1],
+    }
+    if mode == "relation":
+        return {**record, "ok": result.won}
+    return {**record, "case": ("case1" if result.won else "invalid") if is_clean else "case2"}
 
 
 def measure_commuting(amplitudes, side, observables, rng):
