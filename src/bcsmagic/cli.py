@@ -66,10 +66,8 @@ def cmd_solve(args) -> int:
 def cmd_gen(args) -> int:
     game = game_mod.build_game_bcs(args.n, modified=args.modified)
     counts = game_mod.count_questions(args.n)
-    expected = counts.modified_alice if args.modified else counts.alice
-    if len(game.bcs.constraints) != expected:
-        print("internal error: generated counts disagree with closed forms", file=sys.stderr)
-        return EXIT_INTERNAL
+    if len(game.bcs.constraints) != (counts.modified_alice if args.modified else counts.alice):
+        raise bcs_mod.InvariantError("generated counts disagree with closed forms")
     out = Path(args.out)
     out.write_text(bcs_mod.serialize_bcs(game.bcs))
     sidecar = out.with_suffix(out.suffix + ".names.json")

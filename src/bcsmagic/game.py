@@ -25,6 +25,10 @@ The modified family splits the single n-variable product constraint into a
 chain of three-variable constraints using n-3 prefix variables, so every
 constraint involves exactly three variables.  Chain variables are appended
 after all graph variables to keep indices stable across the two forms.
+
+Variables are numbered family by family, a, x, y, z, b, c, then the chain,
+each in emission order, so every index is a family offset plus the rank of
+a vertex, edge, matching or ordered matching, and no name is looked up.
 """
 from __future__ import annotations
 
@@ -33,7 +37,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .bcs import Bcs, make_constraint
+import numpy as np
+
+from .bcs import Bcs, Constraint
 
 Edge = tuple[int, int]
 
@@ -64,10 +70,7 @@ class GameBcs:
         return self.var_index[_edge_name("z", _edge(u, v))]
 
     def b(self, e1: Edge, e2: Edge) -> int:
-        e1, e2 = _edge(*e1), _edge(*e2)
-        if e2 < e1:
-            e1, e2 = e2, e1
-        return self.var_index[_pair_name("b", e1, e2)]
+        return self.var_index[_pair_name("b", *sorted((_edge(*e1), _edge(*e2))))]
 
     def c(self, e1: Edge, e2: Edge) -> int:
         return self.var_index[_pair_name("c", _edge(*e1), _edge(*e2))]
@@ -98,71 +101,58 @@ def _pair_name(kind: str, e1: Edge, e2: Edge) -> str:
     return f"{kind}{e1[0]}_{e1[1]}|{e2[0]}_{e2[1]}"
 
 
-def _matchings(quad: tuple[int, int, int, int]) -> list[tuple[Edge, Edge]]:
-    p1, p2, p3, p4 = quad
-    return [
-        ((p1, p2), (p3, p4)),
-        ((p1, p3), (p2, p4)),
-        ((p1, p4), (p2, p3)),
-    ]
+# Each matching of a 4-set as the positions, in the sorted 4-set, of its
+# first edge's ends and then its second's; the first edge holds the least vertex.
+_MATCHINGS = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]])
+# c(e, f) and c(f, e) of matching m are a 4-set's c slots 2m and 2m + 1, so slot s's
+# second edge is edge row s ^ 1; vertex t's c-product holds the slots whose second edge holds t.
+_C_ROWS = np.array([[s for s in range(6) if t in _MATCHINGS.reshape(6, 2)[s ^ 1]] for t in range(4)])
 
 
 def build_game_bcs(n: int, modified: bool = False) -> GameBcs:
-    """Generate the size-n instance; all orderings are lexicographic."""
+    """Generate the size-n instance; all orderings are lexicographic, and
+    each family's constraints are one array of offset-plus-rank indices."""
     if n < 4:
         raise ValueError("the game family needs at least 4 vertices")
     vertices = range(1, n + 1)
-    edges = [tuple(e) for e in itertools.combinations(vertices, 2)]
-    quads = list(itertools.combinations(vertices, 4))
+    edges = list(itertools.combinations(vertices, 2))
+    quads = np.array(list(itertools.combinations(vertices, 4)))
+    ends = quads[:, _MATCHINGS]  # (4-set, matching, first edge's ends then second's)
+    pairs = [((p, q), (r, s)) for p, q, r, s in ends.reshape(-1, 4).tolist()]
 
     names: list[str] = [f"a{v}" for v in vertices]
-    for kind in ("x", "y", "z"):
-        names.extend(_edge_name(kind, e) for e in edges)
-    for quad in quads:
-        names.extend(_pair_name("b", e1, e2) for e1, e2 in _matchings(quad))
-    for quad in quads:
-        for e1, e2 in _matchings(quad):
-            names.append(_pair_name("c", e1, e2))
-            names.append(_pair_name("c", e2, e1))
+    names += [_edge_name(kind, e) for kind in "xyz" for e in edges]
+    names += [_pair_name("b", e, f) for e, f in pairs]
+    names += [_pair_name("c", *ordered) for e, f in pairs for ordered in ((e, f), (f, e))]
     if modified:
-        names.extend(f"a1..{k}" for k in range(2, n - 1))
+        names += [f"a1..{k}" for k in range(2, n - 1)]
 
-    index = {name: i for i, name in enumerate(names)}
-    game = GameBcs(n, modified, Bcs(names, []), index)
-
-    cons = []
-    for u, v in edges:
-        cons.append(make_constraint([game.a(u), game.a(v), game.y(u, v)], 1))
-    for u, v in edges:
-        cons.append(make_constraint([game.x(u, v), game.y(u, v), game.z(u, v)], 1))
-    for quad in quads:
-        for e1, e2 in _matchings(quad):
-            cons.append(make_constraint([game.x(*e1), game.x(*e2), game.b(e1, e2)], 1))
-    for quad in quads:
-        for e1, e2 in _matchings(quad):
-            cons.append(make_constraint([game.x(*e1), game.z(*e2), game.c(e1, e2)], 1))
-            cons.append(make_constraint([game.x(*e2), game.z(*e1), game.c(e2, e1)], 1))
-    for quad in quads:
-        b_vars = [game.b(e1, e2) for e1, e2 in _matchings(quad)]
-        cons.append(make_constraint(b_vars, 1))
-    for quad in quads:
-        for t in quad:
-            tri = [v for v in quad if v != t]
-            c_vars = []
-            for w_i, w in enumerate(tri):
-                e = _edge(*(tri[:w_i] + tri[w_i + 1:]))
-                c_vars.append(game.c(e, (w, t)))
-            cons.append(make_constraint(c_vars, 1))
+    n_e, n_q = len(edges), len(quads)
+    x, y, z, b_0 = (n + i * n_e for i in range(4))  # family offsets; a_v is v - 1
+    u, v = np.array(edges).T
+    r, rank = np.arange(n_e), np.zeros((n + 1, n + 1), dtype=int)
+    rank[u, v] = r
+    e, f = rank[ends[..., 0], ends[..., 1]], rank[ends[..., 2], ends[..., 3]]  # (4-set, matching)
+    b = b_0 + np.arange(3 * n_q).reshape(n_q, 3)
+    c = b_0 + 3 * n_q + np.arange(6 * n_q).reshape(n_q, 3, 2)  # (4-set, matching, order)
+    rows = [
+        np.column_stack([u - 1, v - 1, y + r]),  # a_u a_v y_uv
+        np.column_stack([x + r, y + r, z + r]),  # x_uv y_uv z_uv
+        np.stack([x + e, x + f, b], axis=-1),  # x_e x_f b_ef
+        np.stack([x + np.stack([e, f], -1), z + np.stack([f, e], -1), c], axis=-1),  # x_e z_f c_ef
+        b,  # b b' b''
+        c.reshape(n_q, 6)[:, _C_ROWS],  # c c' c''
+    ]
     if modified:
-        cons.append(make_constraint([game.a(1), game.a(2), game.chain(2)], 1))
-        for k in range(3, n - 1):
-            cons.append(make_constraint([game.chain(k - 1), game.a(k), game.chain(k)], 1))
-        cons.append(make_constraint([game.chain(n - 2), game.a(n - 1), game.a(n)], -1))
+        chain = b_0 + 9 * n_q - 2  # a_1..k is chain + k
+        k = np.arange(3, n - 1)
+        rows += [[[0, 1, chain + 2]], np.column_stack([k - 1, chain + k - 1, chain + k])]
+        last = (n - 2, n - 1, chain + n - 2)
     else:
-        cons.append(make_constraint([game.a(v) for v in vertices], -1))
-
-    game.bcs.constraints = cons
-    return game
+        last = tuple(range(n))
+    rows = np.concatenate([np.reshape(family, (-1, 3)) for family in rows]).tolist()
+    constraints = [Constraint(row, 1) for row in map(tuple, rows)] + [Constraint(last, -1)]
+    return GameBcs(n, modified, Bcs(names, constraints), {name: i for i, name in enumerate(names)})
 
 
 def count_questions(n: int) -> QuestionCounts:

@@ -24,13 +24,13 @@ of arrays, a row per round.
 
 The permutation-flavoured solution for the complete-graph game lives in
 dimension n: vertex operators flip one basis sign, edge operators swap two
-basis vectors, and everything else follows by completing constraints with
-single unknowns.  Its measurements are not Pauli strings for even n >= 6,
-which is exactly why those games need magic.
+basis vectors, and everything else follows by completion in waves, each
+one array pass that finds every constraint with a single unknown and
+batches their products.  Its measurements are not Pauli strings for even
+n >= 6, which is exactly why those games need magic.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from collections.abc import Iterable, Iterator
@@ -130,55 +130,49 @@ def permutation_solution(game: GameBcs) -> OperatorSolution:
     product of all vertex reflections is -I, which is what realizes the
     minus sign of the product constraint in every dimension-n instance.
     """
-    n = game.n
-    assignment: dict[int, np.ndarray] = {}
-    for v in range(1, n + 1):
-        m = np.eye(n)
-        m[v - 1, v - 1] = -1
-        assignment[game.a(v)] = m
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            m = np.eye(n)
-            m[[u - 1, v - 1]] = m[[v - 1, u - 1]]
-            assignment[game.x(u, v)] = m
+    n, eye = game.n, np.eye(game.n)
+    assignment = {game.a(v + 1): eye - 2 * np.outer(eye[v], eye[v]) for v in range(n)}
+    assignment |= {game.x(u + 1, v + 1): eye - np.outer(eye[u] - eye[v], eye[u] - eye[v])
+                   for u, v in itertools.combinations(range(n), 2)}
     return complete_solution(game.bcs, OperatorSolution(n, assignment))
 
 
 def complete_solution(bcs: Bcs, partial: OperatorSolution) -> OperatorSolution:
-    """Fill in every variable that appears as the single unknown of some
-    constraint, iterating until the assignment is total.
-
-    The unknown of ``A_1 .. U .. A_k = c`` is the reversed product of the
-    knowns on each side (inverses of involutions), times the sign.  The
-    completion keeps the knowns' dtype: real knowns give a real solution.
-    """
-    dim = partial.dim
-    assignment = dict(partial.assignment)
-    for m in assignment.values():
+    """Fill in, in waves, every variable that is the single unknown of some
+    constraint, until the assignment is total.  A wave is one pass over the
+    padded members table: the first constraint with a given variable as its
+    only unknown defines it as the reversed product of the knowns on each
+    side (inverses of involutions), times the sign, gathered over one
+    (V, d, d) stack.  Real knowns give a real solution.  A key that is not a
+    variable, mixed dimensions, or a wave that finds nothing raises
+    ValueError."""
+    dim, n_vars = partial.dim, bcs.n_vars
+    ops = np.empty((n_vars, dim, dim), np.result_type(float, *partial.assignment.values()))
+    for v, m in partial.assignment.items():
+        if not isinstance(v, (int, np.integer)) or v not in range(n_vars):
+            raise ValueError(f"assignment key {v!r} is not a variable of the {n_vars}-variable BCS")
         if m.shape != (dim, dim):
             raise ValueError("partial assignment has mixed dimensions")
-    dtype = np.result_type(float, *assignment.values())
-    remaining = set(range(bcs.n_vars)) - set(assignment)
-    while remaining:
-        progress = False
-        for c in bcs.constraints:
-            unknowns = [v for v in c.var_indices if v in remaining]
-            if len(unknowns) != 1:
-                continue
-            u = unknowns[0]
-            pos = c.var_indices.index(u)
-            left = [assignment[v] for v in c.var_indices[:pos]]
-            right = [assignment[v] for v in c.var_indices[pos + 1:]]
-            sign = c.rhs * np.eye(dim, dtype=dtype)
-            assignment[u] = functools.reduce(np.matmul, left[::-1] + [sign] + right[::-1])
-            remaining.discard(u)
-            progress = True
-        if not progress:
-            raise ValueError(
-                f"stuck completing solution: {len(remaining)} variables have no "
-                "constraint with a single unknown"
-            )
-    return OperatorSolution(dim, assignment)
+        ops[int(v)] = m
+    known = np.isin(np.arange(n_vars + 1), [*partial.assignment, n_vars])
+    members = _padded([c.var_indices for c in bcs.constraints], n_vars)
+    rhs = np.array([c.rhs for c in bcs.constraints], dtype=int)
+    while not known.all():
+        unknown = ~known[members]
+        single = np.flatnonzero(unknown.sum(axis=1) == 1)
+        if not len(single):
+            raise ValueError(f"stuck completing solution: {np.sum(~known)} variables have no "
+                             "constraint with a single unknown")
+        pos = unknown[single].argmax(axis=1)
+        targets, first = np.unique(members[single, pos], return_index=True)
+        single, pos = single[first], pos[first]
+        w = np.sum(members[single] != n_vars, axis=1)
+        # Knowns left of the unknown reversed, then those right of it reversed.
+        order = (pos[:, None] - 1 - np.arange(members.shape[1] - 1)) % w[:, None]
+        for block, products in _products(ops, members[single[:, None], order], w - 1):
+            ops[targets[block]] = products * rhs[single[block], None, None]
+        known[targets] = True
+    return OperatorSolution(dim, {v: ops[v] for v in range(n_vars)} | partial.assignment)
 
 
 @dataclass
@@ -221,14 +215,24 @@ def _verify(ops, members, rhs, commutators, tol: float) -> OperatorVerifyReport:
     hermitian = float(np.abs(ops - ops.conj().swapaxes(1, 2)).max())
     involution = float(np.abs(ops @ ops - eye).max())
     errors = np.zeros(len(members))
-    for block in batches(range(len(members))):  # CHUNK products at a time, so memory stays small
-        products = np.broadcast_to(eye, (len(block),) + eye.shape)
-        for column in members[block].T:
-            products = products @ ops[column]
+    for block, products in _products(ops, members, np.sum(members != len(ops) - 1, axis=1)):
         errors[block] = np.abs(products - rhs[block, None, None] * eye).max(axis=(1, 2), initial=0.0)
     failing = np.flatnonzero((commutators > tol) | (errors > tol))
     return OperatorVerifyReport(tol, hermitian, involution, float(commutators.max(initial=0.0)),
                                 float(errors.max(initial=0.0)), int(failing[0]) if len(failing) else None)
+
+
+def _products(ops: np.ndarray, rows: np.ndarray, widths: np.ndarray) -> Iterator[tuple[list, np.ndarray]]:
+    """(row numbers, products) for up to CHUNK rows of one width at a time:
+    row i's product, left to right, of ``ops`` over its first ``widths[i]``
+    indices, so no row multiplies padding; an empty product is one (d, d) identity."""
+    for width in np.unique(widths):
+        for block in batches(np.flatnonzero(widths == width)):
+            columns = rows[block, :width].T
+            products = ops[columns[0]] if width else np.eye(ops.shape[-1], dtype=ops.dtype)
+            for column in columns[1:]:
+                products = products @ ops[column]
+            yield block, products
 
 
 def correlation(a: np.ndarray, b: np.ndarray) -> float:
@@ -301,16 +305,18 @@ def measure_batch(
 
 
 def _worst_commutators(ops: np.ndarray, groups) -> np.ndarray:
-    """Per group of row indices into the (V, d, d) stack ``ops``, the largest
-    entry of any commutator of two of its operators (0 below two), from
-    batched products over the pairs of every group, CHUNK pairs at a time
-    so that memory stays small."""
+    """Per group of row indices into the (V, d, d) stack ``ops``, in any
+    order, the largest entry of any commutator of two of its operators (0
+    below two), over the position pairs of the groups' padded table that
+    hold no padding, CHUNK pairs at a time so that memory stays small."""
+    table = _padded(groups, -1)
+    first, second = np.triu_indices(table.shape[1], 1)
+    owner, pair = np.nonzero(table[:, second] >= 0)
+    a, b = table[owner, first[pair]], table[owner, second[pair]]
     worst = np.zeros(len(groups))
-    pairs = ((g, a, b) for g, group in enumerate(groups) for a, b in itertools.combinations(group, 2))
-    for block in batches(pairs):
-        owner, a, b = np.array(block).T
-        left, right = ops[a], ops[b]
-        np.maximum.at(worst, owner, np.abs(left @ right - right @ left).max(axis=(1, 2)))
+    for block in batches(range(len(owner))):
+        left, right = ops[a[block]], ops[b[block]]
+        np.maximum.at(worst, owner[block], np.abs(left @ right - right @ left).max(axis=(1, 2)))
     return worst
 
 
@@ -334,6 +340,14 @@ class Rounds:
     won: np.ndarray
 
 
+def _padded(rows, pad: int) -> np.ndarray:
+    """Rows of indices as one int table, each padded with ``pad`` to the widest."""
+    widths = np.fromiter(map(len, rows), int, len(rows))
+    table = np.full((len(rows), widths.max(initial=0)), pad)
+    table[np.arange(table.shape[1]) < widths[:, None]] = np.fromiter(itertools.chain(*rows), int, widths.sum())
+    return table
+
+
 def _stack(bcs: Bcs, sol: OperatorSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The (V + 1, d, d) stack of observables, the constraints' members as
     rows of indices into it, their signs, and their worst commutators over
@@ -345,12 +359,9 @@ def _stack(bcs: Bcs, sol: OperatorSolution) -> tuple[np.ndarray, np.ndarray, np.
         if shape != (sol.dim, sol.dim):
             raise ValueError(f"variable {v} ({name}) needs a {sol.dim} x {sol.dim} observable, got {shape}")
     ops = np.stack([sol.assignment[v] for v in range(bcs.n_vars)] + [np.eye(sol.dim)])
-    rows = [c.var_indices for c in bcs.constraints]
-    width = max(map(len, rows), default=0)
-    members = np.array([row + (bcs.n_vars,) * (width - len(row)) for row in rows], dtype=int)
+    members = _padded([c.var_indices for c in bcs.constraints], bcs.n_vars)
     rhs = np.array([c.rhs for c in bcs.constraints], dtype=int)
-    commutators = _worst_commutators(ops, [sorted(c.support) for c in bcs.constraints])
-    return ops, members.reshape(len(rows), width), rhs, commutators
+    return ops, members, rhs, _worst_commutators(ops, [c.support for c in bcs.constraints])
 
 
 class StrategyStack:

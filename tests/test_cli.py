@@ -619,13 +619,19 @@ def test_simulate_log_lines_are_json_dumps_of_the_oracle_records(mode, seed, sit
 
 
 def test_play_verifies_the_strategy_and_checks_commutators_once(monkeypatch, capsys):
-    """play --n 8 checks the magic strategy's commutators once, and a
-    strategy that fails any check is an internal fault, exit 1."""
+    """play --n 8 and simulate, in both modes, build the game, complete the
+    magic strategy and check its commutators once each, and a strategy that
+    fails any check is an internal fault, exit 1."""
     calls = []
-    worst = quantum._worst_commutators
-    monkeypatch.setattr(quantum, "_worst_commutators", lambda *a: calls.append(1) or worst(*a))
-    assert main(["play", "--n", "8", "--trials", "10", "--seed", "1"]) == 0
-    assert len(calls) == 1
+    for module, name in ((game, "build_game_bcs"), (quantum, "permutation_solution"),
+                         (quantum, "_worst_commutators")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, f=getattr(module, name), **k:
+                            calls.append(name) or f(*a, **k))
+    for argv in (["play", "--n", "8"], ["simulate", "--mode", "relation", "--sites", "5"],
+                 ["simulate", "--mode", "sampling", "--sites", "5"]):
+        calls.clear()
+        assert main([*argv, "--trials", "10", "--seed", "1"]) == 0
+        assert sorted(calls) == ["_worst_commutators", "build_game_bcs", "permutation_solution"], argv
     g = game.build_game_bcs(8)
     good = quantum.permutation_solution(g)
     c = g.bcs.constraints[0]

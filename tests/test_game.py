@@ -1,7 +1,11 @@
+import json
+
+import game_oracle
 import pytest
 from helpers import check_classical_assignment
 
 from bcsmagic import bcs, game
+from bcsmagic.cli import main
 from bcsmagic.game import (
     GameClass,
     build_game_bcs,
@@ -43,6 +47,29 @@ def test_closed_forms_match_enumeration(n):
     assert g.bcs.n_vars == counts.bob
     gm = build_game_bcs(n, modified=True)
     assert len(gm.bcs.constraints) == counts.modified_alice
+
+
+@pytest.mark.parametrize("modified", [False, True])
+@pytest.mark.parametrize("n", range(4, 11))
+def test_offset_builder_equals_name_lookup_oracle(n, modified):
+    """Offsets give the variables, constraints and index that formatting and
+    looking up every member's name gives, as plain ints."""
+    g, oracle = build_game_bcs(n, modified), game_oracle.build_game_bcs(n, modified)
+    assert g.bcs.variables == oracle.bcs.variables
+    assert ([(c.var_indices, c.rhs, c.support) for c in g.bcs.constraints]
+            == [(c.var_indices, c.rhs, c.support) for c in oracle.bcs.constraints])
+    assert {type(v) for c in g.bcs.constraints for v in c.var_indices} == {int}
+    assert g.var_index == oracle.var_index
+    assert bcs.serialize_bcs(g.bcs) == bcs.serialize_bcs(oracle.bcs)
+
+
+def test_gen_writes_the_oracle_bytes(tmp_path):
+    out = tmp_path / "m8.bcs"
+    assert main(["gen", "--n", "8", "--modified", "--out", str(out)]) == 0
+    oracle = game_oracle.build_game_bcs(8, modified=True)
+    assert out.read_bytes() == bcs.serialize_bcs(oracle.bcs).encode()
+    names = {"n": 8, "modified": True, "variables": oracle.var_index}
+    assert (tmp_path / "m8.bcs.names.json").read_bytes() == (json.dumps(names, indent=1) + "\n").encode()
 
 
 def test_structure_invariants():

@@ -261,6 +261,84 @@ def test_completion_rejects_mixed_dims():
         complete_solution(mp, OperatorSolution(4, {4: np.eye(2, dtype=complex)}))
 
 
+def test_completion_rejects_keys_outside_the_bcs():
+    """A key that is not one of the system's variables is named, not kept."""
+    mp = mermin_peres()
+    full = pauli_to_operator(pauli_solve(mp))
+    for key in (-1, 99, 9, 0.5, "v1"):
+        with pytest.raises(ValueError, match=f"assignment key {key!r} is not a variable of the 9-variable BCS"):
+            complete_solution(mp, OperatorSolution(4, {**full.assignment, key: np.eye(4)}))
+
+
+def _assert_completion_matches_oracle(system, partial):
+    """The wave completion equals the sequential oracle's, matrix for matrix
+    and dtype for dtype."""
+    full, oracle = complete_solution(system, partial), operator_oracle.complete_solution(system, partial)
+    assert full.dim == oracle.dim and sorted(full.assignment) == sorted(oracle.assignment)
+    for v, m in oracle.assignment.items():
+        assert full.assignment[v].dtype == m.dtype and np.array_equal(full.assignment[v], m), v
+
+
+@pytest.mark.parametrize("modified", [False, True])
+@pytest.mark.parametrize("n", range(4, 11))
+def test_wave_completion_equals_sequential_oracle_on_permutation_generators(n, modified):
+    g = build_game_bcs(n, modified)
+    generators = [g.a(v) for v in range(1, n + 1)]
+    generators += [g.x(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)]
+    full = permutation_solution(g)
+    _assert_completion_matches_oracle(g.bcs, OperatorSolution(n, {v: full.assignment[v] for v in generators}))
+
+
+def test_wave_completion_equals_sequential_oracle_without_each_variable():
+    """n = 4 Pauli lifts, complex with a Y and real without, each with one
+    variable removed in turn, and the magic square from its free rows."""
+    g4 = build_game_bcs(4)
+    for lifted in (pauli_to_operator(table_pauli_solution(g4)), pauli_to_operator(pauli_solve(g4.bcs))):
+        for missing in range(g4.bcs.n_vars):
+            known = {v: m for v, m in lifted.assignment.items() if v != missing}
+            _assert_completion_matches_oracle(g4.bcs, OperatorSolution(lifted.dim, known))
+    mp = mermin_peres()
+    psol = pauli_solve(mp)
+    _assert_completion_matches_oracle(mp, OperatorSolution(4, {v: to_matrix(psol.strings[v]) for v in (4, 5, 7, 8)}))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_wave_completion_equals_sequential_oracle_on_random_matrices(seed):
+    """On unstructured real and complex matrices, where product order and
+    the sign's place matter to rounding, each unknown has one defining
+    constraint, and a sign-flipped copy of one of them comes later: both
+    completions use the first and agree bit for bit."""
+    rng = random.Random(seed)
+    gen = np.random.default_rng(seed)
+    dim, n_known, n_new = rng.choice((2, 3, 5, 8)), 4, 8
+    label = rng.sample(range(n_known + n_new), n_known + n_new)  # shuffles each unknown's position
+    rows = [[n_known + j] + rng.sample(range(n_known + j), rng.randint(1, 3)) for j in range(n_new)]
+    rows.append(rows[rng.randrange(n_new)])
+    signs = [rng.choice((1, -1)) for _ in rows]
+    signs[-1] = -signs[rows.index(rows[-1])]
+    system = bcs.Bcs([f"v{i}" for i in range(n_known + n_new)],
+                     [bcs.make_constraint([label[v] for v in row], sign) for row, sign in zip(rows, signs)])
+    mats = gen.normal(size=(n_known, dim, dim)) + (1j * gen.normal(size=(n_known, dim, dim)) if seed % 2 else 0)
+    _assert_completion_matches_oracle(system, OperatorSolution(dim, {label[v]: mats[v] for v in range(n_known)}))
+
+
+def test_wave_and_sequential_completion_fail_alike():
+    """Stuck after a wave of progress, both give the same remaining count;
+    mixed dimensions raise in both."""
+    g = build_game_bcs(4)
+    reflections = OperatorSolution(4, {g.a(v): np.diag([-1.0 if i == v - 1 else 1.0 for i in range(4)])
+                                       for v in range(1, 5)})
+    messages = []
+    for complete in (complete_solution, operator_oracle.complete_solution):
+        with pytest.raises(ValueError, match="stuck completing solution") as info:
+            complete(g.bcs, reflections)
+        messages.append(str(info.value))
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            complete(mermin_peres(), OperatorSolution(4, {4: np.eye(2, dtype=complex)}))
+    assert messages[0] == messages[1] == ("stuck completing solution: 21 variables have no "
+                                          "constraint with a single unknown")
+
+
 # ---------------------------------------------------------------------------
 # correlation
 # ---------------------------------------------------------------------------
