@@ -15,15 +15,18 @@ The operator solver works in three steps:
 1. eliminate the variables over GF(2) once.  The pivot rows express every
    dependent variable as a sign times an ascending product of free
    variables; the zero rows' provenance spans the left kernel, the sets of
-   constraints whose product cancels every variable;
+   constraints whose product cancels every variable.  When every kernel
+   vector's rhs is 0 the scalar solution is the answer, on zero qubits,
+   and the remaining steps are skipped;
 2. substitute those expressions into the constraints and into the
    commutation requirements of co-occurring pairs.  A free support is a
-   mask of free variables, and one sort, ``_sort_parity``, bubbles a list
-   of such blocks into ascending order while recording, for every swap of
-   distinct free variables k < l, the commutator unknown of the pair
-   (k, l); equal neighbours cancel because every variable squares to the
+   mask over the ranks of the free variables (bit r for the r-th free
+   variable, ascending), and one sort, ``_sort_parity``, bubbles a list of
+   such blocks into ascending order while recording, for every swap of
+   distinct free variables of ranks k < l, the commutator unknown of the
+   pair; equal neighbours cancel because every variable squares to the
    identity.  A product's swap parities are one integer, its pair mask,
-   with bit k*n + l for the pair (k, l) of n variables.  A_i A_j A_i A_j
+   with bit k*f + l for the ranks k < l of f free variables.  A_i A_j A_i A_j
    sorts as A_i^2 A_j^2 [A_i, A_j], so the commutation row of (i, j) is the
    sort of the blocks [d, d], d the XOR of the two supports: every pair
    inside d.  The constraints of a kernel vector multiply to a product of
@@ -48,7 +51,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations
+from operator import xor
 
 from . import gf2, pauli
 from .gf2 import Gf2System, Inconsistency, set_bits
@@ -256,13 +261,13 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
 # Swap bookkeeping
 # ---------------------------------------------------------------------------
 
-def _sort_parity(blocks: Sequence[int], n_vars: int) -> tuple[int, int]:
+def _sort_parity(blocks: Sequence[int], width: int) -> tuple[int, int]:
     """Swap parity of sorting the concatenation of ascending blocks, each
-    given as the mask of its variables.
+    given as a mask over ``width`` ranks.
 
-    Returns (pair mask, leftover): bit ``k * n_vars + l`` of the pair mask
-    is set for each pair k < l swapped an odd number of times, and leftover
-    is the XOR of the blocks.  Pairs of equal variables never swap.
+    Returns (pair mask, leftover): bit ``k * width + l`` of the pair mask
+    is set for each pair of ranks k < l swapped an odd number of times, and
+    leftover is the XOR of the blocks.  Pairs of equal ranks never swap.
     Appending [d, d] XORs the pair mask with every pair inside d: the
     terms against the blocks before them occur twice and cancel.
     """
@@ -270,7 +275,7 @@ def _sort_parity(blocks: Sequence[int], n_vars: int) -> tuple[int, int]:
     for block in blocks:
         if prefix:
             for b in set_bits(block):
-                out ^= (prefix >> (b + 1)) << (b * n_vars + b + 1)
+                out ^= (prefix >> (b + 1)) << (b * width + b + 1)
         prefix ^= block
     return out, prefix
 
@@ -280,10 +285,28 @@ def co_occurrence_pairs(bcs: Bcs) -> list[tuple[int, int]]:
     return sorted({p for c in bcs.constraints for p in combinations(sorted(c.support), 2)})
 
 
-def _constraint_parity(bcs: Bcs, elim: Elimination, j: int) -> int:
-    """Pair mask of constraint j with every variable substituted."""
-    swaps, leftover = _sort_parity(
-        [elim.supports[v] for v in bcs.constraints[j].var_indices], bcs.n_vars)
+def _rank_supports(elim: Elimination) -> tuple[list[int], list[int]]:
+    """The free variables, ascending, and every variable's free support as
+    a mask over their ranks: bit r stands for free variable ``free[r]``.
+
+    Pair masks over ranks are f^2 bits wide for f free variables, not n^2
+    for n variables, and ranks keep the order of the free variables, so
+    pairs keep their order too.
+    """
+    pivots = elim.reduced.pivot_cols
+    free = sorted(set(range(len(elim.supports))).difference(pivots))
+    supports = [0] * len(elim.supports)
+    for r, v in enumerate(free):
+        supports[v] = 1 << r
+    for v in pivots:
+        supports[v] = sum(supports[b] for b in set_bits(elim.supports[v]))
+    return free, supports
+
+
+def _constraint_parity(bcs: Bcs, supports: Sequence[int], width: int, j: int) -> int:
+    """Pair mask of constraint j with every variable substituted by its
+    free support over ``width`` ranks."""
+    swaps, leftover = _sort_parity([supports[v] for v in bcs.constraints[j].var_indices], width)
     if leftover:
         raise InvariantError(f"free supports failed to cancel in constraint {j}")
     return swaps
@@ -318,64 +341,70 @@ class PauliVerifyReport:
 def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
     """Decide Pauli-string solvability; total on every well-formed BCS.
 
-    On success, anticommuting free pairs each get a qubit (sigma_x on the
-    smaller variable, sigma_z on the larger), remaining free variables are
-    identities, and dependent variables are signed ordered products.
-    Unconstrained commutators default to "commute", which keeps the qubit
-    count minimal.  On failure, the cited kernel vectors' constraints and
-    the cited commutation pairs form the certificate.
+    When every kernel vector's constraints multiply to sign +1, the scalar
+    solution is the answer: every string is a sign on zero qubits, free
+    variables +1.  Otherwise, on success, anticommuting free pairs each get
+    a qubit (sigma_x on the smaller variable, sigma_z on the larger),
+    remaining free variables are identities, and dependent variables are
+    signed ordered products; unconstrained commutators default to
+    "commute".  On failure, the cited kernel vectors' constraints and the
+    cited commutation pairs form the certificate.
     """
     elim = eliminate_free_vars(bcs)
-    reduced, supports = elim.reduced.system, elim.supports
+    reduced, pivots = elim.reduced.system, elim.reduced.pivot_cols
     n = bcs.n_vars
-    kernel = range(len(elim.reduced.pivot_cols), reduced.matrix.rows)
-    swaps = [_constraint_parity(bcs, elim, j) for j in range(len(bcs.constraints))]
-    swapping = sum(1 << j for j, mask in enumerate(swaps) if mask)
-
-    # One row per kernel vector, then one per co-occurring pair, over the
-    # commutator unknowns that occur in some row.  Pair bit k*n + l maps to
-    # its rank among those bits, so columns keep the order of the pairs.
-    rows: list[int] = []
-    for i in kernel:
-        acc = 0
-        for j in set_bits(reduced.provenance[i] & swapping):
-            acc ^= swaps[j]
-        rows.append(acc)
-    pair_list = co_occurrence_pairs(bcs)
-    rows.extend(_sort_parity([supports[i] ^ supports[j]] * 2, n)[0] for i, j in pair_list)
-    used = 0
-    for row in rows:
-        used |= row
-    comm = set_bits(used)
-    col = {p: c for c, p in enumerate(comm)}
-    bits = [sum(1 << col[p] for p in set_bits(row)) if row else 0 for row in rows]
-    rhs = [reduced.rhs[i] for i in kernel] + [0] * len(pair_list)
-    out = gf2.solve(Gf2System(gf2.Gf2Matrix(len(bits), len(comm), bits), rhs))
-
-    if isinstance(out, Inconsistency):
-        cited = 0
-        commutation_rows: list[tuple[int, int]] = []
-        for row in sorted(out.rows):
-            if row < len(kernel):
-                cited ^= reduced.provenance[kernel[row]]
-            else:
-                commutation_rows.append(pair_list[row - len(kernel)])
-        return _certificate(bcs, set_bits(cited), commutation_rows)
-
-    anti = sum(1 << p for p, value in zip(comm, out) if value)
-    # Bit j: whether constraint j's swaps pick up an odd number of signs.
-    flip = sum(1 << j for j, mask in enumerate(swaps) if (mask & anti).bit_count() & 1)
-    n_qubits = anti.bit_count()
+    kernel = range(len(pivots), reduced.matrix.rows)
     xs, zs, phases = [0] * n, [0] * n, [0] * n
-    for q, p in enumerate(set_bits(anti)):
-        k, l = divmod(p, n)
-        xs[k] |= 1 << q
-        zs[l] |= 1 << q
-    # Free strings carry no Y and no phase, so their normal-form phase is 0.
-    for i, v in enumerate(elim.reduced.pivot_cols):
-        x, z, phase = _product(set_bits(supports[v]), xs, zs, phases)
-        sign = reduced.rhs[i] ^ ((reduced.provenance[i] & flip).bit_count() & 1)
-        xs[v], zs[v], phases[v] = x, z, phase - (x & z).bit_count() + 2 * sign
+    n_qubits = flip = 0
+    # With every kernel rhs 0 the commutator system is homogeneous, its
+    # solution is all-commute, and the lift is the scalar one.
+    if any(reduced.rhs[len(pivots):]):
+        free, ranked = _rank_supports(elim)
+        f = len(free)
+        swaps = [_constraint_parity(bcs, ranked, f, j) for j in range(len(bcs.constraints))]
+        swapping = sum(1 << j for j, mask in enumerate(swaps) if mask)
+
+        # One row per kernel vector, then one per co-occurring pair, over
+        # the commutator unknowns that occur in some row.  Pair bit k*f + l
+        # maps to its index among those bits, so columns keep pair order.
+        # A row is f^2 bits wide however few pairs it holds, so each is made
+        # in turn and kept only as its set bits.
+        pair_list = co_occurrence_pairs(bcs)
+        kernel_rows = (reduce(xor, (swaps[j] for j in set_bits(reduced.provenance[i] & swapping)), 0)
+                       for i in kernel)
+        pair_rows = (_sort_parity([ranked[i] ^ ranked[j]] * 2, f)[0] for i, j in pair_list)
+        positions = [set_bits(row) for row in chain(kernel_rows, pair_rows)]
+        comm = sorted(set().union(*positions))
+        col = {p: c for c, p in enumerate(comm)}
+        bits = [sum(1 << col[p] for p in ps) for ps in positions]
+        rhs = [reduced.rhs[i] for i in kernel] + [0] * len(pair_list)
+        out = gf2.solve(Gf2System(gf2.Gf2Matrix(len(bits), len(comm), bits), rhs))
+
+        if isinstance(out, Inconsistency):
+            cited = 0
+            commutation_rows: list[tuple[int, int]] = []
+            for row in sorted(out.rows):
+                if row < len(kernel):
+                    cited ^= reduced.provenance[kernel[row]]
+                else:
+                    commutation_rows.append(pair_list[row - len(kernel)])
+            return _certificate(bcs, set_bits(cited), commutation_rows)
+
+        anti_pairs = [p for p, value in zip(comm, out) if value]
+        anti = sum(1 << p for p in anti_pairs)
+        # Bit j: whether constraint j's swaps pick up an odd number of signs.
+        flip = sum(1 << j for j, mask in enumerate(swaps) if (mask & anti).bit_count() & 1)
+        n_qubits = len(anti_pairs)
+        for q, p in enumerate(anti_pairs):
+            k, l = divmod(p, f)
+            xs[free[k]] |= 1 << q
+            zs[free[l]] |= 1 << q
+        # Free strings carry no Y and no phase, so their normal-form phase is 0.
+        for v in pivots:
+            x, z, phase = _product(set_bits(elim.supports[v]), xs, zs, phases)
+            xs[v], zs[v], phases[v] = x, z, phase - (x & z).bit_count()
+    for i, v in enumerate(pivots):
+        phases[v] += 2 * (reduced.rhs[i] ^ ((reduced.provenance[i] & flip).bit_count() & 1))
 
     strings = [PauliString(n_qubits, xs[v], zs[v], phases[v]) for v in range(n)]
     solution = PauliSolution(n_qubits, strings)
@@ -448,8 +477,7 @@ def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
     relation = _certificate(bcs, cert.constraint_rows).derived_relation
     if tuple(cert.derived_relation) != relation:
         return False
-    legal_pairs = set(co_occurrence_pairs(bcs))
-    if any(p not in legal_pairs for p in cert.commutation_rows):
+    if not all(any({i, j} <= c.support for c in bcs.constraints) for i, j in cert.commutation_rows):
         return False
 
     # Every variable must cancel in the concatenated product.
@@ -466,11 +494,11 @@ def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
     # Swap bookkeeping of the whole product, at the free-variable level,
     # must be exactly discharged by the cited commutation facts: one sort of
     # the constraints' blocks, with [d, d] appended for each cited pair.
-    supports = eliminate_free_vars(bcs).supports
+    free, supports = _rank_supports(eliminate_free_vars(bcs))
     blocks = [supports[v] for v in relation]
     for i, j in cert.commutation_rows:
         blocks += [supports[i] ^ supports[j]] * 2
-    return _sort_parity(blocks, bcs.n_vars) == (0, 0)
+    return _sort_parity(blocks, len(free)) == (0, 0)
 
 
 def serialize_solution(bcs: Bcs, solution: PauliSolution) -> str:

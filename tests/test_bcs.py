@@ -1,5 +1,7 @@
 import hashlib
 import random
+import time
+import tracemalloc
 from functools import reduce
 from operator import xor
 
@@ -31,6 +33,7 @@ from bcsmagic.bcs import (
     verify_pauli_solution,
 )
 from bcsmagic.game import build_game_bcs
+from bcsmagic.gf2 import set_bits
 from bcsmagic.pauli import PauliString, parse_pauli
 
 
@@ -319,6 +322,12 @@ def test_certificate_citing_commutation_rows():
     assert not verify_certificate(b, dropped)
     padded = Certificate(out.constraint_rows, out.commutation_rows + ((0, 3),), out.derived_relation)
     assert not verify_certificate(b, padded)
+    # v1 and v5 share no constraint: citing them twice cancels in the swap
+    # bookkeeping, but the pair is no axiom.
+    twice = Certificate(out.constraint_rows, out.commutation_rows + ((0, 4), (0, 4)), out.derived_relation)
+    for verify in (verify_certificate, sign_system_oracle.verify_certificate):
+        assert not verify(b, twice)
+        assert verify(b, out)
 
 
 def test_certificate_with_wrong_relation_fails():
@@ -374,8 +383,8 @@ def test_determinism_byte_identical():
 
 def test_pauli_solve_reduces_the_incidence_system_once(monkeypatch):
     # The n = 10 game has no commutator unknown, so the second reduction,
-    # of the commutator system, has no column.
-    system = build_game_bcs(10).bcs
+    # of the commutator system, has no column.  The n = 9 game's kernel
+    # signs are all +1, so it builds no commutator system at all.
     widths = []
     row_reduce = gf2.row_reduce
 
@@ -384,8 +393,13 @@ def test_pauli_solve_reduces_the_incidence_system_once(monkeypatch):
         return row_reduce(reduced)
 
     monkeypatch.setattr(gf2, "row_reduce", recording)
+    system = build_game_bcs(10).bcs
     assert isinstance(pauli_solve(system), Certificate)
     assert sorted(widths) == [0, system.n_vars]
+    widths.clear()
+    system = build_game_bcs(9).bcs
+    assert pauli_solve(system).qubits == 0
+    assert widths == [system.n_vars]
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +469,38 @@ def planted_bcs(rng: random.Random) -> Bcs:
         cons.append(make_constraint(rng.sample(range(n_vars), 3), rng.choice([1, -1])))
     rng.shuffle(cons)
     return Bcs([f"w{i}" for i in range(n_vars)], cons)
+
+
+def shuffled_squares(rng: random.Random, count: int) -> Bcs:
+    """``count`` relabelled magic squares and nothing else, constraints
+    shuffled: a Pauli solution with many anticommuting free pairs."""
+    n_vars = 9 * count
+    label = rng.sample(range(n_vars), n_vars)
+    cons = [make_constraint([label[9 * k + v] for v in c.var_indices], c.rhs)
+            for k in range(count) for c in mermin_peres().constraints]
+    rng.shuffle(cons)
+    return Bcs([f"w{i}" for i in range(n_vars)], cons)
+
+
+def test_many_squares_solve_in_rank_pair_masks():
+    # Pair masks are indexed over free-variable ranks: 200 squares have
+    # 1,800 variables but 800 free ones, so a mask is 640,000 bits wide
+    # rather than 3.24 million.  Indexed by variable, 100 squares peaked
+    # at 125 MB traced and 200 squares took 3.4 s or more.
+    rng = random.Random(19)
+    hundred = shuffled_squares(rng, 100)
+    tracemalloc.start()
+    try:
+        assert isinstance(pauli_solve(hundred), PauliSolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    squares = shuffled_squares(rng, 200)
+    start = time.perf_counter()
+    out = pauli_solve(squares)
+    assert time.perf_counter() - start < 2
+    assert verify_pauli_solution(squares, out).ok
 
 
 @pytest.fixture(scope="module")
@@ -546,11 +592,22 @@ def test_certificate_replay_matches_oracle(corpus_results):
 
 
 def test_monotonicity_classical_implies_pauli():
+    # A scalar solution makes every kernel sign +1, so pauli_solve returns
+    # the scalar solution itself, on zero qubits.
     rng = random.Random(55)
-    for _ in range(200):
-        b = random_bcs(rng)
-        if not isinstance(classical_solve(b), Certificate):
-            assert isinstance(pauli_solve(b), PauliSolution)
+    games = [build_game_bcs(n).bcs for n in (5, 7, 9)]
+    consistent = 0
+    for b in [random_bcs(rng) for _ in range(200)] + games:
+        signs = classical_solve(b)
+        if not isinstance(signs, Certificate):
+            consistent += 1
+            out = pauli_solve(b)
+            assert isinstance(out, PauliSolution)
+            assert out.qubits == 0
+            assert [1 - s.phase for s in out.strings] == signs
+    # The odd games are scalar, and so are some random systems.
+    assert consistent > len(games)
+    assert all(not isinstance(classical_solve(b), Certificate) for b in games)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +620,14 @@ def to_mask(parity: dict[int, int], n: int) -> int:
     for k, partners in parity.items():
         out ^= partners << (k * n)
     return out
+
+
+def to_rank_mask(parity: dict[int, int], free: list[int]) -> int:
+    """The oracle's {smaller var: partners}, over free variables, as a pair
+    mask over their ranks: bit r_k*f + r_l, r the index in ``free``."""
+    rank = {v: r for r, v in enumerate(free)}
+    return sum(1 << rank[k] * len(free) + rank[l]
+               for k, partners in parity.items() for l in set_bits(partners))
 
 
 def support_mask(support) -> int:
@@ -627,13 +692,16 @@ def test_pair_masks_match_dict_oracle_on_systems():
     systems = [random_bcs(rng) for _ in range(200)] + [planted_bcs(rng) for _ in range(50)]
     for b in systems + [mermin_peres(), build_game_bcs(4).bcs]:
         elim = eliminate_free_vars(b)
+        free, supports = bcs._rank_supports(elim)
+        assert free == sorted(set(range(b.n_vars)) - set(elim.reduced.pivot_cols))
+        f = len(free)
         for j in range(len(b.constraints)):
             _, parity, _ = sign_system_oracle._constraint_row(b, elim, j)
-            assert bcs._constraint_parity(b, elim, j) == to_mask(parity, b.n_vars)
+            assert bcs._constraint_parity(b, supports, f, j) == to_rank_mask(parity, free)
         for i, j in bcs.co_occurrence_pairs(b):
             expect = sign_system_oracle._commutation_row(b, elim, i, j)
-            d = elim.supports[i] ^ elim.supports[j]
-            assert bcs._sort_parity([d, d], b.n_vars)[0] == to_mask(expect, b.n_vars)
+            d = supports[i] ^ supports[j]
+            assert bcs._sort_parity([d, d], f)[0] == to_rank_mask(expect, free)
 
 
 def solved_pool():
