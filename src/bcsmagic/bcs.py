@@ -348,7 +348,8 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
     remaining free variables are identities, and dependent variables are
     signed ordered products; unconstrained commutators default to
     "commute".  On failure, the cited kernel vectors' constraints and the
-    cited commutation pairs form the certificate.
+    cited commutation pairs form the certificate.  A solution or certificate
+    failing ``verify_pauli_solution`` or ``_replay`` raises InvariantError.
     """
     elim = eliminate_free_vars(bcs)
     reduced, pivots = elim.reduced.system, elim.reduced.pivot_cols
@@ -388,7 +389,10 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
                     cited ^= reduced.provenance[kernel[row]]
                 else:
                     commutation_rows.append(pair_list[row - len(kernel)])
-            return _certificate(bcs, set_bits(cited), commutation_rows)
+            cert = _certificate(bcs, set_bits(cited), commutation_rows)
+            if not _replay(bcs, cert, free, ranked):
+                raise InvariantError("internal solver error: constructed certificate failed its replay")
+            return cert
 
         anti_pairs = [p for p, value in zip(comm, out) if value]
         anti = sum(1 << p for p in anti_pairs)
@@ -473,7 +477,11 @@ def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
     for i, j in cert.commutation_rows:
         if not (0 <= i < bcs.n_vars and 0 <= j < bcs.n_vars and i < j):
             raise IndexError(f"certificate cites bad commutation pair {(i, j)}")
+    return _replay(bcs, cert, *_rank_supports(eliminate_free_vars(bcs)))
 
+
+def _replay(bcs: Bcs, cert: Certificate, free: Sequence[int], supports: Sequence[int]) -> bool:
+    """``verify_certificate``'s checks, over ``_rank_supports``' ranks."""
     relation = _certificate(bcs, cert.constraint_rows).derived_relation
     if tuple(cert.derived_relation) != relation:
         return False
@@ -494,7 +502,6 @@ def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
     # Swap bookkeeping of the whole product, at the free-variable level,
     # must be exactly discharged by the cited commutation facts: one sort of
     # the constraints' blocks, with [d, d] appended for each cited pair.
-    free, supports = _rank_supports(eliminate_free_vars(bcs))
     blocks = [supports[v] for v in relation]
     for i, j in cert.commutation_rows:
         blocks += [supports[i] ^ supports[j]] * 2

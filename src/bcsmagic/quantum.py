@@ -40,7 +40,7 @@ import numpy as np
 
 from . import pauli
 from .bcs import Bcs, InvariantError, PauliSolution, check_pauli_constraint
-from .game import GameBcs, enumerate_questions
+from .game import GameBcs
 from .pauli import PauliString
 
 # Trials measured together by the batched drivers; no output depends on it.
@@ -367,20 +367,22 @@ def _stack(bcs: Bcs, sol: OperatorSolution) -> tuple[np.ndarray, np.ndarray, np.
 class StrategyStack:
     """A strategy's observables laid out by ``_stack`` for ``bcs``'s batched
     rounds, so that a batch's step is one gather of ``ops`` rows, row ``pad``
-    the identity.  Each constraint's support is checked to commute once, here;
-    ``verify`` reuses that check in ``verify_operator_solution``'s report.
+    the identity, and its (alpha, beta) ``questions``, row-major over members
+    that are not padding, as ``game.enumerate_questions`` lists them.  Each
+    constraint's support is checked to commute once, here, and a ValueError
+    refuses the strategy if not; ``report`` is ``verify_operator_solution``'s
+    at ``TOL``.
     """
 
     def __init__(self, bcs: Bcs, sol: OperatorSolution) -> None:
-        self.bcs, self.dim, self.pad = bcs, sol.dim, bcs.n_vars
-        self.ops, self.members, self.rhs, self.commutators = _stack(bcs, sol)
+        self.dim, self.pad = sol.dim, bcs.n_vars
+        self.ops, self.members, self.rhs, commutators = _stack(bcs, sol)
         self.widths = np.sum(self.members != self.pad, axis=1)
-        if np.any(self.commutators > TOL):
-            raise ValueError(f"observables of constraint {np.argmax(self.commutators > TOL)} do not commute")
-
-    def verify(self) -> OperatorVerifyReport:
-        """The strategy's ``verify_operator_solution`` report at ``TOL``."""
-        return _verify(self.ops, self.members, self.rhs, self.commutators, TOL)
+        alphas, slots = np.nonzero(self.members != self.pad)
+        self.questions = np.column_stack([alphas, self.members[alphas, slots]])
+        if np.any(commutators > TOL):
+            raise ValueError(f"observables of constraint {np.argmax(commutators > TOL)} do not commute")
+        self.report = _verify(self.ops, self.members, self.rhs, commutators, TOL)
 
     def measure(self, amplitudes: np.ndarray, alphas: np.ndarray, betas: np.ndarray,
                 alice_uniforms: np.ndarray, bob_uniforms: np.ndarray) -> Rounds:
@@ -406,29 +408,25 @@ class StrategyStack:
         return Rounds(alphas, betas, widths, outcomes, won)
 
 
-def play_rounds(game: GameBcs, stack: StrategyStack, seed: int, trials: int) -> Iterator[Rounds]:
+def play_rounds(stack: StrategyStack, seed: int, trials: int) -> Iterator[Rounds]:
     """``trials`` game rounds of ``stack``'s strategy, a ``Rounds`` per CHUNK.
 
-    Round t's ``TrialStream`` slot 0 picks a uniform (constraint alpha,
-    member beta) question, and slots 1, 2, ... are its steps' uniforms.  On
-    a fresh maximally entangled state Alice measures alpha's observables in
+    Round t's ``TrialStream`` slot 0 picks a uniform question from
+    ``stack.questions``, and slots 1, 2, ... are its steps' uniforms.  On a
+    fresh maximally entangled state Alice measures alpha's observables in
     ascending variable order, then Bob the transpose of beta's, through
-    ``measure_batch``; ``StrategyStack.measure`` judges each round.  Seed,
-    trial count and that ``stack`` lays out ``game``'s BCS are checked when
-    this is called.
+    ``measure_batch``; ``StrategyStack.measure`` judges each round.  Seed
+    and trial count are checked when this is called.
     """
-    if stack.bcs is not game.bcs:
-        raise ValueError("the strategy stack is not laid out for this game's BCS")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     stream = TrialStream(seed)
-    questions = np.array(enumerate_questions(game), dtype=int).reshape(-1, 2)
     slots = range(2 + stack.members.shape[1])
 
     def rounds() -> Iterator[Rounds]:
         for chunk in batches(range(trials)):
             words = stream.words(np.array(chunk)[:, None], slots)
-            alphas, betas = questions[below(words[:, 0], len(questions))].T
+            alphas, betas = stack.questions[below(words[:, 0], len(stack.questions))].T
             u = uniforms(words[:, 1:])
             phi = np.broadcast_to(phi_plus(stack.dim), (len(chunk), stack.dim, stack.dim))
             # Bob's step follows Alice's, so it reads slot 1 + width.

@@ -23,9 +23,9 @@ tabulated from Pauli strings on first use, keyed by the six frame bits, and
 every correction is checked there, once, to restore its frame state.  The
 sampling variant plays on the uncorrected frame state and succeeds outright
 when every parity is +1, that is at frame key 0, with probability 1/64.
-``run_trials`` runs both, a chunk of ``quantum.TrialStream`` trials per
-``quantum.measure_batch`` call, and returns each chunk as one ``Trials``
-record of arrays, round 2 judged as a game round.
+``run_trials`` plays a ``quantum.StrategyStack`` in both, a chunk of
+``quantum.TrialStream`` trials per ``quantum.measure_batch`` call, each
+chunk one ``Trials`` record of arrays, round 2 judged as a game round.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
 wires, validated and indexed by layer once, when the wiring is built.
@@ -48,11 +48,9 @@ import numpy as np
 
 from . import pauli
 from .bcs import InvariantError
-from .game import GameBcs
 from .gf2 import set_bits
 from .pauli import PauliString
-from .quantum import (OperatorSolution, Rounds, StrategyStack, TrialStream, batches, below, phi_plus,
-                      uniforms)
+from .quantum import Rounds, StrategyStack, TrialStream, batches, below, phi_plus, uniforms
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +121,9 @@ def _frame_keys(stream: TrialStream, trials: np.ndarray, junctions: np.ndarray) 
     return ((folded & np.uint64(1)).astype(int) << np.arange(6)).sum(axis=1)
 
 
-def run_trials(game: GameBcs, sol: OperatorSolution, sites: int | tuple[int, int], seed: int,
-               trials: int, mode: str = "relation") -> Iterator[Trials]:
-    """``trials`` relation or sampling trials, a ``Trials`` per CHUNK.
+def run_trials(stack: StrategyStack, sites: int | tuple[int, int], seed: int, trials: int,
+               mode: str = "relation") -> Iterator[Trials]:
+    """``trials`` relation or sampling trials of ``stack``, a ``Trials`` per CHUNK.
 
     Trial t's ``quantum.TrialStream`` slots 0 to 3 draw a uniform instance,
     sites j < k and a question (alpha, beta), beta over every variable;
@@ -137,21 +135,20 @@ def run_trials(game: GameBcs, sol: OperatorSolution, sites: int | tuple[int, int
     judges it.  A relation trial holds iff its round is won; a sampling
     trial is case 1 iff clean and won.  Mode, dimension, constraint width
     (three per site), sites, trial count and seed are checked when this is
-    called.
+    called; ``quantum.below`` draws exactly only up to 2^32 + 1 sites.
     """
     if mode not in ("relation", "sampling"):
         raise ValueError(f"unknown trial mode {mode!r}")
-    if sol.dim != 8:
+    if stack.dim != 8:
         raise ValueError("round 2 expects the dimension-8 strategy")
-    if any(len(c.var_indices) > 3 for c in game.bcs.constraints):
+    if stack.members.shape[1] > 3:
         raise ValueError("a site's three layers hold constraints of at most three variables")
     lo, hi = (sites, sites + 1) if isinstance(sites, int) else sites
-    if lo < 2 or hi <= lo:
-        raise ValueError(f"need at least two sites, got {sites}")
+    if not 2 <= lo < hi <= 2 ** 32 + 2:
+        raise ValueError(f"need at least two sites and at most 2^32 + 1, got {sites}")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     stream = TrialStream(seed)
-    stack = StrategyStack(game.bcs, sol)
 
     def generate() -> Iterator[Trials]:
         for chunk in batches(range(trials)):
@@ -160,8 +157,8 @@ def run_trials(game: GameBcs, sol: OperatorSolution, sites: int | tuple[int, int
             n_sites = lo + below(words[:, 0], hi - lo)
             j = 1 + below(words[:, 1], n_sites - 1)
             k = j + 1 + below(words[:, 2], n_sites - j)
-            alphas = below(words[:, 3], len(game.bcs.constraints))
-            betas = below(words[:, 4], game.bcs.n_vars)
+            alphas = below(words[:, 3], len(stack.members))
+            betas = below(words[:, 4], stack.pad)
             u = uniforms(words[:, 5:])
             keys = _frame_keys(stream, chunk, k - j)
             states = frame_tables()[0][keys]

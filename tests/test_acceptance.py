@@ -120,7 +120,7 @@ def test_criterion_05_perfect_play():
     g = game.build_game_bcs(8)
     sol = quantum.permutation_solution(g)
     trials = 10 ** 4
-    rounds = quantum.play_rounds(g, quantum.StrategyStack(g.bcs, sol), 20240907, trials)
+    rounds = quantum.play_rounds(quantum.StrategyStack(g.bcs, sol), 20240907, trials)
     wins = sum(int(record.won.sum()) for record in rounds)
     elapsed = time.perf_counter() - t0
     checks = {"all_won": wins == trials, "runtime<5s": elapsed < 5.0}
@@ -135,7 +135,7 @@ def test_criterion_06_relation_problem():
     # Recounted from the outcomes by the oracle's rule, not read from ``won``.
     satisfied = sum(
         trial_oracle.wins(g.bcs.constraints[r.constraint], beta, r.alice_outcomes, r.bob_outcome)
-        for record in shallow.run_trials(g, sol, (2, 1001), 61803, trials)
+        for record in shallow.run_trials(quantum.StrategyStack(g.bcs, sol), (2, 1001), 61803, trials)
         for r, beta in zip(trial_oracle.rows(record), record.betas.tolist(), strict=True)
     )
 
@@ -159,7 +159,7 @@ def test_criterion_07_sampling_variant():
     sol = quantum.permutation_solution(g)
     trials = 10 ** 5
     cases = {"case1": 0, "case2": 0, "invalid": 0}
-    for record in shallow.run_trials(g, sol, 50, 271828, trials, "sampling"):
+    for record in shallow.run_trials(quantum.StrategyStack(g.bcs, sol), 50, 271828, trials, "sampling"):
         for r, beta, clean in zip(trial_oracle.rows(record), record.betas.tolist(), record.clean.tolist(),
                                   strict=True):
             won = trial_oracle.wins(g.bcs.constraints[r.constraint], beta, r.alice_outcomes, r.bob_outcome)

@@ -53,9 +53,25 @@ def test_solve_chsh_certificate(chsh_file):
 
 
 def test_solve_unverified_certificate_exits_1(chsh_file, monkeypatch, capsys):
-    monkeypatch.setattr(bcs, "verify_certificate", lambda system, cert: False)
+    """pauli_solve replays each certificate it returns, through the replay
+    that verify_certificate uses: a failed replay is an internal fault."""
+    monkeypatch.setattr(bcs, "_replay", lambda *args: False)
     assert main(["solve", str(chsh_file), "--mode", "pauli"]) == 1
-    assert "internal error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal error" in err and "certificate failed its replay" in err
+    assert not chsh_file.with_suffix(".certificate.json").exists()
+
+
+def test_solve_eliminates_once_per_certificate(tmp_path, monkeypatch):
+    """solve on the n = 6 game reduces its incidence system once: the
+    certificate's replay reuses the solver's elimination."""
+    path = tmp_path / "game6.bcs"
+    path.write_text(bcs.serialize_bcs(game.build_game_bcs(6).bcs))
+    calls = []
+    eliminate = bcs.eliminate_free_vars
+    monkeypatch.setattr(bcs, "eliminate_free_vars", lambda system: calls.append(1) or eliminate(system))
+    assert main(["solve", str(path)]) == 3
+    assert len(calls) == 1
 
 
 def test_solve_parse_error(tmp_path, capsys):
@@ -212,6 +228,17 @@ def test_simulate_rejects_one_site(tmp_path, capsys):
     assert main(["simulate", "--mode", "relation", "--sites", "1",
                  "--trials", "5", "--seed", "1", "--out", str(log)]) == 2
     assert "need at least two sites" in capsys.readouterr().err
+    assert not log.exists()
+
+
+def test_simulate_rejects_chains_past_exact_site_draws(tmp_path, capsys):
+    """Site draws are exact up to 2^32 + 1 sites: a longer chain exits 2,
+    before any trial runs or the log is opened."""
+    log = tmp_path / "trials.jsonl"
+    for mode in ("relation", "sampling"):
+        assert main(["simulate", "--mode", mode, "--sites", str(2 ** 32 + 2),
+                     "--trials", "5", "--seed", "1", "--out", str(log)]) == 2
+        assert "at most 2^32 + 1, got 4294967298" in capsys.readouterr().err
     assert not log.exists()
 
 
@@ -518,7 +545,7 @@ def test_play_golden(n, modified, capsys):
     g = game.build_game_bcs(n, modified=modified)
     rounds = [
         (r.constraint, r.alice_outcomes, r.bob_outcome)
-        for record in quantum.play_rounds(g, _strategy_for(g), 7, 300)
+        for record in quantum.play_rounds(_strategy_for(g), 7, 300)
         for r in trial_oracle.rows(record)
     ]
     assert hashlib.sha256(repr(rounds).encode()).hexdigest() == _GOLDEN_ROUNDS[n, modified]
@@ -620,31 +647,38 @@ def test_simulate_log_lines_are_json_dumps_of_the_oracle_records(mode, seed, sit
 
 def test_play_verifies_the_strategy_and_checks_commutators_once(monkeypatch, capsys):
     """play --n 8 and simulate, in both modes, build the game, complete the
-    magic strategy and check its commutators once each, and a strategy that
-    fails any check is an internal fault, exit 1."""
+    magic strategy, check its commutators and verify it once each, and a
+    strategy that fails any check is an internal fault, exit 1."""
+    complete = quantum.permutation_solution
     calls = []
     for module, name in ((game, "build_game_bcs"), (quantum, "permutation_solution"),
-                         (quantum, "_worst_commutators")):
+                         (quantum, "_worst_commutators"), (quantum, "_verify")):
         monkeypatch.setattr(module, name, lambda *a, name=name, f=getattr(module, name), **k:
                             calls.append(name) or f(*a, **k))
-    for argv in (["play", "--n", "8"], ["simulate", "--mode", "relation", "--sites", "5"],
-                 ["simulate", "--mode", "sampling", "--sites", "5"]):
+    commands = (["play", "--n", "8"], ["simulate", "--mode", "relation", "--sites", "5"],
+                ["simulate", "--mode", "sampling", "--sites", "5"])
+    once = ["_verify", "_worst_commutators", "build_game_bcs", "permutation_solution"]
+    for argv in commands:
         calls.clear()
         assert main([*argv, "--trials", "10", "--seed", "1"]) == 0
-        assert sorted(calls) == ["_worst_commutators", "build_game_bcs", "permutation_solution"], argv
-    g = game.build_game_bcs(8)
-    good = quantum.permutation_solution(g)
-    c = g.bcs.constraints[0]
-    swapped = dict(good.assignment)  # two of constraint 0's observables no longer commute
-    swapped[c.var_indices[0]] = good.assignment[g.x(1, 2)]
-    flipped = {**good.assignment, g.a(1): -good.assignment[g.a(1)]}  # commutes, products fail
-    for assignment, reason in ((swapped, "do not commute"), (flipped, "worst_product")):
-        bad = quantum.OperatorSolution(8, assignment)
-        monkeypatch.setattr(quantum, "permutation_solution", lambda _game, bad=bad: bad)
-        capsys.readouterr()
-        assert main(["play", "--n", "8", "--trials", "10", "--seed", "1"]) == 1
-        err = capsys.readouterr().err
-        assert "strategy failed verification" in err and reason in err
+        assert sorted(calls) == once, argv
+
+    def swapped(g):  # two of constraint 0's observables no longer commute
+        good = complete(g)
+        return quantum.OperatorSolution(8, {**good.assignment,
+                                            g.bcs.constraints[0].var_indices[0]: good.assignment[g.x(1, 2)]})
+
+    def flipped(g):  # commutes, products fail
+        good = complete(g)
+        return quantum.OperatorSolution(8, {**good.assignment, g.a(1): -good.assignment[g.a(1)]})
+
+    for corrupt, reason in ((swapped, "do not commute"), (flipped, "worst_product")):
+        monkeypatch.setattr(quantum, "permutation_solution", corrupt)
+        for argv in commands:
+            capsys.readouterr()
+            assert main([*argv, "--trials", "10", "--seed", "1"]) == 1, argv
+            err = capsys.readouterr().err
+            assert "strategy failed verification" in err and reason in err, argv
 
 
 def test_recipes(capsys):

@@ -138,12 +138,12 @@ def test_batched_verification_equals_loop_oracle(strategy, n, fault, seed):
     report = verify_operator_solution(system, sol, 1e-9)
     assert vars(report) == vars(operator_oracle.verify_operator_solution(system, sol, 1e-9))
     assert not report.ok and report.failing_constraint is not None
-    # A stack's report reuses its commutation check; a stack rejects non-commuting observables.
+    # A stack reports from its commutation check; a stack rejects non-commuting observables.
     if not report.commutation_ok:
         with pytest.raises(ValueError, match="do not commute"):
             quantum.StrategyStack(system, sol)
     else:
-        assert vars(quantum.StrategyStack(system, sol).verify()) == vars(report)
+        assert vars(quantum.StrategyStack(system, sol).report) == vars(report)
     failed = {"hermitian": report.worst_hermitian, "involution": report.worst_involution,
               "commutation": report.worst_commutator, "sign": report.worst_product}
     assert failed[fault] > 1e-9
@@ -640,7 +640,7 @@ def test_play_rounds_equal_a_loop_of_play_round(n, conjugate, monkeypatch):
         expected.append(play_round(g, sol, (alpha, beta), draws))
         questions.append((alpha, beta))
     monkeypatch.setattr(quantum, "CHUNK", 37)
-    records = list(play_rounds(g, quantum.StrategyStack(g.bcs, sol), seed, 300))
+    records = list(play_rounds(quantum.StrategyStack(g.bcs, sol), seed, 300))
     assert [len(r.won) for r in records] == [37] * 8 + [4]
     batched = [r for record in records for r in rows(record)]
     assert batched == expected
@@ -663,19 +663,27 @@ def test_play_rounds_check_commutation_once_per_constraint():
 
 
 def test_play_rounds_validate_when_called():
-    """A bad seed or trial count, or a stack laid out for another game's
-    BCS, raises when play_rounds is called, before the first round is asked
-    for."""
+    """A bad seed or trial count raises when play_rounds is called, before
+    the first round is asked for."""
     g = build_game_bcs(4)
     stack = quantum.StrategyStack(g.bcs, permutation_solution(g))
-    for other in (build_game_bcs(8), build_game_bcs(4)):  # larger, and equal but not the same BCS
-        with pytest.raises(ValueError, match="not laid out for this game"):
-            play_rounds(other, stack, 7, 5)
     with pytest.raises(ValueError, match="seed"):
-        play_rounds(g, stack, -1, 5)
+        play_rounds(stack, -1, 5)
     with pytest.raises(ValueError, match="trials"):
-        play_rounds(g, stack, 7, -1)
-    assert list(play_rounds(g, stack, 2 ** 70, 0)) == []
+        play_rounds(stack, 7, -1)
+    assert list(play_rounds(stack, 2 ** 70, 0)) == []
+
+
+@pytest.mark.parametrize("modified", [False, True])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_stack_questions_are_the_games_questions(n, modified):
+    """The question table play_rounds draws from, read off the stack's
+    members, is enumerate_questions of the game the stack was built for."""
+    g = build_game_bcs(n, modified=modified)
+    ones = OperatorSolution(1, {v: np.ones((1, 1)) for v in range(g.bcs.n_vars)})
+    questions = quantum.StrategyStack(g.bcs, ones).questions
+    assert questions.shape == (len(enumerate_questions(g)), 2)
+    assert list(map(tuple, questions.tolist())) == enumerate_questions(g)
 
 
 # ---------------------------------------------------------------------------

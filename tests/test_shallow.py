@@ -56,6 +56,11 @@ def sol8(game8):
     return permutation_solution(game8)
 
 
+@pytest.fixture(scope="module")
+def stack8(game8, sol8):
+    return quantum.StrategyStack(game8.bcs, sol8)
+
+
 # ---------------------------------------------------------------------------
 # round 1 and the swap oracle
 # ---------------------------------------------------------------------------
@@ -300,7 +305,7 @@ def test_sampling_forced_clean_bits_is_case1(game8, sol8):
 # batched trials
 # ---------------------------------------------------------------------------
 
-def test_run_trials_relation_equals_a_loop(game8, sol8, monkeypatch):
+def test_run_trials_relation_equals_a_loop(game8, sol8, stack8, monkeypatch):
     """A chain length drawn per trial, up to 400 sites so that round 1 spans
     several Bell words: each trial replayed alone from the scalar stream
     oracle equals the batched one, across several batch boundaries."""
@@ -310,7 +315,7 @@ def test_run_trials_relation_equals_a_loop(game8, sol8, monkeypatch):
         transcript = run_round1(inst, draws)
         expected.append((inst, run_round2(game8, inst, transcript, sol8, draws), clean(transcript)))
     monkeypatch.setattr(quantum, "CHUNK", 16)
-    records = list(run_trials(game8, sol8, (2, 400), 2718, 150))
+    records = list(run_trials(stack8, (2, 400), 2718, 150))
     assert [r.trials.tolist() for r in records] == [list(range(t, min(t + 16, 150))) for t in range(0, 150, 16)]
     batched = [row for record in records for row in trial_rows(record, 8)]
     assert batched == expected
@@ -318,13 +323,13 @@ def test_run_trials_relation_equals_a_loop(game8, sol8, monkeypatch):
     assert max(inst.k - inst.j for inst, _, _ in batched) > 128
 
 
-def test_run_trials_sampling_equals_a_loop(game8, sol8, monkeypatch):
+def test_run_trials_sampling_equals_a_loop(game8, sol8, stack8, monkeypatch):
     expected = []
     for t in range(300):
         inst, draws = _oracle_trial(game8, 6, 1414, t)
         expected.append((inst, *run_sampling_trial(game8, inst, sol8, draws)))
     monkeypatch.setattr(quantum, "CHUNK", 45)
-    records = list(run_trials(game8, sol8, 6, 1414, 300, "sampling"))
+    records = list(run_trials(stack8, 6, 1414, 300, "sampling"))
     assert [r.trials.tolist() for r in records] == [list(range(t, min(t + 45, 300))) for t in range(0, 300, 45)]
     batched = [row for record in records for row in trial_rows(record, 8)]
     assert batched == expected
@@ -344,7 +349,7 @@ def test_frame_keys_span_bell_words(game8):
     assert len(set(keys.tolist())) > 5
 
 
-def test_run_trials_checks_every_trials_fidelity(game8, sol8, monkeypatch):
+def test_run_trials_checks_every_trials_fidelity(stack8, monkeypatch):
     """Corrected trials start from |Phi+> because frame_tables checks every
     key's correction once: a table built with one wrong correction (the
     identity for the frame with a Y on layer 0) fails that check, so no
@@ -361,30 +366,37 @@ def test_run_trials_checks_every_trials_fidelity(game8, sol8, monkeypatch):
     try:
         for mode in ("relation", "sampling"):
             with pytest.raises(InvariantError, match="fidelity"):
-                list(run_trials(game8, sol8, 40, 0, 4, mode))
+                list(run_trials(stack8, 40, 0, 4, mode))
     finally:
         frame_tables.cache_clear()
 
 
-def test_run_trials_rejects_bad_mode_and_dimension(game8, sol8):
+def test_run_trials_rejects_bad_mode_and_dimension(game8, sol8, stack8):
     """Every check runs when run_trials is called, before the first trial
-    is asked for."""
+    is asked for.  Site draws are exact up to 2^32 + 1 sites, so longer
+    chains are refused; the longest allowed ones are only called here, since
+    a trial on them draws a Bell word per 64 junctions."""
     with pytest.raises(ValueError, match="mode"):
-        run_trials(game8, sol8, 5, 0, 1, "both")
+        run_trials(stack8, 5, 0, 1, "both")
     bad = OperatorSolution(4, {v: np.eye(4, dtype=complex) for v in sol8.assignment})
     with pytest.raises(ValueError, match="dimension"):
-        run_trials(game8, bad, 5, 0, 1)
+        run_trials(quantum.StrategyStack(game8.bcs, bad), 5, 0, 1)
     # The unmodified game's product constraint has eight variables.
     wide = build_game_bcs(8)
     with pytest.raises(ValueError, match="three variables"):
-        run_trials(wide, permutation_solution(wide), 5, 0, 1)
+        run_trials(quantum.StrategyStack(wide.bcs, permutation_solution(wide)), 5, 0, 1)
     for sites in (1, (1, 5), (4, 4)):
         with pytest.raises(ValueError, match="two sites"):
-            run_trials(game8, sol8, sites, 0, 1)
+            run_trials(stack8, sites, 0, 1)
+    for sites in (2 ** 32 + 2, (2, 2 ** 32 + 3), 2 ** 64):
+        with pytest.raises(ValueError, match=r"at most 2\^32 \+ 1, got"):
+            run_trials(stack8, sites, 0, 1)
+    run_trials(stack8, 2 ** 32 + 1, 0, 1)
+    run_trials(stack8, (2, 2 ** 32 + 2), 0, 1)
     with pytest.raises(ValueError, match="trials"):
-        run_trials(game8, sol8, 5, 0, -1)
+        run_trials(stack8, 5, 0, -1)
     with pytest.raises(ValueError, match="seed"):
-        run_trials(game8, sol8, 5, -3, 1)
+        run_trials(stack8, 5, -3, 1)
 
 
 # ---------------------------------------------------------------------------
