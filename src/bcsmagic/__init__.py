@@ -31,7 +31,6 @@ from .pauli import PauliString, format_pauli, parse_pauli, to_matrix
 from .quantum import (
     OperatorSolution,
     StrategyStack,
-    audit_clifford_strategy,
     classical_to_operator,
     complete_solution,
     correlation,

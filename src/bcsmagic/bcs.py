@@ -49,7 +49,7 @@ together, including variables that cancelled.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations
@@ -60,7 +60,7 @@ from .gf2 import Gf2System, Inconsistency, set_bits
 from .pauli import PauliString
 
 # (x, z, phase) parts of Pauli strings, indexed by variable.
-Bits = Sequence[int] | Mapping[int, int]
+Bits = Sequence[int]
 
 
 class InvariantError(Exception):

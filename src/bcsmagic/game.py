@@ -63,22 +63,6 @@ class GameBcs:
     def x(self, u: int, v: int) -> int:
         return self.var_index[_edge_name("x", _edge(u, v))]
 
-    def y(self, u: int, v: int) -> int:
-        return self.var_index[_edge_name("y", _edge(u, v))]
-
-    def z(self, u: int, v: int) -> int:
-        return self.var_index[_edge_name("z", _edge(u, v))]
-
-    def b(self, e1: Edge, e2: Edge) -> int:
-        return self.var_index[_pair_name("b", *sorted((_edge(*e1), _edge(*e2))))]
-
-    def c(self, e1: Edge, e2: Edge) -> int:
-        return self.var_index[_pair_name("c", _edge(*e1), _edge(*e2))]
-
-    def chain(self, k: int) -> int:
-        """Variable standing for the product a_1 ... a_k, 2 <= k <= n-2."""
-        return self.var_index[f"a1..{k}"]
-
 
 @dataclass
 class QuestionCounts:
@@ -171,7 +155,8 @@ def clifford_bound(n: int) -> float:
     winning probability on the modified game is at most 1 - 1/(6 |Q^A|).
     Defined only in the magic regime.  Nothing in the package shows that it
     is attained: the best Pauli strategy on |Phi+> that the tests build
-    wins 1 - 1/(3 |Q^A|)."""
+    wins 1 - 1/(3 |Q^A|), a witness built in tests/test_acceptance.py
+    (criterion 09) and scored by tests/pauli_report_oracle.py."""
     if classify(n) is not GameClass.MAGIC_REQUIRED:
         raise ValueError(f"no Clifford bound applies at n={n}")
     return 1.0 - 1.0 / (6 * count_questions(n).modified_alice)

@@ -34,12 +34,12 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import pauli
-from .bcs import Bcs, InvariantError, PauliSolution, check_pauli_constraint
+from .bcs import Bcs, InvariantError, PauliSolution
 from .game import GameBcs
 from .pauli import PauliString
 
@@ -434,65 +434,3 @@ def play_rounds(stack: StrategyStack, seed: int, trials: int) -> Iterator[Rounds
 
     return rounds()
 
-
-# ---------------------------------------------------------------------------
-# Pauli strategy audit
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CliffordAudit:
-    pair_agreements: dict[tuple[int, int], float] = field(default_factory=dict)
-    invalid_constraints: list[int] = field(default_factory=list)
-    min_pair: float = 1.0
-    avg_win: float = 0.0
-
-
-def _agreement(a: PauliString, b: PauliString) -> float:
-    """(1 + t)/2 for t the normalized trace of A B^T.  A B^T is +/-I exactly
-    when the (x, z) bits match, and then it is i^k I with
-    k = a.phase + b.phase + 2 #Y, since the transpose flips every Y; t = 0
-    otherwise.  An odd k, an imaginary product, raises ValueError."""
-    if (a.x_bits, a.z_bits) != (b.x_bits, b.z_bits):
-        return 0.5
-    k = (a.phase + b.phase + 2 * (a.x_bits & a.z_bits).bit_count()) % 4
-    if k & 1:
-        raise ValueError("agreement product has an imaginary phase")
-    return 1.0 if k == 0 else 0.0
-
-
-def audit_clifford_strategy(
-    game: GameBcs,
-    alice: dict[int, dict[int, PauliString]],
-    bob: dict[int, PauliString],
-) -> CliffordAudit:
-    """Score a Pauli (stabilizer-measurement) strategy pair.
-
-    Alice may choose per-constraint observables; a constraint whose set
-    fails ``bcs.check_pauli_constraint`` is lost outright.  For the rest,
-    the agreement on (alpha, beta) is (1 + t)/2 where t is the normalized
-    trace of A_beta^(alpha) B_beta^T, always 0 or +/-1 for Pauli strings.
-    Averages are over the uniform question distribution.  Mixed qubit
-    counts raise ValueError.
-    """
-    qubits = {s.n_qubits for obs in alice.values() for s in obs.values()}
-    qubits |= {s.n_qubits for s in bob.values()}
-    if len(qubits) > 1:
-        raise ValueError(f"mixed qubit counts in strategy: {sorted(qubits)}")
-    audit = CliffordAudit()
-    total = 0.0
-    for alpha, c in enumerate(game.bcs.constraints):
-        obs = alice[alpha]
-        xs = {v: s.x_bits for v, s in obs.items()}
-        zs = {v: s.z_bits for v, s in obs.items()}
-        nf = {v: s.phase + (s.x_bits & s.z_bits).bit_count() for v, s in obs.items()}
-        valid = all(check_pauli_constraint(c, xs, zs, nf))
-        if not valid:
-            audit.invalid_constraints.append(alpha)
-        for beta in c.var_indices:
-            agreement = _agreement(obs[beta], bob[beta]) if valid else 0.0
-            audit.pair_agreements[(alpha, beta)] = agreement
-            audit.min_pair = min(audit.min_pair, agreement)
-            total += agreement
-    n_pairs = len(audit.pair_agreements)
-    audit.avg_win = total / n_pairs if n_pairs else 0.0
-    return audit

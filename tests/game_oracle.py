@@ -59,22 +59,38 @@ def build_game_bcs(n: int, modified: bool = False) -> GameBcs:
         names.extend(f"a1..{k}" for k in range(2, n - 1))
 
     index = {name: i for i, name in enumerate(names)}
-    game = GameBcs(n, modified, Bcs(names, []), index)
+
+    def a(v: int) -> int:
+        return index[f"a{v}"]
+
+    def chain(k: int) -> int:
+        """Variable standing for the product a_1 ... a_k, 2 <= k <= n-2."""
+        return index[f"a1..{k}"]
+
+    def edge(kind: str, u: int, v: int) -> int:
+        return index[_edge_name(kind, _edge(u, v))]
+
+    def b(e1: Edge, e2: Edge) -> int:
+        """Symmetric in its two edges."""
+        return index[_pair_name("b", *sorted((_edge(*e1), _edge(*e2))))]
+
+    def c(e1: Edge, e2: Edge) -> int:
+        return index[_pair_name("c", _edge(*e1), _edge(*e2))]
 
     cons = []
     for u, v in edges:
-        cons.append(make_constraint([game.a(u), game.a(v), game.y(u, v)], 1))
+        cons.append(make_constraint([a(u), a(v), edge("y", u, v)], 1))
     for u, v in edges:
-        cons.append(make_constraint([game.x(u, v), game.y(u, v), game.z(u, v)], 1))
+        cons.append(make_constraint([edge("x", u, v), edge("y", u, v), edge("z", u, v)], 1))
     for quad in quads:
         for e1, e2 in _matchings(quad):
-            cons.append(make_constraint([game.x(*e1), game.x(*e2), game.b(e1, e2)], 1))
+            cons.append(make_constraint([edge("x", *e1), edge("x", *e2), b(e1, e2)], 1))
     for quad in quads:
         for e1, e2 in _matchings(quad):
-            cons.append(make_constraint([game.x(*e1), game.z(*e2), game.c(e1, e2)], 1))
-            cons.append(make_constraint([game.x(*e2), game.z(*e1), game.c(e2, e1)], 1))
+            cons.append(make_constraint([edge("x", *e1), edge("z", *e2), c(e1, e2)], 1))
+            cons.append(make_constraint([edge("x", *e2), edge("z", *e1), c(e2, e1)], 1))
     for quad in quads:
-        b_vars = [game.b(e1, e2) for e1, e2 in _matchings(quad)]
+        b_vars = [b(e1, e2) for e1, e2 in _matchings(quad)]
         cons.append(make_constraint(b_vars, 1))
     for quad in quads:
         for t in quad:
@@ -82,15 +98,14 @@ def build_game_bcs(n: int, modified: bool = False) -> GameBcs:
             c_vars = []
             for w_i, w in enumerate(tri):
                 e = _edge(*(tri[:w_i] + tri[w_i + 1:]))
-                c_vars.append(game.c(e, (w, t)))
+                c_vars.append(c(e, (w, t)))
             cons.append(make_constraint(c_vars, 1))
     if modified:
-        cons.append(make_constraint([game.a(1), game.a(2), game.chain(2)], 1))
+        cons.append(make_constraint([a(1), a(2), chain(2)], 1))
         for k in range(3, n - 1):
-            cons.append(make_constraint([game.chain(k - 1), game.a(k), game.chain(k)], 1))
-        cons.append(make_constraint([game.chain(n - 2), game.a(n - 1), game.a(n)], -1))
+            cons.append(make_constraint([chain(k - 1), a(k), chain(k)], 1))
+        cons.append(make_constraint([chain(n - 2), a(n - 1), a(n)], -1))
     else:
-        cons.append(make_constraint([game.a(v) for v in vertices], -1))
+        cons.append(make_constraint([a(v) for v in vertices], -1))
 
-    game.bcs.constraints = cons
-    return game
+    return GameBcs(n, modified, Bcs(names, cons), index)

@@ -1,6 +1,6 @@
 """Pauli-string group arithmetic on ``PauliString`` objects, the reference
-for the integer checks in ``bcs.check_pauli_constraint``,
-``bcs.verify_pauli_solution`` and ``quantum.audit_clifford_strategy``.
+for the integer checks in ``bcs.check_pauli_constraint`` and
+``bcs.verify_pauli_solution``, and the scorer of Pauli strategy pairs.
 
 The shipped checks work on the (x, z, phase) integers of the strings and
 build no string.  Here every product is a ``PauliString`` built factor by
@@ -9,10 +9,19 @@ each report is what the integer checks must reproduce field for field.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from bcsmagic.bcs import Bcs, PauliSolution, PauliVerifyReport
 from bcsmagic.game import GameBcs
 from bcsmagic.pauli import PauliString
-from bcsmagic.quantum import CliffordAudit
+
+
+@dataclass
+class CliffordAudit:
+    pair_agreements: dict[tuple[int, int], float] = field(default_factory=dict)
+    invalid_constraints: list[int] = field(default_factory=list)
+    min_pair: float = 1.0
+    avg_win: float = 0.0
 
 
 def identity(n_qubits: int) -> PauliString:
@@ -105,7 +114,8 @@ def audit_clifford_strategy(
     is lost outright unless its members pairwise commute and multiply to its
     sign; otherwise pair (alpha, beta) agrees with probability (1 + t)/2 for
     A_beta^(alpha) B_beta^T = t I, and t = 0 when that product is not
-    proportional to the identity."""
+    proportional to the identity.  Averages are over the uniform question
+    distribution.  An imaginary t or mixed qubit counts raise ValueError."""
     qubits = {s.n_qubits for obs in alice.values() for s in obs.values()}
     qubits |= {s.n_qubits for s in bob.values()}
     if len(qubits) > 1:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import trial_oracle
 from helpers import check_classical_assignment, philox_rng, split_variable, table_pauli_solution
-from pauli_report_oracle import identity, transpose
+from pauli_report_oracle import audit_clifford_strategy, identity, transpose
 from sign_system_oracle import build_sign_system, satisfiable_brute
 from swap_oracle import enumerate_swap_branches
 
@@ -218,8 +218,8 @@ def test_criterion_09_depth_bound_ingredients():
             obs[c.var_indices[-1]] = pauli.parse_pauli("-I")
         alice[alpha] = obs
     audits = [
-        quantum.audit_clifford_strategy(g, alice, {v: identity(1) for v in range(g.bcs.n_vars)}),
-        quantum.audit_clifford_strategy(g, alice, {v: pauli.parse_pauli("Z") for v in range(g.bcs.n_vars)}),
+        audit_clifford_strategy(g, alice, {v: identity(1) for v in range(g.bcs.n_vars)}),
+        audit_clifford_strategy(g, alice, {v: pauli.parse_pauli("Z") for v in range(g.bcs.n_vars)}),
     ]
     # Witness on the modified game: split v out of the last chain
     # constraint; its Pauli solution has fresh = -v, so Alice answers -v
@@ -231,7 +231,7 @@ def test_criterion_09_depth_bound_ingredients():
     witness = {alpha: {u: split.strings[u] for u in c.var_indices}
                for alpha, c in enumerate(gm.bcs.constraints)}
     witness[last][v] = split.strings[-1]
-    audit = quantum.audit_clifford_strategy(
+    audit = audit_clifford_strategy(
         gm, witness, {u: transpose(split.strings[u]) for u in range(gm.bcs.n_vars)})
     q_alice = game.count_questions(8).modified_alice
     checks = {

@@ -1,12 +1,16 @@
 """Static checks of the package source.
 
 Self-checks raise ``InvariantError``, never ``assert``: ``python -O`` strips
-assert statements, and with them the check.  Private helpers serve the
-package: one that only tests call belongs in a test oracle."""
+assert statements, and with them the check.  The package keeps only what it,
+its demos or the benchmark call: a helper or public name that only tests
+call belongs in a test oracle, and no module keeps an import it does not use."""
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bcsmagic"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bcsmagic"
+MODULES = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
 
 
 def test_package_has_no_assert_statements():
@@ -32,3 +36,53 @@ def test_private_functions_are_used_in_the_package():
                 if name != getattr(top, "name", None):
                     used.add(name)
     assert sorted(private - used) == []
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Identifiers, attributes, imported names and words of string constants
+    in a module, so that ``bench/tracer.py``'s "quantum.measure_batch"
+    counts; a top-level definition naming itself does not."""
+    used = set()
+    for top in tree.body:
+        words = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                words.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                words.add(node.attr)
+            elif isinstance(node, ast.alias):
+                words.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                words.update(re.findall(r"\w+", node.value))
+        used |= words - {getattr(top, "name", None)}
+    return used
+
+
+def test_public_names_are_used_outside_the_tests():
+    """Every public top-level function and class of the package is named
+    outside its own definition, in a package module, a demo or a benchmark
+    script; ``__init__.py``'s re-exports do not count.  Matching by name cannot judge methods: a
+    single-letter one such as a former ``GameBcs.y`` would match any variable
+    ``y``, so methods that only tests call have to be found by reading."""
+    modules = [ast.parse(path.read_text()) for path in MODULES]
+    public = {node.name for tree in modules for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    assert {"build_game_bcs", "StrategyStack"} <= public
+    callers = modules + [ast.parse(path.read_text())
+                         for folder in ("demos", "bench") for path in sorted((ROOT / folder).glob("*.py"))]
+    used = set().union(*map(_names_used, callers))
+    assert sorted(public - used) == []
+
+
+def test_package_imports_are_used():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}:{alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in names]
+    assert unused == []

