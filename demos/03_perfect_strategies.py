@@ -37,19 +37,19 @@ for n, describe in ((5, "scalar"), (4, "two-qubit Pauli"), (8, "dimension-8 magi
     # The stack refuses observables that do not commute, and reports on the rest.
     stack = StrategyStack(game.bcs, sol)
     wins, trials = run_rounds(stack, seed=n)
-    print(f"n={n} ({describe}, dim {sol.dim}): verified={stack.report.ok}, wins {wins}/{trials}")
+    print(f"n={n} ({describe}, dim {stack.dim}): verified={stack.report.ok}, wins {wins}/{trials}")
 
 print("\nA closer look at the n=8 operators:")
 game = build_game_bcs(8)
 sol = permutation_solution(game)
-a1 = sol.assignment[game.a(1)]
-x12 = sol.assignment[game.x(1, 2)]
+a1 = sol[game.a(1)]
+x12 = sol[game.x(1, 2)]
 print("a_1  =", np.real(np.diag(a1)), "(basis reflection)")
 print("x_12 swaps basis vectors 1 and 2:", np.array_equal(np.real(x12[:2, :2]), [[0, 1], [1, 0]]))
 
 product = np.eye(8, dtype=complex)
 for v in range(1, 9):
-    product = product @ sol.assignment[game.a(v)]
+    product = product @ sol[game.a(v)]
 print("product of all a_v is -identity:", np.allclose(product, -np.eye(8)))
 print("self-correlation of every observable on the shared state is 1:",
-      all(abs(correlation(m, m) - 1) < 1e-12 for m in sol.assignment.values()))
+      all(abs(correlation(m, m) - 1) < 1e-12 for m in sol))

@@ -29,7 +29,6 @@ from .game import (
 )
 from .pauli import PauliString, format_pauli, parse_pauli, to_matrix
 from .quantum import (
-    OperatorSolution,
     StrategyStack,
     classical_to_operator,
     complete_solution,

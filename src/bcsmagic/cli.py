@@ -99,16 +99,16 @@ def _strategy_for(game: game_mod.GameBcs) -> quantum.StrategyStack:
     """The game's perfect strategy, laid out for play and verified in full."""
     label = game_mod.classify(game.n)
     if label is game_mod.GameClass.MAGIC_REQUIRED:
-        sol = quantum.permutation_solution(game)
+        ops = quantum.permutation_solution(game)
     else:
         classical = label is game_mod.GameClass.CLASSICAL
         solution = (bcs_mod.classical_solve if classical else bcs_mod.pauli_solve)(game.bcs)
         if isinstance(solution, bcs_mod.Certificate):
             raise bcs_mod.InvariantError(f"n={game.n} is classed {label.value} but its solver "
                                          "returned a certificate")
-        sol = (quantum.classical_to_operator if classical else quantum.pauli_to_operator)(solution)
+        ops = (quantum.classical_to_operator if classical else quantum.pauli_to_operator)(solution)
     try:
-        stack = quantum.StrategyStack(game.bcs, sol)
+        stack = quantum.StrategyStack(game.bcs, ops)
     except ValueError as exc:
         raise bcs_mod.InvariantError(f"strategy failed verification: {exc}") from exc
     if not stack.report.ok:

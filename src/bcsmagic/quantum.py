@@ -3,7 +3,7 @@
 Operators are float64 arrays wherever they are real, as the permutation and
 classical strategies and the shared states are, and complex only where they
 must be, as Pauli lifts with a Y are; a stack is complex iff a member is.
-A strategy assigns one involution per BCS variable; the two players share
+A strategy is one (V, d, d) array, row v variable v's involution; players share
 the maximally entangled state of the operator dimension, Alice measures the
 observables of her constraint, and Bob measures the transpose of his
 variable's observable.  Shared states are kept as d x d amplitude matrices
@@ -103,26 +103,18 @@ def below(words: np.ndarray, n) -> np.ndarray:
 # Operator solutions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OperatorSolution:
-    dim: int
-    assignment: dict[int, np.ndarray]
-
-
-def classical_to_operator(signs: list[int]) -> OperatorSolution:
+def classical_to_operator(signs: list[int]) -> np.ndarray:
     """Embed a scalar solution as one-dimensional operators."""
-    return OperatorSolution(1, {v: np.array([[s]], dtype=float) for v, s in enumerate(signs)})
+    return np.array(signs, float).reshape(-1, 1, 1)
 
 
-def pauli_to_operator(solution: PauliSolution) -> OperatorSolution:
+def pauli_to_operator(solution: PauliSolution) -> np.ndarray:
     qubits = max(solution.qubits, 1)
-    lifted = [
-        PauliString(qubits, s.x_bits, s.z_bits, s.phase) for s in solution.strings
-    ]
-    return OperatorSolution(2 ** qubits, {v: pauli.to_matrix(s) for v, s in enumerate(lifted)})
+    lifted = [PauliString(qubits, s.x_bits, s.z_bits, s.phase) for s in solution.strings]
+    return np.array([pauli.to_matrix(s) for s in lifted], complex).reshape(-1, 2 ** qubits, 2 ** qubits)
 
 
-def permutation_solution(game: GameBcs) -> OperatorSolution:
+def permutation_solution(game: GameBcs) -> np.ndarray:
     """n-dimensional solution of the complete-graph game.
 
     Vertex v gets the reflection I - 2 e_vv, edge (u, v) gets the basis swap,
@@ -131,30 +123,33 @@ def permutation_solution(game: GameBcs) -> OperatorSolution:
     minus sign of the product constraint in every dimension-n instance.
     """
     n, eye = game.n, np.eye(game.n)
-    assignment = {game.a(v + 1): eye - 2 * np.outer(eye[v], eye[v]) for v in range(n)}
-    assignment |= {game.x(u + 1, v + 1): eye - np.outer(eye[u] - eye[v], eye[u] - eye[v])
-                   for u, v in itertools.combinations(range(n), 2)}
-    return complete_solution(game.bcs, OperatorSolution(n, assignment))
+    partial = {game.a(v + 1): eye - 2 * np.outer(eye[v], eye[v]) for v in range(n)}
+    partial |= {game.x(u + 1, v + 1): eye - np.outer(eye[u] - eye[v], eye[u] - eye[v])
+                for u, v in itertools.combinations(range(n), 2)}
+    return complete_solution(game.bcs, partial)
 
 
-def complete_solution(bcs: Bcs, partial: OperatorSolution) -> OperatorSolution:
-    """Fill in, in waves, every variable that is the single unknown of some
-    constraint, until the assignment is total.  A wave is one pass over the
+def complete_solution(bcs: Bcs, partial: dict[int, np.ndarray]) -> np.ndarray:
+    """The (V, d, d) stack extending ``partial``, a {variable: matrix} dict:
+    in waves, every variable that is the single unknown of some constraint
+    is filled in until the stack is total.  A wave is one pass over the
     padded members table: the first constraint with a given variable as its
     only unknown defines it as the reversed product of the knowns on each
-    side (inverses of involutions), times the sign, gathered over one
-    (V, d, d) stack.  Real knowns give a real solution.  A key that is not a
-    variable, mixed dimensions, or a wave that finds nothing raises
-    ValueError."""
-    dim, n_vars = partial.dim, bcs.n_vars
-    ops = np.empty((n_vars, dim, dim), np.result_type(float, *partial.assignment.values()))
-    for v, m in partial.assignment.items():
+    side (inverses of involutions), times the sign.  Knowns are cast into
+    the stack's dtype, so real knowns give a real stack.  An empty partial,
+    a key that is not a variable, mixed dimensions, or a wave that finds
+    nothing raises ValueError."""
+    if not partial:
+        raise ValueError("an empty partial assignment has no dimension")
+    dim, n_vars = len(next(iter(partial.values()))), bcs.n_vars
+    ops = np.empty((n_vars, dim, dim), np.result_type(float, *partial.values()))
+    for v, m in partial.items():
         if not isinstance(v, (int, np.integer)) or v not in range(n_vars):
             raise ValueError(f"assignment key {v!r} is not a variable of the {n_vars}-variable BCS")
         if m.shape != (dim, dim):
             raise ValueError("partial assignment has mixed dimensions")
         ops[int(v)] = m
-    known = np.isin(np.arange(n_vars + 1), [*partial.assignment, n_vars])
+    known = np.isin(np.arange(n_vars + 1), [*partial, n_vars])
     members = _padded([c.var_indices for c in bcs.constraints], n_vars)
     rhs = np.array([c.rhs for c in bcs.constraints], dtype=int)
     while not known.all():
@@ -172,7 +167,7 @@ def complete_solution(bcs: Bcs, partial: OperatorSolution) -> OperatorSolution:
         for block, products in _products(ops, members[single[:, None], order], w - 1):
             ops[targets[block]] = products * rhs[single[block], None, None]
         known[targets] = True
-    return OperatorSolution(dim, {v: ops[v] for v in range(n_vars)} | partial.assignment)
+    return ops
 
 
 @dataclass
@@ -201,12 +196,12 @@ class OperatorVerifyReport:
         return self.hermitian_ok and self.commutation_ok and self.products_ok
 
 
-def verify_operator_solution(bcs: Bcs, sol: OperatorSolution, tol: float = TOL) -> OperatorVerifyReport:
+def verify_operator_solution(bcs: Bcs, ops: np.ndarray, tol: float = TOL) -> OperatorVerifyReport:
     """Max-norm checks of Hermiticity, involution, within-constraint
     commutation, and signed constraint products, over the whole ``_stack``
     at once, products as gathers of its padded member rows.
     ``failing_constraint`` is the first whose commutators or product fail."""
-    return _verify(*_stack(bcs, sol), tol)
+    return _verify(*_stack(bcs, ops), tol)
 
 
 def _verify(ops, members, rhs, commutators, tol: float) -> OperatorVerifyReport:
@@ -348,24 +343,22 @@ def _padded(rows, pad: int) -> np.ndarray:
     return table
 
 
-def _stack(bcs: Bcs, sol: OperatorSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The (V + 1, d, d) stack of observables, the constraints' members as
-    rows of indices into it, their signs, and their worst commutators over
-    their supports, cancelled variables included.  Row v is variable v's
-    observable, and row V the real identity, which pads each constraint's
-    row to the widest.  A missing or misshapen observable raises ValueError."""
-    for v, name in enumerate(bcs.variables):
-        shape = sol.assignment[v].shape if v in sol.assignment else "none"
-        if shape != (sol.dim, sol.dim):
-            raise ValueError(f"variable {v} ({name}) needs a {sol.dim} x {sol.dim} observable, got {shape}")
-    ops = np.stack([sol.assignment[v] for v in range(bcs.n_vars)] + [np.eye(sol.dim)])
+def _stack(bcs: Bcs, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (V, d, d) strategy ``ops`` with the real identity appended as row
+    V, which pads each constraint's row to the widest; the constraints'
+    members as rows of indices into it, their signs, and their worst
+    commutators over their supports, cancelled variables included.  A
+    strategy of any shape but (V, d, d) raises ValueError."""
+    if ops.ndim != 3 or ops.shape[0] != bcs.n_vars or ops.shape[1] != ops.shape[2]:
+        raise ValueError(f"expected a strategy of shape ({bcs.n_vars}, d, d), got {ops.shape}")
+    ops = np.concatenate([ops, np.eye(ops.shape[-1])[None]])
     members = _padded([c.var_indices for c in bcs.constraints], bcs.n_vars)
     rhs = np.array([c.rhs for c in bcs.constraints], dtype=int)
     return ops, members, rhs, _worst_commutators(ops, [c.support for c in bcs.constraints])
 
 
 class StrategyStack:
-    """A strategy's observables laid out by ``_stack`` for ``bcs``'s batched
+    """A (V, d, d) strategy laid out by ``_stack`` for ``bcs``'s batched
     rounds, so that a batch's step is one gather of ``ops`` rows, row ``pad``
     the identity, and its (alpha, beta) ``questions``, row-major over members
     that are not padding, as ``game.enumerate_questions`` lists them.  Each
@@ -374,9 +367,9 @@ class StrategyStack:
     at ``TOL``.
     """
 
-    def __init__(self, bcs: Bcs, sol: OperatorSolution) -> None:
-        self.dim, self.pad = sol.dim, bcs.n_vars
-        self.ops, self.members, self.rhs, commutators = _stack(bcs, sol)
+    def __init__(self, bcs: Bcs, ops: np.ndarray) -> None:
+        self.ops, self.members, self.rhs, commutators = _stack(bcs, ops)
+        self.dim, self.pad = ops.shape[-1], bcs.n_vars
         self.widths = np.sum(self.members != self.pad, axis=1)
         alphas, slots = np.nonzero(self.members != self.pad)
         self.questions = np.column_stack([alphas, self.members[alphas, slots]])
@@ -415,11 +408,13 @@ def play_rounds(stack: StrategyStack, seed: int, trials: int) -> Iterator[Rounds
     ``stack.questions``, and slots 1, 2, ... are its steps' uniforms.  On a
     fresh maximally entangled state Alice measures alpha's observables in
     ascending variable order, then Bob the transpose of beta's, through
-    ``measure_batch``; ``StrategyStack.measure`` judges each round.  Seed
-    and trial count are checked when this is called.
+    ``measure_batch``; ``StrategyStack.measure`` judges each round.  Seed,
+    trial count and question table are checked when this is called.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials and not len(stack.questions):
+        raise ValueError("the strategy's game has no questions")
     stream = TrialStream(seed)
     slots = range(2 + stack.members.shape[1])
 

@@ -133,9 +133,9 @@ def run_trials(stack: StrategyStack, sites: int | tuple[int, int], seed: int, tr
     corrected state, |Phi+>, in a relation trial and from the uncorrected
     frame state in a sampling trial, and ``quantum.StrategyStack.measure``
     judges it.  A relation trial holds iff its round is won; a sampling
-    trial is case 1 iff clean and won.  Mode, dimension, constraint width
-    (three per site), sites, trial count and seed are checked when this is
-    called; ``quantum.below`` draws exactly only up to 2^32 + 1 sites.
+    trial is case 1 iff clean and won.  Mode, dimension, constraint count
+    and width (three per site), sites, trial count and seed are checked when
+    this is called; ``quantum.below`` draws exactly only up to 2^32 + 1 sites.
     """
     if mode not in ("relation", "sampling"):
         raise ValueError(f"unknown trial mode {mode!r}")
@@ -148,6 +148,8 @@ def run_trials(stack: StrategyStack, sites: int | tuple[int, int], seed: int, tr
         raise ValueError(f"need at least two sites and at most 2^32 + 1, got {sites}")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials and not len(stack.members):
+        raise ValueError("the strategy's BCS has no constraints")
     stream = TrialStream(seed)
 
     def generate() -> Iterator[Trials]:

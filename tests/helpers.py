@@ -7,8 +7,7 @@ import numpy as np
 
 from bcsmagic.bcs import Bcs, PauliSolution, make_constraint
 from bcsmagic.gf2 import Gf2Matrix, Gf2System
-from bcsmagic.pauli import parse_pauli
-from bcsmagic.quantum import OperatorSolution
+from bcsmagic.pauli import parse_pauli, to_matrix
 
 TABLE_N4 = {
     "a1": "-ZZ", "a2": "II", "a3": "ZI", "a4": "IZ",
@@ -29,13 +28,8 @@ def table_pauli_solution(game) -> PauliSolution:
     return PauliSolution(2, strings)
 
 
-def table_operator_solution(game) -> OperatorSolution:
-    from bcsmagic.pauli import to_matrix
-
-    return OperatorSolution(
-        4,
-        {i: to_matrix(parse_pauli(TABLE_N4[name])) for i, name in enumerate(game.bcs.variables)},
-    )
+def table_operator_solution(game) -> np.ndarray:
+    return np.array([to_matrix(parse_pauli(TABLE_N4[name])) for name in game.bcs.variables])
 
 
 def philox_rng(seed: int) -> np.random.Generator:

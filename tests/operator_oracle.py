@@ -1,15 +1,17 @@
 """Operator-solution verification and completion one variable, one pair and
 one constraint at a time.
 
-``quantum.verify_operator_solution`` checks a whole stack of observables at
+``quantum.verify_operator_solution`` checks a whole (V, d, d) strategy at
 once and forms every constraint's product as a gather over padded rows.
-This module keeps the plain loops as its reference and shares no code with
-it: each report field is the largest error over the same matrices, so the
-two reports agree exactly, ``failing_constraint`` included.
+This module keeps the plain loops as its reference, reading the strategy
+one row at a time, and shares no code with it: each report field is the
+largest error over the same matrices, so the two reports agree exactly,
+``failing_constraint`` included.
 
-``quantum.complete_solution`` completes in waves of batched products; the
-sequential completion here visits the constraints one at a time and
-completes each single unknown as soon as it meets it.
+``quantum.complete_solution`` completes a stack in waves of batched
+products; the sequential completion here extends a {variable: matrix}
+dict, visits the constraints one at a time and completes each single
+unknown as soon as it meets it.
 """
 from __future__ import annotations
 
@@ -18,27 +20,27 @@ import itertools
 
 import numpy as np
 
-from bcsmagic.quantum import OperatorSolution, OperatorVerifyReport
+from bcsmagic.quantum import OperatorVerifyReport
 
 
 def verify_operator_solution(bcs, sol, tol: float = 1e-9) -> OperatorVerifyReport:
     """Hermiticity and involution per variable; per constraint, every
     commutator of two members of its support and the signed product of its
     variables in order.  The first constraint that misses ``tol`` fails."""
-    eye = np.eye(sol.dim)
+    eye = np.eye(sol.shape[-1])
     report = OperatorVerifyReport(tol)
     for v in range(bcs.n_vars):
-        m = sol.assignment[v]
+        m = sol[v]
         report.worst_hermitian = max(report.worst_hermitian, float(np.max(np.abs(m - m.conj().T))))
         report.worst_involution = max(report.worst_involution, float(np.max(np.abs(m @ m - eye))))
     for j, c in enumerate(bcs.constraints):
         commutator = 0.0
         for a, b in itertools.combinations(sorted(c.support), 2):
-            left, right = sol.assignment[a], sol.assignment[b]
+            left, right = sol[a], sol[b]
             commutator = max(commutator, float(np.max(np.abs(left @ right - right @ left))))
         prod = eye
         for v in c.var_indices:
-            prod = prod @ sol.assignment[v]
+            prod = prod @ sol[v]
         prod_err = float(np.max(np.abs(prod - c.rhs * eye)))
         report.worst_commutator = max(report.worst_commutator, commutator)
         report.worst_product = max(report.worst_product, prod_err)
@@ -47,16 +49,16 @@ def verify_operator_solution(bcs, sol, tol: float = 1e-9) -> OperatorVerifyRepor
     return report
 
 
-def complete_solution(bcs, partial: OperatorSolution) -> OperatorSolution:
+def complete_solution(bcs, partial: dict) -> dict:
     """Fill in every variable that appears as the single unknown of some
-    constraint, iterating until the assignment is total.
+    constraint, iterating until the {variable: matrix} dict is total.
 
     The unknown of ``A_1 .. U .. A_k = c`` is the reversed product of the
     knowns on each side (inverses of involutions), times the sign.  The
     completion keeps the knowns' dtype: real knowns give a real solution.
     """
-    dim = partial.dim
-    assignment = dict(partial.assignment)
+    assignment = dict(partial)
+    dim = len(next(iter(assignment.values())))
     for m in assignment.values():
         if m.shape != (dim, dim):
             raise ValueError("partial assignment has mixed dimensions")
@@ -81,4 +83,4 @@ def complete_solution(bcs, partial: OperatorSolution) -> OperatorSolution:
                 f"stuck completing solution: {len(remaining)} variables have no "
                 "constraint with a single unknown"
             )
-    return OperatorSolution(dim, assignment)
+    return assignment

@@ -6,7 +6,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 import trial_oracle
 from helpers import check_classical_assignment, philox_rng, split_variable, table_pauli_solution
 from pauli_report_oracle import audit_clifford_strategy, identity, transpose
@@ -105,11 +104,11 @@ def test_criterion_04_magic_strategy():
     sol = quantum.permutation_solution(g)
     report = quantum.verify_operator_solution(g.bcs, sol, 1e-9)
     corr_ok = all(
-        abs(quantum.correlation(m, m) - 1.0) <= 1e-9 for m in sol.assignment.values()
+        abs(quantum.correlation(m, m) - 1.0) <= 1e-9 for m in sol
     )
     prod = np.eye(8, dtype=complex)
     for v in range(1, 9):
-        prod = prod @ sol.assignment[g.a(v)]
+        prod = prod @ sol[g.a(v)]
     sign_law = float(np.max(np.abs(prod + np.eye(8)))) <= 1e-9
     checks = {"verify": report.ok, "correlation": corr_ok, "sign_law": sign_law}
     _report(4, "magic strategy", all(checks.values()), str(checks))

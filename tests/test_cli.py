@@ -664,13 +664,14 @@ def test_play_verifies_the_strategy_and_checks_commutators_once(monkeypatch, cap
         assert sorted(calls) == once, argv
 
     def swapped(g):  # two of constraint 0's observables no longer commute
-        good = complete(g)
-        return quantum.OperatorSolution(8, {**good.assignment,
-                                            g.bcs.constraints[0].var_indices[0]: good.assignment[g.x(1, 2)]})
+        ops = complete(g)
+        ops[g.bcs.constraints[0].var_indices[0]] = ops[g.x(1, 2)]
+        return ops
 
     def flipped(g):  # commutes, products fail
-        good = complete(g)
-        return quantum.OperatorSolution(8, {**good.assignment, g.a(1): -good.assignment[g.a(1)]})
+        ops = complete(g)
+        ops[g.a(1)] *= -1
+        return ops
 
     for corrupt, reason in ((swapped, "do not commute"), (flipped, "worst_product")):
         monkeypatch.setattr(quantum, "permutation_solution", corrupt)

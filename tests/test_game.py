@@ -4,7 +4,7 @@ import game_oracle
 import pytest
 from helpers import check_classical_assignment
 
-from bcsmagic import bcs, game
+from bcsmagic import bcs
 from bcsmagic.cli import main
 from bcsmagic.game import (
     GameClass,

@@ -3,7 +3,8 @@
 Self-checks raise ``InvariantError``, never ``assert``: ``python -O`` strips
 assert statements, and with them the check.  The package keeps only what it,
 its demos or the benchmark call: a helper or public name that only tests
-call belongs in a test oracle, and no module keeps an import it does not use."""
+call belongs in a test oracle, and no package or test module keeps an
+import it does not use."""
 import ast
 import re
 from pathlib import Path
@@ -75,8 +76,9 @@ def test_public_names_are_used_outside_the_tests():
 
 
 def test_package_imports_are_used():
+    """Top-level imports of the package modules and of the test modules."""
     unused = []
-    for path in MODULES:
+    for path in MODULES + sorted((ROOT / "tests").glob("*.py")):
         tree = ast.parse(path.read_text())
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in tree.body:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import operator_oracle
@@ -11,12 +12,11 @@ from helpers import (enumerate_distribution, philox_rng, split_variable, table_o
 from pauli_report_oracle import identity, transpose
 from trial_oracle import RoundResult, measure_commuting, play_round, rows, wins
 
-from bcsmagic import bcs, game, pauli, quantum
+from bcsmagic import bcs, pauli, quantum
 from bcsmagic.bcs import mermin_peres, pauli_solve, verify_pauli_solution
 from bcsmagic.game import build_game_bcs, enumerate_questions
 from bcsmagic.pauli import parse_pauli, to_matrix
 from bcsmagic.quantum import (
-    OperatorSolution,
     classical_to_operator,
     complete_solution,
     correlation,
@@ -36,10 +36,10 @@ from bcsmagic.quantum import (
 def test_generators_match_formulas():
     g = build_game_bcs(8)
     sol = permutation_solution(g)
-    np.testing.assert_allclose(sol.assignment[g.a(1)], np.diag([-1] + [1] * 7), atol=0)
+    np.testing.assert_allclose(sol[g.a(1)], np.diag([-1] + [1] * 7), atol=0)
     x12 = np.eye(8)[[1, 0, 2, 3, 4, 5, 6, 7]]
-    np.testing.assert_allclose(sol.assignment[g.x(1, 2)], x12, atol=0)
-    y78 = sol.assignment[g.var_index["y7_8"]]
+    np.testing.assert_allclose(sol[g.x(1, 2)], x12, atol=0)
+    y78 = sol[g.var_index["y7_8"]]
     np.testing.assert_allclose(y78, np.diag([1] * 6 + [-1, -1]), atol=0)
 
 
@@ -47,7 +47,7 @@ def test_generators_match_formulas():
 def test_permutation_solution_verifies(n):
     g = build_game_bcs(n)
     sol = permutation_solution(g)
-    assert sol.dim == n
+    assert sol.shape[-1] == n
     assert verify_operator_solution(g.bcs, sol, 1e-9).ok
 
 
@@ -63,7 +63,7 @@ def test_vertex_product_sign_law(n):
     sol = permutation_solution(g)
     prod = np.eye(n, dtype=complex)
     for v in range(1, n + 1):
-        prod = prod @ sol.assignment[g.a(v)]
+        prod = prod @ sol[g.a(v)]
     np.testing.assert_allclose(prod, -np.eye(n), atol=0)
 
 
@@ -76,14 +76,14 @@ def test_table_n4_as_matrices_verifies():
 def test_negated_vertex_fails_product_row():
     g = build_game_bcs(6)
     sol = permutation_solution(g)
-    sol.assignment[g.a(1)] = -sol.assignment[g.a(1)]
+    sol[g.a(1)] = -sol[g.a(1)]
     report = verify_operator_solution(g.bcs, sol, 1e-9)
     assert not report.products_ok
     product_row = len(g.bcs.constraints) - 1
     bad_rows = [
         j for j, c in enumerate(g.bcs.constraints)
         if abs(np.max(np.abs(
-            np.linalg.multi_dot([sol.assignment[v] for v in c.var_indices])
+            np.linalg.multi_dot([sol[v] for v in c.var_indices])
             - c.rhs * np.eye(6)))) > 1e-9
     ]
     assert product_row in bad_rows
@@ -111,15 +111,14 @@ def _corrupted(strategy, n, fault, seed):
     rng = random.Random(seed)
     v = rng.randrange(system.n_vars)
     if fault == "hermitian":
-        sol.assignment[v] = sol.assignment[v].copy()
-        sol.assignment[v][0, -1] += 0.5
+        sol[v, 0, -1] += 0.5
     elif fault == "involution":
-        sol.assignment[v] = 2 * sol.assignment[v]
+        sol[v] *= 2
     elif fault == "commutation":
         c = rng.choice([c for c in system.constraints if len(c.var_indices) >= 2])
-        other = sol.assignment[c.var_indices[1]]
-        sol.assignment[c.var_indices[0]] = next(
-            m for m in _reflections_and_swaps(sol.dim) if np.abs(m @ other - other @ m).max() > 0)
+        other = sol[c.var_indices[1]]
+        sol[c.var_indices[0]] = next(
+            m for m in _reflections_and_swaps(sol.shape[-1]) if np.abs(m @ other - other @ m).max() > 0)
     else:  # two constraint signs flipped
         flipped = rng.sample(range(len(system.constraints)), 2)
         system = bcs.Bcs(system.variables, [
@@ -165,9 +164,8 @@ def test_batched_verification_equals_loop_oracle_on_random_matrices(seed):
                    for _ in range(6)]
     system = bcs.Bcs([f"v{i}" for i in range(7)], constraints)
     mats = gen.normal(size=(7, dim, dim)) + (1j * gen.normal(size=(7, dim, dim)) if seed % 2 else 0)
-    sol = OperatorSolution(dim, dict(enumerate(mats)))
-    report = verify_operator_solution(system, sol)
-    assert vars(report) == vars(operator_oracle.verify_operator_solution(system, sol))
+    report = verify_operator_solution(system, mats)
+    assert vars(report) == vars(operator_oracle.verify_operator_solution(system, mats))
     assert report.failing_constraint == 0
 
 
@@ -175,7 +173,7 @@ def test_cancelled_support_variables_must_commute():
     """A variable that cancels out of a constraint's product still belongs
     to its support: the report and the stack both check its commutators."""
     system = bcs.Bcs(["a", "b"], [bcs.make_constraint([0, 1, 1], 1)])
-    sol = OperatorSolution(2, {0: to_matrix(parse_pauli("X")), 1: to_matrix(parse_pauli("Z"))})
+    sol = np.array([to_matrix(parse_pauli("X")), to_matrix(parse_pauli("Z"))])
     report = verify_operator_solution(system, sol)
     assert vars(report) == vars(operator_oracle.verify_operator_solution(system, sol))
     assert (report.worst_commutator, report.failing_constraint) == (2.0, 0)
@@ -185,21 +183,22 @@ def test_cancelled_support_variables_must_commute():
 
 def test_verify_empty_system_is_ok():
     empty = bcs.parse_bcs("vars:\n")
-    sol = OperatorSolution(2, {})
+    sol = np.empty((0, 2, 2))
     report = verify_operator_solution(empty, sol)
     assert report.ok and report.failing_constraint is None
     assert vars(report) == vars(operator_oracle.verify_operator_solution(empty, sol))
 
 
-def test_verify_names_a_missing_or_misshapen_variable():
+def test_verify_and_stack_reject_a_strategy_of_the_wrong_shape():
+    """A strategy for V variables is one (V, d, d) array: too few rows,
+    non-square rows and the wrong rank are refused, by name of both shapes."""
     mp = mermin_peres()
     sol = pauli_to_operator(pauli_solve(mp))
-    del sol.assignment[3]
-    with pytest.raises(ValueError, match=r"variable 3 \(v4\)"):
-        verify_operator_solution(mp, sol)
-    sol.assignment[3] = np.eye(2)
-    with pytest.raises(ValueError, match=r"variable 3 \(v4\) needs a 4 x 4 observable"):
-        verify_operator_solution(mp, sol)
+    for bad in (sol[:-1], sol[:, :, :2], sol[None]):
+        message = re.escape(f"expected a strategy of shape (9, d, d), got {bad.shape}")
+        for check in (verify_operator_solution, quantum.StrategyStack):
+            with pytest.raises(ValueError, match=message):
+                check(mp, bad)
 
 
 def test_real_strategies_stay_real_and_pauli_lifts_with_y_complex():
@@ -207,14 +206,14 @@ def test_real_strategies_stay_real_and_pauli_lifts_with_y_complex():
     stack as float64; a Pauli lift with a Y stacks as complex."""
     g8, g5, g4 = build_game_bcs(8), build_game_bcs(5), build_game_bcs(4)
     for g, sol in ((g8, permutation_solution(g8)), (g5, classical_to_operator(bcs.classical_solve(g5.bcs)))):
-        assert {m.dtype for m in sol.assignment.values()} == {np.dtype(np.float64)}
+        assert sol.dtype == np.float64
         assert quantum.StrategyStack(g.bcs, sol).ops.dtype == np.float64
     assert phi_plus(8).dtype == np.float64
     assert any(s.x_bits & s.z_bits for s in table_pauli_solution(g4).strings)
     lifted = pauli_to_operator(table_pauli_solution(g4))
     assert quantum.StrategyStack(g4.bcs, lifted).ops.dtype == np.complex128
-    partial = OperatorSolution(4, {v: lifted.assignment[v] for v in range(g4.bcs.n_vars) if v != 0})
-    assert complete_solution(g4.bcs, partial).assignment[0].dtype == np.complex128
+    partial = {v: lifted[v] for v in range(g4.bcs.n_vars) if v != 0}
+    assert complete_solution(g4.bcs, partial).dtype == np.complex128
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +223,7 @@ def test_real_strategies_stay_real_and_pauli_lifts_with_y_complex():
 def test_complete_mermin_peres_from_free_rows():
     mp = mermin_peres()
     psol = pauli_solve(mp)
-    partial = OperatorSolution(
-        4, {v: to_matrix(psol.strings[v]) for v in (4, 5, 7, 8)}
-    )
+    partial = {v: to_matrix(psol.strings[v]) for v in (4, 5, 7, 8)}
     full = complete_solution(mp, partial)
     assert verify_operator_solution(mp, full, 1e-9).ok
 
@@ -234,10 +231,7 @@ def test_complete_mermin_peres_from_free_rows():
 def test_completion_stuck_without_generators():
     g = build_game_bcs(4)
     n = g.n
-    partial = OperatorSolution(
-        n,
-        {g.a(v): np.diag([1.0 + 0j if i != v - 1 else -1 for i in range(n)]) for v in range(1, n + 1)},
-    )
+    partial = {g.a(v): np.diag([1.0 + 0j if i != v - 1 else -1 for i in range(n)]) for v in range(1, n + 1)}
     with pytest.raises(ValueError, match="stuck"):
         complete_solution(g.bcs, partial)
 
@@ -248,17 +242,23 @@ def test_completion_unknown_in_middle_position():
     b = Bcs(["p", "q", "r"], [make_constraint([0, 1, 2], -1)])
     p = to_matrix(parse_pauli("XZ"))
     r = to_matrix(parse_pauli("ZY"))
-    full = complete_solution(b, OperatorSolution(4, {0: p, 2: r}))
-    np.testing.assert_allclose(full.assignment[1], p @ (-1 * np.eye(4)) @ r, atol=1e-12)
+    full = complete_solution(b, {0: p, 2: r})
+    np.testing.assert_allclose(full[1], p @ (-1 * np.eye(4)) @ r, atol=1e-12)
     np.testing.assert_allclose(
-        full.assignment[0] @ full.assignment[1] @ full.assignment[2], -np.eye(4), atol=1e-12
+        full[0] @ full[1] @ full[2], -np.eye(4), atol=1e-12
     )
 
 
 def test_completion_rejects_mixed_dims():
     mp = mermin_peres()
-    with pytest.raises(ValueError):
-        complete_solution(mp, OperatorSolution(4, {4: np.eye(2, dtype=complex)}))
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        complete_solution(mp, {4: np.eye(2, dtype=complex), 5: np.eye(4)})
+
+
+def test_completion_rejects_an_empty_partial():
+    """A partial's matrices set the dimension, so it needs at least one."""
+    with pytest.raises(ValueError, match="empty partial"):
+        complete_solution(mermin_peres(), {})
 
 
 def test_completion_rejects_keys_outside_the_bcs():
@@ -267,16 +267,18 @@ def test_completion_rejects_keys_outside_the_bcs():
     full = pauli_to_operator(pauli_solve(mp))
     for key in (-1, 99, 9, 0.5, "v1"):
         with pytest.raises(ValueError, match=f"assignment key {key!r} is not a variable of the 9-variable BCS"):
-            complete_solution(mp, OperatorSolution(4, {**full.assignment, key: np.eye(4)}))
+            complete_solution(mp, {**dict(enumerate(full)), key: np.eye(4)})
 
 
 def _assert_completion_matches_oracle(system, partial):
-    """The wave completion equals the sequential oracle's, matrix for matrix
-    and dtype for dtype."""
+    """The wave completion's stack equals the sequential oracle's dict, row
+    for matrix and bit for bit, over every variable, in the dtype the
+    oracle's matrices share."""
     full, oracle = complete_solution(system, partial), operator_oracle.complete_solution(system, partial)
-    assert full.dim == oracle.dim and sorted(full.assignment) == sorted(oracle.assignment)
-    for v, m in oracle.assignment.items():
-        assert full.assignment[v].dtype == m.dtype and np.array_equal(full.assignment[v], m), v
+    assert sorted(oracle) == list(range(system.n_vars)) == list(range(len(full)))
+    for v, m in oracle.items():
+        assert np.array_equal(full[v], m), v
+    assert full.dtype == np.result_type(float, *oracle.values())
 
 
 @pytest.mark.parametrize("modified", [False, True])
@@ -286,7 +288,7 @@ def test_wave_completion_equals_sequential_oracle_on_permutation_generators(n, m
     generators = [g.a(v) for v in range(1, n + 1)]
     generators += [g.x(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)]
     full = permutation_solution(g)
-    _assert_completion_matches_oracle(g.bcs, OperatorSolution(n, {v: full.assignment[v] for v in generators}))
+    _assert_completion_matches_oracle(g.bcs, {v: full[v] for v in generators})
 
 
 def test_wave_completion_equals_sequential_oracle_without_each_variable():
@@ -295,11 +297,11 @@ def test_wave_completion_equals_sequential_oracle_without_each_variable():
     g4 = build_game_bcs(4)
     for lifted in (pauli_to_operator(table_pauli_solution(g4)), pauli_to_operator(pauli_solve(g4.bcs))):
         for missing in range(g4.bcs.n_vars):
-            known = {v: m for v, m in lifted.assignment.items() if v != missing}
-            _assert_completion_matches_oracle(g4.bcs, OperatorSolution(lifted.dim, known))
+            known = {v: m for v, m in enumerate(lifted) if v != missing}
+            _assert_completion_matches_oracle(g4.bcs, known)
     mp = mermin_peres()
     psol = pauli_solve(mp)
-    _assert_completion_matches_oracle(mp, OperatorSolution(4, {v: to_matrix(psol.strings[v]) for v in (4, 5, 7, 8)}))
+    _assert_completion_matches_oracle(mp, {v: to_matrix(psol.strings[v]) for v in (4, 5, 7, 8)})
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -319,22 +321,21 @@ def test_wave_completion_equals_sequential_oracle_on_random_matrices(seed):
     system = bcs.Bcs([f"v{i}" for i in range(n_known + n_new)],
                      [bcs.make_constraint([label[v] for v in row], sign) for row, sign in zip(rows, signs)])
     mats = gen.normal(size=(n_known, dim, dim)) + (1j * gen.normal(size=(n_known, dim, dim)) if seed % 2 else 0)
-    _assert_completion_matches_oracle(system, OperatorSolution(dim, {label[v]: mats[v] for v in range(n_known)}))
+    _assert_completion_matches_oracle(system, {label[v]: mats[v] for v in range(n_known)})
 
 
 def test_wave_and_sequential_completion_fail_alike():
     """Stuck after a wave of progress, both give the same remaining count;
     mixed dimensions raise in both."""
     g = build_game_bcs(4)
-    reflections = OperatorSolution(4, {g.a(v): np.diag([-1.0 if i == v - 1 else 1.0 for i in range(4)])
-                                       for v in range(1, 5)})
+    reflections = {g.a(v): np.diag([-1.0 if i == v - 1 else 1.0 for i in range(4)]) for v in range(1, 5)}
     messages = []
     for complete in (complete_solution, operator_oracle.complete_solution):
         with pytest.raises(ValueError, match="stuck completing solution") as info:
             complete(g.bcs, reflections)
         messages.append(str(info.value))
         with pytest.raises(ValueError, match="mixed dimensions"):
-            complete(mermin_peres(), OperatorSolution(4, {4: np.eye(2, dtype=complex)}))
+            complete(mermin_peres(), {4: np.eye(2, dtype=complex), 5: np.eye(4)})
     assert messages[0] == messages[1] == ("stuck completing solution: 21 variables have no "
                                           "constraint with a single unknown")
 
@@ -347,7 +348,7 @@ def test_correlation_involution_self():
     g = build_game_bcs(8)
     sol = permutation_solution(g)
     for v in range(g.bcs.n_vars):
-        assert correlation(sol.assignment[v], sol.assignment[v]) == pytest.approx(1.0, abs=1e-12)
+        assert correlation(sol[v], sol[v]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_correlation_x_z_and_sign_flip():
@@ -375,7 +376,7 @@ def test_correlation_trace_linearity():
 def test_measure_reflection_probability_eighth():
     g = build_game_bcs(8)
     sol = permutation_solution(g)
-    dist = enumerate_distribution(phi_plus(8), [("A", sol.assignment[g.a(1)])])
+    dist = enumerate_distribution(phi_plus(8), [("A", sol[g.a(1)])])
     assert dist[(-1,)] == pytest.approx(1 / 8, abs=1e-12)
     assert dist[(1,)] == pytest.approx(7 / 8, abs=1e-12)
 
@@ -386,7 +387,7 @@ def _repeat(a, trials):
 
 def test_measure_repeatability():
     g = build_game_bcs(8)
-    obs = _repeat(permutation_solution(g).assignment[g.x(2, 5)], 50)
+    obs = _repeat(permutation_solution(g)[g.x(2, 5)], 50)
     outcomes, _ = measure_batch(_repeat(phi_plus(8), 50), [("A", obs), ("A", obs)],
                                 philox_rng(11).random((50, 2)))
     assert np.all(outcomes[:, 0] == outcomes[:, 1])
@@ -398,7 +399,7 @@ def test_alice_bob_transpose_always_agree():
     sol = permutation_solution(g)
     rng = philox_rng(13)
     for name in (g.a(3), g.x(1, 4), g.var_index["z2_6"]):
-        obs = _repeat(sol.assignment[name], 40)
+        obs = _repeat(sol[name], 40)
         outcomes, _ = measure_batch(_repeat(phi_plus(8), 40), [("A", obs), ("B", obs.swapaxes(1, 2))],
                                     rng.random((40, 2)))
         assert np.all(outcomes[:, 0] == outcomes[:, 1])
@@ -408,7 +409,7 @@ def test_measurement_order_invariance():
     g = build_game_bcs(8)
     sol = permutation_solution(g)
     c = g.bcs.constraints[0]
-    obs = [sol.assignment[v] for v in c.var_indices]
+    obs = [sol[v] for v in c.var_indices]
     base = enumerate_distribution(phi_plus(8), [("A", o) for o in obs])
     perm = [2, 0, 1]
     reordered = enumerate_distribution(phi_plus(8), [("A", obs[p]) for p in perm])
@@ -490,11 +491,11 @@ def test_measure_batch_matches_branch_enumeration(n, strategy):
     tuple is ever produced."""
     g = build_game_bcs(n)
     sol = permutation_solution(g) if strategy == "permutation" else table_operator_solution(g)
-    phi = phi_plus(sol.dim)
+    phi = phi_plus(sol.shape[-1])
     for c in g.bcs.constraints:
-        alice = [("A", sol.assignment[v]) for v in c.var_indices]
+        alice = [("A", sol[v]) for v in c.var_indices]
         for beta in c.var_indices:
-            plan = alice + [("B", sol.assignment[beta].T)]
+            plan = alice + [("B", sol[beta].T)]
             expected = enumerate_distribution(phi, plan)
             forced = _forced_distribution(phi, plan)
             assert set(forced) == set(expected)
@@ -518,7 +519,7 @@ def test_measure_batch_rejects_a_zero_probability_branch_in_any_row():
 
 def test_measure_batch_identity_steps_are_no_ops():
     g = build_game_bcs(8)
-    obs = permutation_solution(g).assignment[g.x(1, 2)]
+    obs = permutation_solution(g)[g.x(1, 2)]
     eye = np.eye(8, dtype=complex)
     plain, plain_state = measure_batch(phi_plus(8)[None], [("A", obs[None])], [[0.3]])
     padded, padded_state = measure_batch(
@@ -564,7 +565,7 @@ def test_play_round_classical_embedding_odd_n():
 def test_play_round_flipped_operator_loses():
     g = build_game_bcs(6)
     sol = permutation_solution(g)
-    sol.assignment[g.a(2)] = -sol.assignment[g.a(2)]
+    sol[g.a(2)] = -sol[g.a(2)]
     rng = philox_rng(5)
     product_row = len(g.bcs.constraints) - 1
     results = [
@@ -577,8 +578,9 @@ def _conjugated(sol, seed):
     """The strategy U A U^dagger for a random unitary U: still perfect, and
     no longer made of symmetric matrices, so Bob's transpose matters."""
     gen = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(gen.normal(size=(sol.dim, sol.dim)) + 1j * gen.normal(size=(sol.dim, sol.dim)))
-    return OperatorSolution(sol.dim, {v: u @ m @ u.conj().T for v, m in sol.assignment.items()})
+    d = sol.shape[-1]
+    u, _ = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
+    return u @ sol @ u.conj().T
 
 
 class _Uniforms:
@@ -614,9 +616,9 @@ def test_strategy_stack_matches_one_trial_measurements():
     for t, ((alpha, beta), r) in enumerate(zip(questions, rows(results), strict=True)):
         c = g.bcs.constraints[alpha]
         rng = _Uniforms([*u[t, :len(c.var_indices)], u[t, 8]])
-        alice = [sol.assignment[v] for v in c.var_indices]
+        alice = [sol[v] for v in c.var_indices]
         a_out, state = measure_commuting(states[t], "A", alice, rng)
-        (b_out,), _ = measure_commuting(state, "B", [sol.assignment[beta].T], rng)
+        (b_out,), _ = measure_commuting(state, "B", [sol[beta].T], rng)
         assert r == RoundResult(alpha, tuple(a_out), b_out, wins(c, beta, a_out, b_out))
     assert set(results.won.tolist()) == {True, False}
 
@@ -652,8 +654,8 @@ def test_play_rounds_check_commutation_once_per_constraint():
     g = build_game_bcs(4)
     sol = permutation_solution(g)
     c = g.bcs.constraints[0]
-    sol.assignment[c.var_indices[0]] = to_matrix(parse_pauli("XI"))
-    sol.assignment[c.var_indices[1]] = to_matrix(parse_pauli("ZI"))
+    sol[c.var_indices[0]] = to_matrix(parse_pauli("XI")).real
+    sol[c.var_indices[1]] = to_matrix(parse_pauli("ZI")).real
     # Checked when the stack is built, before any round draws the constraint.
     with pytest.raises(ValueError, match="constraint 0 do not commute"):
         quantum.StrategyStack(g.bcs, sol)
@@ -674,13 +676,22 @@ def test_play_rounds_validate_when_called():
     assert list(play_rounds(stack, 2 ** 70, 0)) == []
 
 
+def test_play_rounds_reject_a_game_without_questions_when_called():
+    """A stack of a BCS with no constraints has no question to draw: the
+    call refuses it, before the first round, unless no round is asked for."""
+    stack = quantum.StrategyStack(bcs.parse_bcs("vars: a\n"), np.ones((1, 1, 1)))
+    with pytest.raises(ValueError, match="no questions"):
+        play_rounds(stack, 1, 3)
+    assert list(play_rounds(stack, 1, 0)) == []
+
+
 @pytest.mark.parametrize("modified", [False, True])
 @pytest.mark.parametrize("n", range(4, 9))
 def test_stack_questions_are_the_games_questions(n, modified):
     """The question table play_rounds draws from, read off the stack's
     members, is enumerate_questions of the game the stack was built for."""
     g = build_game_bcs(n, modified=modified)
-    ones = OperatorSolution(1, {v: np.ones((1, 1)) for v in range(g.bcs.n_vars)})
+    ones = np.ones((g.bcs.n_vars, 1, 1))
     questions = quantum.StrategyStack(g.bcs, ones).questions
     assert questions.shape == (len(enumerate_questions(g)), 2)
     assert list(map(tuple, questions.tolist())) == enumerate_questions(g)
@@ -849,5 +860,5 @@ def test_split_search_n6_solves_only_negated_splits():
 def test_pauli_lift_round_trip():
     mp = mermin_peres()
     lifted = pauli_to_operator(pauli_solve(mp))
-    assert lifted.dim == 4
+    assert lifted.shape[-1] == 4
     assert verify_operator_solution(mp, lifted, 1e-9).ok

@@ -12,9 +12,9 @@ from trial_oracle import (RelationInstance, clean, compute_syndrome, frame_key, 
                           run_sampling_trial, trial_rows)
 
 from bcsmagic import pauli, quantum, shallow
-from bcsmagic.bcs import InvariantError
+from bcsmagic.bcs import InvariantError, parse_bcs
 from bcsmagic.game import build_game_bcs, enumerate_questions
-from bcsmagic.quantum import OperatorSolution, permutation_solution, phi_plus
+from bcsmagic.quantum import permutation_solution, phi_plus
 from bcsmagic.shallow import (
     CircuitDag,
     Gate,
@@ -238,7 +238,8 @@ def test_check_relation_foreign_beta_vacuous(game8, sol8):
     c = game8.bcs.constraints[0]
     beta = next(v for v in range(game8.bcs.n_vars) if v not in c.var_indices)
     v = c.var_indices[0]
-    flipped = OperatorSolution(8, {**sol8.assignment, v: -sol8.assignment[v]})
+    flipped = sol8.copy()
+    flipped[v] *= -1
     phi = np.broadcast_to(phi_plus(8), (40, 8, 8))
     u = philox_rng(0).random((40, 4))
     for sol, won in ((sol8, True), (flipped, False)):
@@ -251,7 +252,7 @@ def test_check_relation_foreign_beta_vacuous(game8, sol8):
 def test_real_and_complex_stacks_measure_alike(game8, sol8):
     """The real strategy and the same strategy cast to complex, measured on
     the same frame states with shared uniforms, give the same rounds."""
-    cast = OperatorSolution(8, {v: m.astype(complex) for v, m in sol8.assignment.items()})
+    cast = sol8.astype(complex)
     real, complex_ = quantum.StrategyStack(game8.bcs, sol8), quantum.StrategyStack(game8.bcs, cast)
     assert (real.ops.dtype, complex_.ops.dtype) == (np.float64, np.complex128)
     questions = np.array(enumerate_questions(game8))
@@ -378,7 +379,7 @@ def test_run_trials_rejects_bad_mode_and_dimension(game8, sol8, stack8):
     a trial on them draws a Bell word per 64 junctions."""
     with pytest.raises(ValueError, match="mode"):
         run_trials(stack8, 5, 0, 1, "both")
-    bad = OperatorSolution(4, {v: np.eye(4, dtype=complex) for v in sol8.assignment})
+    bad = np.broadcast_to(np.eye(4, dtype=complex), (len(sol8), 4, 4))
     with pytest.raises(ValueError, match="dimension"):
         run_trials(quantum.StrategyStack(game8.bcs, bad), 5, 0, 1)
     # The unmodified game's product constraint has eight variables.
@@ -397,6 +398,16 @@ def test_run_trials_rejects_bad_mode_and_dimension(game8, sol8, stack8):
         run_trials(stack8, 5, 0, -1)
     with pytest.raises(ValueError, match="seed"):
         run_trials(stack8, 5, -3, 1)
+
+
+def test_run_trials_rejects_a_bcs_without_constraints_when_called():
+    """A dimension-8 stack of a BCS with no constraints has no question to
+    draw: the call refuses it, before the first trial, unless no trial is
+    asked for."""
+    stack = quantum.StrategyStack(parse_bcs("vars: a\n"), np.eye(8)[None])
+    with pytest.raises(ValueError, match="no constraints"):
+        run_trials(stack, 5, 0, 3)
+    assert list(run_trials(stack, 5, 0, 0)) == []
 
 
 # ---------------------------------------------------------------------------

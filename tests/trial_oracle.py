@@ -134,9 +134,9 @@ def play_round(game, sol, question, rng) -> RoundResult:
     then Bob the transpose of beta's."""
     alpha, beta = question
     c = game.bcs.constraints[alpha]
-    phi = np.eye(sol.dim, dtype=complex) / np.sqrt(sol.dim)
-    a_out, m = measure_commuting(phi, "A", [sol.assignment[v] for v in c.var_indices], rng)
-    (b_out,), _ = measure_commuting(m, "B", [sol.assignment[beta].T], rng)
+    phi = np.eye(sol.shape[-1], dtype=complex) / np.sqrt(sol.shape[-1])
+    a_out, m = measure_commuting(phi, "A", [sol[v] for v in c.var_indices], rng)
+    (b_out,), _ = measure_commuting(m, "B", [sol[beta].T], rng)
     return RoundResult(alpha, tuple(a_out), b_out, wins(c, beta, a_out, b_out))
 
 
@@ -200,8 +200,8 @@ def run_round2(game, instance, transcript, sol, rng, apply_correction=True) -> R
     if apply_correction:
         state = correction(*compute_syndrome(transcript)) @ state
     c = game.bcs.constraints[instance.alpha]
-    a_out, state = measure_commuting(state, "A", [sol.assignment[v] for v in c.var_indices], rng)
-    (b_out,), _ = measure_commuting(state, "B", [sol.assignment[instance.beta].T], rng)
+    a_out, state = measure_commuting(state, "A", [sol[v] for v in c.var_indices], rng)
+    (b_out,), _ = measure_commuting(state, "B", [sol[instance.beta].T], rng)
     return RoundResult(instance.alpha, tuple(a_out), b_out, wins(c, instance.beta, a_out, b_out))
 
 
