@@ -14,25 +14,25 @@ The operator solver works in three steps:
 
 1. eliminate the variables over GF(2) once.  The pivot rows express every
    dependent variable as a sign times an ascending product of free
-   variables; the zero rows' provenance spans the left kernel, the sets of
-   constraints whose product cancels every variable.  When every kernel
-   vector's rhs is 0 the scalar solution is the answer, on zero qubits,
-   and the remaining steps are skipped;
+   variables, and the elimination returns the free variables ascending
+   with every variable's free support as a mask over their ranks (bit r
+   for the r-th free variable); the zero rows' provenance spans the left
+   kernel, the sets of constraints whose product cancels every variable.
+   When every kernel vector's rhs is 0 the scalar solution is the answer,
+   on zero qubits, and the remaining steps are skipped;
 2. substitute those expressions into the constraints and into the
-   commutation requirements of co-occurring pairs.  A free support is a
-   mask over the ranks of the free variables (bit r for the r-th free
-   variable, ascending), and one sort, ``_sort_parity``, bubbles a list of
-   such blocks into ascending order while recording, for every swap of
-   distinct free variables of ranks k < l, the commutator unknown of the
-   pair; equal neighbours cancel because every variable squares to the
-   identity.  A product's swap parities are one integer, its pair mask,
-   with bit k*f + l for the ranks k < l of f free variables.  A_i A_j A_i A_j
-   sorts as A_i^2 A_j^2 [A_i, A_j], so the commutation row of (i, j) is the
-   sort of the blocks [d, d], d the XOR of the two supports: every pair
-   inside d.  The constraints of a kernel vector multiply to a product of
-   swaps alone, so each kernel vector gives one equation over commutator
-   unknowns: the XOR of its constraints' pair masks equals its accumulated
-   rhs bit;
+   commutation requirements of co-occurring pairs.  One sort,
+   ``_sort_parity``, bubbles a list of free supports into ascending order
+   while recording, for every swap of distinct free variables of ranks
+   k < l, the commutator unknown of the pair; equal neighbours cancel
+   because every variable squares to the identity.  A product's swap
+   parities are one integer, its pair mask, with bit k*f + l for the ranks
+   k < l of f free variables.  A_i A_j A_i A_j sorts as A_i^2 A_j^2
+   [A_i, A_j], so the commutation row of (i, j) is the sort of the blocks
+   [d, d], d the XOR of the two supports: every pair inside d.  The
+   constraints of a kernel vector multiply to a product of swaps alone, so
+   each kernel vector gives one equation over commutator unknowns: the XOR
+   of its constraints' pair masks equals its accumulated rhs bit;
 3. solve that GF(2) system, one row per kernel vector and one per
    co-occurring pair, over the commutator unknowns that occur, in pair
    order.  A solution lifts to Pauli strings with one qubit per
@@ -234,6 +234,7 @@ def classical_solve(bcs: Bcs) -> list[int] | Certificate:
 
 @dataclass
 class Elimination:
+    free: list[int]
     supports: list[int]
     reduced: gf2.ReducedSystem
 
@@ -242,19 +243,26 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
     """Express each variable over a free set by GF(2) elimination.
 
     Pivot columns are those of the unique RREF, so the free set is the
-    lexicographically latest choice.  ``supports[v]`` is the mask of free
-    variables that fixes v up to a sign: a free variable's is its own bit,
-    and a dependent variable's is its pivot row without the pivot bit,
-    since an RREF pivot row holds no other pivot column.  The reduction is
-    kept: pivot row i belongs to the dependent variable
-    ``reduced.pivot_cols[i]``, and the zero rows after them carry a (not
-    canonical) basis of the left kernel in their provenance.
+    lexicographically latest choice; ``free`` lists it ascending.
+    ``supports[v]`` is the product of free variables that fixes v up to a
+    sign, as a mask over their ranks: bit r stands for ``free[r]``.  A free
+    variable's is its own rank bit, and a dependent variable's is its pivot
+    row without the pivot bit, since an RREF pivot row holds no other pivot
+    column.  Pair masks over ranks are f^2 bits wide for f free variables,
+    not n^2 for n variables, and ranks keep the order of the free
+    variables, so pairs keep their order too.  The reduction is kept: pivot
+    row i belongs to the dependent variable ``reduced.pivot_cols[i]``, and
+    the zero rows after them carry a (not canonical) basis of the left
+    kernel in their provenance.
     """
     reduced = gf2.row_reduce(incidence_system(bcs))
-    supports = [1 << v for v in range(bcs.n_vars)]
+    free = sorted(set(range(bcs.n_vars)).difference(reduced.pivot_cols))
+    supports = [0] * bcs.n_vars
+    for r, v in enumerate(free):
+        supports[v] = 1 << r
     for row, col in zip(reduced.system.matrix.bits, reduced.pivot_cols):
-        supports[col] = row ^ 1 << col
-    return Elimination(supports, reduced)
+        supports[col] = sum(supports[b] for b in set_bits(row ^ 1 << col))
+    return Elimination(free, supports, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -283,24 +291,6 @@ def _sort_parity(blocks: Sequence[int], width: int) -> tuple[int, int]:
 def co_occurrence_pairs(bcs: Bcs) -> list[tuple[int, int]]:
     """Distinct unordered pairs appearing together in some constraint."""
     return sorted({p for c in bcs.constraints for p in combinations(sorted(c.support), 2)})
-
-
-def _rank_supports(elim: Elimination) -> tuple[list[int], list[int]]:
-    """The free variables, ascending, and every variable's free support as
-    a mask over their ranks: bit r stands for free variable ``free[r]``.
-
-    Pair masks over ranks are f^2 bits wide for f free variables, not n^2
-    for n variables, and ranks keep the order of the free variables, so
-    pairs keep their order too.
-    """
-    pivots = elim.reduced.pivot_cols
-    free = sorted(set(range(len(elim.supports))).difference(pivots))
-    supports = [0] * len(elim.supports)
-    for r, v in enumerate(free):
-        supports[v] = 1 << r
-    for v in pivots:
-        supports[v] = sum(supports[b] for b in set_bits(elim.supports[v]))
-    return free, supports
 
 
 def _constraint_parity(bcs: Bcs, supports: Sequence[int], width: int, j: int) -> int:
@@ -360,9 +350,9 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
     # With every kernel rhs 0 the commutator system is homogeneous, its
     # solution is all-commute, and the lift is the scalar one.
     if any(reduced.rhs[len(pivots):]):
-        free, ranked = _rank_supports(elim)
+        free, supports = elim.free, elim.supports
         f = len(free)
-        swaps = [_constraint_parity(bcs, ranked, f, j) for j in range(len(bcs.constraints))]
+        swaps = [_constraint_parity(bcs, supports, f, j) for j in range(len(bcs.constraints))]
         swapping = sum(1 << j for j, mask in enumerate(swaps) if mask)
 
         # One row per kernel vector, then one per co-occurring pair, over
@@ -373,7 +363,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
         pair_list = co_occurrence_pairs(bcs)
         kernel_rows = (reduce(xor, (swaps[j] for j in set_bits(reduced.provenance[i] & swapping)), 0)
                        for i in kernel)
-        pair_rows = (_sort_parity([ranked[i] ^ ranked[j]] * 2, f)[0] for i, j in pair_list)
+        pair_rows = (_sort_parity([supports[i] ^ supports[j]] * 2, f)[0] for i, j in pair_list)
         positions = [set_bits(row) for row in chain(kernel_rows, pair_rows)]
         comm = sorted(set().union(*positions))
         col = {p: c for c, p in enumerate(comm)}
@@ -390,7 +380,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
                 else:
                     commutation_rows.append(pair_list[row - len(kernel)])
             cert = _certificate(bcs, set_bits(cited), commutation_rows)
-            if not _replay(bcs, cert, free, ranked):
+            if not _replay(bcs, cert, elim):
                 raise InvariantError("internal solver error: constructed certificate failed its replay")
             return cert
 
@@ -405,7 +395,7 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
             zs[free[l]] |= 1 << q
         # Free strings carry no Y and no phase, so their normal-form phase is 0.
         for v in pivots:
-            x, z, phase = _product(set_bits(elim.supports[v]), xs, zs, phases)
+            x, z, phase = _product([free[r] for r in set_bits(supports[v])], xs, zs, phases)
             xs[v], zs[v], phases[v] = x, z, phase - (x & z).bit_count()
     for i, v in enumerate(pivots):
         phases[v] += 2 * (reduced.rhs[i] ^ ((reduced.provenance[i] & flip).bit_count() & 1))
@@ -477,11 +467,11 @@ def verify_certificate(bcs: Bcs, cert: Certificate) -> bool:
     for i, j in cert.commutation_rows:
         if not (0 <= i < bcs.n_vars and 0 <= j < bcs.n_vars and i < j):
             raise IndexError(f"certificate cites bad commutation pair {(i, j)}")
-    return _replay(bcs, cert, *_rank_supports(eliminate_free_vars(bcs)))
+    return _replay(bcs, cert, eliminate_free_vars(bcs))
 
 
-def _replay(bcs: Bcs, cert: Certificate, free: Sequence[int], supports: Sequence[int]) -> bool:
-    """``verify_certificate``'s checks, over ``_rank_supports``' ranks."""
+def _replay(bcs: Bcs, cert: Certificate, elim: Elimination) -> bool:
+    """``verify_certificate``'s checks, over the free ranks of ``elim``."""
     relation = _certificate(bcs, cert.constraint_rows).derived_relation
     if tuple(cert.derived_relation) != relation:
         return False
@@ -502,10 +492,10 @@ def _replay(bcs: Bcs, cert: Certificate, free: Sequence[int], supports: Sequence
     # Swap bookkeeping of the whole product, at the free-variable level,
     # must be exactly discharged by the cited commutation facts: one sort of
     # the constraints' blocks, with [d, d] appended for each cited pair.
-    blocks = [supports[v] for v in relation]
+    blocks = [elim.supports[v] for v in relation]
     for i, j in cert.commutation_rows:
-        blocks += [supports[i] ^ supports[j]] * 2
-    return _sort_parity(blocks, len(free)) == (0, 0)
+        blocks += [elim.supports[i] ^ elim.supports[j]] * 2
+    return _sort_parity(blocks, len(elim.free)) == (0, 0)
 
 
 def serialize_solution(bcs: Bcs, solution: PauliSolution) -> str:

@@ -174,7 +174,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lightcone(args) -> int:
-    if args.dag:
+    if args.dag is not None:
         dag = shallow.dag_from_json(Path(args.dag).read_text())
     else:
         dag = shallow.build_strategy_dag(args.sites)
@@ -300,8 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("lightcone", help="wiring statistics and hardness bounds")
-    p.add_argument("--dag", default=None, help="load a wiring from JSON")
-    p.add_argument("--sites", type=int, default=16, help="strategy wiring size when no --dag")
+    wiring = p.add_mutually_exclusive_group()
+    wiring.add_argument("--dag", default=None, help="load a wiring from JSON")
+    # A string default, parsed only when absent, so "--dag F --sites 16" still conflicts.
+    wiring.add_argument("--sites", type=int, default="16", help="strategy wiring size when no --dag")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_lightcone)
 

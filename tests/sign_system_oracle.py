@@ -13,8 +13,11 @@ correct.
 It also carries the dict form of the swap bookkeeping as the reference for
 ``bcs._sort_parity``'s pair masks: ``_inversion_parity`` maps each smaller
 variable to a bitmask of its larger partners, and ``_commutation_row`` sorts
-the literal expansion A_i A_j A_i A_j block by block.  ``verify_certificate``
-replays a certificate with both, as the judge of ``bcs.verify_certificate``.
+the literal expansion A_i A_j A_i A_j block by block.  Blocks are tuples of
+variables that ``_block`` reads off the elimination's pivot rows itself, so
+the rank masks of ``Elimination.supports`` are judged, never used.
+``verify_certificate`` replays a certificate with both, as the judge of
+``bcs.verify_certificate``.
 """
 from __future__ import annotations
 
@@ -57,8 +60,13 @@ def _parity_pairs(parity: dict[int, int]) -> list[tuple[int, int]]:
 
 
 def _block(elim: Elimination, v: int) -> tuple[int, ...]:
-    """The free support of variable v as an ascending tuple."""
-    return tuple(set_bits(elim.supports[v]))
+    """The free support of variable v as an ascending tuple of variables,
+    read off the reduction's pivot rows, not off ``elim.supports``' ranks:
+    a pivot's row without its pivot bit, a free variable alone."""
+    pivots = elim.reduced.pivot_cols
+    if v not in pivots:
+        return (v,)
+    return tuple(set_bits(elim.reduced.system.matrix.bits[pivots.index(v)] ^ 1 << v))
 
 
 def _commutation_row(bcs: Bcs, elim: Elimination, i: int, j: int):

@@ -187,27 +187,28 @@ def test_classical_results_are_judged():
 # elimination and the sign system (magic-square worked example)
 # ---------------------------------------------------------------------------
 
-def free_vars(elim) -> list[int]:
-    """The free set: every variable that is not a pivot column."""
-    return [v for v in range(len(elim.supports)) if v not in elim.reduced.pivot_cols]
+def free_support(elim, v: int) -> list[int]:
+    """The free variables of v's support, read through the ranks."""
+    return [elim.free[r] for r in gf2.set_bits(elim.supports[v])]
 
 
 def test_mermin_peres_free_set_and_expressions():
     elim = eliminate_free_vars(mermin_peres())
-    assert free_vars(elim) == [4, 5, 7, 8]
+    assert elim.free == [4, 5, 7, 8]
     assert elim.reduced.pivot_cols == [0, 1, 2, 3, 6]
-    assert gf2.set_bits(elim.supports[1]) == [4, 7]
-    assert gf2.set_bits(elim.supports[0]) == [4, 5, 7, 8]
-    for v in free_vars(elim):
-        assert elim.supports[v] == 1 << v
+    assert free_support(elim, 1) == [4, 7]
+    assert free_support(elim, 0) == [4, 5, 7, 8]
+    for r, v in enumerate(elim.free):
+        assert elim.supports[v] == 1 << r
 
 
 def test_single_constraint_elimination():
     b = parse_bcs("a1 a2 = -1\n")
     elim = eliminate_free_vars(b)
-    assert free_vars(elim) == [1]
+    assert elim.free == [1]
     assert elim.reduced.pivot_cols == [0]
-    assert elim.supports[0] == 1 << 1
+    assert free_support(elim, 0) == [1]
+    assert elim.supports == [1 << 0, 1 << 0]
 
 
 def test_disjoint_blocks_do_not_mix():
@@ -215,8 +216,10 @@ def test_disjoint_blocks_do_not_mix():
     elim = eliminate_free_vars(b)
     red = gf2.row_reduce(bcs.incidence_system(b))
     assert red.pivot_cols == [0, 2]
-    assert elim.supports[0] == 1 << 1
-    assert elim.supports[2] == 1 << 3
+    assert elim.free == [1, 3]
+    assert free_support(elim, 0) == [1]
+    assert free_support(elim, 2) == [3]
+    assert elim.supports == [1 << 0, 1 << 0, 1 << 1, 1 << 1]
 
 
 def test_mermin_peres_substitution_row():
@@ -445,7 +448,7 @@ def test_random_instances_sound_and_oracle_agree():
             anti = [u[1:] for u, bit in zip(system.unknowns, oracle)
                     if u[0] == "comm" and bit]
             assert out.qubits == len(anti)
-            assert anticommuting_free_pairs(out, free_vars(eliminate_free_vars(b))) == anti
+            assert anticommuting_free_pairs(out, eliminate_free_vars(b).free) == anti
             cls = classical_solve(b)
             if not isinstance(cls, Certificate):
                 assert check_classical_assignment(b, cls)
@@ -692,8 +695,10 @@ def test_pair_masks_match_dict_oracle_on_systems():
     systems = [random_bcs(rng) for _ in range(200)] + [planted_bcs(rng) for _ in range(50)]
     for b in systems + [mermin_peres(), build_game_bcs(4).bcs]:
         elim = eliminate_free_vars(b)
-        free, supports = bcs._rank_supports(elim)
+        free, supports = elim.free, elim.supports
         assert free == sorted(set(range(b.n_vars)) - set(elim.reduced.pivot_cols))
+        for v in range(b.n_vars):
+            assert free_support(elim, v) == list(sign_system_oracle._block(elim, v))
         f = len(free)
         for j in range(len(b.constraints)):
             _, parity, _ = sign_system_oracle._constraint_row(b, elim, j)

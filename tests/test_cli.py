@@ -288,6 +288,24 @@ def test_lightcone_dag_file(tmp_path, capsys):
     assert main(["lightcone", "--dag", str(path)]) == 0
     assert "max_fan_in: 14" in capsys.readouterr().out
     assert main(["lightcone", "--dag", str(tmp_path / "nope.json")]) == 2
+    assert main(["lightcone", "--dag", ""]) == 2
+
+
+@pytest.mark.parametrize("sites", ["500", "16"])
+def test_lightcone_dag_and_sites_are_exclusive(tmp_path, capsys, sites):
+    # --sites would be ignored next to a loaded wiring, so passing both is
+    # a usage error, even when the value equals the default.
+    path = tmp_path / "dag.json"
+    path.write_text(shallow.build_strategy_dag(4).to_json())
+    with pytest.raises(SystemExit) as exc:
+        main(["lightcone", "--dag", str(path), "--sites", sites, "--format", "json"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --dag" in capsys.readouterr().err
+
+
+def test_lightcone_defaults_to_16_sites(capsys):
+    assert main(["lightcone", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sites"] == 16
 
 
 def test_lightcone_fan_in_1_wiring(tmp_path, capsys):

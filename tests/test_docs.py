@@ -1,8 +1,9 @@
 """Every backticked dotted name that starts at a ``bcsmagic`` module, in
 README.md and the docstrings of the demos, the library and the tests, names
-something that exists, such as ``quantum.measure_batch``; every command in
-the README's command-line block parses; and every bcsmagic name that the
-benchmark's scripts in ``bench/`` read exists."""
+something that exists, such as ``quantum.measure_batch``, and so does every
+bare backticked private name in a library module's docstrings; every
+command in the README's command-line block parses; and every bcsmagic name
+that the benchmark's scripts in ``bench/`` read exists."""
 import ast
 import importlib
 import pkgutil
@@ -16,6 +17,7 @@ from bcsmagic import cli
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = {m.name for m in pkgutil.iter_modules(bcsmagic.__path__)}
 DOTTED = re.compile(r"`+((?:bcsmagic\.)?[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`+")
+PRIVATE = re.compile(r"`+(_\w+)`+")
 
 
 def _docstrings(path: Path) -> list[str]:
@@ -57,6 +59,22 @@ def test_doc_references_resolve():
     assert ("tests/pauli_report_oracle.py", "bcs.check_pauli_constraint") in references
     missing = sorted((where, name) for where, name in references if not _resolves(name))
     assert not missing, f"doc references that name nothing: {missing}"
+
+
+def test_private_doc_references_resolve():
+    """A bare backticked private name in a package module's docstrings,
+    such as ``_replay``, names a top-level name of that module: the dotted
+    check above never sees it."""
+    references = {
+        (module, name)
+        for module in MODULES
+        for name in PRIVATE.findall("\n".join(_docstrings(ROOT / "src/bcsmagic" / f"{module}.py")))
+    }
+    assert ("bcs", "_sort_parity") in references
+    assert ("quantum", "_stack") in references
+    missing = sorted((module, name) for module, name in references
+                     if not hasattr(importlib.import_module(f"bcsmagic.{module}"), name))
+    assert not missing, f"private doc references that name nothing: {missing}"
 
 
 def test_readme_commands_parse():
