@@ -14,7 +14,10 @@ and Bob-side operators act by M A^T.
 Every projective measurement runs through ``measure_batch``, which measures
 a stack of T such states, shape (T, d, d), one step at a time: each step
 gathers one (T, d, d) stack of observables, and each trial keeps the +1
-branch iff its own uniform falls below that branch's probability.  Trial
+branch iff its own uniform falls below that branch's probability.  For a
+Hermitian involution O, which the drivers require, OM has the norm of M,
+so an unnormalised M of squared norm n has +1 probability
+(1 + Re<M, OM>/n)/2, and a step is one matmul and one inner product.  Trial
 t reads each number from a fixed slot of its own ``TrialStream``, a pure
 function of (seed, t, slot), so results never depend on how trials are
 grouped; ``play_rounds`` plays many rounds CHUNK at a time.
@@ -256,47 +259,65 @@ def measure_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sequential projective measurement of a stack of shared states.
 
-    ``amplitudes`` has shape (T, d, d).  ``steps`` yields ``(side,
-    observables)`` pairs, observables of shape (T, d, d), and is read one
-    step at a time; ``uniforms`` has shape (T, S), one column per step.
-    Step s applies the projector (I + O)/2 to the named side of every trial
-    and keeps trial t on the +1 branch iff ``uniforms[t, s]`` is below that
-    branch's probability; the -1 branch is M minus the +1 branch.  Returns
-    the (T, S) outcomes and the collapsed stack.  An identity observable at
-    uniform 0 gives +1 and leaves the state as it was, up to rounding, which
-    is how batches pad narrower constraints.  Commutation is the caller's
-    check.
+    ``amplitudes`` has shape (T, d, d), states of positive norm, and
+    ``uniforms`` (T, S), one column per step; else ValueError.  ``steps`` yields
+    ``(side, observables)`` pairs, observables of shape (T, d, d), and is
+    read one step at a time.  Step s keeps trial t on the +1 branch of
+    (I + O)/2 iff ``uniforms[t, s]`` is below that branch's probability.
+    Returns the (T, S) outcomes and the collapsed unit states.  An identity
+    observable at uniform 0 gives +1 and leaves the state as it was, up to
+    rounding, which is how batches pad narrower constraints.
+
+    Observables must be Hermitian involutions that commute where they must;
+    both are the caller's checks.  Then OM, O M on Alice's side or M O^T on
+    Bob's, has the norm of M, so M of squared norm n has +1 probability
+    (1 + Re<M, OM>/n)/2 and branches M +- OM of squared norm 4n times their
+    probability: each step is one matmul and one inner product, the branch
+    is built in OM's buffer, n is carried, and states are normalised once,
+    at the end.  A real state takes complex observables' dtype.
     """
-    m = amplitudes
-    uniforms = np.asarray(uniforms, dtype=float)
-    outcomes = np.ones(uniforms.shape, dtype=int)
-    eye = np.eye(m.shape[-1])
+    m, uniforms = np.asarray(amplitudes), np.asarray(uniforms, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected amplitudes of shape (T, d, d), got {m.shape}")
+    if uniforms.ndim != 2 or len(uniforms) != len(m):
+        raise ValueError(f"expected uniforms of shape ({len(m)}, S), got {uniforms.shape}")
+    # A C-ordered copy, so that a broadcast state views as floats too.
+    m = np.ascontiguousarray(m, dtype=np.result_type(float, m))
+    norms = _real_dot(m, m)
+    if not np.all(norms > 0):
+        raise ValueError("every state needs a positive norm")
+    kept = np.zeros(uniforms.shape, dtype=bool)
     n_steps = 0
     for s, (side, observables) in enumerate(steps):
         if s == uniforms.shape[1]:
             raise ValueError(f"more steps than the {s} uniforms per trial")
-        plus = (eye + observables) / 2
         if side == "A":
-            projected = plus @ m
+            om = observables @ m
         elif side == "B":
-            projected = m @ plus.swapaxes(1, 2)
+            om = m @ observables.swapaxes(1, 2)
         else:
             raise ValueError("side must be 'A' or 'B'")
-        flat = projected.reshape(len(m), -1).view(float)
-        p_plus = np.einsum("ti,ti->t", flat, flat)
+        if m.dtype != om.dtype:  # a real state meets complex observables
+            m = m.astype(om.dtype)
+        p_plus = 0.5 * (1.0 + _real_dot(m, om) / norms)
         keep = uniforms[:, s] < p_plus
         weight = np.where(keep, p_plus, 1.0 - p_plus)
-        if np.any(weight <= 1e-12):
+        if (weight <= 1e-12).any():
             raise InvariantError("sampled a zero-probability branch")
-        branch = m - projected
-        branch[keep] = projected[keep]
-        branch /= np.sqrt(weight)[:, None, None]
-        m = branch
-        outcomes[~keep, s] = -1
+        om *= np.where(keep, 1.0, -1.0)[:, None, None]
+        om += m
+        m = om
+        norms *= 4.0 * weight
+        kept[:, s] = keep
         n_steps += 1
     if n_steps != uniforms.shape[1]:
         raise ValueError(f"{uniforms.shape[1]} uniforms per trial for {n_steps} steps")
-    return outcomes, m
+    return np.where(kept, 1, -1), m / np.sqrt(norms)[:, None, None]
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re<a[t], b[t]> per row of two C-ordered stacks of one dtype."""
+    return np.einsum("ti,ti->t", a.reshape(len(a), -1).view(float), b.reshape(len(b), -1).view(float))
 
 
 def _worst_commutators(ops: np.ndarray, groups) -> np.ndarray:
@@ -415,6 +436,8 @@ def play_rounds(stack: StrategyStack, seed: int, trials: int) -> Iterator[Rounds
         raise ValueError(f"trials must be non-negative, got {trials}")
     if trials and not len(stack.questions):
         raise ValueError("the strategy's game has no questions")
+    if not stack.report.hermitian_ok:
+        raise ValueError("measure_batch needs Hermitian involutions, and the strategy's are not")
     stream = TrialStream(seed)
     slots = range(2 + stack.members.shape[1])
 

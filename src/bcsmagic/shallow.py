@@ -102,20 +102,28 @@ def frame_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 BELL_SLOT = 8
+# 64-junction blocks per trial drawn at once, so a chunk's words take at
+# most 6 * 8 bytes per block and trial; a 1,000-site chain needs 16.
+KEY_BLOCKS = 64
 _LOW_BITS = np.array([(1 << n) - 1 for n in range(65)], dtype=np.uint64)
 
 
 def _frame_keys(stream: TrialStream, trials: np.ndarray, junctions: np.ndarray) -> np.ndarray:
     """Each trial's frame key from its round-1 Bell outcomes: junction i's
     bit (layer l, e) is bit i mod 64 of slot BELL_SLOT + 6 (i // 64) + 2l + e,
-    and key bit 2l + e is their parity, XOR-folded over the trial's words."""
+    and key bit 2l + e is their parity, XOR-folded over the trial's words,
+    KEY_BLOCKS blocks of 64 junctions at a time."""
     blocks = -(-junctions // 64)
-    owner = np.repeat(np.arange(len(trials)), blocks)
-    firsts = np.cumsum(blocks) - blocks
-    block = np.arange(len(owner)) - firsts[owner]
-    words = stream.words(trials[owner, None], BELL_SLOT + 6 * block[:, None] + np.arange(6))
-    valid = np.minimum(junctions[owner] - 64 * block, 64)
-    folded = np.bitwise_xor.reduceat(words & _LOW_BITS[valid][:, None], firsts)
+    folded = np.zeros((len(trials), 6), dtype=np.uint64)
+    for start in range(0, blocks.max(initial=0), KEY_BLOCKS):
+        # A trial past its last block draws one row that its mask clears.
+        counts = np.maximum(np.minimum(blocks - start, KEY_BLOCKS), 1)
+        owner = np.repeat(np.arange(len(trials)), counts)
+        firsts = np.cumsum(counts) - counts
+        block = start + np.arange(len(owner)) - firsts[owner]
+        words = stream.words(trials[owner, None], BELL_SLOT + 6 * block[:, None] + np.arange(6))
+        valid = np.maximum(np.minimum(junctions[owner] - 64 * block, 64), 0)
+        folded ^= np.bitwise_xor.reduceat(words & _LOW_BITS[valid][:, None], firsts)
     for shift in (32, 16, 8, 4, 2, 1):
         folded ^= folded >> np.uint64(shift)
     return ((folded & np.uint64(1)).astype(int) << np.arange(6)).sum(axis=1)
@@ -150,6 +158,8 @@ def run_trials(stack: StrategyStack, sites: int | tuple[int, int], seed: int, tr
         raise ValueError(f"trials must be non-negative, got {trials}")
     if trials and not len(stack.members):
         raise ValueError("the strategy's BCS has no constraints")
+    if not stack.report.hermitian_ok:
+        raise ValueError("measure_batch needs Hermitian involutions, and the strategy's are not")
     stream = TrialStream(seed)
 
     def generate() -> Iterator[Trials]:

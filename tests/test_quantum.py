@@ -538,6 +538,86 @@ def test_measure_batch_needs_one_uniform_per_step():
         measure_batch(phi_plus(2)[None], [("C", x[None])], [[0.1]])
 
 
+def _random_involution(gen, d):
+    """U diag(+-1) U^dagger for a random unitary U, with both signs present."""
+    u, _ = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
+    signs = np.where(np.arange(d) < gen.integers(1, d), 1.0, -1.0)
+    return (u * signs) @ u.conj().T
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_measure_batch_matches_enumeration_for_random_involutions(d):
+    """Complex Hermitian involutions that need not commute, on both sides,
+    on the real |Phi+> and on a random complex state: the forced outcome
+    tuples and their weights equal the exact distribution."""
+    gen = np.random.default_rng(d)
+    state = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+    for amplitudes in (phi_plus(d), state / np.linalg.norm(state)):
+        plan = [(side, _random_involution(gen, d)) for side in "ABAB"]
+        expected = enumerate_distribution(amplitudes, plan)
+        forced = _forced_distribution(amplitudes, plan)
+        assert set(forced) == set(expected) and len(expected) == 16
+        for outcome, p in expected.items():
+            assert abs(forced[outcome] - p) <= 1e-12
+
+
+def test_measure_batch_measures_a_real_state_with_complex_observables():
+    """The real |Phi+> meets a Pauli Y: the state becomes complex, and the
+    outcomes are the ones a complex copy of the state gives."""
+    y = to_matrix(parse_pauli("YI"))
+    steps = [("A", _repeat(y, 64)), ("B", _repeat(y.T, 64))]
+    u = philox_rng(3).random((64, 2))
+    outcomes, state = measure_batch(_repeat(phi_plus(4), 64), steps, u)
+    copied, copied_state = measure_batch(_repeat(phi_plus(4).astype(complex), 64), steps, u)
+    assert state.dtype == complex and set(outcomes[:, 0]) == {1, -1}
+    assert np.array_equal(outcomes, copied) and np.array_equal(state, copied_state)
+    assert np.all(outcomes[:, 0] == outcomes[:, 1])
+
+
+def test_measure_batch_reads_broadcast_states_as_their_copies():
+    """A stride-0 stack of one state measures as trial-by-trial calls."""
+    gen = np.random.default_rng(4)
+    obs = np.stack([_random_involution(gen, 4) for _ in range(10)])
+    u = gen.random((10, 1))
+    outcomes, state = measure_batch(_repeat(phi_plus(4), 10), [("B", obs)], u)
+    for t in range(10):
+        alone, alone_state = measure_batch(phi_plus(4)[None], [("B", obs[t:t + 1])], u[t:t + 1])
+        assert alone[0, 0] == outcomes[t, 0]
+        np.testing.assert_allclose(alone_state[0], state[t], rtol=0, atol=1e-15)
+
+
+def test_measure_batch_returns_unit_states_after_padded_steps():
+    """Nine steps, every third an identity pad at uniform 0: each returned
+    state has unit norm, and every pad step gives +1."""
+    gen = np.random.default_rng(5)
+    trials, eye = 50, np.eye(8)
+    steps, u = [], gen.random((trials, 9))
+    for s in range(9):
+        if s % 3 == 2:
+            steps.append(("AB"[s % 2], _repeat(eye, trials)))
+            u[:, s] = 0.0
+        else:
+            steps.append(("AB"[s % 2], np.stack([_random_involution(gen, 8) for _ in range(trials)])))
+    outcomes, state = measure_batch(np.stack([phi_plus(8)] * trials), steps, u)
+    np.testing.assert_allclose(np.linalg.norm(state, axis=(1, 2)), 1.0, rtol=0, atol=1e-12)
+    assert np.all(outcomes[:, 2::3] == 1) and set(outcomes[:, 0]) == {1, -1}
+
+
+def test_measure_batch_names_the_expected_shapes():
+    """A 1-D uniforms, a uniforms row count that is not T, and a stack that
+    is not (T, d, d) raise ValueError naming both shapes."""
+    x = _repeat(to_matrix(parse_pauli("X")), 3)
+    phi = _repeat(phi_plus(2), 3)
+    with pytest.raises(ValueError, match=r"uniforms of shape \(3, S\), got \(3,\)"):
+        measure_batch(phi, [("A", x)], [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match=r"uniforms of shape \(3, S\), got \(2, 1\)"):
+        measure_batch(phi, [("A", x)], [[0.1], [0.2]])
+    with pytest.raises(ValueError, match=r"amplitudes of shape \(T, d, d\), got \(2, 2\)"):
+        measure_batch(phi_plus(2), [("A", x[0])], [[0.1]])
+    with pytest.raises(ValueError, match="positive norm"):
+        measure_batch(np.zeros((1, 2, 2)), [("A", x[:1])], [[0.1]])
+
+
 # ---------------------------------------------------------------------------
 # play
 # ---------------------------------------------------------------------------
@@ -674,6 +754,16 @@ def test_play_rounds_validate_when_called():
     with pytest.raises(ValueError, match="trials"):
         play_rounds(stack, 7, -1)
     assert list(play_rounds(stack, 2 ** 70, 0)) == []
+
+
+def test_play_rounds_reject_observables_that_are_not_hermitian_involutions():
+    """Scaled by i, the n = 4 strategy still commutes but squares to -I:
+    the call refuses it, since measure_batch's branches need involutions."""
+    g = build_game_bcs(4)
+    stack = quantum.StrategyStack(g.bcs, 1j * permutation_solution(g))
+    assert not stack.report.hermitian_ok
+    with pytest.raises(ValueError, match="Hermitian involutions"):
+        play_rounds(stack, 1, 3)
 
 
 def test_play_rounds_reject_a_game_without_questions_when_called():

@@ -350,6 +350,17 @@ def test_frame_keys_span_bell_words(game8):
     assert len(set(keys.tolist())) > 5
 
 
+@pytest.mark.parametrize("key_blocks", [1, 2, 3])
+def test_frame_keys_do_not_depend_on_key_blocks(key_blocks, monkeypatch):
+    """Folded a few 64-junction blocks at a time, the frame keys of chains
+    up to 999 junctions equal the keys of the one-pass fold."""
+    junctions = np.array([1, 64, 65, 128, 129, 191, 192, 193, 500, 999, 3])
+    trials = np.arange(len(junctions)) + 50
+    whole = shallow._frame_keys(quantum.TrialStream(11), trials, junctions)
+    monkeypatch.setattr(shallow, "KEY_BLOCKS", key_blocks)
+    assert np.array_equal(shallow._frame_keys(quantum.TrialStream(11), trials, junctions), whole)
+
+
 def test_run_trials_checks_every_trials_fidelity(stack8, monkeypatch):
     """Corrected trials start from |Phi+> because frame_tables checks every
     key's correction once: a table built with one wrong correction (the
@@ -398,6 +409,15 @@ def test_run_trials_rejects_bad_mode_and_dimension(game8, sol8, stack8):
         run_trials(stack8, 5, 0, -1)
     with pytest.raises(ValueError, match="seed"):
         run_trials(stack8, 5, -3, 1)
+
+
+def test_run_trials_rejects_observables_that_are_not_hermitian_involutions(game8, sol8):
+    """Doubled, the dimension-8 strategy still commutes but is no
+    involution: the call refuses it, since measure_batch's branches need one."""
+    stack = quantum.StrategyStack(game8.bcs, 2 * sol8)
+    assert not stack.report.hermitian_ok
+    with pytest.raises(ValueError, match="Hermitian involutions"):
+        run_trials(stack, 5, 0, 1)
 
 
 def test_run_trials_rejects_a_bcs_without_constraints_when_called():
