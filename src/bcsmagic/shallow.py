@@ -29,12 +29,12 @@ chunk one ``Trials`` record of arrays, round 2 judged as a game round.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
 wires, validated and indexed by layer once, when the wiring is built.
-Lightcones are support propagation, bit-sliced: one layered sweep carries
-one integer bitset per wire, bit q marking membership in the cone of seed
-set q, so every site's cone comes out of a single pass.  Both directions
-follow one rule, so each is the exact dual of the other.  The disjointness
-probability counts every crossing (j, k) site pair exactly from one forward
-sweep seeded with every site's inputs.
+Lightcones are sparse support propagation: one layered sweep carries the
+sorted (wire, seed set) pairs of every cone at once, two array joins a
+layer on the wiring's index, so time and memory grow with the total cone
+size.  Both directions follow one rule, so each is the exact dual of the
+other.  The disjointness probability counts every crossing (j, k) site pair
+exactly from one forward sweep seeded with every site's inputs.
 """
 from __future__ import annotations
 
@@ -43,12 +43,13 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from . import pauli
 from .bcs import InvariantError
-from .gf2 import set_bits
 from .pauli import PauliString
 from .quantum import Rounds, StrategyStack, TrialStream, batches, below, phi_plus, uniforms
 
@@ -198,6 +199,16 @@ class Gate:
         return len(self.inputs)
 
 
+def _side(layer: list[Gate], attr: str, dtype) -> tuple[np.ndarray, ...]:
+    """The ``attr`` wires of a layer's gates: CSR pointers by gate, the wires
+    in gate order, and the same edges sorted by wire, with their gates."""
+    lists = list(map(attrgetter(attr), layer))
+    ptr = np.cumsum([0, *map(len, lists)], dtype=dtype)
+    wires = np.fromiter(chain.from_iterable(lists), dtype, int(ptr[-1]))
+    order = np.argsort(wires, kind="stable")
+    return ptr, wires, wires[order], (np.searchsorted(ptr, order, "right") - 1).astype(dtype)
+
+
 @dataclass
 class CircuitDag:
     wire_kinds: list[str]  # "c" or "q" per wire id
@@ -208,8 +219,9 @@ class CircuitDag:
     bob_outputs: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        """Index the gates by layer, then validate the wiring by walking
-        that index; ``depth`` and ``max_fan_in`` are set here too.
+        """Group the gates by layer, validate the wiring layer by layer, and
+        index both sides of each layer as arrays (``_side``) for the cone
+        sweeps; ``depth`` and ``max_fan_in`` are set here too.
 
         Layers and wire ids must be plain ``int`` (not bool or float).  Call
         again after editing ``gates`` or the site groups in place.
@@ -232,12 +244,12 @@ class CircuitDag:
         by_layer: dict[int, list[Gate]] = {}
         for g in self.gates:
             by_layer.setdefault(g.layer, []).append(g)
-        self._layers: list[list[Gate]] = [by_layer[layer] for layer in sorted(by_layer)]
+        layers = [by_layer[layer] for layer in sorted(by_layer)]
         self.depth = max(by_layer, default=0)
         self.max_fan_in = max((g.fan_in for g in self.gates), default=0)
 
         first_written: dict[int, int] = {}
-        for layer in self._layers:
+        for layer in layers:
             written: set[int] = set()
             for g in layer:
                 for w in g.inputs:
@@ -260,19 +272,17 @@ class CircuitDag:
         if len({len(groups) for groups in sides}) > 1:
             raise ValueError("Alice's and Bob's input and output lists need one group per site")
         for groups in sides:
-            for group in groups:
-                for w in group:
-                    if type(w) is not int or not 0 <= w < n_wires:
-                        raise ValueError(f"site group names unknown wire {w!r}")
+            _flatten(groups, n_wires, "site group names ")
         # A shared output wire would credit a crossing to two sites at once.
         for side, groups in (("Alice", self.alice_outputs), ("Bob", self.bob_outputs)):
             owner: dict[int, int] = {}
             for s, group in enumerate(groups):
                 for w in group:
                     if owner.setdefault(w, s) != s:
-                        raise ValueError(
-                            f"wire {w} is in {side}'s output groups of sites {owner[w]} and {s}"
-                        )
+                        raise ValueError(f"wire {w} is in {side}'s output groups of sites {owner[w]} and {s}")
+
+        dtype = np.int32 if n_wires < 2 ** 31 else np.int64
+        self._index = [(_side(layer, "inputs", dtype), _side(layer, "outputs", dtype)) for layer in layers]
 
     @property
     def n_sites(self) -> int:
@@ -336,42 +346,60 @@ def dag_from_json(text: str) -> CircuitDag:
     return CircuitDag(kinds, gates, **groups)
 
 
-def _sweep(dag: CircuitDag, seeds, forward: bool) -> list[int]:
-    """Bit-sliced cone propagation: bit q of entry w is set when wire w lies
-    in the cone of the wire set ``seeds[q]``.
+def _flatten(groups, n_wires: int, what: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """Every group's wires in one int64 array, and the group of each; a wire
+    that is not a plain ``int`` in range raises ValueError."""
+    flat = list(chain.from_iterable(groups))
+    if not set(map(type, flat)) <= {int} or flat and not 0 <= min(flat) <= max(flat) < n_wires:
+        bad = next(w for w in flat if type(w) is not int or not 0 <= w < n_wires)
+        raise ValueError(f"{what}unknown wire {bad!r}")
+    return np.array(flat, dtype=np.int64), np.repeat(np.arange(len(groups)), list(map(len, groups)))
 
-    One rule serves both directions: every gate of a layer fires on the
-    cones as they stood before that layer.  Forward, layers run from the
-    first, and a gate that reads a cone wire adds its outputs; backward,
-    layers run from the deepest, and a gate that writes a cone wire adds its
-    inputs.  So wire o is in the forward cone of wire i exactly when i is in
-    the backward cone of o.
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))[:len(keys)]]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for every i, in order."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _sweep(dag: CircuitDag, seeds, forward: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The wire and seed columns of every pair (w, q), sorted, with wire w in
+    the cone of the wire group ``seeds[q]``; pairs travel as int64 keys
+    w << bits | q, joined a layer at a time to (gate, q) and then to
+    (written wire, q) on the wiring's index.
+
+    Every gate of a layer fires on the cones as they stood before that
+    layer.  Forward, a gate that reads a cone wire adds its outputs;
+    backward, layers run from the deepest, and a gate that writes a cone
+    wire adds its inputs.  So each direction is the exact dual of the other.
     """
-    n_wires = len(dag.wire_kinds)
-    bits = [0] * n_wires
-    for q, group in enumerate(seeds):
-        for w in group:
-            if type(w) is not int or not 0 <= w < n_wires:
-                raise ValueError(f"unknown wire {w!r}")
-            bits[w] |= 1 << q
-    for layer in dag._layers if forward else reversed(dag._layers):
-        fired = []
-        for g in layer:
-            reads, writes = (g.inputs, g.outputs) if forward else (g.outputs, g.inputs)
-            mask = 0
-            for w in reads:
-                mask |= bits[w]
-            if mask:
-                fired.append((writes, mask))
-        for writes, mask in fired:
-            for w in writes:
-                bits[w] |= mask
-    return bits
+    n_wires, bits = len(dag.wire_kinds), max(len(seeds) - 1, 0).bit_length()
+    if n_wires << bits > np.iinfo(np.int64).max:
+        raise ValueError(f"{n_wires} wires by {len(seeds)} seed groups do not fit one int64 key")
+    wires, owner = _flatten(seeds, n_wires)
+    keys = _unique(wires << bits | owner)
+    for layer in dag._index if forward else reversed(dag._index):
+        (_, _, read_wires, read_gates), (ptr, writes, _, _) = layer if forward else layer[::-1]
+        # The pairs of read wire u are the keys in [u << bits, u + 1 << bits).
+        first = read_wires.astype(np.int64) << bits
+        lo = np.searchsorted(keys, first)
+        hits = np.searchsorted(keys, first + (1 << bits)) - lo
+        seed = keys[_ranges(lo, hits)] - np.repeat(first, hits)
+        fired = _unique(np.repeat(read_gates, hits).astype(np.int64) << bits | seed)
+        gate, seed = fired >> bits, fired & (1 << bits) - 1
+        counts = ptr[gate + 1] - ptr[gate]
+        written = writes[_ranges(ptr[gate], counts)].astype(np.int64)
+        keys = _unique(np.concatenate((keys, written << bits | np.repeat(seed, counts))))
+    return keys >> bits, keys & (1 << bits) - 1
 
 
 def _one_cone(dag: CircuitDag, wires, forward: bool) -> set[int]:
-    seed = [wires] if isinstance(wires, int) else list(wires)
-    return {w for w, bits in enumerate(_sweep(dag, [seed], forward)) if bits}
+    return set(_sweep(dag, [[wires] if isinstance(wires, int) else list(wires)], forward)[0].tolist())
 
 
 def forward_lightcone(dag: CircuitDag, wires) -> set[int]:
@@ -389,37 +417,29 @@ def backward_lightcone(dag: CircuitDag, wires) -> set[int]:
 
 def backward_cone_sizes(dag: CircuitDag, groups) -> list[int]:
     """Size of the backward lightcone of every wire group, from one sweep."""
-    sizes = [0] * len(groups)
-    for bits in _sweep(dag, groups, forward=False):
-        for q in set_bits(bits):
-            sizes[q] += 1
-    return sizes
+    seed = _sweep(dag, groups, forward=False)[1]
+    return np.bincount(seed, minlength=len(groups)).tolist()
 
 
 def lightcone_disjoint_probability(dag: CircuitDag) -> float:
     """Exact probability over uniform site pairs j < k that neither selected
     input's forward cone reaches the other side's selected output bits."""
-    sites = dag.n_sites
+    sites, n_wires = dag.n_sites, len(dag.wire_kinds)
     if sites < 2:
         raise ValueError("need at least two sites")
-
-    # Bit j marks Alice's input at site j, bit sites + k Bob's at site k.
-    bits = _sweep(dag, dag.alice_inputs + dag.bob_inputs, forward=True)
-
-    def reach(group: list[int]) -> int:
-        mask = 0
-        for w in group:
-            mask |= bits[w]
-        return mask
-
-    # crossing[k] has bit j set when the pair (j, k), j < k, crosses.
-    crossing = [reach(group) & ((1 << k) - 1) for k, group in enumerate(dag.bob_outputs)]
-    for j, group in enumerate(dag.alice_outputs):
-        for i in set_bits(reach(group) >> (sites + j + 1)):
-            crossing[j + 1 + i] |= 1 << j
-    bad = sum(mask.bit_count() for mask in crossing)
-    total = sites * (sites - 1) // 2
-    return 1.0 - bad / total
+    # Seed j is Alice's input at site j, seed sites + k Bob's at site k, and
+    # alice[w] (bob[w]) is the site of w among Alice's (Bob's) outputs, or -1.
+    wire, seed = _sweep(dag, dag.alice_inputs + dag.bob_inputs, forward=True)
+    alice, bob = np.full((2, n_wires), -1)
+    for owner, groups in ((alice, dag.alice_outputs), (bob, dag.bob_outputs)):
+        wires, site = _flatten(groups, n_wires)
+        owner[wires] = site
+    from_alice = seed < sites
+    j = np.where(from_alice, seed, alice[wire])
+    k = np.where(from_alice, bob[wire], seed - sites)
+    crossing = (0 <= j) & (j < k)
+    bad = len(_unique(j[crossing] * sites + k[crossing]))
+    return 1.0 - bad / (sites * (sites - 1) // 2)
 
 
 def depth_lower_bound(N: int, K: int, p_clif: float) -> float:

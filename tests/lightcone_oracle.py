@@ -1,4 +1,4 @@
-"""Per-seed lightcone reference for the bit-sliced sweep in ``shallow``.
+"""Per-seed lightcone reference for the sparse (wire, seed) sweep in ``shallow``.
 
 Each forward cone is grown from one seed set at a time, with plain Python
 sets: every gate of a layer fires on the cone as it stood at the start of

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import re
+import tracemalloc
 
 import lightcone_oracle as oracle
 import numpy as np
@@ -13,6 +16,7 @@ from trial_oracle import (RelationInstance, clean, compute_syndrome, frame_key, 
 
 from bcsmagic import pauli, quantum, shallow
 from bcsmagic.bcs import InvariantError, parse_bcs
+from bcsmagic.cli import main
 from bcsmagic.game import build_game_bcs, enumerate_questions
 from bcsmagic.quantum import permutation_solution, phi_plus
 from bcsmagic.shallow import (
@@ -725,6 +729,103 @@ def test_strategy_dag_cones_match_oracle():
         len(cone) for cone in oracle.backward_lightcones(dag, out_groups)
     ]
     assert lightcone_disjoint_probability(dag) == oracle.lightcone_disjoint_probability(dag)
+
+
+# SHA-256 of `lightcone` stdout, recorded from the per-wire bitset sweep
+# that the sparse (wire, seed) sweep replaced: the bytes must not move.
+_LIGHTCONE_SHA256 = {
+    ("16", "json"): "a7917a9568d1b519062c83136bef1ebf6dfe26ac5f1dcdacac1efde68db65154",
+    ("64", "json"): "008e7efd355a9de89bece7359c93c136c48282394c8756855b29f388d3481e12",
+    ("512", "json"): "f1987f575b81b319c54e3f559813f507688f1eb298bc124735640b4b75118869",
+    ("512", "text"): "6a1109516aeb24462db85bb4fcc1e24fdefb5cd52161d465fb52f5b4d6befd9b",
+    ("2000", "json"): "b08cf60d9bc0cc56f93804dc030cda1050a8e01cdc91366371b28bdc4296871c",
+    ("8000", "json"): "5030bbfe1fb408dbec0854fd87e82d6210fbd096b35cd8c812d5b29661237695",
+    ("local", "json"): "47ddc9af4c06f12c1ca72d93ebd38cbb34ff8726c2186dc0f82fdc1564a0fa22",
+    ("local", "text"): "afc6c9c52cca367b1b58028cf4f7b3e5a5d916528655a5704cb69340f6281c86",
+}
+
+
+@pytest.mark.parametrize("wiring, fmt", list(_LIGHTCONE_SHA256))
+def test_lightcone_output_bytes(wiring, fmt, tmp_path, capsys):
+    """The strategy wiring by --sites, and a seeded neighbour-local wiring
+    (256 sites, K = 3, D = 4) loaded with --dag."""
+    if wiring == "local":
+        path = tmp_path / "local.json"
+        path.write_text(random_local_dag(256, K=3, D=4, rng=philox_rng(2718)).to_json())
+        argv = ["lightcone", "--dag", str(path), "--format", fmt]
+    else:
+        argv = ["lightcone", "--sites", wiring, "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _LIGHTCONE_SHA256[wiring, fmt]
+
+
+def _cone_peak(sites: int) -> int:
+    dag = build_strategy_dag(sites)
+    tracemalloc.start()
+    try:
+        backward_cone_sizes(dag, dag.alice_outputs + dag.bob_outputs)
+        lightcone_disjoint_probability(dag)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cone_memory_is_linear_in_sites():
+    """The strategy wiring's cones have constant size, so twice the sites
+    may take about twice the memory, not four times."""
+    assert _cone_peak(4000) <= 2.5 * _cone_peak(2000)
+
+
+def _chain_dag():
+    """Wires 0 -> 1 -> 2 -> 3 through one gate a layer, and a loose wire 4."""
+    gates = [Gate(layer, (layer - 1,), (layer,)) for layer in (1, 2, 3)]
+    return CircuitDag(list("ccccc"), gates, [[0], [4]], [[4], []], [[3], []], [[], [2]])
+
+
+def test_cone_sizes_of_empty_and_repeated_groups():
+    dag = _chain_dag()
+    assert backward_cone_sizes(dag, []) == []
+    groups = [[], [3], [3, 3, 3], [2, 3, 2], [4]]
+    sizes = backward_cone_sizes(dag, groups)
+    assert sizes == [0, 4, 4, 4, 1]
+    assert sizes == [len(cone) for cone in oracle.backward_lightcones(dag, groups)]
+
+
+def test_cones_of_a_gateless_dag():
+    dag = _disconnected_dag(3)
+    groups = dag.alice_outputs + dag.bob_outputs + [[0, 1, 0]]
+    assert backward_cone_sizes(dag, groups) == [3] * 6 + [2]
+    assert forward_lightcone(dag, [0, 1]) == oracle.forward_lightcone(dag, [0, 1]) == {0, 1}
+    assert backward_lightcone(dag, 7) == {7}
+    assert lightcone_disjoint_probability(dag) == oracle.lightcone_disjoint_probability(dag) == 1.0
+
+
+@pytest.mark.parametrize("wire", [True, 0.5, -1, 5, np.int64(0)])
+@pytest.mark.parametrize("entry", [
+    lambda dag, wire: forward_lightcone(dag, [0, wire]),
+    lambda dag, wire: backward_lightcone(dag, [wire, 0]),
+    lambda dag, wire: backward_cone_sizes(dag, [[0], [], [1, wire]]),
+])
+def test_cone_seeds_name_the_unknown_wire(entry, wire):
+    with pytest.raises(ValueError, match=re.escape(f"unknown wire {wire!r}")):
+        entry(_chain_dag(), wire)
+
+
+def test_cone_sizes_refuse_keys_past_int64():
+    """(wire, seed) pairs pack into one int64 key, wire << bits | seed, with
+    2^bits >= groups; a wiring with too many wires for its seed groups is
+    refused, not wrapped."""
+
+    class ManyGroups:
+        def __len__(self):
+            return 2 ** 62
+
+        def __iter__(self):
+            return iter([[0]])
+
+    with pytest.raises(ValueError, match="int64"):
+        backward_cone_sizes(_chain_dag(), ManyGroups())
 
 
 def test_depth_lower_bound_threshold():
