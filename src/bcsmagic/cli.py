@@ -255,6 +255,7 @@ def cmd_recipes(_args) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_INTERNAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bcsmagic",
@@ -312,14 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: ``parse_args`` leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "trials", 1) < 1:
         parser.error("--trials must be at least 1")

@@ -28,7 +28,7 @@ when every parity is +1, that is at frame key 0, with probability 1/64.
 chunk one ``Trials`` record of arrays, round 2 judged as a game round.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
-wires, validated and indexed by layer once, when the wiring is built.
+wires, validated and indexed once, output owners included, when built.
 Lightcones are sparse support propagation: one layered sweep carries the
 sorted (wire, seed set) pairs of every cone at once, two array joins a
 layer on the wiring's index, so time and memory grow with the total cone
@@ -221,7 +221,8 @@ class CircuitDag:
     def __post_init__(self) -> None:
         """Group the gates by layer, validate the wiring layer by layer, and
         index both sides of each layer as arrays (``_side``) for the cone
-        sweeps; ``depth`` and ``max_fan_in`` are set here too.
+        sweeps, and each side's output groups as a site per wire, -1 where a
+        wire is in none; ``depth`` and ``max_fan_in`` are set here too.
 
         Layers and wire ids must be plain ``int`` (not bool or float).  Call
         again after editing ``gates`` or the site groups in place.
@@ -237,12 +238,11 @@ class CircuitDag:
         for w, kind in enumerate(self.wire_kinds):
             if kind not in ("c", "q"):
                 raise ValueError(f"wire {w} has kind {kind!r}, not 'c' or 'q'")
-        for g in self.gates:
-            if type(g.layer) is not int or g.layer < 1:
-                raise ValueError(f"gate layers are integers from 1, got {g.layer!r}")
         # The gates of each non-empty layer, in list order, layers ascending.
         by_layer: dict[int, list[Gate]] = {}
         for g in self.gates:
+            if type(g.layer) is not int or g.layer < 1:
+                raise ValueError(f"gate layers are integers from 1, got {g.layer!r}")
             by_layer.setdefault(g.layer, []).append(g)
         layers = [by_layer[layer] for layer in sorted(by_layer)]
         self.depth = max(by_layer, default=0)
@@ -274,14 +274,15 @@ class CircuitDag:
         for groups in sides:
             _flatten(groups, n_wires, "site group names ")
         # A shared output wire would credit a crossing to two sites at once.
-        for side, groups in (("Alice", self.alice_outputs), ("Bob", self.bob_outputs)):
+        dtype = np.int32 if n_wires < 2 ** 31 else np.int64
+        self._output_sites = np.full((2, n_wires), -1, dtype)
+        for i, (side, groups) in enumerate((("Alice", self.alice_outputs), ("Bob", self.bob_outputs))):
             owner: dict[int, int] = {}
             for s, group in enumerate(groups):
                 for w in group:
                     if owner.setdefault(w, s) != s:
                         raise ValueError(f"wire {w} is in {side}'s output groups of sites {owner[w]} and {s}")
-
-        dtype = np.int32 if n_wires < 2 ** 31 else np.int64
+            self._output_sites[i, list(owner)] = list(owner.values())
         self._index = [(_side(layer, "inputs", dtype), _side(layer, "outputs", dtype)) for layer in layers]
 
     @property
@@ -424,16 +425,13 @@ def backward_cone_sizes(dag: CircuitDag, groups) -> list[int]:
 def lightcone_disjoint_probability(dag: CircuitDag) -> float:
     """Exact probability over uniform site pairs j < k that neither selected
     input's forward cone reaches the other side's selected output bits."""
-    sites, n_wires = dag.n_sites, len(dag.wire_kinds)
+    sites = dag.n_sites
     if sites < 2:
         raise ValueError("need at least two sites")
     # Seed j is Alice's input at site j, seed sites + k Bob's at site k, and
     # alice[w] (bob[w]) is the site of w among Alice's (Bob's) outputs, or -1.
     wire, seed = _sweep(dag, dag.alice_inputs + dag.bob_inputs, forward=True)
-    alice, bob = np.full((2, n_wires), -1)
-    for owner, groups in ((alice, dag.alice_outputs), (bob, dag.bob_outputs)):
-        wires, site = _flatten(groups, n_wires)
-        owner[wires] = site
+    alice, bob = dag._output_sites
     from_alice = seed < sites
     j = np.where(from_alice, seed, alice[wire])
     k = np.where(from_alice, bob[wire], seed - sites)
@@ -466,42 +464,33 @@ def build_strategy_dag(N: int) -> CircuitDag:
     frame correction reads 2 syndrome bits and 1 qubit; the game measurement
     reads an 11-bit question and 3 qubits, which is the maximal fan-in, 14.
     Question decoding and output selection are constant-size classical
-    gates.  The depth never depends on N.
+    gates.  The depth never depends on N.  Each role's wires are one block
+    of consecutive ids, a row per site, the roles in the order listed below.
     """
     if N < 2:
         raise ValueError("need at least two sites")
 
+    # (kind, width) of each role: syndrome, both questions, both qubit triples,
+    # both null flags, r^B at junction site i, r^A at site i+1, both game
+    # outcomes and both output triples.
+    roles = [("c", 6), *[("c", QUESTION_BITS)] * 2, *[("q", 3)] * 2, *[("c", 1)] * 2, *[("c", 3)] * 6]
     kinds: list[str] = []
-
-    def new_wires(count: int, kind: str) -> list[int]:
-        start = len(kinds)
-        kinds.extend(kind * count)
-        return list(range(start, start + count))
-
-    syndrome = [new_wires(6, "c") for _ in range(N)]
-    alice_q_in = [new_wires(QUESTION_BITS, "c") for _ in range(N)]
-    bob_q_in = [new_wires(QUESTION_BITS, "c") for _ in range(N)]
-    qa = [new_wires(3, "q") for _ in range(N)]
-    qb = [new_wires(3, "q") for _ in range(N)]
-    flag_a = [new_wires(1, "c")[0] for _ in range(N)]
-    flag_b = [new_wires(1, "c")[0] for _ in range(N)]
-    bsm_b = [new_wires(3, "c") for _ in range(N)]  # r^B at junction site i
-    bsm_a = [new_wires(3, "c") for _ in range(N)]  # r^A at site i+1, stored at i+1
-    game_a = [new_wires(3, "c") for _ in range(N)]
-    game_b = [new_wires(3, "c") for _ in range(N)]
-    out_a = [new_wires(3, "c") for _ in range(N)]
-    out_b = [new_wires(3, "c") for _ in range(N)]
+    rows = []
+    for kind, width in roles:
+        rows.append(np.arange(len(kinds), len(kinds) + N * width).reshape(N, width).tolist())
+        kinds += kind * (N * width)
+    syndrome, alice_q_in, bob_q_in, qa, qb, flag_a, flag_b, bsm_b, bsm_a, game_a, game_b, out_a, out_b = rows
 
     gates: list[Gate] = []
     for i in range(N):
-        gates.append(Gate(1, tuple(alice_q_in[i]), (flag_a[i],), "decode"))
-        gates.append(Gate(1, tuple(bob_q_in[i]), (flag_b[i],), "decode"))
+        gates.append(Gate(1, tuple(alice_q_in[i]), tuple(flag_a[i]), "decode"))
+        gates.append(Gate(1, tuple(bob_q_in[i]), tuple(flag_b[i]), "decode"))
         for l in range(3):
             gates.append(Gate(1, (qa[i][l], qb[i][l]), (qa[i][l], qb[i][l]), "epr_prep"))
     for i in range(N - 1):
         for l in range(3):
             gates.append(
-                Gate(2, (flag_b[i], qb[i][l], qa[i + 1][l]), (bsm_b[i][l], bsm_a[i + 1][l]), "bsm")
+                Gate(2, (*flag_b[i], qb[i][l], qa[i + 1][l]), (bsm_b[i][l], bsm_a[i + 1][l]), "bsm")
             )
     for i in range(N):
         for l in range(3):
@@ -513,9 +502,9 @@ def build_strategy_dag(N: int) -> CircuitDag:
         gates.append(Gate(4, tuple(bob_q_in[i]) + tuple(qb[i]), tuple(game_b[i]), "game_measure"))
     for i in range(N):
         for l in range(3):
-            a_in = (flag_a[i], game_a[i][l]) + ((bsm_a[i][l],) if i > 0 else ())
+            a_in = (*flag_a[i], game_a[i][l]) + ((bsm_a[i][l],) if i > 0 else ())
             gates.append(Gate(5, a_in, (out_a[i][l],), "select"))
-            b_in = (flag_b[i], game_b[i][l]) + ((bsm_b[i][l],) if i < N - 1 else ())
+            b_in = (*flag_b[i], game_b[i][l]) + ((bsm_b[i][l],) if i < N - 1 else ())
             gates.append(Gate(5, b_in, (out_b[i][l],), "select"))
 
     return CircuitDag(

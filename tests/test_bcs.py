@@ -340,6 +340,13 @@ def test_certificate_with_wrong_relation_fails():
         assert not verify_certificate(b, Certificate((0, 1), (), relation))
 
 
+def test_certificate_with_even_sign_fails():
+    # The rows cancel every variable and need no commutation fact, but their
+    # signs multiply to +1: I = I is no contradiction.
+    b = parse_bcs("vars: v1 v2\nv1 v2 = 1\nv1 v2 = 1\n")
+    assert not verify_certificate(b, Certificate((0, 1), (), (0, 1, 0, 1)))
+
+
 def test_certificate_dangling_index_raises():
     b = chsh()
     with pytest.raises(IndexError):

@@ -22,6 +22,31 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+NUMPY_2_NAMES = {"vecdot", "bitwise_count", "unique_values", "unique_counts", "unique_inverse", "unique_all"}
+
+
+def _numpy_2_uses(source: str) -> set[int]:
+    """Lines that name a function numpy 2 added, or pass ``sorted=``, a
+    keyword numpy 2 added, to a function named ``unique``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if {getattr(node, key, None) for key in ("id", "attr", "name")} & NUMPY_2_NAMES:
+            lines.add(node.lineno)
+        func = getattr(node, "func", None)
+        if "unique" in {getattr(func, "id", None), getattr(func, "attr", None)}:
+            lines.update(node.lineno for keyword in node.keywords if keyword.arg == "sorted")
+    return lines
+
+
+def test_package_uses_no_numpy_2_names():
+    """pyproject.toml declares numpy>=1.24, and no test runs on numpy 1, so
+    the package may not use what numpy 2 added."""
+    planted = "import numpy as np\nfrom numpy import unique_counts\nnp.vecdot(a, b)\nnp.unique(a, sorted=0)\n"
+    assert _numpy_2_uses(planted) == {2, 3, 4}
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in sorted(_numpy_2_uses(path.read_text()))]
+    assert found == []
+
 
 def test_private_functions_are_used_in_the_package():
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]

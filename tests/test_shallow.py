@@ -520,6 +520,17 @@ def test_dag_index_follows_edits():
     assert dag.depth == 3
     assert forward_lightcone(dag, 0) == {0, 1, 2}
     assert backward_lightcone(dag, 2) == {0, 1, 2}
+    # Alice's input at site 0 reaches Bob's output at site 1, until that
+    # output wire moves to Bob's site 0, where it crosses no pair.
+    dag = _disconnected_dag(3)
+    moved = dag.bob_outputs[1][0]
+    dag.gates.append(Gate(1, tuple(dag.alice_inputs[0]), (moved,)))
+    dag.__post_init__()
+    assert lightcone_disjoint_probability(dag) == oracle.lightcone_disjoint_probability(dag) == 1 - 1 / 3
+    dag.bob_outputs[1].remove(moved)
+    dag.bob_outputs[0].append(moved)
+    dag.__post_init__()
+    assert lightcone_disjoint_probability(dag) == oracle.lightcone_disjoint_probability(dag) == 1.0
 
 
 @pytest.mark.parametrize("change, message", [
@@ -533,6 +544,10 @@ def test_dag_index_follows_edits():
     (lambda d: d.bob_inputs[1].append(99), "site group"),
     (lambda d: d.alice_outputs.append([4]), "one group per site"),
     (lambda d: d.alice_outputs[1].append(d.alice_outputs[0][0]), "output groups of sites 0 and 1"),
+    # Two shared wires: the first in site-then-group order is named, not the lowest id.
+    (lambda d: (d.alice_outputs[1].append(d.alice_outputs[2][0]),
+                d.alice_outputs[2].append(d.alice_outputs[0][0])),
+     "wire 18 is in Alice's output groups of sites 1 and 2"),
 ])
 def test_dag_rejects_malformed_wiring(change, message):
     dag = _disconnected_dag(3)
@@ -758,6 +773,22 @@ def test_lightcone_output_bytes(wiring, fmt, tmp_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _LIGHTCONE_SHA256[wiring, fmt]
+
+
+# SHA-256 of the strategy wiring's JSON, wire ids included: the role layout
+# of ``build_strategy_dag`` must number every wire as it did.
+_STRATEGY_DAG_SHA256 = {
+    2: "8ef451091ca688e872d69e05edfbef8ea5273b7137d8e7d0d0cc620c68988935",
+    3: "e8adacaf4450c2caf27d34d789eb27222f135e3dcaf1d97796feff76231ce0a2",
+    16: "e7980a44d93b6951d2dd8c203b2ec3d35441ee9139f2d411b77fe94ef9f6cefd",
+    512: "1f195159b76ad271e2014eb94b086c76640936badd24f4d5f554478a02dd5009",
+}
+
+
+@pytest.mark.parametrize("sites", list(_STRATEGY_DAG_SHA256))
+def test_strategy_dag_json_bytes(sites):
+    text = build_strategy_dag(sites).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == _STRATEGY_DAG_SHA256[sites]
 
 
 def _cone_peak(sites: int) -> int:
