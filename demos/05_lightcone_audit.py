@@ -18,7 +18,7 @@ from bcsmagic.shallow import (
 for sites in (8, 64, 256):
     dag = build_strategy_dag(sites)
     print(f"sites={sites:>4}: depth={dag.depth}, max fan-in={dag.max_fan_in}, "
-          f"wires={len(dag.wire_kinds)}, gates={len(dag.gates)}")
+          f"wires={len(dag.wire_kinds)}, gates={dag.n_gates}")
 
 dag = build_strategy_dag(64)
 k = 40

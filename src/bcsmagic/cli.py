@@ -180,7 +180,7 @@ def cmd_lightcone(args) -> int:
         dag = shallow.build_strategy_dag(args.sites)
     payload = {
         "wires": len(dag.wire_kinds),
-        "gates": len(dag.gates),
+        "gates": dag.n_gates,
         "depth": dag.depth,
         "max_fan_in": dag.max_fan_in,
         "sites": dag.n_sites,

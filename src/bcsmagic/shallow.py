@@ -29,6 +29,12 @@ chunk one ``Trials`` record of arrays, round 2 judged as a game round.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
 wires, validated and indexed once, output owners included, when built.
+The gates are flattened into arrays once (``_Wiring``: a rank per gate
+among the distinct layers, never the layer itself, and CSR inputs and
+outputs), and every check is an array operation on them; a loop over the
+gates runs only when a check fails, to name the first offender.  The
+strategy wiring is laid out as those arrays directly, and its gate list is
+made only when read.
 Lightcones are sparse support propagation: one layered sweep carries the
 sorted (wire, seed set) pairs of every cone at once, two array joins a
 layer on the wiring's index, so time and memory grow with the total cone
@@ -45,6 +51,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,7 +194,7 @@ def run_trials(stack: StrategyStack, sites: int | tuple[int, int], seed: int, tr
 # Circuit wirings and lightcones
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Gate:
     layer: int
     inputs: tuple[int, ...]
@@ -199,14 +206,120 @@ class Gate:
         return len(self.inputs)
 
 
-def _side(layer: list[Gate], attr: str, dtype) -> tuple[np.ndarray, ...]:
-    """The ``attr`` wires of a layer's gates: CSR pointers by gate, the wires
-    in gate order, and the same edges sorted by wire, with their gates."""
-    lists = list(map(attrgetter(attr), layer))
-    ptr = np.cumsum([0, *map(len, lists)], dtype=dtype)
-    wires = np.fromiter(chain.from_iterable(lists), dtype, int(ptr[-1]))
-    order = np.argsort(wires, kind="stable")
-    return ptr, wires, wires[order], (np.searchsorted(ptr, order, "right") - 1).astype(dtype)
+class _Wiring(NamedTuple):
+    """A gate list as flat arrays, gates in list order: the distinct layers
+    ascending, each gate's layer rank (the index of its layer there) and
+    kind, and its input and output wires as CSR pointers by gate and wires."""
+    layers: list[int]
+    rank: np.ndarray
+    kinds: list
+    in_ptr: np.ndarray
+    in_wires: np.ndarray
+    out_ptr: np.ndarray
+    out_wires: np.ndarray
+
+
+def _wiring_of(gates: list[Gate], n_wires: int) -> _Wiring | None:
+    """The flat form of ``gates``, or None unless every layer is a plain
+    ``int`` from 1 and every wire a plain ``int`` in range."""
+    layers = [g.layer for g in gates]
+    if not set(map(type, layers)) <= {int} or min(layers, default=1) < 1:
+        return None
+    try:
+        sides = [_flatten(list(map(attrgetter(side), gates)), n_wires) for side in ("inputs", "outputs")]
+    except ValueError:
+        return None
+    # Ranks, not layers, enter the arrays: a layer may pass any int64.
+    distinct = sorted(set(layers))
+    rank = dict(zip(distinct, range(len(distinct))))
+    csr = [(np.searchsorted(owner, np.arange(len(gates) + 1)), wires) for wires, owner in sides]
+    return _Wiring(distinct, np.fromiter(map(rank.__getitem__, layers), np.int64, len(layers)),
+                   [g.kind for g in gates], *csr[0], *csr[1])
+
+
+def _layer_index(wiring: _Wiring, n_wires: int, dtype) -> list | None:
+    """Both sides of each layer as ``_sweep`` reads them: CSR pointers by
+    gate, the wires in gate order, and the same edges sorted by wire, with
+    their gates, numbered within the layer in list order.  None if a wire is
+    out of range, written twice in a layer, or read, in the layer that first
+    writes it other than as a transform, by a gate after that writer."""
+    n_gates = len(wiring.rank)
+    by_layer = np.argsort(wiring.rank, kind="stable")
+    bounds = np.searchsorted(wiring.rank[by_layer], np.arange(len(wiring.layers) + 1)).tolist()
+    sides = []
+    for ptr, wires in ((wiring.in_ptr, wiring.in_wires), (wiring.out_ptr, wiring.out_wires)):
+        if len(wires) and not 0 <= wires.min() <= wires.max() < n_wires:
+            return None
+        # Edges in layer order, each with its gate's position in that order.
+        counts = np.diff(ptr)[by_layer]
+        wires = wires[_ranges(ptr[:-1][by_layer], counts)].astype(dtype)
+        gates = np.repeat(np.arange(n_gates, dtype=dtype), counts)
+        sides.append((np.concatenate(([0], np.cumsum(counts))), wires, gates))
+    if _read_before_produced(*sides[0][1:], *sides[1][1:], np.repeat(bounds[:-1], np.diff(bounds)), n_wires):
+        return None
+    index = []
+    for g0, g1 in zip(bounds, bounds[1:]):
+        layer = []
+        for ptr, wires, gate in sides:
+            e0, e1 = ptr[g0], ptr[g1]
+            order = np.argsort(wires[e0:e1], kind="stable")
+            layer.append(((ptr[g0:g1 + 1] - e0).astype(dtype), wires[e0:e1],
+                          wires[e0:e1][order], gate[e0:e1][order] - g0))
+        written = layer[1][2]
+        if np.any(written[1:] == written[:-1]):
+            return None
+        index.append(tuple(layer))
+    return index
+
+
+def _read_before_produced(read, reader, written, writer, starts: np.ndarray, n_wires: int) -> bool:
+    """Whether a gate reads a wire that an earlier gate of its layer wrote,
+    not as a transform, when no earlier layer did: edges are (wire, gate)
+    columns, gates numbered in layer order, ``starts[g]`` the first gate of
+    g's layer.  A write is a transform when its gate also reads the wire."""
+    pairs = np.sort(np.append(reader.astype(np.int64) * n_wires + read, -1))
+    keys = writer.astype(np.int64) * n_wires + written
+    produced = pairs[np.searchsorted(pairs, keys, "right") - 1] != keys
+    # Each wire's first write that is not a transform, by gate.
+    wire, first = np.unique(written[produced], return_index=True)
+    producer = np.full(n_wires, len(starts), reader.dtype)
+    producer[wire] = writer[produced][first]
+    early = producer[read]
+    return bool(np.any((starts[reader] <= early) & (early < reader)))
+
+
+def _name_the_fault(wire_kinds, gates: list[Gate]) -> None:
+    """Raise ValueError naming the first fault of a wiring's kinds and gates:
+    kinds, then layers in list order, then layer by layer, gate by gate in
+    list order, each gate's inputs before its outputs."""
+    n_wires = len(wire_kinds)
+    for w, kind in enumerate(wire_kinds):
+        if kind not in ("c", "q"):
+            raise ValueError(f"wire {w} has kind {kind!r}, not 'c' or 'q'")
+    by_layer: dict[int, list[Gate]] = {}
+    for g in gates:
+        if type(g.layer) is not int or g.layer < 1:
+            raise ValueError(f"gate layers are integers from 1, got {g.layer!r}")
+        by_layer.setdefault(g.layer, []).append(g)
+    first_written: dict[int, int] = {}
+    for layer in (by_layer[layer] for layer in sorted(by_layer)):
+        written: set[int] = set()
+        for g in layer:
+            for w in g.inputs:
+                if type(w) is not int or not 0 <= w < n_wires:
+                    raise ValueError(f"gate reads unknown wire {w!r}")
+                if w in first_written and first_written[w] >= g.layer:
+                    raise ValueError(f"wire {w} read at layer {g.layer} before it is produced")
+            for w in g.outputs:
+                if type(w) is not int or not 0 <= w < n_wires:
+                    raise ValueError(f"gate writes unknown wire {w!r}")
+                if w in written:
+                    raise ValueError(f"wire {w} written twice in layer {g.layer}")
+                written.add(w)
+                # reads of w in the same or later layers stay legal when w is
+                # also an input of this gate (transform style)
+                if w not in g.inputs:
+                    first_written.setdefault(w, g.layer)
 
 
 @dataclass
@@ -219,13 +332,18 @@ class CircuitDag:
     bob_outputs: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        """Group the gates by layer, validate the wiring layer by layer, and
-        index both sides of each layer as arrays (``_side``) for the cone
-        sweeps, and each side's output groups as a site per wire, -1 where a
-        wire is in none; ``depth`` and ``max_fan_in`` are set here too.
+        """Validate the wiring and index both sides of each layer as arrays
+        for the cone sweeps (``_layer_index``), and each side's output groups
+        as a site per wire, -1 where a wire is in none; ``depth``,
+        ``max_fan_in`` and ``n_gates`` are set here too.  All of it is set
+        only once every check has passed, so a rejected call changes nothing.
 
-        Layers and wire ids must be plain ``int`` (not bool or float).  Call
-        again after editing ``gates`` or the site groups in place.
+        The gates are flattened once into arrays (``_Wiring``), each layer
+        replaced by its rank among the distinct layers, so a layer may be any
+        int.  Every check is an array operation; only when one fails does a
+        loop over the gates (``_name_the_fault``) find the first offender to
+        name.  Layers and wire ids must be plain ``int`` (not bool or float).
+        Call again after editing ``gates`` or the site groups in place.
 
         Within a layer, gates are read in list order: a gate may not read a
         wire that an earlier gate of the same layer produced, unless that
@@ -235,38 +353,13 @@ class CircuitDag:
         see each layer as it stood before it.
         """
         n_wires = len(self.wire_kinds)
-        for w, kind in enumerate(self.wire_kinds):
-            if kind not in ("c", "q"):
-                raise ValueError(f"wire {w} has kind {kind!r}, not 'c' or 'q'")
-        # The gates of each non-empty layer, in list order, layers ascending.
-        by_layer: dict[int, list[Gate]] = {}
-        for g in self.gates:
-            if type(g.layer) is not int or g.layer < 1:
-                raise ValueError(f"gate layers are integers from 1, got {g.layer!r}")
-            by_layer.setdefault(g.layer, []).append(g)
-        layers = [by_layer[layer] for layer in sorted(by_layer)]
-        self.depth = max(by_layer, default=0)
-        self.max_fan_in = max((g.fan_in for g in self.gates), default=0)
-
-        first_written: dict[int, int] = {}
-        for layer in layers:
-            written: set[int] = set()
-            for g in layer:
-                for w in g.inputs:
-                    if type(w) is not int or not 0 <= w < n_wires:
-                        raise ValueError(f"gate reads unknown wire {w!r}")
-                    if w in first_written and first_written[w] >= g.layer:
-                        raise ValueError(f"wire {w} read at layer {g.layer} before it is produced")
-                for w in g.outputs:
-                    if type(w) is not int or not 0 <= w < n_wires:
-                        raise ValueError(f"gate writes unknown wire {w!r}")
-                    if w in written:
-                        raise ValueError(f"wire {w} written twice in layer {g.layer}")
-                    written.add(w)
-                    # reads of w in the same or later layers stay legal when w is
-                    # also an input of this gate (transform style)
-                    if w not in g.inputs:
-                        first_written.setdefault(w, g.layer)
+        dtype = np.int32 if n_wires < 2 ** 31 else np.int64
+        wiring = _wiring_of(self.gates, n_wires) if "gates" in vars(self) else self._wiring
+        kinds_ok = self.wire_kinds.count("c") + self.wire_kinds.count("q") == n_wires
+        index = _layer_index(wiring, n_wires, dtype) if wiring is not None and kinds_ok else None
+        if index is None:
+            _name_the_fault(self.wire_kinds, self.gates)
+            raise InvariantError("the wiring's array checks failed where its loop found no fault")
 
         sides = (self.alice_inputs, self.bob_inputs, self.alice_outputs, self.bob_outputs)
         if len({len(groups) for groups in sides}) > 1:
@@ -274,16 +367,32 @@ class CircuitDag:
         for groups in sides:
             _flatten(groups, n_wires, "site group names ")
         # A shared output wire would credit a crossing to two sites at once.
-        dtype = np.int32 if n_wires < 2 ** 31 else np.int64
-        self._output_sites = np.full((2, n_wires), -1, dtype)
+        output_sites = np.full((2, n_wires), -1, dtype)
         for i, (side, groups) in enumerate((("Alice", self.alice_outputs), ("Bob", self.bob_outputs))):
             owner: dict[int, int] = {}
             for s, group in enumerate(groups):
                 for w in group:
                     if owner.setdefault(w, s) != s:
                         raise ValueError(f"wire {w} is in {side}'s output groups of sites {owner[w]} and {s}")
-            self._output_sites[i, list(owner)] = list(owner.values())
-        self._index = [(_side(layer, "inputs", dtype), _side(layer, "outputs", dtype)) for layer in layers]
+            output_sites[i, list(owner)] = list(owner.values())
+        self._index, self._output_sites = index, output_sites
+        self.depth, self.n_gates = max(wiring.layers, default=0), len(wiring.rank)
+        self.max_fan_in = int(np.diff(wiring.in_ptr).max(initial=0))
+
+    def __getattr__(self, name: str):
+        # A wiring built from arrays (``build_strategy_dag``) makes its gate
+        # list on first read, in place of the arrays; from then on,
+        # __post_init__ reads that list.
+        if name != "gates" or "_wiring" not in vars(self):
+            raise AttributeError(name)
+        w = vars(self).pop("_wiring")
+        # One int object per wire id, shared by every gate that names it.
+        ids = np.array(range(max(w.in_wires.max(initial=0), w.out_wires.max(initial=0)) + 1), dtype=object)
+        ins, outs = ([tuple(wires[a:b]) for a, b in zip(ptr, ptr[1:])]
+                     for ptr, wires in ((w.in_ptr.tolist(), ids[w.in_wires].tolist()),
+                                        (w.out_ptr.tolist(), ids[w.out_wires].tolist())))
+        self.gates = list(map(Gate, map(w.layers.__getitem__, w.rank.tolist()), ins, outs, w.kinds))
+        return self.gates
 
     @property
     def n_sites(self) -> int:
@@ -469,7 +578,15 @@ def build_strategy_dag(N: int) -> CircuitDag:
     """
     if N < 2:
         raise ValueError("need at least two sites")
+    dag = CircuitDag.__new__(CircuitDag)
+    vars(dag).update(_strategy_layout(N))
+    dag.__post_init__()
+    return dag
 
+
+def _strategy_layout(N: int) -> dict:
+    """The strategy wiring's wire kinds, gates as a ``_Wiring`` and site
+    groups, by ``CircuitDag`` attribute name."""
     # (kind, width) of each role: syndrome, both questions, both qubit triples,
     # both null flags, r^B at junction site i, r^A at site i+1, both game
     # outcomes and both output triples.
@@ -477,41 +594,45 @@ def build_strategy_dag(N: int) -> CircuitDag:
     kinds: list[str] = []
     rows = []
     for kind, width in roles:
-        rows.append(np.arange(len(kinds), len(kinds) + N * width).reshape(N, width).tolist())
+        rows.append(np.arange(len(kinds), len(kinds) + N * width).reshape(N, width))
         kinds += kind * (N * width)
     syndrome, alice_q_in, bob_q_in, qa, qb, flag_a, flag_b, bsm_b, bsm_a, game_a, game_b, out_a, out_b = rows
 
-    gates: list[Gate] = []
-    for i in range(N):
-        gates.append(Gate(1, tuple(alice_q_in[i]), tuple(flag_a[i]), "decode"))
-        gates.append(Gate(1, tuple(bob_q_in[i]), tuple(flag_b[i]), "decode"))
-        for l in range(3):
-            gates.append(Gate(1, (qa[i][l], qb[i][l]), (qa[i][l], qb[i][l]), "epr_prep"))
-    for i in range(N - 1):
-        for l in range(3):
-            gates.append(
-                Gate(2, (*flag_b[i], qb[i][l], qa[i + 1][l]), (bsm_b[i][l], bsm_a[i + 1][l]), "bsm")
-            )
-    for i in range(N):
-        for l in range(3):
-            gates.append(
-                Gate(3, (syndrome[i][2 * l], syndrome[i][2 * l + 1], qa[i][l]), (qa[i][l],), "correction")
-            )
-    for i in range(N):
-        gates.append(Gate(4, tuple(alice_q_in[i]) + tuple(qa[i]), tuple(game_a[i]), "game_measure"))
-        gates.append(Gate(4, tuple(bob_q_in[i]) + tuple(qb[i]), tuple(game_b[i]), "game_measure"))
-    for i in range(N):
-        for l in range(3):
-            a_in = (*flag_a[i], game_a[i][l]) + ((bsm_a[i][l],) if i > 0 else ())
-            gates.append(Gate(5, a_in, (out_a[i][l],), "select"))
-            b_in = (*flag_b[i], game_b[i][l]) + ((bsm_b[i][l],) if i < N - 1 else ())
-            gates.append(Gate(5, b_in, (out_b[i][l],), "select"))
-
-    return CircuitDag(
-        kinds,
-        gates,
-        alice_inputs=[syndrome[i] + alice_q_in[i] for i in range(N)],
-        bob_inputs=bob_q_in,
-        alice_outputs=out_a,
-        bob_outputs=out_b,
+    # Each layer's gates in list order, as rows of input and output wires
+    # padded with -1, and the kinds of a site's gates: per site, both
+    # decodes and the three EPR preparations; per junction and qubit layer,
+    # a Bell measurement; per site and qubit layer, a correction; per site,
+    # both game measurements; per site and qubit layer, both selections.
+    pairs = np.stack([qa, qb], axis=2)
+    decode_in, decode_out = np.full((N, 5, QUESTION_BITS), -1), np.full((N, 5, 2), -1)
+    decode_in[:, 0], decode_in[:, 1], decode_in[:, 2:, :2] = alice_q_in, bob_q_in, pairs
+    decode_out[:, 0, :1], decode_out[:, 1, :1], decode_out[:, 2:] = flag_a, flag_b, pairs
+    before, after = bsm_a.copy(), bsm_b.copy()
+    before[0] = after[-1] = -1  # no junction before site 0 or after site N - 1
+    layers = [
+        (["decode", "decode", *["epr_prep"] * 3], decode_in, decode_out),
+        (["bsm"], np.stack(np.broadcast_arrays(flag_b[:-1], qb[:-1], qa[1:]), axis=2),
+         np.stack([bsm_b[:-1], bsm_a[1:]], axis=2)),
+        (["correction"], np.concatenate([syndrome.reshape(N, 3, 2), qa[..., None]], axis=2), qa[..., None]),
+        (["game_measure"], np.stack([np.hstack([alice_q_in, qa]), np.hstack([bob_q_in, qb])], axis=1),
+         np.stack([game_a, game_b], axis=1)),
+        (["select"], np.stack([np.stack(np.broadcast_arrays(flag_a, game_a, before), axis=2),
+                               np.stack(np.broadcast_arrays(flag_b, game_b, after), axis=2)], axis=2),
+         np.stack([out_a, out_b], axis=2)[..., None]),
+    ]
+    blocks = [[side.reshape(-1, side.shape[-1]) for side in layer[1:]] for layer in layers]
+    csr = []
+    for side in zip(*blocks):
+        counts = np.concatenate([(b >= 0).sum(axis=1) for b in side])
+        csr += [np.concatenate(([0], np.cumsum(counts))), np.concatenate([b[b >= 0] for b in side])]
+    sizes = [len(ins) for ins, _ in blocks]
+    gate_kinds = [kind for (pattern, *_), size in zip(layers, sizes)
+                  for kind in pattern * (size // len(pattern))]
+    return dict(
+        wire_kinds=kinds,
+        _wiring=_Wiring([1, 2, 3, 4, 5], np.repeat(np.arange(5), sizes), gate_kinds, *csr),
+        alice_inputs=np.hstack([syndrome, alice_q_in]).tolist(),
+        bob_inputs=bob_q_in.tolist(),
+        alice_outputs=out_a.tolist(),
+        bob_outputs=out_b.tolist(),
     )

@@ -7,6 +7,9 @@ forward cone of every wire, by duality, since wire i may influence the
 outputs O exactly when its forward cone meets O.  The disjointness
 probability collects crossing site pairs into a set.  Slow (O(wires x
 gates)) and obviously correct; the tests compare the fast path against it.
+
+``validate`` is the wiring validation as one loop over plain Python
+objects, in the order the checks are named, the judge of the array checks.
 """
 from __future__ import annotations
 
@@ -74,3 +77,49 @@ def lightcone_disjoint_probability(dag) -> float:
                 bad_pairs.add((j, k))
     total = sites * (sites - 1) // 2
     return 1.0 - len(bad_pairs) / total
+
+
+def validate(wire_kinds, gates, alice_inputs, bob_inputs, alice_outputs, bob_outputs) -> tuple[int, int]:
+    """(depth, max fan-in) of a valid wiring; the first fault of any other
+    raises ValueError, with the message the library gives it."""
+    n_wires = len(wire_kinds)
+    for w, kind in enumerate(wire_kinds):
+        if kind not in ("c", "q"):
+            raise ValueError(f"wire {w} has kind {kind!r}, not 'c' or 'q'")
+    layers: dict[int, list] = {}
+    for g in gates:
+        if type(g.layer) is not int or g.layer < 1:
+            raise ValueError(f"gate layers are integers from 1, got {g.layer!r}")
+        layers.setdefault(g.layer, []).append(g)
+    produced_at: dict[int, int] = {}
+    for layer in sorted(layers):
+        written = set()
+        for g in layers[layer]:
+            for w in g.inputs:
+                if type(w) is not int or not 0 <= w < n_wires:
+                    raise ValueError(f"gate reads unknown wire {w!r}")
+                if produced_at.get(w) == layer:
+                    raise ValueError(f"wire {w} read at layer {layer} before it is produced")
+            for w in g.outputs:
+                if type(w) is not int or not 0 <= w < n_wires:
+                    raise ValueError(f"gate writes unknown wire {w!r}")
+                if w in written:
+                    raise ValueError(f"wire {w} written twice in layer {layer}")
+                written.add(w)
+                if w not in g.inputs:  # a transform does not produce its wire
+                    produced_at.setdefault(w, layer)
+    sides = (alice_inputs, bob_inputs, alice_outputs, bob_outputs)
+    if len({len(groups) for groups in sides}) > 1:
+        raise ValueError("Alice's and Bob's input and output lists need one group per site")
+    for groups in sides:
+        for group in groups:
+            for w in group:
+                if type(w) is not int or not 0 <= w < n_wires:
+                    raise ValueError(f"site group names unknown wire {w!r}")
+    for side, groups in (("Alice", alice_outputs), ("Bob", bob_outputs)):
+        site_of: dict[int, int] = {}
+        for s, group in enumerate(groups):
+            for w in group:
+                if site_of.setdefault(w, s) != s:
+                    raise ValueError(f"wire {w} is in {side}'s output groups of sites {site_of[w]} and {s}")
+    return max(layers, default=0), max((len(g.inputs) for g in gates), default=0)
