@@ -191,11 +191,10 @@ def cmd_lightcone(args) -> int:
         """base^D, or inf once it leaves the float range (very deep or wide wirings)."""
         return base ** D if base < 2 or D < 1000 / math.log2(base) else math.inf
 
-    out_groups = dag.alice_outputs + dag.bob_outputs
-    if out_groups:
-        payload["max_backward_cone"] = max(shallow.backward_cone_sizes(dag, out_groups))
+    if dag.n_sites:
+        payload["max_backward_cone"] = max(shallow.backward_cone_sizes(dag))
         # shallow.backward_lightcone's bound |O| (K + 1)^D, for the widest group
-        widest = max(map(len, out_groups))
+        widest = max(map(len, dag.alice_outputs + dag.bob_outputs))
         payload["backward_cone_cap"] = widest * power(K + 1) if widest else 0
     if dag.n_sites >= 2:
         prob = shallow.lightcone_disjoint_probability(dag)

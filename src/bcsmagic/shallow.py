@@ -28,13 +28,12 @@ when every parity is +1, that is at frame key 0, with probability 1/64.
 chunk one ``Trials`` record of arrays, round 2 judged as a game round.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
-wires, validated and indexed once, output owners included, when built.
-The gates are flattened into arrays once (``_Wiring``: a rank per gate
-among the distinct layers, never the layer itself, and CSR inputs and
-outputs), and every check is an array operation on them; a loop over the
-gates runs only when a check fails, to name the first offender.  The
-strategy wiring is laid out as those arrays directly, and its gate list is
-made only when read.
+wires, validated and indexed once when built.  Gates and site groups are
+flattened into arrays once (``_Wiring``: a rank per gate among the
+distinct layers, never the layer itself, and CSR inputs and outputs), and
+every check is an array operation on them; a loop runs only when a check
+fails, to name the first offender.  Loaded and strategy wirings are laid
+out as those arrays directly, with no gate list until one is read.
 Lightcones are sparse support propagation: one layered sweep carries the
 sorted (wire, seed set) pairs of every cone at once, two array joins a
 layer on the wiring's index, so time and memory grow with the total cone
@@ -201,9 +200,8 @@ class Gate:
     outputs: tuple[int, ...]
     kind: str = "gate"
 
-    @property
-    def fan_in(self) -> int:
-        return len(self.inputs)
+
+_GROUPS = ("alice_inputs", "bob_inputs", "alice_outputs", "bob_outputs")
 
 
 class _Wiring(NamedTuple):
@@ -219,22 +217,21 @@ class _Wiring(NamedTuple):
     out_wires: np.ndarray
 
 
-def _wiring_of(gates: list[Gate], n_wires: int) -> _Wiring | None:
-    """The flat form of ``gates``, or None unless every layer is a plain
-    ``int`` from 1 and every wire a plain ``int`` in range."""
-    layers = [g.layer for g in gates]
+def _wiring_of(layers: list, inputs: list, outputs: list, kinds: list, n_wires: int) -> _Wiring | None:
+    """The flat form of a gate list given as columns, or None unless every
+    layer is a plain ``int`` from 1 and every wire a plain ``int`` in range."""
     if not set(map(type, layers)) <= {int} or min(layers, default=1) < 1:
         return None
     try:
-        sides = [_flatten(list(map(attrgetter(side), gates)), n_wires) for side in ("inputs", "outputs")]
+        sides = [_flatten(side, n_wires) for side in (inputs, outputs)]
     except ValueError:
         return None
     # Ranks, not layers, enter the arrays: a layer may pass any int64.
     distinct = sorted(set(layers))
     rank = dict(zip(distinct, range(len(distinct))))
-    csr = [(np.searchsorted(owner, np.arange(len(gates) + 1)), wires) for wires, owner in sides]
-    return _Wiring(distinct, np.fromiter(map(rank.__getitem__, layers), np.int64, len(layers)),
-                   [g.kind for g in gates], *csr[0], *csr[1])
+    csr = [(np.searchsorted(owner, np.arange(len(layers) + 1)), wires) for wires, owner in sides]
+    return _Wiring(distinct, np.fromiter(map(rank.__getitem__, layers), np.int64, len(layers)), kinds,
+                   *csr[0], *csr[1])
 
 
 def _layer_index(wiring: _Wiring, n_wires: int, dtype) -> list | None:
@@ -316,9 +313,7 @@ def _name_the_fault(wire_kinds, gates: list[Gate]) -> None:
                 if w in written:
                     raise ValueError(f"wire {w} written twice in layer {g.layer}")
                 written.add(w)
-                # reads of w in the same or later layers stay legal when w is
-                # also an input of this gate (transform style)
-                if w not in g.inputs:
+                if w not in g.inputs:  # a transform leaves later reads of w legal
                     first_written.setdefault(w, g.layer)
 
 
@@ -332,17 +327,14 @@ class CircuitDag:
     bob_outputs: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        """Validate the wiring and index both sides of each layer as arrays
-        for the cone sweeps (``_layer_index``), and each side's output groups
-        as a site per wire, -1 where a wire is in none; ``depth``,
-        ``max_fan_in`` and ``n_gates`` are set here too.  All of it is set
-        only once every check has passed, so a rejected call changes nothing.
-
-        The gates are flattened once into arrays (``_Wiring``), each layer
-        replaced by its rank among the distinct layers, so a layer may be any
-        int.  Every check is an array operation; only when one fails does a
-        loop over the gates (``_name_the_fault``) find the first offender to
-        name.  Layers and wire ids must be plain ``int`` (not bool or float).
+        """Validate the wiring and index it for the cone sweeps: both sides of
+        each layer as arrays (``_layer_index``), each side's output groups as
+        a site per wire (-1 where a wire is in none), the site groups flat,
+        Bob's after Alice's, and ``depth``, ``max_fan_in`` and ``n_gates``.
+        All of it is set only once every check has passed, so a rejected
+        call changes nothing.  ``gates`` may be given as ``_Wiring`` arrays,
+        its list then made when read.  Layers and wire ids must be plain
+        ``int`` (not bool or float), and gate kinds strings, checked last.
         Call again after editing ``gates`` or the site groups in place.
 
         Within a layer, gates are read in list order: a gate may not read a
@@ -352,9 +344,12 @@ class CircuitDag:
         order are not.  List order matters to validation only: lightcones
         see each layer as it stood before it.
         """
+        if isinstance(vars(self).get("gates"), _Wiring):
+            self._wiring = vars(self).pop("gates")
         n_wires = len(self.wire_kinds)
         dtype = np.int32 if n_wires < 2 ** 31 else np.int64
-        wiring = _wiring_of(self.gates, n_wires) if "gates" in vars(self) else self._wiring
+        columns = (list(map(attrgetter(name), self.gates)) for name in ("layer", "inputs", "outputs", "kind"))
+        wiring = _wiring_of(*columns, n_wires) if "gates" in vars(self) else self._wiring
         kinds_ok = self.wire_kinds.count("c") + self.wire_kinds.count("q") == n_wires
         index = _layer_index(wiring, n_wires, dtype) if wiring is not None and kinds_ok else None
         if index is None:
@@ -364,25 +359,32 @@ class CircuitDag:
         sides = (self.alice_inputs, self.bob_inputs, self.alice_outputs, self.bob_outputs)
         if len({len(groups) for groups in sides}) > 1:
             raise ValueError("Alice's and Bob's input and output lists need one group per site")
-        for groups in sides:
-            _flatten(groups, n_wires, "site group names ")
-        # A shared output wire would credit a crossing to two sites at once.
+        # The strategy wiring hands its groups over flat, once.
+        flat = vars(self).pop("_groups", None) or [_flatten(groups, n_wires, "site group names ") for groups in sides]
+        # A shared output wire would credit a crossing to two sites at once:
+        # one of its groups' sites is kept, and another does not read back.
         output_sites = np.full((2, n_wires), -1, dtype)
-        for i, (side, groups) in enumerate((("Alice", self.alice_outputs), ("Bob", self.bob_outputs))):
-            owner: dict[int, int] = {}
-            for s, group in enumerate(groups):
-                for w in group:
-                    if owner.setdefault(w, s) != s:
-                        raise ValueError(f"wire {w} is in {side}'s output groups of sites {owner[w]} and {s}")
-            output_sites[i, list(owner)] = list(owner.values())
+        for i, (side, (wires, owner)) in enumerate(zip(("Alice", "Bob"), flat[2:])):
+            output_sites[i, wires] = owner
+            if np.any(output_sites[i, wires] != owner):
+                site_of: dict[int, int] = {}
+                for w, s in zip(wires.tolist(), owner.tolist()):
+                    if site_of.setdefault(w, s) != s:
+                        raise ValueError(f"wire {w} is in {side}'s output groups of sites {site_of[w]} and {s}")
+        try:
+            "".join(wiring.kinds)  # a TypeError at any kind that is not a string
+        except TypeError:
+            i = next(i for i, kind in enumerate(wiring.kinds) if not isinstance(kind, str))
+            raise ValueError(f"gate {i} has kind {wiring.kinds[i]!r}, not a string") from None
+        self._inputs, self._outputs = ((np.concatenate((a[0], b[0]), dtype=dtype),
+                                        np.concatenate((a[1], b[1] + len(sides[0])), dtype=dtype))
+                                       for a, b in (flat[:2], flat[2:]))
         self._index, self._output_sites = index, output_sites
         self.depth, self.n_gates = max(wiring.layers, default=0), len(wiring.rank)
         self.max_fan_in = int(np.diff(wiring.in_ptr).max(initial=0))
 
     def __getattr__(self, name: str):
-        # A wiring built from arrays (``build_strategy_dag``) makes its gate
-        # list on first read, in place of the arrays; from then on,
-        # __post_init__ reads that list.
+        # Arrays given for ``gates`` become the list on first read; __post_init__ reads that from then on.
         if name != "gates" or "_wiring" not in vars(self):
             raise AttributeError(name)
         w = vars(self).pop("_wiring")
@@ -406,18 +408,16 @@ class CircuitDag:
                     {"layer": g.layer, "inputs": list(g.inputs), "outputs": list(g.outputs), "kind": g.kind}
                     for g in self.gates
                 ],
-                "alice_inputs": self.alice_inputs,
-                "bob_inputs": self.bob_inputs,
-                "alice_outputs": self.alice_outputs,
-                "bob_outputs": self.bob_outputs,
+                **{name: getattr(self, name) for name in _GROUPS},
             }
         )
 
 
-def _json_object(value, what: str, keys: tuple[str, ...]) -> dict:
-    if not isinstance(value, dict) or not all(key in value for key in keys):
-        raise ValueError(f"{what} must be a JSON object with {', '.join(keys)}")
-    return value
+def _json_columns(items: list, what: str, keys: tuple[str, ...]) -> list[list]:
+    try:
+        return [[item[key] for item in items] for key in keys]
+    except (KeyError, TypeError):
+        raise ValueError(f"{what} must be a JSON object with {', '.join(keys)}") from None
 
 
 def _json_list(value, what: str) -> list:
@@ -427,33 +427,32 @@ def _json_list(value, what: str) -> list:
 
 
 def dag_from_json(text: str) -> CircuitDag:
-    """Parse a wiring; malformed or inconsistent input raises ValueError."""
+    """Parse a wiring straight into ``_Wiring`` arrays, with no ``Gate`` unless its gate
+    list is read or a fault must be named; malformed or inconsistent input raises ValueError."""
     try:
         payload = json.loads(text)
     except RecursionError:
         raise ValueError("the wiring JSON nests too deeply") from None
-    payload = _json_object(payload, "a wiring", ("wires", "gates"))
-    wires = [
-        _json_object(w, "each wire", ("id", "kind")) for w in _json_list(payload["wires"], "wires")
-    ]
-    ids = [w["id"] for w in wires]
-    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids))):
+    (wires,), (gates,) = _json_columns([payload], "a wiring", ("wires", "gates"))
+    ids, kinds = _json_columns(_json_list(wires, "wires"), "each wire", ("id", "kind"))
+    if not set(map(type, ids)) <= {int} or sorted(ids) != list(range(len(ids))):
         raise ValueError("wire ids must be the integers 0..n-1, each once")
-    kinds = [""] * len(wires)
-    for w in wires:
-        kinds[w["id"]] = w["kind"]
-    gates = []
-    for g in _json_list(payload["gates"], "gates"):
-        g = _json_object(g, "each gate", ("layer", "inputs", "outputs"))
-        inputs = tuple(_json_list(g["inputs"], "gate inputs"))
-        outputs = tuple(_json_list(g["outputs"], "gate outputs"))
-        gates.append(Gate(g["layer"], inputs, outputs, g.get("kind", "gate")))
-    groups = {
-        name: [_json_list(group, f"each group of {name}")
-               for group in _json_list(payload.get(name, []), name)]
-        for name in ("alice_inputs", "bob_inputs", "alice_outputs", "bob_outputs")
-    }
-    return CircuitDag(kinds, gates, **groups)
+    kinds = [kind for _, kind in sorted(zip(ids, kinds))]
+    gates = _json_list(gates, "gates")
+    try:
+        layers, inputs, outputs = _json_columns(gates, "each gate", ("layer", "inputs", "outputs"))
+        if not set(map(type, chain(inputs, outputs))) <= {list}:
+            raise ValueError
+    except ValueError:  # name the first malformed gate, in file order
+        for g in gates:
+            _json_columns([g], "each gate", ("layer", "inputs", "outputs"))
+            _json_list(g["inputs"], "gate inputs"), _json_list(g["outputs"], "gate outputs")
+    gate_kinds = [g.get("kind", "gate") for g in gates]
+    groups = {name: [_json_list(group, f"each group of {name}") for group in _json_list(payload.get(name, []), name)]
+              for name in _GROUPS}
+    wiring = _wiring_of(layers, inputs, outputs, gate_kinds, len(kinds))
+    return CircuitDag(kinds, wiring or list(map(Gate, layers, map(tuple, inputs), map(tuple, outputs), gate_kinds)),
+                      **groups)
 
 
 def _flatten(groups, n_wires: int, what: str = "") -> tuple[np.ndarray, np.ndarray]:
@@ -463,7 +462,8 @@ def _flatten(groups, n_wires: int, what: str = "") -> tuple[np.ndarray, np.ndarr
     if not set(map(type, flat)) <= {int} or flat and not 0 <= min(flat) <= max(flat) < n_wires:
         bad = next(w for w in flat if type(w) is not int or not 0 <= w < n_wires)
         raise ValueError(f"{what}unknown wire {bad!r}")
-    return np.array(flat, dtype=np.int64), np.repeat(np.arange(len(groups)), list(map(len, groups)))
+    sizes = list(map(len, groups))
+    return np.array(flat, dtype=np.int64), np.repeat(np.arange(len(sizes)), sizes)
 
 
 def _unique(keys: np.ndarray) -> np.ndarray:
@@ -477,22 +477,21 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def _sweep(dag: CircuitDag, seeds, forward: bool) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(dag: CircuitDag, wires, owner, n_seeds: int, forward: bool) -> tuple[np.ndarray, np.ndarray]:
     """The wire and seed columns of every pair (w, q), sorted, with wire w in
-    the cone of the wire group ``seeds[q]``; pairs travel as int64 keys
-    w << bits | q, joined a layer at a time to (gate, q) and then to
-    (written wire, q) on the wiring's index.
+    the cone of group q of ``n_seeds``, the groups given flat (``_flatten``);
+    pairs travel as int64 keys w << bits | q, joined a layer at a time to
+    (gate, q) and then to (written wire, q) on the wiring's index.
 
     Every gate of a layer fires on the cones as they stood before that
     layer.  Forward, a gate that reads a cone wire adds its outputs;
     backward, layers run from the deepest, and a gate that writes a cone
     wire adds its inputs.  So each direction is the exact dual of the other.
     """
-    n_wires, bits = len(dag.wire_kinds), max(len(seeds) - 1, 0).bit_length()
+    n_wires, bits = len(dag.wire_kinds), max(n_seeds - 1, 0).bit_length()
     if n_wires << bits > np.iinfo(np.int64).max:
-        raise ValueError(f"{n_wires} wires by {len(seeds)} seed groups do not fit one int64 key")
-    wires, owner = _flatten(seeds, n_wires)
-    keys = _unique(wires << bits | owner)
+        raise ValueError(f"{n_wires} wires by {n_seeds} seed groups do not fit one int64 key")
+    keys = _unique(wires.astype(np.int64) << bits | owner)
     for layer in dag._index if forward else reversed(dag._index):
         (_, _, read_wires, read_gates), (ptr, writes, _, _) = layer if forward else layer[::-1]
         # The pairs of read wire u are the keys in [u << bits, u + 1 << bits).
@@ -509,7 +508,8 @@ def _sweep(dag: CircuitDag, seeds, forward: bool) -> tuple[np.ndarray, np.ndarra
 
 
 def _one_cone(dag: CircuitDag, wires, forward: bool) -> set[int]:
-    return set(_sweep(dag, [[wires] if isinstance(wires, int) else list(wires)], forward)[0].tolist())
+    seeds = _flatten([[wires] if isinstance(wires, int) else list(wires)], len(dag.wire_kinds))
+    return set(_sweep(dag, *seeds, 1, forward)[0].tolist())
 
 
 def forward_lightcone(dag: CircuitDag, wires) -> set[int]:
@@ -525,10 +525,12 @@ def backward_lightcone(dag: CircuitDag, wires) -> set[int]:
     return _one_cone(dag, wires, forward=False)
 
 
-def backward_cone_sizes(dag: CircuitDag, groups) -> list[int]:
-    """Size of the backward lightcone of every wire group, from one sweep."""
-    seed = _sweep(dag, groups, forward=False)[1]
-    return np.bincount(seed, minlength=len(groups)).tolist()
+def backward_cone_sizes(dag: CircuitDag, groups=None) -> list[int]:
+    """Size of the backward lightcone of every wire group, from one sweep;
+    by default the wiring's output groups, Alice's then Bob's."""
+    n = 2 * dag.n_sites if groups is None else len(groups)
+    seed = _sweep(dag, *dag._outputs if groups is None else _flatten(groups, len(dag.wire_kinds)), n, False)[1]
+    return np.bincount(seed, minlength=n).tolist()
 
 
 def lightcone_disjoint_probability(dag: CircuitDag) -> float:
@@ -539,7 +541,7 @@ def lightcone_disjoint_probability(dag: CircuitDag) -> float:
         raise ValueError("need at least two sites")
     # Seed j is Alice's input at site j, seed sites + k Bob's at site k, and
     # alice[w] (bob[w]) is the site of w among Alice's (Bob's) outputs, or -1.
-    wire, seed = _sweep(dag, dag.alice_inputs + dag.bob_inputs, forward=True)
+    wire, seed = _sweep(dag, *dag._inputs, 2 * sites, forward=True)
     alice, bob = dag._output_sites
     from_alice = seed < sites
     j = np.where(from_alice, seed, alice[wire])
@@ -585,8 +587,8 @@ def build_strategy_dag(N: int) -> CircuitDag:
 
 
 def _strategy_layout(N: int) -> dict:
-    """The strategy wiring's wire kinds, gates as a ``_Wiring`` and site
-    groups, by ``CircuitDag`` attribute name."""
+    """The strategy wiring's wire kinds, gates as a ``_Wiring``, and site
+    groups as lists and flat, by ``CircuitDag`` attribute name."""
     # (kind, width) of each role: syndrome, both questions, both qubit triples,
     # both null flags, r^B at junction site i, r^A at site i+1, both game
     # outcomes and both output triples.
@@ -628,11 +630,10 @@ def _strategy_layout(N: int) -> dict:
     sizes = [len(ins) for ins, _ in blocks]
     gate_kinds = [kind for (pattern, *_), size in zip(layers, sizes)
                   for kind in pattern * (size // len(pattern))]
+    groups = (np.hstack([syndrome, alice_q_in]), bob_q_in, out_a, out_b)
     return dict(
         wire_kinds=kinds,
-        _wiring=_Wiring([1, 2, 3, 4, 5], np.repeat(np.arange(5), sizes), gate_kinds, *csr),
-        alice_inputs=np.hstack([syndrome, alice_q_in]).tolist(),
-        bob_inputs=bob_q_in.tolist(),
-        alice_outputs=out_a.tolist(),
-        bob_outputs=out_b.tolist(),
+        gates=_Wiring([1, 2, 3, 4, 5], np.repeat(np.arange(5), sizes), gate_kinds, *csr),
+        _groups=[(rows.ravel(), np.repeat(np.arange(N), rows.shape[1])) for rows in groups],
+        **{name: rows.tolist() for name, rows in zip(_GROUPS, groups)},
     )

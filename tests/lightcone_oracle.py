@@ -122,4 +122,7 @@ def validate(wire_kinds, gates, alice_inputs, bob_inputs, alice_outputs, bob_out
             for w in group:
                 if site_of.setdefault(w, s) != s:
                     raise ValueError(f"wire {w} is in {side}'s output groups of sites {site_of[w]} and {s}")
+    for i, g in enumerate(gates):
+        if not isinstance(g.kind, str):
+            raise ValueError(f"gate {i} has kind {g.kind!r}, not a string")
     return max(layers, default=0), max((len(g.inputs) for g in gates), default=0)

@@ -372,22 +372,53 @@ def _set_wire_id(wiring, index, value):
     wiring["wires"][index]["id"] = value
 
 
-@pytest.mark.parametrize("corrupt", [
-    pytest.param(lambda w: _set_wire_id(w, 0, len(w["wires"])), id="non-contiguous-ids"),
-    pytest.param(lambda w: _set_wire_id(w, 1, 0), id="repeated-id"),
-    pytest.param(lambda w: _set_wire_id(w, 0, "0"), id="string-id"),
-    pytest.param(lambda w: w["wires"][0].update(kind="x"), id="kind-x"),
-    pytest.param(lambda w: w["wires"][0].update(kind=7), id="kind-7"),
-    pytest.param(lambda w: w["gates"][0].update(inputs=[0.5]), id="float-gate-input"),
-    pytest.param(lambda w: w["gates"][0].update(outputs=3), id="gate-outputs-not-a-list"),
-    pytest.param(lambda w: w["gates"][0].update(layer=1.5), id="float-layer"),
-    pytest.param(lambda w: w["gates"][0].pop("inputs"), id="gate-without-inputs"),
-    pytest.param(lambda w: w["alice_inputs"][0].append(10 ** 6), id="group-wire-out-of-range"),
-    pytest.param(lambda w: w["bob_outputs"][1].extend(w["bob_outputs"][0]), id="shared-output-wire"),
-    pytest.param(lambda w: w["bob_inputs"].pop(), id="groups-per-site-differ"),
-    pytest.param(lambda w: w.pop("gates"), id="no-gates"),
+def _set_gate_field(wiring, index, **fields):
+    wiring["gates"][index].update(fields)
+
+
+# Each corruption of the 3-site strategy wiring and the exact stderr line it
+# gets; every line but the gate kind's was recorded before the loader wrote
+# its arrays straight from the JSON lists.
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(lambda w: _set_wire_id(w, 0, len(w["wires"])), "wire ids must be the integers 0..n-1, each once",
+                 id="non-contiguous-ids"),
+    pytest.param(lambda w: _set_wire_id(w, 1, 0), "wire ids must be the integers 0..n-1, each once", id="repeated-id"),
+    pytest.param(lambda w: _set_wire_id(w, 0, "0"), "wire ids must be the integers 0..n-1, each once", id="string-id"),
+    pytest.param(lambda w: w["wires"][0].update(kind="x"), "wire 0 has kind 'x', not 'c' or 'q'", id="kind-x"),
+    pytest.param(lambda w: w["wires"][0].update(kind=7), "wire 0 has kind 7, not 'c' or 'q'", id="kind-7"),
+    pytest.param(lambda w: w["wires"].__setitem__(0, 3), "each wire must be a JSON object with id, kind",
+                 id="wire-not-an-object"),
+    pytest.param(lambda w: _set_gate_field(w, 0, inputs=[0.5]), "gate reads unknown wire 0.5", id="float-gate-input"),
+    pytest.param(lambda w: _set_gate_field(w, 0, outputs=3), "gate outputs must be a JSON list",
+                 id="gate-outputs-not-a-list"),
+    pytest.param(lambda w: _set_gate_field(w, 0, inputs="ab"), "gate inputs must be a JSON list", id="inputs-a-string"),
+    pytest.param(lambda w: _set_gate_field(w, 0, layer=1.5), "gate layers are integers from 1, got 1.5",
+                 id="float-layer"),
+    pytest.param(lambda w: _set_gate_field(w, 0, layer=True), "gate layers are integers from 1, got True",
+                 id="bool-layer"),
+    pytest.param(lambda w: w["gates"][0]["outputs"].__setitem__(0, True), "gate writes unknown wire True",
+                 id="bool-output-wire"),
+    pytest.param(lambda w: w["gates"][0]["inputs"].__setitem__(0, False), "gate reads unknown wire False",
+                 id="bool-input-wire"),
+    pytest.param(lambda w: w["gates"][0].pop("inputs"), "each gate must be a JSON object with layer, inputs, outputs",
+                 id="gate-without-inputs"),
+    pytest.param(lambda w: w["gates"].__setitem__(0, [1, [0], [1]]),
+                 "each gate must be a JSON object with layer, inputs, outputs", id="gate-not-an-object"),
+    pytest.param(lambda w: (_set_gate_field(w, 2, outputs="ab"), w["gates"].__setitem__(5, None)),
+                 "gate outputs must be a JSON list", id="first-malformed-gate-named"),
+    pytest.param(lambda w: w["alice_inputs"][0].append(10 ** 6), "site group names unknown wire 1000000",
+                 id="group-wire-out-of-range"),
+    pytest.param(lambda w: w["alice_outputs"].__setitem__(1, 5), "each group of alice_outputs must be a JSON list",
+                 id="group-not-a-list"),
+    pytest.param(lambda w: w["bob_outputs"][1].extend(w["bob_outputs"][0]),
+                 "wire 153 is in Bob's output groups of sites 0 and 1", id="shared-output-wire"),
+    pytest.param(lambda w: w["bob_inputs"].pop(), "Alice's and Bob's input and output lists need one group per site",
+                 id="groups-per-site-differ"),
+    pytest.param(lambda w: w.pop("gates"), "a wiring must be a JSON object with wires, gates", id="no-gates"),
+    # Exit 0 before the kind was checked; the check runs after every other one.
+    pytest.param(lambda w: _set_gate_field(w, 7, kind=[1]), "gate 7 has kind [1], not a string", id="gate-kind-list"),
 ])
-def test_lightcone_malformed_wiring_exits_2(tmp_path, capsys, corrupt):
+def test_lightcone_malformed_wiring_exits_2(tmp_path, capsys, corrupt, message):
     from bcsmagic.shallow import build_strategy_dag
 
     wiring = json.loads(build_strategy_dag(3).to_json())
@@ -395,7 +426,8 @@ def test_lightcone_malformed_wiring_exits_2(tmp_path, capsys, corrupt):
     path = tmp_path / "dag.json"
     path.write_text(json.dumps(wiring))
     assert main(["lightcone", "--dag", str(path)]) == 2
-    assert "internal error" not in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("text", ["[]", "{", '{"wires": {}, "gates": []}'])

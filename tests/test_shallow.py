@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import re
 import tracemalloc
 from dataclasses import replace
@@ -443,13 +444,13 @@ def test_strategy_dag_arities():
     dag = build_strategy_dag(8)
     by_kind = {}
     for g in dag.gates:
-        by_kind.setdefault(g.kind, set()).add(g.fan_in)
+        by_kind.setdefault(g.kind, set()).add(len(g.inputs))
     assert by_kind["epr_prep"] == {2}
     assert by_kind["bsm"] == {3}
     assert by_kind["correction"] == {3}
     assert by_kind["game_measure"] == {14}
     assert dag.max_fan_in == 14
-    assert max(g.fan_in for g in dag.gates if g.kind == "game_measure") == 14
+    assert max(len(g.inputs) for g in dag.gates if g.kind == "game_measure") == 14
 
 
 def test_strategy_dag_constant_depth():
@@ -457,13 +458,18 @@ def test_strategy_dag_constant_depth():
 
 
 def test_strategy_dag_json_round_trip():
-    dag = build_strategy_dag(3)
-    back = dag_from_json(dag.to_json())
-    assert back.wire_kinds == dag.wire_kinds
-    assert back.max_fan_in == dag.max_fan_in
-    assert back.depth == dag.depth
-    assert back.alice_inputs == dag.alice_inputs
-    assert len(back.gates) == len(dag.gates)
+    """The strategy wiring's arrays, laid out from its role rows, equal
+    those of its JSON, parsed into arrays: index, output owners and flat
+    site groups, dtypes included."""
+    for sites in (2, 3, 16):
+        dag = build_strategy_dag(sites)
+        back = dag_from_json(dag.to_json())
+        for name in ("_index", "_output_sites", "_inputs", "_outputs"):
+            _assert_same_arrays(getattr(back, name), getattr(dag, name))
+        assert back.wire_kinds == dag.wire_kinds
+        assert (back.max_fan_in, back.depth, back.n_gates) == (dag.max_fan_in, dag.depth, dag.n_gates)
+        assert back.alice_inputs == dag.alice_inputs
+        assert back.gates == dag.gates
 
 
 def test_strategy_dag_backward_cone_excludes_far_questions():
@@ -573,7 +579,8 @@ def test_rejected_edit_keeps_the_last_valid_wiring():
 def test_strategy_wiring_memory():
     """The strategy wiring is laid out and indexed as arrays, with no gate
     list until one is read: at 2,000 sites the tracemalloc peak of the
-    build was 23.5 MB with a ``Gate`` per gate, and is 16.1 MB as arrays."""
+    build was 23.5 MB with a ``Gate`` per gate, and is 17.2 MB as arrays,
+    the site groups handed over flat included."""
     tracemalloc.start()
     try:
         build_strategy_dag(2000)
@@ -591,6 +598,7 @@ def test_strategy_wiring_memory():
     (lambda d: d.gates.append(Gate(1, (0.5,), (1,))), "reads unknown wire"),
     (lambda d: d.gates.append(Gate(1, (0,), (True,))), "writes unknown wire"),
     (lambda d: d.gates.extend([Gate(2, (0,), (2,)), Gate(2, (1,), (2,))]), "written twice"),
+    (lambda d: d.gates.extend([Gate(1, (0,), (1,)), Gate(2, (1,), (2,), None)]), "gate 1 has kind None, not a string"),
     (lambda d: d.bob_inputs[1].append(99), "site group"),
     (lambda d: d.alice_outputs.append([4]), "one group per site"),
     (lambda d: d.alice_outputs[1].append(d.alice_outputs[0][0]), "output groups of sites 0 and 1"),
@@ -763,6 +771,7 @@ def _strategy_parts(sites):
 
 
 _BAD_KINDS = ["x", 7, None, "", "cq", ["c"]]
+_BAD_GATE_KINDS = [None, 7, ["gate"], {"kind": "gate"}]
 _BAD_LAYERS = [0, -1, True, False, 1.0, 2.5, "1", None]
 _BAD_WIRES = [-1, True, False, 0.0, 0.5, 10 ** 400, "0"]
 
@@ -774,7 +783,7 @@ def planted_wirings(draw):
     three planted faults: bad wire kinds; bool, float, negative and
     out-of-range layers and wires; a same-layer read after a write, the
     writer sometimes a transform; duplicate writes; shared output wires;
-    and bad or missing site groups."""
+    bad or missing site groups; and gate kinds that are not strings."""
     kinds, gates, *groups = draw(st.one_of(wiring_parts(), st.integers(2, 3).map(_strategy_parts)))
     labels = sorted(draw(st.sets(st.sampled_from([1, 2, 3, 4, 5, 9, 2 ** 63, 10 ** 400]), min_size=5, max_size=5)))
     gates = [Gate(labels[g.layer - 1], g.inputs, g.outputs, g.kind) for g in gates]
@@ -782,7 +791,7 @@ def planted_wirings(draw):
     def pick(items):
         return draw(st.integers(0, len(items) - 1))
 
-    faults = ["none", "kind", "layer", "wire", "wire", "read", "read", "write", "share", "share", "group"]
+    faults = ["none", "kind", "layer", "wire", "wire", "read", "read", "write", "share", "share", "group", "gate kind"]
     for fault in draw(st.lists(st.sampled_from(faults), min_size=1, max_size=3)):
         if fault == "kind":
             kinds[pick(kinds)] = draw(st.sampled_from(_BAD_KINDS))
@@ -805,6 +814,9 @@ def planted_wirings(draw):
             gates.insert(draw(st.integers(j + 1, len(gates))), Gate(labels[0], (w,), ()))
         elif not gates:
             continue
+        elif fault == "gate kind":
+            i = pick(gates)
+            gates[i] = replace(gates[i], kind=draw(st.sampled_from(_BAD_GATE_KINDS)))
         elif fault == "layer":
             i = pick(gates)
             gates[i] = replace(gates[i], layer=draw(st.sampled_from(_BAD_LAYERS)))
@@ -842,6 +854,62 @@ def test_validation_matches_the_loop_oracle(parts):
     dag = _outcome(lambda: CircuitDag(*parts))
     got = dag if isinstance(dag, str) else (dag.depth, dag.max_fan_in)
     assert got == _outcome(lambda: oracle.validate(*parts))
+
+
+def _wiring_text(kinds, gates, *groups) -> str:
+    """A wiring's JSON as ``CircuitDag.to_json`` writes it, from constructor
+    arguments that it may reject."""
+    return json.dumps({
+        "wires": [{"id": i, "kind": k} for i, k in enumerate(kinds)],
+        "gates": [{"layer": g.layer, "inputs": list(g.inputs), "outputs": list(g.outputs), "kind": g.kind}
+                  for g in gates],
+        **dict(zip(("alice_inputs", "bob_inputs", "alice_outputs", "bob_outputs"), groups)),
+    })
+
+
+def _assert_same_arrays(got, expected):
+    """Equal nested tuples and lists of arrays, dtypes included."""
+    if isinstance(expected, np.ndarray):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    else:
+        assert type(got) is type(expected) and len(got) == len(expected)
+        for a, b in zip(got, expected):
+            _assert_same_arrays(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(wiring_parts(), planted_wirings()))
+def test_loaded_wiring_matches_the_gate_list(parts):
+    """``dag_from_json`` lays the JSON out as arrays with no ``Gate``, and
+    rejects what the ``Gate`` list constructor rejects with the same
+    message; an accepted wiring has the same index, output owners, flat
+    site groups, sizes and JSON bytes, and the gate list it makes when read
+    is the original one."""
+    text = _wiring_text(*parts)
+    built, loaded = _outcome(lambda: CircuitDag(*parts)), _outcome(lambda: dag_from_json(text))
+    if isinstance(built, str):
+        assert loaded == built
+        return
+    assert "gates" not in vars(loaded)
+    for name in ("_index", "_output_sites", "_inputs", "_outputs"):
+        _assert_same_arrays(getattr(loaded, name), getattr(built, name))
+    assert (loaded.depth, loaded.max_fan_in, loaded.n_gates) == (built.depth, built.max_fan_in, built.n_gates)
+    assert loaded.to_json() == built.to_json() == text
+    assert loaded.gates == built.gates == parts[1]
+
+
+def test_loaded_wiring_memory():
+    """A loaded wiring's gates go straight from the JSON lists to arrays: at
+    2,000 sites (22,000 wires, 10,000 gates) the tracemalloc peak of
+    ``dag_from_json`` was 16.8 MB with a ``Gate`` per gate, and is 15.0 MB."""
+    text = random_local_dag(2000, K=3, D=4, rng=philox_rng(2718)).to_json()
+    tracemalloc.start()
+    try:
+        dag_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @settings(max_examples=300, deadline=None)
@@ -916,6 +984,24 @@ def test_lightcone_output_bytes(wiring, fmt, tmp_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _LIGHTCONE_SHA256[wiring, fmt]
+
+
+# SHA-256 of `lightcone --dag` stdout on a seeded neighbour-local wiring of
+# 2,000 sites (K = 3, D = 4), recorded while the loader still built a
+# ``Gate`` per gate: laying the JSON out as arrays must not move a byte.
+_LOADED_LIGHTCONE_SHA256 = {
+    "json": "da41fc114f4aa680740a48ebda7c42ac597d7505c3b29bca6fabeaf4a5c119a2",
+    "text": "f9e5cfab02554d3a2457a0d03997cbea7f7fcde5387b0108e1966ce1682dda0f",
+}
+
+
+@pytest.mark.parametrize("fmt", list(_LOADED_LIGHTCONE_SHA256))
+def test_loaded_lightcone_output_bytes(fmt, tmp_path, capsys):
+    path = tmp_path / "local.json"
+    path.write_text(random_local_dag(2000, K=3, D=4, rng=philox_rng(2718)).to_json())
+    assert main(["lightcone", "--dag", str(path), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _LOADED_LIGHTCONE_SHA256[fmt]
 
 
 # SHA-256 of the strategy wiring's JSON, wire ids included: the role layout
