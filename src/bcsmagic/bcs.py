@@ -107,6 +107,9 @@ def make_constraint(var_indices: list[int], rhs: int) -> Constraint:
 # Text format
 # ---------------------------------------------------------------------------
 
+_RHS = {"1": 1, "-1": -1}
+
+
 def parse_bcs(text: str) -> Bcs:
     """Parse the BCS text format.
 
@@ -114,18 +117,15 @@ def parse_bcs(text: str) -> Bcs:
     then one constraint per line, ``name ... name = 1`` or ``= -1``.  Without
     a header, variables are registered in order of first appearance.
     """
-    names: list[str] = []
-    index: dict[str, int] = {}
+    index: dict[str, int] = {}  # the variables in order, by name
     declared = False
     constraints: list[Constraint] = []
 
     def lookup(tok: str) -> int:
-        if tok in index:
-            return index[tok]
-        if declared:
-            raise ValueError(f"unknown variable name {tok!r}")
-        index[tok] = len(names)
-        names.append(tok)
+        if tok not in index:
+            if declared:
+                raise ValueError(f"unknown variable name {tok!r}")
+            index[tok] = len(index)
         return index[tok]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -140,26 +140,21 @@ def parse_bcs(text: str) -> Bcs:
                     raise ValueError(f"line {lineno}: variable name {tok!r} contains '='")
                 if tok in index:
                     raise ValueError(f"line {lineno}: duplicate variable {tok!r}")
-                index[tok] = len(names)
-                names.append(tok)
+                index[tok] = len(index)
             declared = True
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: missing '='")
         lhs, _, rhs_text = line.partition("=")
         rhs_text = rhs_text.strip()
-        if rhs_text == "1":
-            rhs = 1
-        elif rhs_text == "-1":
-            rhs = -1
-        else:
+        if rhs_text not in _RHS:
             raise ValueError(f"line {lineno}: malformed rhs {rhs_text!r}")
         toks = lhs.split()
-        constraints.append(make_constraint([lookup(t) for t in toks], rhs))
+        constraints.append(make_constraint([lookup(t) for t in toks], _RHS[rhs_text]))
 
     if not declared and not constraints:
         raise ValueError("empty BCS file")
-    return Bcs(names, constraints)
+    return Bcs(list(index), constraints)
 
 
 def serialize_bcs(bcs: Bcs) -> str:
@@ -479,10 +474,7 @@ def _replay(bcs: Bcs, cert: Certificate, elim: Elimination) -> bool:
         return False
 
     # Every variable must cancel in the concatenated product.
-    var_parity = 0
-    for v in relation:
-        var_parity ^= 1 << v
-    if var_parity:
+    if reduce(xor, (1 << v for v in relation), 0):
         return False
 
     # The accumulated sign must be the contradiction I = -I.

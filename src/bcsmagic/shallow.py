@@ -31,9 +31,10 @@ Circuit wirings are layered gate lists over persistent classical/quantum
 wires, validated and indexed once when built.  Gates and site groups are
 flattened into arrays once (``_Wiring``: a rank per gate among the
 distinct layers, never the layer itself, and CSR inputs and outputs), and
-every check is an array operation on them; a loop runs only when a check
-fails, to name the first offender.  Loaded and strategy wirings are laid
-out as those arrays directly, with no gate list until one is read.
+every check is an array operation on them that flags each offending edge,
+so a rejected wiring is named by its first flag.  Loaded and strategy
+wirings are laid out as those arrays directly, with no gate list until one
+is read.
 Lightcones are sparse support propagation: one layered sweep carries the
 sorted (wire, seed set) pairs of every cone at once, two array joins a
 layer on the wiring's index, so time and memory grow with the total cone
@@ -207,7 +208,9 @@ _GROUPS = ("alice_inputs", "bob_inputs", "alice_outputs", "bob_outputs")
 class _Wiring(NamedTuple):
     """A gate list as flat arrays, gates in list order: the distinct layers
     ascending, each gate's layer rank (the index of its layer there) and
-    kind, and its input and output wires as CSR pointers by gate and wires."""
+    kind, and its input and output wires as CSR pointers by gate and wires.
+    A wire that is not a plain ``int`` in range is -1, and kept as written
+    in ``unknown``, inputs' then outputs', by edge."""
     layers: list[int]
     rank: np.ndarray
     kinds: list
@@ -215,45 +218,54 @@ class _Wiring(NamedTuple):
     in_wires: np.ndarray
     out_ptr: np.ndarray
     out_wires: np.ndarray
+    unknown: tuple[dict, dict] = ({}, {})
 
 
-def _wiring_of(layers: list, inputs: list, outputs: list, kinds: list, n_wires: int) -> _Wiring | None:
-    """The flat form of a gate list given as columns, or None unless every
-    layer is a plain ``int`` from 1 and every wire a plain ``int`` in range."""
+def _check_wire_kinds(wire_kinds) -> None:
+    if wire_kinds.count("c") + wire_kinds.count("q") != len(wire_kinds):
+        w = next(w for w, kind in enumerate(wire_kinds) if kind not in ("c", "q"))
+        raise ValueError(f"wire {w} has kind {wire_kinds[w]!r}, not 'c' or 'q'")
+
+
+def _wiring_of(layers: list, inputs: list, outputs: list, kinds: list, n_wires: int) -> _Wiring:
+    """The flat form of a gate list given as columns; ValueError names the
+    first layer that is not a plain ``int`` from 1."""
     if not set(map(type, layers)) <= {int} or min(layers, default=1) < 1:
-        return None
-    try:
-        sides = [_flatten(side, n_wires) for side in (inputs, outputs)]
-    except ValueError:
-        return None
+        bad = next(layer for layer in layers if type(layer) is not int or layer < 1)
+        raise ValueError(f"gate layers are integers from 1, got {bad!r}")
+    unknown = ({}, {})
+    sides = [_flatten(side, n_wires, unknown=kept) for side, kept in zip((inputs, outputs), unknown)]
     # Ranks, not layers, enter the arrays: a layer may pass any int64.
     distinct = sorted(set(layers))
     rank = dict(zip(distinct, range(len(distinct))))
     csr = [(np.searchsorted(owner, np.arange(len(layers) + 1)), wires) for wires, owner in sides]
     return _Wiring(distinct, np.fromiter(map(rank.__getitem__, layers), np.int64, len(layers)), kinds,
-                   *csr[0], *csr[1])
+                   *csr[0], *csr[1], unknown)
 
 
-def _layer_index(wiring: _Wiring, n_wires: int, dtype) -> list | None:
+def _layer_index(wiring: _Wiring, n_wires: int, dtype) -> list:
     """Both sides of each layer as ``_sweep`` reads them: CSR pointers by
     gate, the wires in gate order, and the same edges sorted by wire, with
-    their gates, numbered within the layer in list order.  None if a wire is
-    out of range, written twice in a layer, or read, in the layer that first
-    writes it other than as a transform, by a gate after that writer."""
+    their gates, numbered within the layer in list order.  ValueError names
+    the first edge, layer by layer, gate by gate in list order, inputs
+    before outputs, whose wire is out of range, written twice in the layer,
+    or read, in the layer that first writes it other than as a transform,
+    by a gate after that writer."""
     n_gates = len(wiring.rank)
     by_layer = np.argsort(wiring.rank, kind="stable")
     bounds = np.searchsorted(wiring.rank[by_layer], np.arange(len(wiring.layers) + 1)).tolist()
-    sides = []
-    for ptr, wires in ((wiring.in_ptr, wiring.in_wires), (wiring.out_ptr, wiring.out_wires)):
-        if len(wires) and not 0 <= wires.min() <= wires.max() < n_wires:
-            return None
-        # Edges in layer order, each with its gate's position in that order.
+    csr = ((wiring.in_ptr, wiring.in_wires), (wiring.out_ptr, wiring.out_wires))
+    sides, bad = [], []
+    for ptr, wires in csr:
+        # Edges in layer order, each with its gate's position in that order;
+        # every wire out of range becomes wire n_wires, which no other meets.
         counts = np.diff(ptr)[by_layer]
         wires = wires[_ranges(ptr[:-1][by_layer], counts)].astype(dtype)
+        bad.append((wires < 0) | (wires >= n_wires))
+        wires[bad[-1]] = n_wires
         gates = np.repeat(np.arange(n_gates, dtype=dtype), counts)
         sides.append((np.concatenate(([0], np.cumsum(counts))), wires, gates))
-    if _read_before_produced(*sides[0][1:], *sides[1][1:], np.repeat(bounds[:-1], np.diff(bounds)), n_wires):
-        return None
+    bad[0] |= _read_before_produced(*sides[0][1:], *sides[1][1:], np.repeat(bounds[:-1], np.diff(bounds)), n_wires)
     index = []
     for g0, g1 in zip(bounds, bounds[1:]):
         layer = []
@@ -262,59 +274,41 @@ def _layer_index(wiring: _Wiring, n_wires: int, dtype) -> list | None:
             order = np.argsort(wires[e0:e1], kind="stable")
             layer.append(((ptr[g0:g1 + 1] - e0).astype(dtype), wires[e0:e1],
                           wires[e0:e1][order], gate[e0:e1][order] - g0))
+        # The outputs' e0 and order, the inner loop's last: in the stable
+        # sort, a wire's later writes in the layer follow its first.
         written = layer[1][2]
-        if np.any(written[1:] == written[:-1]):
-            return None
+        bad[1][e0 + order[1:][written[1:] == written[:-1]]] = True
         index.append(tuple(layer))
+    firsts = [(sides[s][2][e], s, e) for s in (0, 1) for e in np.flatnonzero(bad[s])[:1]]
+    if firsts:
+        gate, s, e = min(firsts)  # the earlier gate's, or its inputs' on a tie
+        ptr, wires = csr[s]
+        edge = int(ptr[by_layer[gate]] + e - sides[s][0][gate])
+        w = wiring.unknown[s].get(edge, int(wires[edge]))
+        if type(w) is not int or not 0 <= w < n_wires:
+            raise ValueError(f"gate {('reads', 'writes')[s]} unknown wire {w!r}")
+        layer = wiring.layers[wiring.rank[by_layer[gate]]]
+        raise ValueError(f"wire {w} written twice in layer {layer}" if s else
+                         f"wire {w} read at layer {layer} before it is produced")
     return index
 
 
-def _read_before_produced(read, reader, written, writer, starts: np.ndarray, n_wires: int) -> bool:
-    """Whether a gate reads a wire that an earlier gate of its layer wrote,
-    not as a transform, when no earlier layer did: edges are (wire, gate)
-    columns, gates numbered in layer order, ``starts[g]`` the first gate of
-    g's layer.  A write is a transform when its gate also reads the wire."""
-    pairs = np.sort(np.append(reader.astype(np.int64) * n_wires + read, -1))
-    keys = writer.astype(np.int64) * n_wires + written
+def _read_before_produced(read, reader, written, writer, starts: np.ndarray, n_wires: int) -> np.ndarray:
+    """Which reads are of a wire that an earlier gate of the reader's layer
+    wrote, not as a transform, when no earlier layer did: edges are (wire,
+    gate) columns, wires from 0 to ``n_wires`` (which stands for any wire
+    out of range), gates numbered in layer order, ``starts[g]`` the first
+    gate of g's layer.  A write is a transform when its gate also reads the
+    wire."""
+    pairs = np.sort(np.append(reader.astype(np.int64) * (n_wires + 1) + read, -1))
+    keys = writer.astype(np.int64) * (n_wires + 1) + written
     produced = pairs[np.searchsorted(pairs, keys, "right") - 1] != keys
     # Each wire's first write that is not a transform, by gate.
     wire, first = np.unique(written[produced], return_index=True)
-    producer = np.full(n_wires, len(starts), reader.dtype)
+    producer = np.full(n_wires + 1, len(starts), reader.dtype)
     producer[wire] = writer[produced][first]
     early = producer[read]
-    return bool(np.any((starts[reader] <= early) & (early < reader)))
-
-
-def _name_the_fault(wire_kinds, gates: list[Gate]) -> None:
-    """Raise ValueError naming the first fault of a wiring's kinds and gates:
-    kinds, then layers in list order, then layer by layer, gate by gate in
-    list order, each gate's inputs before its outputs."""
-    n_wires = len(wire_kinds)
-    for w, kind in enumerate(wire_kinds):
-        if kind not in ("c", "q"):
-            raise ValueError(f"wire {w} has kind {kind!r}, not 'c' or 'q'")
-    by_layer: dict[int, list[Gate]] = {}
-    for g in gates:
-        if type(g.layer) is not int or g.layer < 1:
-            raise ValueError(f"gate layers are integers from 1, got {g.layer!r}")
-        by_layer.setdefault(g.layer, []).append(g)
-    first_written: dict[int, int] = {}
-    for layer in (by_layer[layer] for layer in sorted(by_layer)):
-        written: set[int] = set()
-        for g in layer:
-            for w in g.inputs:
-                if type(w) is not int or not 0 <= w < n_wires:
-                    raise ValueError(f"gate reads unknown wire {w!r}")
-                if w in first_written and first_written[w] >= g.layer:
-                    raise ValueError(f"wire {w} read at layer {g.layer} before it is produced")
-            for w in g.outputs:
-                if type(w) is not int or not 0 <= w < n_wires:
-                    raise ValueError(f"gate writes unknown wire {w!r}")
-                if w in written:
-                    raise ValueError(f"wire {w} written twice in layer {g.layer}")
-                written.add(w)
-                if w not in g.inputs:  # a transform leaves later reads of w legal
-                    first_written.setdefault(w, g.layer)
+    return (starts[reader] <= early) & (early < reader)
 
 
 @dataclass
@@ -334,8 +328,11 @@ class CircuitDag:
         All of it is set only once every check has passed, so a rejected
         call changes nothing.  ``gates`` may be given as ``_Wiring`` arrays,
         its list then made when read.  Layers and wire ids must be plain
-        ``int`` (not bool or float), and gate kinds strings, checked last.
-        Call again after editing ``gates`` or the site groups in place.
+        ``int`` (not bool or float), and gate kinds strings.  Each array
+        check flags its offenders, and ValueError names the first: wire
+        kinds, layers in list order, each layer's edges (``_layer_index``),
+        the site groups, then gate kinds.  Call again after editing
+        ``gates`` or the site groups in place.
 
         Within a layer, gates are read in list order: a gate may not read a
         wire that an earlier gate of the same layer produced, unless that
@@ -348,13 +345,10 @@ class CircuitDag:
             self._wiring = vars(self).pop("gates")
         n_wires = len(self.wire_kinds)
         dtype = np.int32 if n_wires < 2 ** 31 else np.int64
+        _check_wire_kinds(self.wire_kinds)
         columns = (list(map(attrgetter(name), self.gates)) for name in ("layer", "inputs", "outputs", "kind"))
         wiring = _wiring_of(*columns, n_wires) if "gates" in vars(self) else self._wiring
-        kinds_ok = self.wire_kinds.count("c") + self.wire_kinds.count("q") == n_wires
-        index = _layer_index(wiring, n_wires, dtype) if wiring is not None and kinds_ok else None
-        if index is None:
-            _name_the_fault(self.wire_kinds, self.gates)
-            raise InvariantError("the wiring's array checks failed where its loop found no fault")
+        index = _layer_index(wiring, n_wires, dtype)
 
         sides = (self.alice_inputs, self.bob_inputs, self.alice_outputs, self.bob_outputs)
         if len({len(groups) for groups in sides}) > 1:
@@ -363,14 +357,16 @@ class CircuitDag:
         flat = vars(self).pop("_groups", None) or [_flatten(groups, n_wires, "site group names ") for groups in sides]
         # A shared output wire would credit a crossing to two sites at once:
         # one of its groups' sites is kept, and another does not read back.
+        # Named is the first entry not to read back its wire's first site.
         output_sites = np.full((2, n_wires), -1, dtype)
         for i, (side, (wires, owner)) in enumerate(zip(("Alice", "Bob"), flat[2:])):
             output_sites[i, wires] = owner
             if np.any(output_sites[i, wires] != owner):
-                site_of: dict[int, int] = {}
-                for w, s in zip(wires.tolist(), owner.tolist()):
-                    if site_of.setdefault(w, s) != s:
-                        raise ValueError(f"wire {w} is in {side}'s output groups of sites {site_of[w]} and {s}")
+                wire, first = np.unique(wires, return_index=True)
+                output_sites[i, wire] = owner[first]
+                e = np.argmax(output_sites[i, wires] != owner)
+                raise ValueError(f"wire {wires[e]} is in {side}'s output groups of sites "
+                                 f"{output_sites[i, wires[e]]} and {owner[e]}")
         try:
             "".join(wiring.kinds)  # a TypeError at any kind that is not a string
         except TypeError:
@@ -428,7 +424,7 @@ def _json_list(value, what: str) -> list:
 
 def dag_from_json(text: str) -> CircuitDag:
     """Parse a wiring straight into ``_Wiring`` arrays, with no ``Gate`` unless its gate
-    list is read or a fault must be named; malformed or inconsistent input raises ValueError."""
+    list is read; malformed or inconsistent input raises ValueError."""
     try:
         payload = json.loads(text)
     except RecursionError:
@@ -450,18 +446,21 @@ def dag_from_json(text: str) -> CircuitDag:
     gate_kinds = [g.get("kind", "gate") for g in gates]
     groups = {name: [_json_list(group, f"each group of {name}") for group in _json_list(payload.get(name, []), name)]
               for name in _GROUPS}
-    wiring = _wiring_of(layers, inputs, outputs, gate_kinds, len(kinds))
-    return CircuitDag(kinds, wiring or list(map(Gate, layers, map(tuple, inputs), map(tuple, outputs), gate_kinds)),
-                      **groups)
+    _check_wire_kinds(kinds)  # before ``_wiring_of`` names a layer, as in the constructor
+    return CircuitDag(kinds, _wiring_of(layers, inputs, outputs, gate_kinds, len(kinds)), **groups)
 
 
-def _flatten(groups, n_wires: int, what: str = "") -> tuple[np.ndarray, np.ndarray]:
-    """Every group's wires in one int64 array, and the group of each; a wire
-    that is not a plain ``int`` in range raises ValueError."""
+def _flatten(groups, n_wires: int, what: str = "", unknown: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every group's wires in one int64 array, and the group of each.  A
+    wire that is not a plain ``int`` in range raises ValueError or, given an
+    ``unknown`` dict, is -1 in the array and kept there as written, by position."""
     flat = list(chain.from_iterable(groups))
     if not set(map(type, flat)) <= {int} or flat and not 0 <= min(flat) <= max(flat) < n_wires:
-        bad = next(w for w in flat if type(w) is not int or not 0 <= w < n_wires)
-        raise ValueError(f"{what}unknown wire {bad!r}")
+        bad = {i: w for i, w in enumerate(flat) if type(w) is not int or not 0 <= w < n_wires}
+        if unknown is None:
+            raise ValueError(f"{what}unknown wire {next(iter(bad.values()))!r}")
+        unknown.update(bad)
+        flat = [-1 if i in bad else w for i, w in enumerate(flat)]
     sizes = list(map(len, groups))
     return np.array(flat, dtype=np.int64), np.repeat(np.arange(len(sizes)), sizes)
 

@@ -347,6 +347,13 @@ def test_certificate_with_even_sign_fails():
     assert not verify_certificate(b, Certificate((0, 1), (), (0, 1, 0, 1)))
 
 
+def test_certificate_that_leaves_a_variable_fails():
+    # The sign is -1 and there is no swap to discharge, but v1 does not
+    # cancel: the satisfiable v1 = -1 holds no contradiction.
+    b = parse_bcs("vars: v1\nv1 = -1\n")
+    assert not verify_certificate(b, Certificate((0,), (), (0,)))
+
+
 def test_certificate_dangling_index_raises():
     b = chsh()
     with pytest.raises(IndexError):

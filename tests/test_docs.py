@@ -9,6 +9,7 @@ import importlib
 import pkgutil
 import re
 import shlex
+import tokenize
 from pathlib import Path
 
 import bcsmagic
@@ -27,6 +28,12 @@ def _docstrings(path: Path) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     ]
     return [doc for doc in map(ast.get_docstring, nodes) if doc]
+
+
+def _comments(path: Path) -> list[str]:
+    with path.open() as source:
+        return [token.string for token in tokenize.generate_tokens(source.readline)
+                if token.type == tokenize.COMMENT]
 
 
 def _doc_texts() -> dict[str, str]:
@@ -62,16 +69,18 @@ def test_doc_references_resolve():
 
 
 def test_private_doc_references_resolve():
-    """A bare backticked private name in a package module's docstrings,
-    such as ``_replay``, names a top-level name of that module: the dotted
-    check above never sees it."""
+    """A bare backticked private name in a package module's docstrings or
+    ``#`` comments, such as ``_replay``, names a top-level name of that
+    module: the dotted check above never sees it."""
     references = {
         (module, name)
         for module in MODULES
-        for name in PRIVATE.findall("\n".join(_docstrings(ROOT / "src/bcsmagic" / f"{module}.py")))
+        for path in [ROOT / "src/bcsmagic" / f"{module}.py"]
+        for name in PRIVATE.findall("\n".join(_docstrings(path) + _comments(path)))
     }
     assert ("bcs", "_sort_parity") in references
     assert ("quantum", "_stack") in references
+    assert ("shallow", "_wiring_of") in references  # from a comment only
     missing = sorted((module, name) for module, name in references
                      if not hasattr(importlib.import_module(f"bcsmagic.{module}"), name))
     assert not missing, f"private doc references that name nothing: {missing}"

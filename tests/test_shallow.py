@@ -576,6 +576,31 @@ def test_rejected_edit_keeps_the_last_valid_wiring():
     assert (dag.depth, dag.n_gates) == (9, 55)
 
 
+@pytest.mark.parametrize("dropped", [1, 40])
+def test_rejected_strategy_wiring_builds_no_gate_list(dropped):
+    """Wires past the last kind are named from the arrays, as the loop
+    oracle names them, without the gate list ever being made; 40 dropped
+    kinds leave wire ids read and written well past the wire count."""
+    dag = build_strategy_dag(3)
+    parts = _strategy_parts(3)
+    del parts[0][-dropped:], dag.wire_kinds[-dropped:]
+    with pytest.raises(ValueError, match=re.escape(_outcome(lambda: oracle.validate(*parts)))):
+        dag.__post_init__()
+    assert "gates" not in vars(dag)
+
+
+def test_loaded_wiring_names_an_unknown_wire_without_gates(monkeypatch):
+    wiring = json.loads(build_strategy_dag(3).to_json())
+    wiring["gates"][0]["inputs"] = [0.5]
+
+    def no_gate(*args):
+        raise AssertionError("a Gate was built")
+
+    monkeypatch.setattr(shallow, "Gate", no_gate)
+    with pytest.raises(ValueError, match=re.escape("gate reads unknown wire 0.5")):
+        dag_from_json(json.dumps(wiring))
+
+
 def test_strategy_wiring_memory():
     """The strategy wiring is laid out and indexed as arrays, with no gate
     list until one is read: at 2,000 sites the tracemalloc peak of the
