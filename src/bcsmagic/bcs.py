@@ -33,9 +33,11 @@ The operator solver works in three steps:
    constraints of a kernel vector multiply to a product of swaps alone, so
    each kernel vector gives one equation over commutator unknowns: the XOR
    of its constraints' pair masks equals its accumulated rhs bit;
-3. solve that GF(2) system, one row per kernel vector and one per
-   co-occurring pair, over the commutator unknowns that occur, in pair
-   order.  A solution lifts to Pauli strings with one qubit per
+3. solve that GF(2) system over the commutator unknowns that occur, in
+   pair order, with a row per kernel vector and per co-occurring pair but
+   for the empty rows with rhs 0, which never pivot and are never cited
+   (swaps that cancel with sign +1; supports that differ in fewer than two
+   free variables).  A solution lifts to Pauli strings with one qubit per
    anticommuting pair, and each dependent variable's sign follows by
    back-substitution into its pivot row; an inconsistency cites the
    constraints of the kernel vectors involved, plus the commutation facts,
@@ -52,7 +54,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, combinations
+from itertools import combinations
 from operator import xor
 
 from . import gf2, pauli
@@ -283,11 +285,6 @@ def _sort_parity(blocks: Sequence[int], width: int) -> tuple[int, int]:
     return out, prefix
 
 
-def co_occurrence_pairs(bcs: Bcs) -> list[tuple[int, int]]:
-    """Distinct unordered pairs appearing together in some constraint."""
-    return sorted({p for c in bcs.constraints for p in combinations(sorted(c.support), 2)})
-
-
 def _constraint_parity(bcs: Bcs, supports: Sequence[int], width: int, j: int) -> int:
     """Pair mask of constraint j with every variable substituted by its
     free support over ``width`` ranks."""
@@ -347,42 +344,40 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
     if any(reduced.rhs[len(pivots):]):
         free, supports = elim.free, elim.supports
         f = len(free)
-        swaps = [_constraint_parity(bcs, supports, f, j) for j in range(len(bcs.constraints))]
+        # Each constraint's swaps as the set of its pair positions k*f + l.
+        swaps = [frozenset(set_bits(_constraint_parity(bcs, supports, f, j))) for j in range(len(bcs.constraints))]
         swapping = sum(1 << j for j, mask in enumerate(swaps) if mask)
 
-        # One row per kernel vector, then one per co-occurring pair, over
-        # the commutator unknowns that occur in some row.  Pair bit k*f + l
-        # maps to its index among those bits, so columns keep pair order.
-        # A row is f^2 bits wide however few pairs it holds, so each is made
-        # in turn and kept only as its set bits.
-        pair_list = co_occurrence_pairs(bcs)
-        kernel_rows = (reduce(xor, (swaps[j] for j in set_bits(reduced.provenance[i] & swapping)), 0)
+        # The live rows of step 3, kernel vectors then co-occurring pairs; a
+        # pair's row is every position k*f + l, k < l, inside the XOR of its
+        # supports.  Columns are the positions that occur, in pair order.
+        kernel_rows = ((i, reduce(xor, (swaps[j] for j in set_bits(reduced.provenance[i] & swapping)), frozenset()))
                        for i in kernel)
-        pair_rows = (_sort_parity([supports[i] ^ supports[j]] * 2, f)[0] for i, j in pair_list)
-        positions = [set_bits(row) for row in chain(kernel_rows, pair_rows)]
+        live = {i: row for i, row in kernel_rows if row or reduced.rhs[i]}
+        pair_list = sorted({(a, b) for c in bcs.constraints for a, b in combinations(sorted(c.support), 2)
+                            if (supports[a] ^ supports[b]).bit_count() > 1})
+        positions = [*live.values(), *([k * f + l for k, l in combinations(set_bits(supports[a] ^ supports[b]), 2)]
+                                      for a, b in pair_list)]
         comm = sorted(set().union(*positions))
         col = {p: c for c, p in enumerate(comm)}
         bits = [sum(1 << col[p] for p in ps) for ps in positions]
-        rhs = [reduced.rhs[i] for i in kernel] + [0] * len(pair_list)
+        rhs = [reduced.rhs[i] for i in live] + [0] * len(pair_list)
         out = gf2.solve(Gf2System(gf2.Gf2Matrix(len(bits), len(comm), bits), rhs))
 
         if isinstance(out, Inconsistency):
-            cited = 0
-            commutation_rows: list[tuple[int, int]] = []
-            for row in sorted(out.rows):
-                if row < len(kernel):
-                    cited ^= reduced.provenance[kernel[row]]
-                else:
-                    commutation_rows.append(pair_list[row - len(kernel)])
-            cert = _certificate(bcs, set_bits(cited), commutation_rows)
+            # Cited rows map back through the live kernel vectors and pairs.
+            kept = list(live)
+            cited = reduce(xor, (reduced.provenance[kept[r]] for r in out.rows if r < len(kept)), 0)
+            pairs = [pair_list[r - len(kept)] for r in sorted(out.rows) if r >= len(kept)]
+            cert = _certificate(bcs, set_bits(cited), pairs)
             if not _replay(bcs, cert, elim):
                 raise InvariantError("internal solver error: constructed certificate failed its replay")
             return cert
 
         anti_pairs = [p for p, value in zip(comm, out) if value]
-        anti = sum(1 << p for p in anti_pairs)
+        anti = frozenset(anti_pairs)
         # Bit j: whether constraint j's swaps pick up an odd number of signs.
-        flip = sum(1 << j for j, mask in enumerate(swaps) if (mask & anti).bit_count() & 1)
+        flip = sum(1 << j for j, mask in enumerate(swaps) if len(mask & anti) & 1)
         n_qubits = len(anti_pairs)
         for q, p in enumerate(anti_pairs):
             k, l = divmod(p, f)

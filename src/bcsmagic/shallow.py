@@ -353,13 +353,18 @@ class CircuitDag:
         sides = (self.alice_inputs, self.bob_inputs, self.alice_outputs, self.bob_outputs)
         if len({len(groups) for groups in sides}) > 1:
             raise ValueError("Alice's and Bob's input and output lists need one group per site")
-        # The strategy wiring hands its groups over flat, once.
-        flat = vars(self).pop("_groups", None) or [_flatten(groups, n_wires, "site group names ") for groups in sides]
+        # The strategy wiring hands its site groups over flat, as kept here.
+        n_sites = len(sides[0])
+        inputs, outputs = vars(self).pop("_groups", None) or [
+            tuple(a.astype(dtype) for a in _flatten([*alice, *bob], n_wires, "site group names "))
+            for alice, bob in (sides[:2], sides[2:])]
         # A shared output wire would credit a crossing to two sites at once:
         # one of its groups' sites is kept, and another does not read back.
         # Named is the first entry not to read back its wire's first site.
         output_sites = np.full((2, n_wires), -1, dtype)
-        for i, (side, (wires, owner)) in enumerate(zip(("Alice", "Bob"), flat[2:])):
+        split = np.searchsorted(outputs[1], n_sites)
+        for i, (side, part) in enumerate(zip(("Alice", "Bob"), (slice(split), slice(split, None)))):
+            wires, owner = outputs[0][part], outputs[1][part] - i * n_sites
             output_sites[i, wires] = owner
             if np.any(output_sites[i, wires] != owner):
                 wire, first = np.unique(wires, return_index=True)
@@ -372,10 +377,7 @@ class CircuitDag:
         except TypeError:
             i = next(i for i, kind in enumerate(wiring.kinds) if not isinstance(kind, str))
             raise ValueError(f"gate {i} has kind {wiring.kinds[i]!r}, not a string") from None
-        self._inputs, self._outputs = ((np.concatenate((a[0], b[0]), dtype=dtype),
-                                        np.concatenate((a[1], b[1] + len(sides[0])), dtype=dtype))
-                                       for a, b in (flat[:2], flat[2:]))
-        self._index, self._output_sites = index, output_sites
+        self._inputs, self._outputs, self._index, self._output_sites = inputs, outputs, index, output_sites
         self.depth, self.n_gates = max(wiring.layers, default=0), len(wiring.rank)
         self.max_fan_in = int(np.diff(wiring.in_ptr).max(initial=0))
 
@@ -630,9 +632,12 @@ def _strategy_layout(N: int) -> dict:
     gate_kinds = [kind for (pattern, *_), size in zip(layers, sizes)
                   for kind in pattern * (size // len(pattern))]
     groups = (np.hstack([syndrome, alice_q_in]), bob_q_in, out_a, out_b)
+    dtype = np.int32 if len(kinds) < 2 ** 31 else np.int64
     return dict(
         wire_kinds=kinds,
         gates=_Wiring([1, 2, 3, 4, 5], np.repeat(np.arange(5), sizes), gate_kinds, *csr),
-        _groups=[(rows.ravel(), np.repeat(np.arange(N), rows.shape[1])) for rows in groups],
+        _groups=[(np.concatenate((a.ravel(), b.ravel()), dtype=dtype),
+                  np.repeat(np.arange(2 * N, dtype=dtype), np.repeat([a.shape[1], b.shape[1]], N)))
+                 for a, b in (groups[:2], groups[2:])],
         **{name: rows.tolist() for name, rows in zip(_GROUPS, groups)},
     )

@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from bcsmagic import gf2
-from bcsmagic.bcs import Bcs, Certificate, Elimination, co_occurrence_pairs, eliminate_free_vars
+from bcsmagic.bcs import Bcs, Certificate, Elimination, eliminate_free_vars
 from bcsmagic.gf2 import Gf2System, set_bits
 
 SignUnknown = tuple  # ("sign", i) or ("comm", k, l) with k < l
@@ -53,6 +53,11 @@ def _inversion_parity(blocks: list[tuple[int, ...]], n_vars: int) -> dict[int, i
             mask |= 1 << b
         prefix ^= mask
     return {k: v for k, v in partners.items() if v}
+
+
+def co_occurrence_pairs(bcs: Bcs) -> list[tuple[int, int]]:
+    """Distinct unordered pairs appearing together in some constraint."""
+    return sorted({p for c in bcs.constraints for p in combinations(sorted(c.support), 2)})
 
 
 def _parity_pairs(parity: dict[int, int]) -> list[tuple[int, int]]:

@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 from functools import reduce
+from itertools import combinations
 from operator import xor
 
 import gf2_oracle
@@ -520,6 +521,52 @@ def test_many_squares_solve_in_rank_pair_masks():
     assert verify_pauli_solution(squares, out).ok
 
 
+def traced_peak(system: Bcs) -> int:
+    tracemalloc.start()
+    try:
+        pauli_solve(system)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_commutator_system_keeps_only_live_rows_in_memory():
+    # All but one of the n = 12 game's 23,586 commutator rows are empty with
+    # rhs 0, as are 1,600 of the 3,800 rows of 200 squares.  With those rows
+    # built, each with a 1 << i provenance, and every constraint's swaps
+    # kept as an f^2-bit mask, the two peaked at 50.7 and 44.7 MB traced;
+    # with live rows and position sets alone, at 15.7 and 3.1 MB.
+    assert traced_peak(build_game_bcs(12).bcs) < 30 * 2**20
+    assert traced_peak(shuffled_squares(random.Random(19), 200)) < 10 * 2**20
+
+
+def test_empty_kernel_rows_with_sign_minus_are_kept():
+    # A kernel vector whose swaps cancel but whose signs multiply to -1 is
+    # an empty row with rhs 1: the contradiction itself, never a dead row.
+    for b in (chsh(), Bcs(["a"], [make_constraint([0, 0], -1)]), build_game_bcs(10).bcs):
+        out = pauli_solve(b)
+        assert isinstance(out, Certificate)
+        assert out.commutation_rows == ()
+        assert verify_certificate(b, out)
+
+
+def test_cited_pairs_map_back_past_dead_pairs():
+    # The magic square on v1..v9 (indices 2..10) plus a constraint making
+    # v5 and v9 co-occur, as in test_certificate_citing_commutation_rows,
+    # with a constraint a b = 1 first: a and b share their free support, so
+    # the dead pair (0, 1) sorts before the cited one and has no row.
+    mp = mermin_peres()
+    cons = [make_constraint([0, 1], 1), make_constraint([6, 10, 11], 1)]
+    cons += [make_constraint([v + 2 for v in c.var_indices], c.rhs) for c in mp.constraints]
+    b = Bcs(["a", "b"] + mp.variables + ["w"], cons)
+    supports = eliminate_free_vars(b).supports
+    assert supports[0] == supports[1]
+    out = pauli_solve(b)
+    assert isinstance(out, Certificate)
+    assert out.commutation_rows == ((3, 4),)
+    assert verify_certificate(b, out)
+
+
 @pytest.fixture(scope="module")
 def corpus_results():
     """Random and planted systems, the game family n = 4..10 (plain and
@@ -568,6 +615,19 @@ def test_corpus_results_match_recorded_hash(corpus_results):
     assert (PauliSolution, True) in kinds and (Certificate, False) in kinds
 
 
+def test_cited_pairs_differ_in_two_free_variables(corpus_results):
+    # A pair whose free supports differ in fewer than two variables has an
+    # empty commutation row, so no certificate needs to cite it.
+    cited = 0
+    for b, out in corpus_results:
+        if isinstance(out, Certificate) and out.commutation_rows:
+            supports = eliminate_free_vars(b).supports
+            for i, j in out.commutation_rows:
+                assert (supports[i] ^ supports[j]).bit_count() >= 2
+                cited += 1
+    assert cited
+
+
 def single_edits(b: Bcs, cert: Certificate, rng: random.Random):
     """Each cited pair dropped, one legal uncited pair added, each cited
     constraint row dropped, and the derived relation with its last entry
@@ -575,7 +635,7 @@ def single_edits(b: Bcs, cert: Certificate, rng: random.Random):
     rows, pairs, relation = cert.constraint_rows, cert.commutation_rows, cert.derived_relation
     for k in range(len(pairs)):
         yield Certificate(rows, pairs[:k] + pairs[k + 1:], relation)
-    uncited = [p for p in bcs.co_occurrence_pairs(b) if p not in pairs]
+    uncited = [p for p in sign_system_oracle.co_occurrence_pairs(b) if p not in pairs]
     if uncited:
         added = tuple(sorted(pairs + (rng.choice(uncited),)))
         yield Certificate(rows, added, relation)
@@ -717,10 +777,12 @@ def test_pair_masks_match_dict_oracle_on_systems():
         for j in range(len(b.constraints)):
             _, parity, _ = sign_system_oracle._constraint_row(b, elim, j)
             assert bcs._constraint_parity(b, supports, f, j) == to_rank_mask(parity, free)
-        for i, j in bcs.co_occurrence_pairs(b):
+        for i, j in sign_system_oracle.co_occurrence_pairs(b):
             expect = sign_system_oracle._commutation_row(b, elim, i, j)
             d = supports[i] ^ supports[j]
             assert bcs._sort_parity([d, d], f)[0] == to_rank_mask(expect, free)
+            # pauli_solve's pair row: every pair inside d, none below two bits.
+            assert sum(1 << k * f + l for k, l in combinations(set_bits(d), 2)) == to_rank_mask(expect, free)
 
 
 def solved_pool():
