@@ -26,22 +26,21 @@ The operator solver works in three steps:
    while recording, for every swap of distinct free variables of ranks
    k < l, the commutator unknown of the pair; equal neighbours cancel
    because every variable squares to the identity.  A product's swap
-   parities are one integer, its pair mask, with bit k*f + l for the ranks
-   k < l of f free variables.  A_i A_j A_i A_j sorts as A_i^2 A_j^2
-   [A_i, A_j], so the commutation row of (i, j) is the sort of the blocks
-   [d, d], d the XOR of the two supports: every pair inside d.  The
-   constraints of a kernel vector multiply to a product of swaps alone, so
-   each kernel vector gives one equation over commutator unknowns: the XOR
-   of its constraints' pair masks equals its accumulated rhs bit;
+   parities are a set of positions k*f + l, one per pair of ranks k < l of
+   f free variables swapped an odd number of times.  A_i A_j A_i A_j sorts
+   as A_i^2 A_j^2 [A_i, A_j], so the commutation row of (i, j) is the sort
+   of [d, d], d the XOR of the two supports: every pair inside d.  The
+   constraints of a kernel vector multiply to swaps alone, so each gives
+   one equation: its constraints' position sets XOR to its rhs bit;
 3. solve that GF(2) system over the commutator unknowns that occur, in
-   pair order, with a row per kernel vector and per co-occurring pair but
-   for the empty rows with rhs 0, which never pivot and are never cited
-   (swaps that cancel with sign +1; supports that differ in fewer than two
-   free variables).  A solution lifts to Pauli strings with one qubit per
-   anticommuting pair, and each dependent variable's sign follows by
-   back-substitution into its pivot row; an inconsistency cites the
-   constraints of the kernel vectors involved, plus the commutation facts,
-   whose formal product reduces to -1.
+   pair order, with a row per kernel vector and per distinct d among the
+   co-occurring pairs (the first pair with each d) but for the empty rows
+   with rhs 0, which never pivot and are never cited (swaps that cancel
+   with sign +1; d of fewer than two free variables).  A solution lifts
+   to Pauli strings with one qubit per anticommuting pair, and dependent
+   variables' signs follow by back-substitution into their pivot rows; an
+   inconsistency cites the kernel vectors' constraints and the commutation
+   facts involved, whose formal product reduces to -1.
 
 Constraints are canonicalized at parse time: variable lists are sorted
 ascending and repeats are cancelled in pairs.  The set of distinct variables
@@ -51,6 +50,7 @@ together, including variables that cancelled.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
@@ -63,6 +63,9 @@ from .pauli import PauliString
 
 # (x, z, phase) parts of Pauli strings, indexed by variable.
 Bits = Sequence[int]
+
+# The strings that are a sign on zero or one qubit, shared: they are frozen.
+_SCALARS = {(q, phase): PauliString(q, 0, 0, phase) for q in (0, 1) for phase in range(4)}
 
 
 class InvariantError(Exception):
@@ -98,11 +101,10 @@ class Bcs:
 
 def make_constraint(var_indices: list[int], rhs: int) -> Constraint:
     """Canonicalize: ascending order, repeats cancelled mod 2."""
-    counts: dict[int, int] = {}
-    for v in var_indices:
-        counts[v] = counts.get(v, 0) + 1
-    kept = tuple(sorted(v for v, c in counts.items() if c % 2))
-    return Constraint(kept, rhs, frozenset(counts))
+    support = frozenset(var_indices)
+    if len(support) < len(var_indices):
+        var_indices = [v for v, count in Counter(var_indices).items() if count % 2]
+    return Constraint(tuple(sorted(var_indices)), rhs, support)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,10 @@ def parse_bcs(text: str) -> Bcs:
         if rhs_text not in _RHS:
             raise ValueError(f"line {lineno}: malformed rhs {rhs_text!r}")
         toks = lhs.split()
-        constraints.append(make_constraint([lookup(t) for t in toks], _RHS[rhs_text]))
+        ids = list(map(index.get, toks))
+        if None in ids:  # a name to register, or an unknown one
+            ids = [lookup(t) for t in toks]
+        constraints.append(make_constraint(ids, _RHS[rhs_text]))
 
     if not declared and not constraints:
         raise ValueError("empty BCS file")
@@ -245,7 +250,7 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
     sign, as a mask over their ranks: bit r stands for ``free[r]``.  A free
     variable's is its own rank bit, and a dependent variable's is its pivot
     row without the pivot bit, since an RREF pivot row holds no other pivot
-    column.  Pair masks over ranks are f^2 bits wide for f free variables,
+    column.  Pair positions over ranks run below f^2 for f free variables,
     not n^2 for n variables, and ranks keep the order of the free
     variables, so pairs keep their order too.  The reduction is kept: pivot
     row i belongs to the dependent variable ``reduced.pivot_cols[i]``, and
@@ -258,7 +263,10 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
     for r, v in enumerate(free):
         supports[v] = 1 << r
     for row, col in zip(reduced.system.matrix.bits, reduced.pivot_cols):
-        supports[col] = sum(supports[b] for b in set_bits(row ^ 1 << col))
+        row ^= 1 << col
+        while row:
+            supports[col] |= supports[(row & -row).bit_length() - 1]
+            row &= row - 1
     return Elimination(free, supports, reduced)
 
 
@@ -266,28 +274,36 @@ def eliminate_free_vars(bcs: Bcs) -> Elimination:
 # Swap bookkeeping
 # ---------------------------------------------------------------------------
 
-def _sort_parity(blocks: Sequence[int], width: int) -> tuple[int, int]:
+def _sort_parity(blocks: Sequence[int], width: int) -> tuple[set[int], int]:
     """Swap parity of sorting the concatenation of ascending blocks, each
     given as a mask over ``width`` ranks.
 
-    Returns (pair mask, leftover): bit ``k * width + l`` of the pair mask
-    is set for each pair of ranks k < l swapped an odd number of times, and
-    leftover is the XOR of the blocks.  Pairs of equal ranks never swap.
-    Appending [d, d] XORs the pair mask with every pair inside d: the
-    terms against the blocks before them occur twice and cancel.
+    Returns (positions, leftover): positions holds ``k * width + l`` for
+    each pair of ranks k < l swapped an odd number of times, and leftover
+    is the XOR of the blocks.  Pairs of equal ranks never swap.  Rank k's
+    partners l > k are XORed into one mask over ``width`` ranks, so no
+    integer ``width``^2 bits wide is built.  Appending [d, d] toggles every
+    pair inside d: the terms against the blocks before them cancel.
     """
-    out = prefix = 0
+    partners: dict[int, int] = {}
+    prefix = 0
     for block in blocks:
         if prefix:
-            for b in set_bits(block):
-                out ^= (prefix >> (b + 1)) << (b * width + b + 1)
+            for k in set_bits(block):
+                partners[k] = partners.get(k, 0) ^ prefix >> k + 1
         prefix ^= block
-    return out, prefix
+    positions = set()
+    for k, later in partners.items():
+        base = k * width + k
+        while later:
+            positions.add(base + (later & -later).bit_length())
+            later &= later - 1
+    return positions, prefix
 
 
-def _constraint_parity(bcs: Bcs, supports: Sequence[int], width: int, j: int) -> int:
-    """Pair mask of constraint j with every variable substituted by its
-    free support over ``width`` ranks."""
+def _constraint_parity(bcs: Bcs, supports: Sequence[int], width: int, j: int) -> set[int]:
+    """Pair positions of constraint j with every variable substituted by
+    its free support over ``width`` ranks."""
     swaps, leftover = _sort_parity([supports[v] for v in bcs.constraints[j].var_indices], width)
     if leftover:
         raise InvariantError(f"free supports failed to cancel in constraint {j}")
@@ -344,31 +360,31 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
     if any(reduced.rhs[len(pivots):]):
         free, supports = elim.free, elim.supports
         f = len(free)
-        # Each constraint's swaps as the set of its pair positions k*f + l.
-        swaps = [frozenset(set_bits(_constraint_parity(bcs, supports, f, j))) for j in range(len(bcs.constraints))]
+        swaps = [_constraint_parity(bcs, supports, f, j) for j in range(len(bcs.constraints))]
         swapping = sum(1 << j for j, mask in enumerate(swaps) if mask)
 
-        # The live rows of step 3, kernel vectors then co-occurring pairs; a
-        # pair's row is every position k*f + l, k < l, inside the XOR of its
-        # supports.  Columns are the positions that occur, in pair order.
+        # The live rows of step 3: kernel vectors, then the first co-occurring
+        # pair per support difference d, every position k*f + l, k < l, in d.
+        # Columns are the positions that occur, in pair order.
         kernel_rows = ((i, reduce(xor, (swaps[j] for j in set_bits(reduced.provenance[i] & swapping)), frozenset()))
                        for i in kernel)
         live = {i: row for i, row in kernel_rows if row or reduced.rhs[i]}
-        pair_list = sorted({(a, b) for c in bcs.constraints for a, b in combinations(sorted(c.support), 2)
-                            if (supports[a] ^ supports[b]).bit_count() > 1})
-        positions = [*live.values(), *([k * f + l for k, l in combinations(set_bits(supports[a] ^ supports[b]), 2)]
-                                      for a, b in pair_list)]
+        first: dict[int, tuple[int, int]] = {}
+        for a, b in sorted({(a, b) for c in bcs.constraints for a, b in combinations(sorted(c.support), 2)
+                            if (supports[a] ^ supports[b]).bit_count() > 1}):
+            first.setdefault(supports[a] ^ supports[b], (a, b))
+        positions = [*live.values(), *([k * f + l for k, l in combinations(set_bits(d), 2)] for d in first)]
         comm = sorted(set().union(*positions))
         col = {p: c for c, p in enumerate(comm)}
         bits = [sum(1 << col[p] for p in ps) for ps in positions]
-        rhs = [reduced.rhs[i] for i in live] + [0] * len(pair_list)
+        rhs = [reduced.rhs[i] for i in live] + [0] * len(first)
         out = gf2.solve(Gf2System(gf2.Gf2Matrix(len(bits), len(comm), bits), rhs))
 
         if isinstance(out, Inconsistency):
             # Cited rows map back through the live kernel vectors and pairs.
             kept = list(live)
             cited = reduce(xor, (reduced.provenance[kept[r]] for r in out.rows if r < len(kept)), 0)
-            pairs = [pair_list[r - len(kept)] for r in sorted(out.rows) if r >= len(kept)]
+            pairs = [p for r, p in enumerate(first.values(), len(kept)) if r in out.rows]
             cert = _certificate(bcs, set_bits(cited), pairs)
             if not _replay(bcs, cert, elim):
                 raise InvariantError("internal solver error: constructed certificate failed its replay")
@@ -390,7 +406,8 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
     for i, v in enumerate(pivots):
         phases[v] += 2 * (reduced.rhs[i] ^ ((reduced.provenance[i] & flip).bit_count() & 1))
 
-    strings = [PauliString(n_qubits, xs[v], zs[v], phases[v]) for v in range(n)]
+    strings = ([PauliString(n_qubits, xs[v], zs[v], phases[v]) for v in range(n)] if n_qubits
+               else [_SCALARS[0, phase % 4] for phase in phases])
     solution = PauliSolution(n_qubits, strings)
     report = verify_pauli_solution(bcs, solution)
     if not report.ok:
@@ -415,7 +432,7 @@ def check_pauli_constraint(c: Constraint, xs: Bits, zs: Bits, nf: Bits) -> tuple
     i^nf[v] X^xs[v] Z^zs[v] (normal form): every pair of its support
     commutes, and its members multiply to its sign times the identity."""
     pairwise = not any(((xs[a] & zs[b]) ^ (zs[a] & xs[b])).bit_count() & 1
-                       for a, b in combinations(sorted(c.support), 2))
+                       for a, b in combinations(c.support, 2))
     x, z, phase = _product(c.var_indices, xs, zs, nf)
     return pairwise, not (x | z) and phase % 4 == (0 if c.rhs == 1 else 2)
 
@@ -431,8 +448,11 @@ def verify_pauli_solution(bcs: Bcs, solution: PauliSolution) -> PauliVerifyRepor
     nf = [s.phase + (s.x_bits & s.z_bits).bit_count() for s in strings]
     odd = [v for v, s in enumerate(strings) if s.phase & 1]
     report = PauliVerifyReport(not odd, True, True, odd[0] if odd else None)
+    # Scalar strings commute pairwise; their products are the signs alone.
+    scalar = not any(xs) and not any(zs)
     for j, c in enumerate(bcs.constraints):
-        pairwise, product_ok = check_pauli_constraint(c, xs, zs, nf)
+        pairwise, product_ok = ((True, sum(nf[v] for v in c.var_indices) % 4 == (0 if c.rhs == 1 else 2)) if scalar
+                                else check_pauli_constraint(c, xs, zs, nf))
         report.commutation_ok &= pairwise
         report.products_ok &= product_ok
         if not (pairwise and product_ok) and report.failing_constraint is None:
@@ -482,7 +502,7 @@ def _replay(bcs: Bcs, cert: Certificate, elim: Elimination) -> bool:
     blocks = [elim.supports[v] for v in relation]
     for i, j in cert.commutation_rows:
         blocks += [elim.supports[i] ^ elim.supports[j]] * 2
-    return _sort_parity(blocks, len(elim.free)) == (0, 0)
+    return _sort_parity(blocks, len(elim.free)) == (set(), 0)
 
 
 def serialize_solution(bcs: Bcs, solution: PauliSolution) -> str:
@@ -493,7 +513,7 @@ def serialize_solution(bcs: Bcs, solution: PauliSolution) -> str:
     """
     strings = solution.strings
     if solution.qubits == 0:
-        strings = [PauliString(1, 0, 0, s.phase) for s in strings]
+        strings = [_SCALARS[1, s.phase] for s in strings]
     lines = [
         f"{name} = {pauli.format_pauli(s)}" for name, s in zip(bcs.variables, strings)
     ]

@@ -28,10 +28,8 @@ class Gf2Matrix:
     def __post_init__(self) -> None:
         if len(self.bits) != self.rows:
             raise ValueError("row count does not match bit rows")
-        mask = (1 << self.cols) - 1
-        for r in self.bits:
-            if r & ~mask:
-                raise ValueError("row has bits outside the column range")
+        if self.bits and (min(self.bits) < 0 or max(self.bits) >> self.cols):
+            raise ValueError("row has bits outside the column range")
 
 
 @dataclass
@@ -81,7 +79,7 @@ def row_reduce(system: Gf2System) -> ReducedSystem:
     """
     bits, rhs, prov = list(system.matrix.bits), list(system.rhs), list(system.provenance)
     at: dict[int, int] = {}  # pivot column -> row index
-    inserted = sorted(range(len(bits)), key=lambda i: -bits[i].bit_length())
+    inserted = sorted(range(len(bits)), key=[-b.bit_length() for b in bits].__getitem__)
     for i in inserted:
         while bits[i] and (j := at.setdefault((bits[i] & -bits[i]).bit_length() - 1, i)) != i:
             bits[i] ^= bits[j]
@@ -92,8 +90,10 @@ def row_reduce(system: Gf2System) -> ReducedSystem:
     for c in reversed(pivot_cols):
         i = at[c]
         # Higher pivot rows are reduced already: each XOR clears one pivot.
-        for q in set_bits(bits[i] & pivot_mask ^ 1 << c):
-            j = at[q]
+        others = bits[i] & pivot_mask ^ 1 << c
+        while others:
+            j = at[(others & -others).bit_length() - 1]
+            others &= others - 1
             bits[i] ^= bits[j]
             rhs[i] ^= rhs[j]
             prov[i] ^= prov[j]

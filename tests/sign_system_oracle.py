@@ -11,8 +11,9 @@ decides that by enumerating every assignment, which is slow and obviously
 correct.
 
 It also carries the dict form of the swap bookkeeping as the reference for
-``bcs._sort_parity``'s pair masks: ``_inversion_parity`` maps each smaller
-variable to a bitmask of its larger partners, and ``_commutation_row`` sorts
+``bcs._sort_parity``'s sets of pair positions (k*f + l over the ranks of f
+free variables): ``_inversion_parity`` maps each smaller variable to a
+bitmask of its larger partners, and ``_commutation_row`` sorts
 the literal expansion A_i A_j A_i A_j block by block.  Blocks are tuples of
 variables that ``_block`` reads off the elimination's pivot rows itself, so
 the rank masks of ``Elimination.supports`` are judged, never used.

@@ -20,6 +20,7 @@ from bcsmagic import bcs, gf2, pauli
 from bcsmagic.bcs import (
     Bcs,
     Certificate,
+    InvariantError,
     PauliSolution,
     chsh,
     classical_solve,
@@ -116,6 +117,12 @@ def test_parse_errors():
     # A constraint typed on the header line is not four variable names.
     with pytest.raises(ValueError, match="line 2: variable name '='"):
         parse_bcs("# header\nvars: a b = 1\n")
+
+
+def test_parse_rejects_a_duplicate_header_name():
+    # Without the check, the second "a" would get index 1 past the one name.
+    with pytest.raises(ValueError, match="line 1: duplicate variable 'a'"):
+        parse_bcs("vars: a a\na = 1\n")
 
 
 def test_parse_comments_and_repeats():
@@ -363,6 +370,16 @@ def test_certificate_dangling_index_raises():
         verify_certificate(b, Certificate((0, 1), ((0, 9),), ()))
 
 
+def test_certificate_citing_a_variable_with_itself_raises():
+    # A pair (i, i) appends [0, 0] to the replay's sort and changes nothing,
+    # so only the pair bound stops a valid certificate from citing one.
+    b = chsh()
+    cert = pauli_solve(b)
+    assert verify_certificate(b, cert)
+    with pytest.raises(IndexError, match="bad commutation pair"):
+        verify_certificate(b, Certificate(cert.constraint_rows, ((0, 0),), cert.derived_relation))
+
+
 def test_empty_minus_constraint_certificate():
     b = Bcs(["a"], [make_constraint([0, 0], -1)])
     out = pauli_solve(b)
@@ -519,6 +536,32 @@ def test_many_squares_solve_in_rank_pair_masks():
     out = pauli_solve(squares)
     assert time.perf_counter() - start < 2
     assert verify_pauli_solution(squares, out).ok
+
+
+def test_thousand_squares_solve_and_verify_in_two_seconds():
+    # 1,000 squares have 4,000 free variables.  Swaps built as one integer
+    # per constraint, 16 million bits wide, and split bit by bit took 8.6 to
+    # 17 s on a 2-vCPU VM; as sets of pair positions, about 0.3 s.
+    squares = shuffled_squares(random.Random(23), 1000)
+    start = time.perf_counter()
+    out = pauli_solve(squares)
+    assert verify_pauli_solution(squares, out).ok
+    assert time.perf_counter() - start < 2
+
+
+def test_supports_that_fail_to_cancel_raise(monkeypatch):
+    # A constraint's free supports XOR to zero by construction; a wrong
+    # support from the elimination must stop the solver, not mislead it.
+    eliminate = bcs.eliminate_free_vars
+
+    def corrupted(system):
+        elim = eliminate(system)
+        elim.supports[elim.reduced.pivot_cols[0]] ^= 1
+        return elim
+
+    monkeypatch.setattr(bcs, "eliminate_free_vars", corrupted)
+    with pytest.raises(InvariantError, match="free supports failed to cancel in constraint"):
+        pauli_solve(mermin_peres())
 
 
 def traced_peak(system: Bcs) -> int:
@@ -688,23 +731,19 @@ def test_monotonicity_classical_implies_pauli():
 
 
 # ---------------------------------------------------------------------------
-# pair masks and integer Pauli checks against the oracles
+# pair positions and integer Pauli checks against the oracles
 # ---------------------------------------------------------------------------
 
-def to_mask(parity: dict[int, int], n: int) -> int:
-    """The oracle's {smaller var: partners} as a pair mask, bit k*n + l."""
-    out = 0
-    for k, partners in parity.items():
-        out ^= partners << (k * n)
-    return out
+def to_positions(parity: dict[int, int], n: int) -> set[int]:
+    """The oracle's {smaller var: partners} as pair positions k*n + l."""
+    return {k * n + l for k, partners in parity.items() for l in set_bits(partners)}
 
 
-def to_rank_mask(parity: dict[int, int], free: list[int]) -> int:
-    """The oracle's {smaller var: partners}, over free variables, as a pair
-    mask over their ranks: bit r_k*f + r_l, r the index in ``free``."""
+def to_rank_positions(parity: dict[int, int], free: list[int]) -> set[int]:
+    """The oracle's {smaller var: partners}, over free variables, as pair
+    positions over their ranks: r_k*f + r_l, r the index in ``free``."""
     rank = {v: r for r, v in enumerate(free)}
-    return sum(1 << rank[k] * len(free) + rank[l]
-               for k, partners in parity.items() for l in set_bits(partners))
+    return {rank[k] * len(free) + rank[l] for k, partners in parity.items() for l in set_bits(partners)}
 
 
 def support_mask(support) -> int:
@@ -735,7 +774,7 @@ def test_inversion_parity_mask_matches_dict_oracle(data):
     blocks = data.draw(blocks_of(n))
     masks = [support_mask(block) for block in blocks]
     assert bcs._sort_parity(masks, n) == (
-        to_mask(sign_system_oracle._inversion_parity(blocks, n), n), reduce(xor, masks, 0))
+        to_positions(sign_system_oracle._inversion_parity(blocks, n), n), reduce(xor, masks, 0))
 
 
 @settings(max_examples=300)
@@ -745,7 +784,7 @@ def test_commutation_row_mask_matches_dict_oracle(data):
     si, sj = support_pair(data, n)
     d = support_mask(si) ^ support_mask(sj)
     expect = sign_system_oracle._inversion_parity([si, sj, si, sj], n)
-    assert bcs._sort_parity([d, d], n) == (to_mask(expect, n), 0)
+    assert bcs._sort_parity([d, d], n) == (to_positions(expect, n), 0)
 
 
 @settings(max_examples=300)
@@ -753,14 +792,14 @@ def test_commutation_row_mask_matches_dict_oracle(data):
 def test_sort_parity_appended_pair_xors_its_row(data):
     # The certificate replay sorts the cited constraints' blocks with
     # [d, d] appended per cited pair: that must XOR exactly the pair's row
-    # into the pair mask and leave the leftover alone.
+    # into the pair positions and leave the leftover alone.
     n = data.draw(st.integers(1, 12))
     masks = [support_mask(block) for block in data.draw(blocks_of(n))]
     si, sj = support_pair(data, n)
     d = support_mask(si) ^ support_mask(sj)
-    row = to_mask(sign_system_oracle._inversion_parity([si, sj, si, sj], n), n)
-    pair_mask, leftover = bcs._sort_parity(masks, n)
-    assert bcs._sort_parity(masks + [d, d], n) == (pair_mask ^ row, leftover)
+    row = to_positions(sign_system_oracle._inversion_parity([si, sj, si, sj], n), n)
+    positions, leftover = bcs._sort_parity(masks, n)
+    assert bcs._sort_parity(masks + [d, d], n) == (positions ^ row, leftover)
     assert leftover == reduce(xor, masks, 0)
 
 
@@ -776,13 +815,13 @@ def test_pair_masks_match_dict_oracle_on_systems():
         f = len(free)
         for j in range(len(b.constraints)):
             _, parity, _ = sign_system_oracle._constraint_row(b, elim, j)
-            assert bcs._constraint_parity(b, supports, f, j) == to_rank_mask(parity, free)
+            assert bcs._constraint_parity(b, supports, f, j) == to_rank_positions(parity, free)
         for i, j in sign_system_oracle.co_occurrence_pairs(b):
             expect = sign_system_oracle._commutation_row(b, elim, i, j)
             d = supports[i] ^ supports[j]
-            assert bcs._sort_parity([d, d], f)[0] == to_rank_mask(expect, free)
+            assert bcs._sort_parity([d, d], f)[0] == to_rank_positions(expect, free)
             # pauli_solve's pair row: every pair inside d, none below two bits.
-            assert sum(1 << k * f + l for k, l in combinations(set_bits(d), 2)) == to_rank_mask(expect, free)
+            assert {k * f + l for k, l in combinations(set_bits(d), 2)} == to_rank_positions(expect, free)
 
 
 def solved_pool():

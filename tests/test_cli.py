@@ -62,6 +62,32 @@ def test_solve_unverified_certificate_exits_1(chsh_file, monkeypatch, capsys):
     assert not chsh_file.with_suffix(".certificate.json").exists()
 
 
+@pytest.mark.parametrize("fault", ["shared scalar", "pivot sign"])
+def test_solve_unverified_solution_exits_1(tmp_path, fault, monkeypatch, capsys):
+    """pauli_solve checks each solution it returns with
+    verify_pauli_solution: a wrong sign, on the zero-qubit path or on the
+    operator path, is an internal fault."""
+    path = tmp_path / "system.bcs"
+    if fault == "shared scalar":
+        # The +1 every variable gets here turned into -1: b = 1 fails.
+        path.write_text("vars: a b\na b = 1\nb = 1\n")
+        monkeypatch.setitem(bcs._SCALARS, (0, 0), bcs._SCALARS[0, 2])
+    else:
+        path.write_text(bcs.serialize_bcs(bcs.mermin_peres()))
+        eliminate = bcs.eliminate_free_vars
+
+        def flipped(system):
+            elim = eliminate(system)
+            elim.reduced.system.rhs[0] ^= 1
+            return elim
+
+        monkeypatch.setattr(bcs, "eliminate_free_vars", flipped)
+    assert main(["solve", str(path), "--mode", "pauli"]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" in err and "constructed solution failed" in err
+    assert not path.with_suffix(".solution.txt").exists()
+
+
 def test_solve_eliminates_once_per_certificate(tmp_path, monkeypatch):
     """solve on the n = 6 game reduces its incidence system once: the
     certificate's replay reuses the solver's elimination."""

@@ -53,6 +53,13 @@ def test_contradictory_duplicate():
     assert out.rows == frozenset({0, 1})
 
 
+def test_matrix_rejects_rows_outside_the_columns():
+    gf2.Gf2Matrix(2, 3, [0b111, 0])
+    for bits in ([0b1000], [0b1, -1], [-8]):
+        with pytest.raises(ValueError, match="outside the column range"):
+            gf2.Gf2Matrix(len(bits), 3, bits)
+
+
 def test_empty_system_all_free():
     empty = gf2_system([], [], cols=2)
     assert gf2.solve(empty) == [0, 0]
