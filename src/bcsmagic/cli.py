@@ -19,12 +19,14 @@ import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import bcs as bcs_mod
 from . import game as game_mod
-from . import quantum, shallow
+
+if TYPE_CHECKING:
+    from .quantum import StrategyStack
+    from .shallow import Trials
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -95,8 +97,10 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _strategy_for(game: game_mod.GameBcs) -> quantum.StrategyStack:
+def _strategy_for(game: game_mod.GameBcs) -> StrategyStack:
     """The game's perfect strategy, laid out for play and verified in full."""
+    from . import quantum
+
     label = game_mod.classify(game.n)
     if label is game_mod.GameClass.MAGIC_REQUIRED:
         ops = quantum.permutation_solution(game)
@@ -117,6 +121,8 @@ def _strategy_for(game: game_mod.GameBcs) -> quantum.StrategyStack:
 
 
 def cmd_play(args) -> int:
+    from . import quantum
+
     game = game_mod.build_game_bcs(args.n, modified=args.modified)
     stack = _strategy_for(game)
     wins = sum(int(rounds.won.sum()) for rounds in quantum.play_rounds(stack, args.seed, args.trials))
@@ -129,9 +135,11 @@ def cmd_play(args) -> int:
     return EXIT_OK
 
 
-def _log_lines(chunk: shallow.Trials, n: int, seed: int, mode: str) -> str:
+def _log_lines(chunk: Trials, n: int, seed: int, mode: str) -> str:
     """The chunk's trial log lines, each as ``json.dumps`` writes its record
     dict: ``r_a`` the Alice columns, three in the modified game."""
+    import numpy as np
+
     alice = chunk.outcomes[:, :-1].T
     key, result = (("ok", np.where(chunk.won, "true", "false")) if mode == "relation" else
                    ("case", np.where(chunk.clean, np.where(chunk.won, '"case1"', '"invalid"'), '"case2"')))
@@ -143,6 +151,8 @@ def _log_lines(chunk: shallow.Trials, n: int, seed: int, mode: str) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from . import shallow
+
     game = game_mod.build_game_bcs(8, modified=True)
     won = clean_won = clean = 0
     # A rejected run raises here, before the log is opened.
@@ -174,6 +184,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lightcone(args) -> int:
+    from . import shallow
+
     if args.dag is not None:
         dag = shallow.dag_from_json(Path(args.dag).read_text())
     else:

@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .bcs import Bcs, Constraint
 
 Edge = tuple[int, int]
@@ -85,23 +83,23 @@ def _pair_name(kind: str, e1: Edge, e2: Edge) -> str:
     return f"{kind}{e1[0]}_{e1[1]}|{e2[0]}_{e2[1]}"
 
 
-# Each matching of a 4-set as the positions, in the sorted 4-set, of its
-# first edge's ends and then its second's; the first edge holds the least vertex.
-_MATCHINGS = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]])
-# c(e, f) and c(f, e) of matching m are a 4-set's c slots 2m and 2m + 1, so slot s's
-# second edge is edge row s ^ 1; vertex t's c-product holds the slots whose second edge holds t.
-_C_ROWS = np.array([[s for s in range(6) if t in _MATCHINGS.reshape(6, 2)[s ^ 1]] for t in range(4)])
-
-
 def build_game_bcs(n: int, modified: bool = False) -> GameBcs:
     """Generate the size-n instance; all orderings are lexicographic, and
     each family's constraints are one array of offset-plus-rank indices."""
+    import numpy as np
+
     if n < 4:
         raise ValueError("the game family needs at least 4 vertices")
+    # Each matching of a 4-set as the positions, in the sorted 4-set, of its
+    # first edge's ends and then its second's; the first edge holds the least vertex.
+    matchings = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]])
+    # c(e, f) and c(f, e) of matching m are a 4-set's c slots 2m and 2m + 1, so slot s's
+    # second edge is edge row s ^ 1; vertex t's c-product holds the slots whose second edge holds t.
+    c_rows = np.array([[s for s in range(6) if t in matchings.reshape(6, 2)[s ^ 1]] for t in range(4)])
     vertices = range(1, n + 1)
     edges = list(itertools.combinations(vertices, 2))
     quads = np.array(list(itertools.combinations(vertices, 4)))
-    ends = quads[:, _MATCHINGS]  # (4-set, matching, first edge's ends then second's)
+    ends = quads[:, matchings]  # (4-set, matching, first edge's ends then second's)
     pairs = [((p, q), (r, s)) for p, q, r, s in ends.reshape(-1, 4).tolist()]
 
     names: list[str] = [f"a{v}" for v in vertices]
@@ -125,7 +123,7 @@ def build_game_bcs(n: int, modified: bool = False) -> GameBcs:
         np.stack([x + e, x + f, b], axis=-1),  # x_e x_f b_ef
         np.stack([x + np.stack([e, f], -1), z + np.stack([f, e], -1), c], axis=-1),  # x_e z_f c_ef
         b,  # b b' b''
-        c.reshape(n_q, 6)[:, _C_ROWS],  # c c' c''
+        c.reshape(n_q, 6)[:, c_rows],  # c c' c''
     ]
     if modified:
         chain = b_0 + 9 * n_q - 2  # a_1..k is chain + k

@@ -16,14 +16,16 @@ sign followed by letters from IXYZ, e.g. "-YY" or "IX".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _SINGLE = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
+    (0, 0): [[1, 0], [0, 1]],
+    (1, 0): [[0, 1], [1, 0]],
+    (0, 1): [[1, 0], [0, -1]],
+    (1, 1): [[0, -1j], [1j, 0]],
 }
 _FROM_LETTER = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
@@ -50,6 +52,8 @@ class PauliString:
 
 def to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix; guarded to keep test oracles small."""
+    import numpy as np
+
     if p.n_qubits > MATRIX_QUBIT_LIMIT:
         raise ValueError(f"refusing to build a dense matrix on {p.n_qubits} qubits")
     m = np.array([[1]], dtype=complex)

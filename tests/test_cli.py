@@ -154,6 +154,24 @@ def test_gen_modified_banner(tmp_path, capsys):
     assert "1042 constraints" in capsys.readouterr().out
 
 
+def test_gen_counts_disagreeing_with_closed_forms_exit_1(tmp_path, monkeypatch, capsys):
+    """gen checks the generated constraint count against count_questions: a
+    generator that drops a constraint is an internal fault, and no file is
+    written."""
+    build = game.build_game_bcs
+
+    def dropped(n, modified=False):
+        g = build(n, modified=modified)
+        g.bcs.constraints.pop()
+        return g
+
+    monkeypatch.setattr(game, "build_game_bcs", dropped)
+    out = tmp_path / "game5.bcs"
+    assert main(["gen", "--n", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "internal error: generated counts disagree with closed forms\n"
+    assert not out.exists()
+
+
 def test_gen_small_n_usage_error(tmp_path):
     assert main(["gen", "--n", "3", "--out", str(tmp_path / "x.bcs")]) == 2
 

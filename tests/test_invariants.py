@@ -49,9 +49,13 @@ def test_package_uses_no_numpy_2_names():
 
 
 def test_private_functions_are_used_in_the_package():
+    """Every single-underscore helper is named somewhere in the package.
+    Dunder hooks such as a module's ``__getattr__`` are called by the
+    interpreter, not named, so they are exempt."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     private = {node.name for tree in trees for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not re.fullmatch(r"__\w+__", node.name)}
     assert private
     used = set()
     for tree in trees:
@@ -100,16 +104,33 @@ def test_public_names_are_used_outside_the_tests():
     assert sorted(public - used) == []
 
 
-def test_package_imports_are_used():
-    """Top-level imports of the package modules and of the test modules."""
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names an import binds that its scope never reads.  A module-level
+    import's scope is the module, with every function in it; an import
+    inside a function is scoped to that function."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     unused = []
-    for path in MODULES + sorted((ROOT / "tests").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                unused += [f"{path.name}:{alias.name}" for alias in node.names
-                           if (alias.asname or alias.name.split(".")[0]) not in names]
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        scope = parents[node]
+        while not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = parents[scope]
+        names = {name.id for name in ast.walk(scope) if isinstance(name, ast.Name)}
+        unused += [alias.name for alias in node.names if (alias.asname or alias.name.split(".")[0]) not in names]
+    return unused
+
+
+def test_unused_imports_are_found_in_functions():
+    planted = ("import json\nif json:\n    from typing import Any\n"
+               "def f():\n    import numpy as np\n    from . import quantum\n    return quantum\n"
+               "def g():\n    return np\n")
+    assert _unused_imports(ast.parse(planted)) == ["Any", "numpy"]
+
+
+def test_package_imports_are_used():
+    """Imports of the package modules and of the test modules, at module
+    level and inside functions."""
+    unused = [f"{path.name}:{name}" for path in MODULES + sorted((ROOT / "tests").glob("*.py"))
+              for name in _unused_imports(ast.parse(path.read_text()))]
     assert unused == []

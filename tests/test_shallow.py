@@ -403,6 +403,11 @@ def test_run_trials_rejects_bad_mode_and_dimension(game8, sol8, stack8):
     wide = build_game_bcs(8)
     with pytest.raises(ValueError, match="three variables"):
         run_trials(quantum.StrategyStack(wide.bcs, permutation_solution(wide)), 5, 0, 1)
+    # So does one constraint of four, on signed identities that satisfy it.
+    four = quantum.StrategyStack(parse_bcs("a b c d = 1\n"), np.array([1, -1, -1, 1])[:, None, None] * np.eye(8))
+    assert four.report.ok
+    with pytest.raises(ValueError, match="at most three variables"):
+        run_trials(four, 5, 0, 1)
     for sites in (1, (1, 5), (4, 4)):
         with pytest.raises(ValueError, match="two sites"):
             run_trials(stack8, sites, 0, 1)
