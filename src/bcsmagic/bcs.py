@@ -64,8 +64,8 @@ from .pauli import PauliString
 # (x, z, phase) parts of Pauli strings, indexed by variable.
 Bits = Sequence[int]
 
-# The strings that are a sign on zero or one qubit, shared: they are frozen.
-_SCALARS = {(q, phase): PauliString(q, 0, 0, phase) for q in (0, 1) for phase in range(4)}
+# The strings that are a sign on zero qubits, shared: they are frozen.
+_SCALARS = {(0, phase): PauliString(0, 0, 0, phase) for phase in range(4)}
 
 
 class InvariantError(Exception):
@@ -437,33 +437,58 @@ def _product(factors: Sequence[int], xs: Bits, zs: Bits, phases: Bits) -> tuple[
 def check_pauli_constraint(c: Constraint, xs: Bits, zs: Bits, nf: Bits) -> tuple[bool, bool]:
     """(pairwise, product_ok) for constraint c over the strings
     i^nf[v] X^xs[v] Z^zs[v] (normal form): every pair of its support
-    commutes, and its members multiply to its sign times the identity."""
-    pairwise = not any(((xs[a] & zs[b]) ^ (zs[a] & xs[b])).bit_count() & 1
-                       for a, b in combinations(c.support, 2))
-    x, z, phase = _product(c.var_indices, xs, zs, nf)
-    return pairwise, not (x | z) and phase % 4 == (0 if c.rhs == 1 else 2)
+    commutes, and its members multiply to its sign times the identity.
+    The product is ``_product``'s, inlined; each member is tested against
+    the members before it, stopping at the first anticommuting pair."""
+    x = z = phase = 0
+    for v in c.var_indices:
+        xv = xs[v]
+        phase += nf[v] + 2 * (z & xv).bit_count()
+        x ^= xv
+        z ^= zs[v]
+    product_ok = not (x | z) and phase % 4 == 1 - c.rhs
+    seen = []
+    for a in c.support:
+        xa, za = xs[a], zs[a]
+        for xb, zb in seen:
+            if ((xa & zb) ^ (za & xb)).bit_count() & 1:
+                return False, product_ok
+        seen.append((xa, za))
+    return True, product_ok
 
 
 def verify_pauli_solution(bcs: Bcs, solution: PauliSolution) -> PauliVerifyReport:
     """Check Hermiticity (s s = +I, i.e. an even phase), within-constraint
-    commutation and signed products.  Mixed qubit counts raise ValueError."""
-    strings = solution.strings
-    if any(s.n_qubits != solution.qubits for s in strings):
-        raise ValueError("qubit count mismatch")
-    xs = [s.x_bits for s in strings]
-    zs = [s.z_bits for s in strings]
-    nf = [s.phase + (s.x_bits & s.z_bits).bit_count() for s in strings]
-    odd = [v for v, s in enumerate(strings) if s.phase & 1]
-    report = PauliVerifyReport(not odd, True, True, odd[0] if odd else None)
-    # Scalar strings commute pairwise; their products are the signs alone.
+    commutation and signed products.  One pass over the strings reads their
+    qubit counts, x and z bits, normal-form phases and the first odd phase;
+    ``check_pauli_constraint`` then judges each constraint, but for a
+    solution of scalar strings, whose products are their signs alone.  A
+    string count other than the variable count, or mixed qubit counts,
+    raise ValueError."""
+    strings, qubits = solution.strings, solution.qubits
+    if len(strings) != bcs.n_vars:
+        raise ValueError(f"string count mismatch: {len(strings)} strings for {bcs.n_vars} variables")
+    xs, zs, nf = [], [], []
+    odd = None
+    for v, s in enumerate(strings):
+        if s.n_qubits != qubits:
+            raise ValueError("qubit count mismatch")
+        x, z, phase = s.x_bits, s.z_bits, s.phase
+        if phase & 1 and odd is None:
+            odd = v
+        xs.append(x)
+        zs.append(z)
+        nf.append(phase + (x & z).bit_count())
+    report = PauliVerifyReport(odd is None, True, True, odd)
     scalar = not any(xs) and not any(zs)
     for j, c in enumerate(bcs.constraints):
-        pairwise, product_ok = ((True, sum(nf[v] for v in c.var_indices) % 4 == (0 if c.rhs == 1 else 2)) if scalar
+        pairwise, product_ok = ((True, sum([nf[v] for v in c.var_indices]) % 4 == 1 - c.rhs) if scalar
                                 else check_pauli_constraint(c, xs, zs, nf))
-        report.commutation_ok &= pairwise
-        report.products_ok &= product_ok
-        if not (pairwise and product_ok) and report.failing_constraint is None:
-            report.failing_constraint = j
+        if not (pairwise and product_ok):
+            report.commutation_ok &= pairwise
+            report.products_ok &= product_ok
+            if report.failing_constraint is None:
+                report.failing_constraint = j
     return report
 
 
@@ -515,13 +540,18 @@ def _replay(bcs: Bcs, cert: Certificate, elim: Elimination) -> bool:
 def serialize_solution(bcs: Bcs, solution: PauliSolution) -> str:
     """One ``name = pauli`` line per variable.
 
-    Zero-qubit (scalar) solutions are padded with an identity qubit so the
-    text stays inside the Pauli grammar.
+    A zero-qubit (scalar) solution is written as ``I`` or ``-I``, its sign
+    on one identity qubit, so the text stays inside the Pauli grammar; an
+    odd phase raises ValueError there, as ``pauli.format_pauli`` does.  A
+    string count other than the variable count raises ValueError.
     """
     strings = solution.strings
-    if solution.qubits == 0:
-        strings = [_SCALARS[1, s.phase] for s in strings]
-    lines = [
-        f"{name} = {pauli.format_pauli(s)}" for name, s in zip(bcs.variables, strings)
-    ]
-    return "\n".join(lines) + "\n"
+    if len(strings) != bcs.n_vars:
+        raise ValueError(f"string count mismatch: {len(strings)} strings for {bcs.n_vars} variables")
+    if solution.qubits:
+        texts = map(pauli.format_pauli, strings)
+    elif any(s.phase & 1 for s in strings):
+        raise ValueError("phase +/- i is not representable in text form")
+    else:
+        texts = ("-I" if s.phase else "I" for s in strings)
+    return "\n".join([f"{name} = {text}" for name, text in zip(bcs.variables, texts)]) + "\n"

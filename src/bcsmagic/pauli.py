@@ -28,6 +28,9 @@ _SINGLE = {
     (1, 1): [[0, -1j], [1j, 0]],
 }
 _FROM_LETTER = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+# Entry x << 4 | z: the letters of qubits 0..3 for x and z nibbles, filled
+# by ``_fill_quads`` on first use so that importing the module stays cheap.
+_QUADS: list[str] = []
 
 MATRIX_QUBIT_LIMIT = 12
 
@@ -83,10 +86,24 @@ def parse_pauli(text: str) -> PauliString:
     return PauliString(len(s), x, z, phase)
 
 
+def _fill_quads() -> list[str]:
+    letter = "IXZY"
+    _QUADS[:] = [letter[x & 1 | z << 1 & 2] + letter[x >> 1 & 1 | z & 2]
+                 + letter[x >> 2 & 1 | z >> 1 & 2] + letter[x >> 3 | z >> 2 & 2]
+                 for x in range(16) for z in range(16)]
+    return _QUADS
+
+
 def format_pauli(p: PauliString) -> str:
-    """Canonical text form; rejects non-Hermitian phases."""
-    if not p.is_hermitian:
+    """Canonical text form, an optional "-" then one letter per qubit;
+    rejects non-Hermitian phases.  Letters are read four qubits at a time
+    from ``_QUADS`` by the x and z nibbles, and the last group is cut to the
+    width."""
+    if p.phase & 1:
         raise ValueError("phase +/- i is not representable in text form")
-    x, z = p.x_bits, p.z_bits
-    letters = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(p.n_qubits))
-    return ("-" if p.phase == 2 else "") + letters
+    x, z, n = p.x_bits, p.z_bits, p.n_qubits
+    quads = _QUADS or _fill_quads()
+    letters = quads[(x & 15) << 4 | z & 15]
+    for q in range(4, n, 4):
+        letters += quads[(x >> q & 15) << 4 | z >> q & 15]
+    return ("-" if p.phase else "") + letters[:n]

@@ -422,6 +422,19 @@ class StrategyStack:
         return Rounds(alphas, betas, widths, outcomes, won)
 
 
+def check_playable(stack: StrategyStack, trials: int, table: np.ndarray, empty: str) -> None:
+    """The guards of ``play_rounds`` and ``shallow.run_trials``, in order: a
+    non-negative trial count, a non-empty ``table`` to draw from when any
+    trial is asked for (``empty`` is the error), and a strategy of Hermitian
+    involutions.  Each failure raises ValueError."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials and not len(table):
+        raise ValueError(empty)
+    if not stack.report.hermitian_ok:
+        raise ValueError("measure_batch needs Hermitian involutions, and the strategy's are not")
+
+
 def play_rounds(stack: StrategyStack, seed: int, trials: int) -> Iterator[Rounds]:
     """``trials`` game rounds of ``stack``'s strategy, a ``Rounds`` per CHUNK.
 
@@ -432,12 +445,7 @@ def play_rounds(stack: StrategyStack, seed: int, trials: int) -> Iterator[Rounds
     ``measure_batch``; ``StrategyStack.measure`` judges each round.  Seed,
     trial count and question table are checked when this is called.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
-    if trials and not len(stack.questions):
-        raise ValueError("the strategy's game has no questions")
-    if not stack.report.hermitian_ok:
-        raise ValueError("measure_batch needs Hermitian involutions, and the strategy's are not")
+    check_playable(stack, trials, stack.questions, "the strategy's game has no questions")
     stream = TrialStream(seed)
     slots = range(2 + stack.members.shape[1])
 

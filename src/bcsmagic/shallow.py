@@ -58,7 +58,7 @@ import numpy as np
 from . import pauli
 from .bcs import InvariantError
 from .pauli import PauliString
-from .quantum import Rounds, StrategyStack, TrialStream, batches, below, phi_plus, uniforms
+from .quantum import Rounds, StrategyStack, TrialStream, batches, below, check_playable, phi_plus, uniforms
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +162,7 @@ def run_trials(stack: StrategyStack, sites: int | tuple[int, int], seed: int, tr
     lo, hi = (sites, sites + 1) if isinstance(sites, int) else sites
     if not 2 <= lo < hi <= 2 ** 32 + 2:
         raise ValueError(f"need at least two sites and at most 2^32 + 1, got {sites}")
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
-    if trials and not len(stack.members):
-        raise ValueError("the strategy's BCS has no constraints")
-    if not stack.report.hermitian_ok:
-        raise ValueError("measure_batch needs Hermitian involutions, and the strategy's are not")
+    check_playable(stack, trials, stack.members, "the strategy's BCS has no constraints")
     stream = TrialStream(seed)
 
     def generate() -> Iterator[Trials]:

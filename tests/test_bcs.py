@@ -397,6 +397,39 @@ def test_scalar_solution_zero_qubits():
     assert "a = -I" in text or "a = I" in text
 
 
+def test_serialize_zero_qubit_matches_padded_path():
+    """A scalar solution's lines are its signs formatted on one identity
+    qubit, as they were before the direct ``I``/``-I`` lines; an odd phase
+    is refused there too."""
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        system = parse_bcs("vars: " + " ".join(f"v{i}" for i in range(n)) + "\n")
+        strings = [bcs._SCALARS[0, rng.choice((0, 2))] for _ in range(n)]
+        padded = [f"{name} = {pauli.format_pauli(PauliString(1, 0, 0, s.phase))}"
+                  for name, s in zip(system.variables, strings)]
+        assert serialize_solution(system, PauliSolution(0, strings)) == "\n".join(padded) + "\n"
+        for odd in (1, 3):
+            strings[rng.randrange(n)] = bcs._SCALARS[0, odd]
+            with pytest.raises(ValueError, match="not representable"):
+                serialize_solution(system, PauliSolution(0, strings))
+    b = parse_bcs("a b = -1\nb c = 1\n")
+    assert serialize_solution(b, pauli_solve(b)) == "a = -I\nb = I\nc = I\n"
+
+
+@pytest.mark.parametrize("count", [5, 11])
+def test_string_count_other_than_variable_count_raises(count):
+    """The magic square's nine variables with 5 or 11 strings: both the
+    check and the text writer name both counts, where they used to raise a
+    bare IndexError or report ok, and write 5 lines."""
+    mp = mermin_peres()
+    out = pauli_solve(mp)
+    strings = (out.strings * 2)[:count]
+    for call in (verify_pauli_solution, serialize_solution):
+        with pytest.raises(ValueError, match=f"{count} strings for 9 variables"):
+            call(mp, PauliSolution(out.qubits, strings))
+
+
 def test_solution_text_round_trip_mermin():
     mp = mermin_peres()
     out = pauli_solve(mp)

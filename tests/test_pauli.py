@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,30 @@ def test_parse_rejects_garbage():
 def test_format_rejects_imaginary_phase():
     with pytest.raises(ValueError):
         format_pauli(PauliString(1, 1, 1, 1))
+
+
+def letters_oracle(p: PauliString) -> str:
+    """``format_pauli``'s reference: one letter per qubit, then the sign."""
+    letters = "".join("IXZY"[(p.x_bits >> q & 1) | (p.z_bits >> q & 1) << 1] for q in range(p.n_qubits))
+    return ("-" if p.phase == 2 else "") + letters
+
+
+def test_format_pauli_matches_letter_oracle():
+    """The nibble table agrees with the per-qubit letters on 0 to 20 qubits,
+    widths that are not a multiple of 4 included, with either sign; odd
+    phases are refused at every width."""
+    rng = random.Random(7)
+    for n in range(21):
+        full = (1 << n) - 1
+        cases = [(0, 0), (full, 0), (0, full), (full, full), (full, 0b0101 & full)]
+        cases += [(rng.getrandbits(n) if n else 0, rng.getrandbits(n) if n else 0) for _ in range(40)]
+        for x, z in cases:
+            for phase in (0, 2):
+                p = PauliString(n, x, z, phase)
+                assert format_pauli(p) == letters_oracle(p), p
+            for phase in (1, 3):
+                with pytest.raises(ValueError):
+                    format_pauli(PauliString(n, x, z, phase))
 
 
 def test_transpose_flips_y():
