@@ -47,15 +47,19 @@ ascending and repeats are cancelled in pairs.  The set of distinct variables
 seen before cancellation is kept as the constraint's support, because joint
 measurability (hence commutation) is required of everything that appeared
 together, including variables that cancelled.
+
+The records are named tuples; ``Constraint`` checks its rhs in ``__new__``,
+which its _make and _replace call too.  ``PauliVerifyReport`` is mutable.
 """
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from operator import xor
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import gf2, pauli
 from .gf2 import Gf2System, Inconsistency, set_bits
@@ -76,21 +80,27 @@ class InvariantError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class Constraint:
+class _ConstraintFields(NamedTuple):
     var_indices: tuple[int, ...]
     rhs: int
-    support: frozenset[int] = field(default=frozenset())
+    support: frozenset[int]
 
-    def __post_init__(self) -> None:
-        if self.rhs not in (1, -1):
+
+class Constraint(_ConstraintFields):
+    """The support defaults to the variables kept."""
+    __slots__ = ()
+
+    def __new__(cls, var_indices: tuple[int, ...], rhs: int, support: frozenset[int] = frozenset()) -> Constraint:
+        if rhs not in (1, -1):
             raise ValueError("constraint rhs must be +1 or -1")
-        if not self.support:
-            object.__setattr__(self, "support", frozenset(self.var_indices))
+        return tuple.__new__(cls, (var_indices, rhs, support or frozenset(var_indices)))
+
+    @classmethod
+    def _make(cls, fields) -> Constraint:
+        return cls(*fields)
 
 
-@dataclass
-class Bcs:
+class Bcs(NamedTuple):
     variables: list[str]
     constraints: list[Constraint]
 
@@ -168,11 +178,12 @@ def serialize_bcs(bcs: Bcs) -> str:
     """The text format, read back by ``parse_bcs`` as the same system: each
     cancelled support variable is written twice after the kept ones, so
     its commutation requirement survives the round trip."""
-    lines = ["vars: " + " ".join(bcs.variables)]
-    for c in bcs.constraints:
-        cancelled = sorted(c.support.difference(c.var_indices))
-        lhs = " ".join(bcs.variables[v] for v in list(c.var_indices) + cancelled * 2)
-        lines.append(f"{lhs} = {c.rhs}".lstrip())
+    names = bcs.variables
+    lines = ["vars: " + " ".join(names)]
+    for var_indices, rhs, support in bcs.constraints:
+        cancelled = sorted(support.difference(var_indices))
+        lhs = " ".join(names[v] for v in list(var_indices) + cancelled * 2)
+        lines.append(f"{lhs} = {rhs}".lstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -198,8 +209,7 @@ def chsh() -> Bcs:
 # Classical solving
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     constraint_rows: tuple[int, ...]
     commutation_rows: tuple[tuple[int, int], ...]
     derived_relation: tuple[int, ...]
@@ -241,8 +251,7 @@ def classical_solve(bcs: Bcs) -> list[int] | Certificate:
 # Free-variable elimination
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Elimination:
+class Elimination(NamedTuple):
     free: list[int]
     supports: list[int]
     reduced: gf2.ReducedSystem
@@ -321,8 +330,7 @@ def _constraint_parity(bcs: Bcs, supports: Sequence[int], width: int, j: int) ->
 # Pauli solving
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PauliSolution:
+class PauliSolution(NamedTuple):
     qubits: int
     strings: list[PauliString]
 
@@ -330,13 +338,14 @@ class PauliSolution:
         return dict(zip(bcs.variables, self.strings))
 
 
-@dataclass
-class PauliVerifyReport:
-    hermitian_ok: bool
-    commutation_ok: bool
-    products_ok: bool
-    failing_variable: int | None = None
-    failing_constraint: int | None = None
+class PauliVerifyReport(SimpleNamespace):
+    """The verdicts of ``verify_pauli_solution`` and the first failing
+    variable and constraint; mutable, since the checks fill it in."""
+
+    def __init__(self, hermitian_ok: bool, commutation_ok: bool, products_ok: bool,
+                 failing_variable: int | None = None, failing_constraint: int | None = None) -> None:
+        super().__init__(hermitian_ok=hermitian_ok, commutation_ok=commutation_ok, products_ok=products_ok,
+                         failing_variable=failing_variable, failing_constraint=failing_constraint)
 
     @property
     def ok(self) -> bool:
@@ -410,8 +419,8 @@ def pauli_solve(bcs: Bcs) -> PauliSolution | Certificate:
         for v in pivots:
             x, z, phase = _product([free[r] for r in set_bits(supports[v])], xs, zs, phases)
             xs[v], zs[v], phases[v] = x, z, phase - (x & z).bit_count()
-    for i, v in enumerate(pivots):
-        phases[v] += 2 * (reduced.rhs[i] ^ ((reduced.provenance[i] & flip).bit_count() & 1))
+    for v, rhs_bit, provenance in zip(pivots, reduced.rhs, reduced.provenance):
+        phases[v] += 2 * (rhs_bit ^ ((provenance & flip).bit_count() & 1))
 
     strings = ([PauliString(n_qubits, xs[v], zs[v], phases[v]) for v in range(n)] if n_qubits
                else [_SCALARS[0, phase % 4] for phase in phases])
@@ -440,15 +449,16 @@ def check_pauli_constraint(c: Constraint, xs: Bits, zs: Bits, nf: Bits) -> tuple
     commutes, and its members multiply to its sign times the identity.
     The product is ``_product``'s, inlined; each member is tested against
     the members before it, stopping at the first anticommuting pair."""
+    var_indices, rhs, support = c
     x = z = phase = 0
-    for v in c.var_indices:
+    for v in var_indices:
         xv = xs[v]
         phase += nf[v] + 2 * (z & xv).bit_count()
         x ^= xv
         z ^= zs[v]
-    product_ok = not (x | z) and phase % 4 == 1 - c.rhs
+    product_ok = not (x | z) and phase % 4 == 1 - rhs
     seen = []
-    for a in c.support:
+    for a in support:
         xa, za = xs[a], zs[a]
         for xb, zb in seen:
             if ((xa & zb) ^ (za & xb)).bit_count() & 1:
@@ -470,10 +480,9 @@ def verify_pauli_solution(bcs: Bcs, solution: PauliSolution) -> PauliVerifyRepor
         raise ValueError(f"string count mismatch: {len(strings)} strings for {bcs.n_vars} variables")
     xs, zs, nf = [], [], []
     odd = None
-    for v, s in enumerate(strings):
-        if s.n_qubits != qubits:
+    for v, (n_q, x, z, phase) in enumerate(strings):
+        if n_q != qubits:
             raise ValueError("qubit count mismatch")
-        x, z, phase = s.x_bits, s.z_bits, s.phase
         if phase & 1 and odd is None:
             odd = v
         xs.append(x)
@@ -531,9 +540,10 @@ def _replay(bcs: Bcs, cert: Certificate, elim: Elimination) -> bool:
     # Swap bookkeeping of the whole product, at the free-variable level,
     # must be exactly discharged by the cited commutation facts: one sort of
     # the constraints' blocks, with [d, d] appended for each cited pair.
-    blocks = [elim.supports[v] for v in relation]
+    supports = elim.supports
+    blocks = [supports[v] for v in relation]
     for i, j in cert.commutation_rows:
-        blocks += [elim.supports[i] ^ elim.supports[j]] * 2
+        blocks += [supports[i] ^ supports[j]] * 2
     return _sort_parity(blocks, len(elim.free)) == (set(), 0)
 
 
@@ -543,12 +553,16 @@ def serialize_solution(bcs: Bcs, solution: PauliSolution) -> str:
     A zero-qubit (scalar) solution is written as ``I`` or ``-I``, its sign
     on one identity qubit, so the text stays inside the Pauli grammar; an
     odd phase raises ValueError there, as ``pauli.format_pauli`` does.  A
-    string count other than the variable count raises ValueError.
+    string count other than the variable count, or a string on other than
+    ``solution.qubits`` qubits, raises ValueError, as in
+    ``verify_pauli_solution``.
     """
-    strings = solution.strings
+    strings, qubits = solution.strings, solution.qubits
     if len(strings) != bcs.n_vars:
         raise ValueError(f"string count mismatch: {len(strings)} strings for {bcs.n_vars} variables")
-    if solution.qubits:
+    if any(s.n_qubits != qubits for s in strings):
+        raise ValueError("qubit count mismatch")
+    if qubits:
         texts = map(pauli.format_pauli, strings)
     elif any(s.phase & 1 for s in strings):
         raise ValueError("phase +/- i is not representable in text form")

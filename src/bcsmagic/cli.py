@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -34,9 +32,16 @@ EXIT_USAGE = 2
 EXIT_NO_SOLUTION = 3
 
 
+def _dumps(payload: dict, **options) -> str:
+    """``payload`` as indented JSON; json loads on the first document written."""
+    import json
+
+    return json.dumps(payload, indent=1, **options)
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=1, default=str))
+        print(_dumps(payload, default=str))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -48,8 +53,8 @@ def cmd_solve(args) -> int:
     result = (bcs_mod.classical_solve if classical else bcs_mod.pauli_solve)(system)
     if isinstance(result, bcs_mod.Certificate):
         path = Path(args.out or Path(args.path).with_suffix(".certificate.json"))
-        payload = {"mode": args.mode, **dataclasses.asdict(result)}
-        path.write_text(json.dumps(payload, indent=1) + "\n")
+        payload = {"mode": args.mode, **result._asdict()}
+        path.write_text(_dumps(payload) + "\n")
         print(f"no {'classical' if classical else 'Pauli-string'} solution; "
               f"certificate written to {path}")
         return EXIT_NO_SOLUTION
@@ -72,9 +77,7 @@ def cmd_gen(args) -> int:
     out = Path(args.out)
     out.write_text(bcs_mod.serialize_bcs(game.bcs))
     sidecar = out.with_suffix(out.suffix + ".names.json")
-    sidecar.write_text(json.dumps(
-        {"n": args.n, "modified": args.modified, "variables": game.var_index}, indent=1
-    ) + "\n")
+    sidecar.write_text(_dumps({"n": args.n, "modified": args.modified, "variables": game.var_index}) + "\n")
     print(f"n={args.n} modified={args.modified}: "
           f"{game.bcs.n_vars} variables, {len(game.bcs.constraints)} constraints")
     print(f"wrote {out} and {sidecar}")

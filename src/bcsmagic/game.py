@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .bcs import Bcs, Constraint
 
@@ -48,8 +48,7 @@ class GameClass(Enum):
     MAGIC_REQUIRED = "MagicRequired"
 
 
-@dataclass
-class GameBcs:
+class GameBcs(NamedTuple):
     n: int
     modified: bool
     bcs: Bcs
@@ -62,8 +61,7 @@ class GameBcs:
         return self.var_index[_edge_name("x", _edge(u, v))]
 
 
-@dataclass
-class QuestionCounts:
+class QuestionCounts(NamedTuple):
     alice: int
     bob: int
     modified_alice: int

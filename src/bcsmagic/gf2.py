@@ -13,49 +13,66 @@ Conventions fixed here and relied on elsewhere:
   consistent system, their rhs bits are invariant; provenance and the
   kernel basis are not, so a certificate is one valid choice among several;
 * free columns are assigned 0 when solving.
+
+The records are named tuples; ``Gf2Matrix`` and ``Gf2System`` check their
+fields in ``__new__``, which their _make and _replace call too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass
-class Gf2Matrix:
+class _Gf2MatrixFields(NamedTuple):
     rows: int
     cols: int
     bits: list[int]
 
-    def __post_init__(self) -> None:
-        if len(self.bits) != self.rows:
+
+class Gf2Matrix(_Gf2MatrixFields):
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, bits: list[int]) -> Gf2Matrix:
+        if len(bits) != rows:
             raise ValueError("row count does not match bit rows")
-        if self.bits and (min(self.bits) < 0 or max(self.bits) >> self.cols):
+        if bits and (min(bits) < 0 or max(bits) >> cols):
             raise ValueError("row has bits outside the column range")
+        return tuple.__new__(cls, (rows, cols, bits))
+
+    @classmethod
+    def _make(cls, fields) -> Gf2Matrix:
+        return cls(*fields)
 
 
-@dataclass
-class Gf2System:
+class _Gf2SystemFields(NamedTuple):
     matrix: Gf2Matrix
     rhs: list[int]
-    provenance: list[int] = field(default_factory=list)
+    provenance: list[int]
 
-    def __post_init__(self) -> None:
-        if len(self.rhs) != self.matrix.rows:
+
+class Gf2System(_Gf2SystemFields):
+    __slots__ = ()
+
+    def __new__(cls, matrix: Gf2Matrix, rhs: list[int], provenance: list[int] | None = None) -> Gf2System:
+        if len(rhs) != matrix.rows:
             raise ValueError("rhs length does not match row count")
-        if not self.provenance:
+        if not provenance:
             # Untouched rows carry their own index as provenance.
-            self.provenance = [1 << i for i in range(self.matrix.rows)]
-        elif len(self.provenance) != self.matrix.rows:
+            provenance = [1 << i for i in range(matrix.rows)]
+        elif len(provenance) != matrix.rows:
             raise ValueError("provenance length does not match row count")
+        return tuple.__new__(cls, (matrix, rhs, provenance))
+
+    @classmethod
+    def _make(cls, fields) -> Gf2System:
+        return cls(*fields)
 
 
-@dataclass
-class ReducedSystem:
+class ReducedSystem(NamedTuple):
     system: Gf2System
     pivot_cols: list[int]
 
 
-@dataclass
-class Inconsistency:
+class Inconsistency(NamedTuple):
     rows: frozenset[int]
 
 

@@ -12,11 +12,13 @@ k in {0, 2}, i.e. an overall sign of +1 or -1; intermediate products of
 Hermitian strings can pick up a factor of +/- i, so the full Z4 phase is kept
 internally.  The text grammar only admits Hermitian strings: an optional
 sign followed by letters from IXYZ, e.g. "-YY" or "IX".
+
+``PauliString`` is a named tuple that hot loops unpack; its ``__new__``,
+which _make and _replace call too, checks the bits and reduces the phase.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,18 +37,25 @@ _QUADS: list[str] = []
 MATRIX_QUBIT_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class PauliString:
+class _PauliFields(NamedTuple):
     n_qubits: int
     x_bits: int
     z_bits: int
-    phase: int = 0
+    phase: int
 
-    def __post_init__(self) -> None:
-        mask = (1 << self.n_qubits) - 1
-        if self.x_bits & ~mask or self.z_bits & ~mask:
+
+class PauliString(_PauliFields):
+    __slots__ = ()
+
+    def __new__(cls, n_qubits: int, x_bits: int, z_bits: int, phase: int = 0) -> PauliString:
+        mask = (1 << n_qubits) - 1
+        if x_bits & ~mask or z_bits & ~mask:
             raise ValueError("x/z bits outside the qubit range")
-        object.__setattr__(self, "phase", self.phase % 4)
+        return tuple.__new__(cls, (n_qubits, x_bits, z_bits, phase % 4))
+
+    @classmethod
+    def _make(cls, fields) -> PauliString:
+        return cls(*fields)
 
     @property
     def is_hermitian(self) -> bool:
@@ -99,11 +108,11 @@ def format_pauli(p: PauliString) -> str:
     rejects non-Hermitian phases.  Letters are read four qubits at a time
     from ``_QUADS`` by the x and z nibbles, and the last group is cut to the
     width."""
-    if p.phase & 1:
+    n, x, z, phase = p
+    if phase & 1:
         raise ValueError("phase +/- i is not representable in text form")
-    x, z, n = p.x_bits, p.z_bits, p.n_qubits
     quads = _QUADS or _fill_quads()
     letters = quads[(x & 15) << 4 | z & 15]
     for q in range(4, n, 4):
         letters += quads[(x >> q & 15) << 4 | z >> q & 15]
-    return ("-" if p.phase else "") + letters[:n]
+    return ("-" if phase else "") + letters[:n]

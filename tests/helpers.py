@@ -1,9 +1,11 @@
 """Shared fixtures: the published two-qubit table for the n=4 game, a
 seeded generator for test data, a branch-enumeration oracle for measurement
-distributions, and direct checks of GF(2) and scalar assignments."""
+distributions, direct checks of GF(2) and scalar assignments, and the
+contract every tuple record keeps."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from bcsmagic.bcs import Bcs, PauliSolution, make_constraint
 from bcsmagic.gf2 import Gf2Matrix, Gf2System
@@ -99,3 +101,16 @@ def split_variable(bcs: Bcs, alpha: int, v: int) -> Bcs:
     c = constraints[alpha]
     constraints[alpha] = make_constraint([bcs.n_vars if u == v else u for u in c.var_indices], c.rhs)
     return Bcs(bcs.variables + ["fresh"], constraints)
+
+
+def assert_record_contract(cls, values: tuple, fields: tuple[str, ...]) -> None:
+    """``cls`` builds the same immutable record from ``values`` by position
+    and by keyword, holds them in the order ``fields``, names them in its
+    repr, and rebuilds it from its fields through ``_make``."""
+    record = cls(*values)
+    assert cls._fields == fields and tuple(record) == values
+    assert record == cls(**dict(zip(fields, values))) == cls._make(values) == record._replace()
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)

@@ -10,7 +10,7 @@ import gf2_oracle
 import pauli_report_oracle
 import pytest
 import sign_system_oracle
-from helpers import check_classical_assignment
+from helpers import assert_record_contract, check_classical_assignment
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pauli_report_oracle import commutes
@@ -20,8 +20,11 @@ from bcsmagic import bcs, gf2, pauli
 from bcsmagic.bcs import (
     Bcs,
     Certificate,
+    Constraint,
+    Elimination,
     InvariantError,
     PauliSolution,
+    PauliVerifyReport,
     chsh,
     classical_solve,
     eliminate_free_vars,
@@ -34,7 +37,7 @@ from bcsmagic.bcs import (
     verify_certificate,
     verify_pauli_solution,
 )
-from bcsmagic.game import build_game_bcs
+from bcsmagic.game import GameBcs, QuestionCounts, build_game_bcs
 from bcsmagic.gf2 import set_bits
 from bcsmagic.pauli import PauliString, parse_pauli
 
@@ -135,6 +138,60 @@ def test_empty_constraint_canonicalization():
     c = make_constraint([3, 3], -1)
     assert c.var_indices == ()
     assert c.support == {3}
+
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+def test_solver_records():
+    x = parse_pauli("X")
+    system = parse_bcs("vars: a b\na b = -1\n")
+    reduced = eliminate_free_vars(system).reduced
+    records = [
+        (Constraint, ((0, 2), -1, frozenset({0, 1, 2})), ("var_indices", "rhs", "support")),
+        (Bcs, (["a", "b"], system.constraints), ("variables", "constraints")),
+        (Certificate, ((0, 1), ((0, 1),), (0, 1, 0, 1)), ("constraint_rows", "commutation_rows", "derived_relation")),
+        (Elimination, ([1], [1, 1], reduced), ("free", "supports", "reduced")),
+        (PauliSolution, (1, [x, x]), ("qubits", "strings")),
+        (GameBcs, (4, False, system, {"a": 0, "b": 1}), ("n", "modified", "bcs", "var_index")),
+        (QuestionCounts, (37, 30, 38), ("alice", "bob", "modified_alice")),
+    ]
+    for cls, values, fields in records:
+        assert_record_contract(cls, values, fields)
+    assert system.n_vars == 2 and system.constraints == [Constraint((0, 1), -1)]
+
+
+def test_constraints_are_set_members_and_dict_keys():
+    c = make_constraint([2, 0, 2, 1], -1)
+    assert c == Constraint((0, 1), -1, frozenset({0, 1, 2})) != Constraint((0, 1), 1, frozenset({0, 1, 2}))
+    assert c != Constraint((0, 1), -1)
+    assert {c, make_constraint([0, 1, 2, 2], -1), Constraint((0, 1), -1)} == {c, Constraint((0, 1), -1)}
+    assert {c: "cited"}[Constraint((0, 1), -1, frozenset({2, 1, 0}))] == "cited"
+
+
+def test_constraint_checks_on_every_construction():
+    """Direct construction, ``_make`` and ``_replace`` all reject an rhs
+    other than +/-1 and default an empty support to the variables kept."""
+    assert Constraint((0, 3), 1).support == {0, 3}
+    assert Constraint((0, 3), 1, frozenset())._replace(rhs=-1) == Constraint((0, 3), -1, frozenset({0, 3}))
+    assert Constraint._make(((), -1, frozenset())).support == frozenset()
+    c = Constraint((0,), 1)
+    for build in (lambda: Constraint((0,), 0), lambda: Constraint((0,), 2, frozenset({0})),
+                  lambda: c._replace(rhs=0), lambda: Constraint._make(((0,), -2, frozenset()))):
+        with pytest.raises(ValueError, match="rhs must be"):
+            build()
+
+
+def test_pauli_verify_report_is_mutable_and_compares_by_fields():
+    report = PauliVerifyReport(True, True, True)
+    assert report == PauliVerifyReport(True, True, True, None, None) and report.ok
+    assert repr(report) == ("PauliVerifyReport(hermitian_ok=True, commutation_ok=True, products_ok=True, "
+                            "failing_variable=None, failing_constraint=None)")
+    report.products_ok, report.failing_constraint = False, 4
+    assert not report.ok
+    assert report == PauliVerifyReport(True, True, False, failing_constraint=4)
+    assert report != PauliVerifyReport(True, True, False, failing_constraint=5)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +485,18 @@ def test_string_count_other_than_variable_count_raises(count):
     for call in (verify_pauli_solution, serialize_solution):
         with pytest.raises(ValueError, match=f"{count} strings for 9 variables"):
             call(mp, PauliSolution(out.qubits, strings))
+
+
+@pytest.mark.parametrize("qubits, texts", [(0, ["X", "X"]), (1, ["XX", "X"])], ids=["scalar", "mixed"])
+def test_strings_on_other_qubit_counts_raise(qubits, texts):
+    """On ``vars: a b``, X X claimed as a zero-qubit solution used to be
+    written as I and I, and XX X claimed on one qubit as XX and X; both the
+    check and the text writer refuse them."""
+    system = parse_bcs("vars: a b\n")
+    solution = PauliSolution(qubits, [parse_pauli(t) for t in texts])
+    for call in (verify_pauli_solution, serialize_solution):
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            call(system, solution)
 
 
 def test_solution_text_round_trip_mermin():

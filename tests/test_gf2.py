@@ -2,14 +2,14 @@ import random
 
 import gf2_oracle
 import pytest
-from helpers import gf2_evaluate, gf2_system
+from helpers import assert_record_contract, gf2_evaluate, gf2_system
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcsmagic import gf2
 from bcsmagic.bcs import incidence_system
 from bcsmagic.game import build_game_bcs
-from bcsmagic.gf2 import Gf2System, Inconsistency
+from bcsmagic.gf2 import Gf2Matrix, Gf2System, Inconsistency, ReducedSystem
 
 
 def brute_force(rows, rhs, n_cols):
@@ -58,6 +58,38 @@ def test_matrix_rejects_rows_outside_the_columns():
     for bits in ([0b1000], [0b1, -1], [-8]):
         with pytest.raises(ValueError, match="outside the column range"):
             gf2.Gf2Matrix(len(bits), 3, bits)
+
+
+def test_gf2_records():
+    matrix = Gf2Matrix(2, 3, [0b101, 0b010])
+    assert_record_contract(Gf2Matrix, (2, 3, [0b101, 0b010]), ("rows", "cols", "bits"))
+    system = Gf2System(matrix, [1, 0], [0b11, 0b10])
+    assert_record_contract(Gf2System, (matrix, [1, 0], [0b11, 0b10]), ("matrix", "rhs", "provenance"))
+    assert_record_contract(ReducedSystem, (system, [0, 1]), ("system", "pivot_cols"))
+    assert_record_contract(Inconsistency, (frozenset({0, 1}),), ("rows",))
+
+
+def test_gf2_records_check_on_every_construction():
+    """Direct construction, ``_make`` and ``_replace`` all check the row
+    count, the column range and the rhs and provenance lengths, and give
+    untouched rows their own index as provenance."""
+    matrix = Gf2Matrix(2, 3, [0b101, 0b010])
+    assert Gf2System(matrix, [1, 0]).provenance == [0b01, 0b10]
+    assert Gf2System(matrix, [1, 0], []).provenance == [0b01, 0b10]
+    system = Gf2System(matrix, [1, 0], [0b11, 0b10])
+    assert system._replace(provenance=[]).provenance == [0b01, 0b10]
+    rejected = {
+        "row count does not match": [lambda: Gf2Matrix(3, 3, [1, 2]), lambda: matrix._replace(rows=1),
+                                      lambda: Gf2Matrix._make((1, 3, [1, 2]))],
+        "outside the column range": [lambda: matrix._replace(cols=2), lambda: matrix._replace(bits=[1, -1])],
+        "rhs length": [lambda: Gf2System(matrix, [1]), lambda: system._replace(rhs=[0, 1, 1]),
+                       lambda: Gf2System._make((matrix, [], [1, 2]))],
+        "provenance length": [lambda: Gf2System(matrix, [1, 0], [1]), lambda: system._replace(provenance=[1])],
+    }
+    for message, builds in rejected.items():
+        for build in builds:
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 def test_empty_system_all_free():

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from helpers import assert_record_contract
 from hypothesis import strategies as st
 from pauli_report_oracle import commutes, identity, multiply, transpose
 
@@ -14,6 +15,32 @@ def random_string(draw, n):
     z = draw(st.integers(0, (1 << n) - 1))
     phase = draw(st.integers(0, 3))
     return PauliString(n, x, z, phase)
+
+
+def test_pauli_string_is_a_record():
+    assert_record_contract(PauliString, (2, 0b01, 0b11, 2), ("n_qubits", "x_bits", "z_bits", "phase"))
+    assert PauliString(1, 1, 0) == PauliString(1, 1, 0, 0) == parse_pauli("X")
+
+
+def test_pauli_strings_are_set_members_and_dict_keys():
+    y = PauliString(1, 1, 1, 6)
+    assert y == PauliString(1, 1, 1, 2) != PauliString(1, 1, 1, 0)
+    assert {y, PauliString(1, 1, 1, 2), parse_pauli("-X")} == {y, parse_pauli("-X")}
+    assert {y: "minus"}[PauliString(1, 1, 1, -2)] == "minus"
+
+
+def test_pauli_string_checks_on_every_construction():
+    """Direct construction, ``_make`` and ``_replace`` all reject bits
+    beyond the qubit count and reduce the phase mod 4."""
+    assert PauliString(2, 0b11, 0, 7).phase == 3
+    p = PauliString(1, 1, 0)
+    assert p._replace(phase=5) == PauliString._make((1, 1, 0, 5)) == PauliString(1, 1, 0, 1)
+    assert p._replace(phase=5).phase == 1
+    for build in (lambda: PauliString(1, 0b10, 0), lambda: PauliString(1, 0, -1),
+                  lambda: p._replace(x_bits=0b10), lambda: p._replace(n_qubits=0),
+                  lambda: PauliString._make((1, 0, 0b10, 0))):
+        with pytest.raises(ValueError, match="outside the qubit range"):
+            build()
 
 
 def test_multiply_involution():

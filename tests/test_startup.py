@@ -1,7 +1,7 @@
-"""What a fresh process loads: the CLI starts without numpy or the operator
-modules, and only the commands that need them load them.  Each case runs in
-its own interpreter, since this process has loaded every module already."""
-import json
+"""What a fresh process loads: the CLI starts without numpy, the operator
+modules, ``dataclasses`` or ``json``, and only the commands that need them
+load them.  Each case runs in its own interpreter, since this process has
+loaded every module already."""
 import os
 import subprocess
 import sys
@@ -14,6 +14,9 @@ from bcsmagic import bcs
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("numpy", "bcsmagic.quantum", "bcsmagic.shallow")
+# Standard modules the solver path does without: ``dataclasses`` alone costs
+# about 9 ms, most of it ``inspect``; ``json`` loads to write a document.
+STDLIB = ("dataclasses", "inspect", "json")
 
 # The names the package re-exports, by the module that defines them.
 REEXPORTS = {
@@ -32,14 +35,16 @@ REEXPORTS = {
 }
 
 
-def loaded_after(code: str, cwd: Path) -> list[str]:
-    """The HEAVY modules loaded once ``code`` has run in a fresh interpreter."""
+def loaded_after(code: str, cwd: Path, watched: tuple[str, ...] = HEAVY) -> list[str]:
+    """The ``watched`` modules that running ``code`` loads in a fresh
+    interpreter, beyond those loaded before it ran."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    probe = (f"import sys\n_before = set(sys.modules)\n{code}\n"
+             f"print(*[m for m in {watched!r} if m in sys.modules and m not in _before])")
     result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                             cwd=cwd, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.splitlines()[-1])
+    return result.stdout.splitlines()[-1].split()
 
 
 @pytest.mark.parametrize("argv", [
@@ -54,6 +59,25 @@ def test_solver_commands_load_no_numpy(argv, tmp_path):
     (tmp_path / "mermin.bcs").write_text(bcs.serialize_bcs(bcs.mermin_peres()))
     code = "import bcsmagic.cli" if argv is None else f"from bcsmagic.cli import main\nmain({argv!r})"
     assert loaded_after(code, tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, []),
+    (["classify", "--n", "8"], []),
+    (["bound", "--n", "8"], []),
+    (["solve", "mermin.bcs", "--mode", "pauli"], []),
+    (["bound", "--n", "8", "--format", "json"], ["json"]),
+    (["solve", "chsh.bcs"], ["json"]),
+], ids=["import", "classify", "bound", "solve-solution", "bound-json", "solve-certificate"])
+def test_cli_loads_json_only_to_write_json(argv, loaded, tmp_path):
+    """No command loads ``dataclasses`` or ``inspect``, and ``json`` loads
+    only for a JSON document: ``--format json``, or a certificate."""
+    (tmp_path / "mermin.bcs").write_text(bcs.serialize_bcs(bcs.mermin_peres()))
+    (tmp_path / "chsh.bcs").write_text(bcs.serialize_bcs(bcs.chsh()))
+    code = "import bcsmagic.cli" if argv is None else f"from bcsmagic.cli import main\nmain({argv!r})"
+    assert loaded_after(code, tmp_path, STDLIB) == loaded
+    if argv == ["solve", "chsh.bcs"]:
+        assert (tmp_path / "chsh.certificate.json").is_file()
 
 
 def test_gen_loads_numpy_but_no_operator_module(tmp_path):
