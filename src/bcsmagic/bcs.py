@@ -233,18 +233,13 @@ def incidence_system(bcs: Bcs) -> Gf2System:
 def classical_solve(bcs: Bcs) -> list[int] | Certificate:
     """A satisfying +/-1 assignment, free variables +1, or a certificate
     citing constraints, ascending, whose product cancels every variable and
-    has sign -1; it cites no commutation facts.  The certificate is the
-    provenance of the first reduced zero row with rhs 1, and the pivot rows'
-    rhs bits give the dependent variables."""
-    reduced = eliminate_free_vars(bcs).reduced
-    rank, system = len(reduced.pivot_cols), reduced.system
-    for rhs, provenance in zip(system.rhs[rank:], system.provenance[rank:]):
-        if rhs:
-            return _certificate(bcs, set_bits(provenance))
-    signs = [1] * bcs.n_vars
-    for col, rhs in zip(reduced.pivot_cols, system.rhs):
-        signs[col] = 1 - 2 * rhs
-    return signs
+    has sign -1; it cites no commutation facts.  Both are ``gf2.solve``'s
+    answer on the incidence system: bit b is sign 1 - 2b, and an
+    inconsistency's rows are the cited constraints."""
+    out = gf2.solve(incidence_system(bcs))
+    if isinstance(out, Inconsistency):
+        return _certificate(bcs, sorted(out.rows))
+    return [1 - 2 * bit for bit in out]
 
 
 # ---------------------------------------------------------------------------

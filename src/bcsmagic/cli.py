@@ -187,6 +187,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lightcone(args) -> int:
+    import numpy as np
+
     from . import shallow
 
     if args.dag is not None:
@@ -194,7 +196,7 @@ def cmd_lightcone(args) -> int:
     else:
         dag = shallow.build_strategy_dag(args.sites)
     payload = {
-        "wires": len(dag.wire_kinds),
+        "wires": dag.n_wires,
         "gates": dag.n_gates,
         "depth": dag.depth,
         "max_fan_in": dag.max_fan_in,
@@ -209,7 +211,7 @@ def cmd_lightcone(args) -> int:
     if dag.n_sites:
         payload["max_backward_cone"] = max(shallow.backward_cone_sizes(dag))
         # shallow.backward_lightcone's bound |O| (K + 1)^D, for the widest group
-        widest = max(map(len, dag.alice_outputs + dag.bob_outputs))
+        widest = int(np.bincount(dag._outputs[1]).max(initial=0))
         payload["backward_cone_cap"] = widest * power(K + 1) if widest else 0
     if dag.n_sites >= 2:
         prob = shallow.lightcone_disjoint_probability(dag)

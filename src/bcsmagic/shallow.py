@@ -28,13 +28,11 @@ when every parity is +1, that is at frame key 0, with probability 1/64.
 chunk one ``Trials`` record of arrays, round 2 judged as a game round.
 
 Circuit wirings are layered gate lists over persistent classical/quantum
-wires, validated and indexed once when built.  Gates and site groups are
-flattened into arrays once (``_Wiring``: a rank per gate among the
-distinct layers, never the layer itself, and CSR inputs and outputs), and
-every check is an array operation on them that flags each offending edge,
-so a rejected wiring is named by its first flag.  Loaded and strategy
-wirings are laid out as those arrays directly, with no gate list until one
-is read.
+wires, held only as a ``_Wiring`` of flat arrays (a rank per gate among the
+distinct layers, never the layer itself, CSR inputs and outputs, the site
+groups flat), validated and indexed once by ``_circuit_dag``, which every
+wiring ends in.  Each check flags every offending edge at once, and a
+rejected wiring is named by its first flag.
 Lightcones are sparse support propagation: one layered sweep carries the
 sorted (wire, seed set) pairs of every cone at once, two array joins a
 layer on the wiring's index, so time and memory grow with the total cone
@@ -48,7 +46,7 @@ import functools
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
@@ -180,7 +178,8 @@ def run_trials(stack: StrategyStack, sites: int | tuple[int, int], seed: int, tr
             if mode == "relation":  # |Phi+>, as frame_tables checks every correction
                 states = np.broadcast_to(phi_plus(8), states.shape)
             rounds = stack.measure(states, alphas, betas, u, u[:, 3])
-            yield Trials(**vars(rounds), N=n_sites, j=j, k=k, trials=chunk, clean=keys == 0)
+            yield Trials(rounds.alphas, rounds.betas, rounds.widths, rounds.outcomes, rounds.won,
+                         N=n_sites, j=j, k=k, trials=chunk, clean=keys == 0)
 
     return generate()
 
@@ -189,7 +188,7 @@ def run_trials(stack: StrategyStack, sites: int | tuple[int, int], seed: int, tr
 # Circuit wirings and lightcones
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     layer: int
     inputs: tuple[int, ...]
@@ -201,41 +200,46 @@ _GROUPS = ("alice_inputs", "bob_inputs", "alice_outputs", "bob_outputs")
 
 
 class _Wiring(NamedTuple):
-    """A gate list as flat arrays, gates in list order: the distinct layers
-    ascending, each gate's layer rank (the index of its layer there) and
-    kind, and its input and output wires as CSR pointers by gate and wires.
-    A wire that is not a plain ``int`` in range is -1, and kept as written
-    in ``unknown``, inputs' then outputs', by edge."""
+    """A wiring as flat arrays: its wire kinds as one string; the distinct
+    layers ascending, and per gate, in list order, its layer rank (the index
+    of its layer there), kind, and input and output wires as CSR pointers;
+    the group count of each list of ``_GROUPS``, and their groups' wires,
+    with the group of each.  A wire that is not a plain ``int`` in range is
+    -1, kept as written in ``unknown``: inputs', outputs', groups', by position."""
+    wire_kinds: str
     layers: list[int]
     rank: np.ndarray
-    kinds: list
+    gate_kinds: list
     in_ptr: np.ndarray
     in_wires: np.ndarray
     out_ptr: np.ndarray
     out_wires: np.ndarray
-    unknown: tuple[dict, dict] = ({}, {})
+    counts: tuple[int, ...]
+    site_wires: np.ndarray
+    site_owner: np.ndarray
+    unknown: tuple[dict, dict, dict] = ({}, {}, {})
 
 
-def _check_wire_kinds(wire_kinds) -> None:
+def _wiring_of(wire_kinds, layers: list, inputs: list, outputs: list, gate_kinds: list, sites) -> _Wiring:
+    """The flat form of a wiring given as a kind per wire, gate columns and
+    the four site-group lists; ValueError names the first wire kind that is
+    not 'c' or 'q', else the first layer that is not a plain ``int`` from 1."""
     if wire_kinds.count("c") + wire_kinds.count("q") != len(wire_kinds):
         w = next(w for w, kind in enumerate(wire_kinds) if kind not in ("c", "q"))
         raise ValueError(f"wire {w} has kind {wire_kinds[w]!r}, not 'c' or 'q'")
-
-
-def _wiring_of(layers: list, inputs: list, outputs: list, kinds: list, n_wires: int) -> _Wiring:
-    """The flat form of a gate list given as columns; ValueError names the
-    first layer that is not a plain ``int`` from 1."""
     if not set(map(type, layers)) <= {int} or min(layers, default=1) < 1:
         bad = next(layer for layer in layers if type(layer) is not int or layer < 1)
         raise ValueError(f"gate layers are integers from 1, got {bad!r}")
-    unknown = ({}, {})
-    sides = [_flatten(side, n_wires, unknown=kept) for side, kept in zip((inputs, outputs), unknown)]
+    unknown = ({}, {}, {})
+    flat = [_flatten(groups, len(wire_kinds), kept)
+            for groups, kept in zip((inputs, outputs, [*chain.from_iterable(sites)]), unknown)]
     # Ranks, not layers, enter the arrays: a layer may pass any int64.
     distinct = sorted(set(layers))
     rank = dict(zip(distinct, range(len(distinct))))
-    csr = [(np.searchsorted(owner, np.arange(len(layers) + 1)), wires) for wires, owner in sides]
-    return _Wiring(distinct, np.fromiter(map(rank.__getitem__, layers), np.int64, len(layers)), kinds,
-                   *csr[0], *csr[1], unknown)
+    ranks = np.fromiter(map(rank.__getitem__, layers), np.int64, len(layers))
+    csr = [(np.searchsorted(owner, np.arange(len(layers) + 1)), wires) for wires, owner in flat[:2]]
+    return _Wiring("".join(wire_kinds), distinct, ranks, gate_kinds, *csr[0], *csr[1], tuple(map(len, sites)),
+                   *flat[2], unknown)
 
 
 def _layer_index(wiring: _Wiring, n_wires: int, dtype) -> list:
@@ -306,97 +310,59 @@ def _read_before_produced(read, reader, written, writer, starts: np.ndarray, n_w
     return (starts[reader] <= early) & (early < reader)
 
 
-@dataclass
 class CircuitDag:
-    wire_kinds: list[str]  # "c" or "q" per wire id
-    gates: list[Gate]
-    alice_inputs: list[list[int]] = field(default_factory=list)
-    bob_inputs: list[list[int]] = field(default_factory=list)
-    alice_outputs: list[list[int]] = field(default_factory=list)
-    bob_outputs: list[list[int]] = field(default_factory=list)
+    """A layered gate list over persistent classical/quantum wires, with
+    each site's input and output wire groups on Alice's and Bob's side.
 
-    def __post_init__(self) -> None:
-        """Validate the wiring and index it for the cone sweeps: both sides of
-        each layer as arrays (``_layer_index``), each side's output groups as
-        a site per wire (-1 where a wire is in none), the site groups flat,
-        Bob's after Alice's, and ``depth``, ``max_fan_in`` and ``n_gates``.
-        All of it is set only once every check has passed, so a rejected
-        call changes nothing.  ``gates`` may be given as ``_Wiring`` arrays,
-        its list then made when read.  Layers and wire ids must be plain
-        ``int`` (not bool or float), and gate kinds strings.  Each array
-        check flags its offenders, and ValueError names the first: wire
-        kinds, layers in list order, each layer's edges (``_layer_index``),
-        the site groups, then gate kinds.  Call again after editing
-        ``gates`` or the site groups in place.
+    ``CircuitDag(wire_kinds, gates, alice_inputs, bob_inputs, alice_outputs,
+    bob_outputs)`` takes "c" or "q" per wire id, ``Gate`` objects and one
+    group per site in each list, and keeps them only as a ``_Wiring``,
+    validated and indexed once.  ``wire_kinds``, ``gates`` (made on first
+    read) and the four lists read back from it as tuples, so an edited
+    wiring is a new ``CircuitDag``.
 
-        Within a layer, gates are read in list order: a gate may not read a
-        wire that an earlier gate of the same layer produced, unless that
-        gate also read it (a transform).  So ``[Gate(1, (1,), (2,)),
-        Gate(1, (0,), (1,))]`` is valid, and the same two gates in the other
-        order are not.  List order matters to validation only: lightcones
-        see each layer as it stood before it.
-        """
-        if isinstance(vars(self).get("gates"), _Wiring):
-            self._wiring = vars(self).pop("gates")
-        n_wires = len(self.wire_kinds)
-        dtype = np.int32 if n_wires < 2 ** 31 else np.int64
-        _check_wire_kinds(self.wire_kinds)
-        columns = (list(map(attrgetter(name), self.gates)) for name in ("layer", "inputs", "outputs", "kind"))
-        wiring = _wiring_of(*columns, n_wires) if "gates" in vars(self) else self._wiring
-        index = _layer_index(wiring, n_wires, dtype)
+    Layers and wire ids must be plain ``int`` (not bool or float), and gate
+    kinds strings.  Each array check flags its offenders, and ValueError
+    names the first: wire kinds, layers in list order, each layer's edges
+    (``_layer_index``), the site groups, then gate kinds.
 
-        sides = (self.alice_inputs, self.bob_inputs, self.alice_outputs, self.bob_outputs)
-        if len({len(groups) for groups in sides}) > 1:
-            raise ValueError("Alice's and Bob's input and output lists need one group per site")
-        # The strategy wiring hands its site groups over flat, as kept here.
-        n_sites = len(sides[0])
-        inputs, outputs = vars(self).pop("_groups", None) or [
-            tuple(a.astype(dtype) for a in _flatten([*alice, *bob], n_wires, "site group names "))
-            for alice, bob in (sides[:2], sides[2:])]
-        # A shared output wire would credit a crossing to two sites at once:
-        # one of its groups' sites is kept, and another does not read back.
-        # Named is the first entry not to read back its wire's first site.
-        output_sites = np.full((2, n_wires), -1, dtype)
-        split = np.searchsorted(outputs[1], n_sites)
-        for i, (side, part) in enumerate(zip(("Alice", "Bob"), (slice(split), slice(split, None)))):
-            wires, owner = outputs[0][part], outputs[1][part] - i * n_sites
-            output_sites[i, wires] = owner
-            if np.any(output_sites[i, wires] != owner):
-                wire, first = np.unique(wires, return_index=True)
-                output_sites[i, wire] = owner[first]
-                e = np.argmax(output_sites[i, wires] != owner)
-                raise ValueError(f"wire {wires[e]} is in {side}'s output groups of sites "
-                                 f"{output_sites[i, wires[e]]} and {owner[e]}")
-        try:
-            "".join(wiring.kinds)  # a TypeError at any kind that is not a string
-        except TypeError:
-            i = next(i for i, kind in enumerate(wiring.kinds) if not isinstance(kind, str))
-            raise ValueError(f"gate {i} has kind {wiring.kinds[i]!r}, not a string") from None
-        self._inputs, self._outputs, self._index, self._output_sites = inputs, outputs, index, output_sites
-        self.depth, self.n_gates = max(wiring.layers, default=0), len(wiring.rank)
-        self.max_fan_in = int(np.diff(wiring.in_ptr).max(initial=0))
+    Within a layer, gates are read in list order: a gate may not read a
+    wire that an earlier gate of the same layer produced, unless that gate
+    also read it (a transform).  So ``[Gate(1, (1,), (2,)), Gate(1, (0,),
+    (1,))]`` is valid, and the same two gates in the other order are not.
+    List order matters to validation only: lightcones see each layer as it
+    stood before it.
+    """
 
-    def __getattr__(self, name: str):
-        # Arrays given for ``gates`` become the list on first read; __post_init__ reads that from then on.
-        if name != "gates" or "_wiring" not in vars(self):
-            raise AttributeError(name)
-        w = vars(self).pop("_wiring")
+    def __new__(cls, wire_kinds, gates, alice_inputs=(), bob_inputs=(), alice_outputs=(), bob_outputs=()):
+        columns = (list(map(attrgetter(name), gates)) for name in ("layer", "inputs", "outputs", "kind"))
+        return _circuit_dag(_wiring_of(wire_kinds, *columns, (alice_inputs, bob_inputs, alice_outputs, bob_outputs)))
+
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        w = self._wiring
         # One int object per wire id, shared by every gate that names it.
         ids = np.array(range(max(w.in_wires.max(initial=0), w.out_wires.max(initial=0)) + 1), dtype=object)
         ins, outs = ([tuple(wires[a:b]) for a, b in zip(ptr, ptr[1:])]
                      for ptr, wires in ((w.in_ptr.tolist(), ids[w.in_wires].tolist()),
                                         (w.out_ptr.tolist(), ids[w.out_wires].tolist())))
-        self.gates = list(map(Gate, map(w.layers.__getitem__, w.rank.tolist()), ins, outs, w.kinds))
-        return self.gates
+        return tuple(map(Gate, map(w.layers.__getitem__, w.rank.tolist()), ins, outs, w.gate_kinds))
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.alice_inputs)
+    def _list(self, k: int) -> tuple[tuple[int, ...], ...]:
+        bounds = np.searchsorted(self._wiring.site_owner, np.arange(k * self.n_sites, (k + 1) * self.n_sites + 1))
+        wires = self._wiring.site_wires.tolist()
+        return tuple(tuple(wires[a:b]) for a, b in zip(bounds.tolist(), bounds[1:].tolist()))
+
+    wire_kinds = property(lambda self: tuple(self._wiring.wire_kinds))
+    alice_inputs = property(lambda self: self._list(0))
+    bob_inputs = property(lambda self: self._list(1))
+    alice_outputs = property(lambda self: self._list(2))
+    bob_outputs = property(lambda self: self._list(3))
 
     def to_json(self) -> str:
         return json.dumps(
             {
-                "wires": [{"id": i, "kind": k} for i, k in enumerate(self.wire_kinds)],
+                "wires": [{"id": i, "kind": k} for i, k in enumerate(self._wiring.wire_kinds)],
                 "gates": [
                     {"layer": g.layer, "inputs": list(g.inputs), "outputs": list(g.outputs), "kind": g.kind}
                     for g in self.gates
@@ -404,6 +370,48 @@ class CircuitDag:
                 **{name: getattr(self, name) for name in _GROUPS},
             }
         )
+
+
+def _circuit_dag(wiring: _Wiring) -> CircuitDag:
+    """The constructor every wiring ends in: it checks each layer's edges
+    (``_layer_index``), the site groups, then the gate kinds, and keeps the
+    index, the input and the output groups flat, each Bob's after Alice's,
+    the site of each output wire on each side (-1 if none), and the sizes."""
+    n_wires = len(wiring.wire_kinds)
+    dtype = np.int32 if n_wires < 2 ** 31 else np.int64
+    index = _layer_index(wiring, n_wires, dtype)
+    if len(set(wiring.counts)) > 1:
+        raise ValueError("Alice's and Bob's input and output lists need one group per site")
+    if wiring.unknown[2]:
+        raise ValueError(f"site group names unknown wire {next(iter(wiring.unknown[2].values()))!r}")
+    n_sites = wiring.counts[0]
+    wires, owner = wiring.site_wires.astype(dtype, copy=False), wiring.site_owner.astype(dtype, copy=False)
+    split = np.searchsorted(owner, 2 * n_sites)
+    inputs, outputs = (wires[:split], owner[:split]), (wires[split:], owner[split:] - 2 * n_sites)
+    # A shared output wire would credit a crossing to two sites at once:
+    # one of its groups' sites is kept, and another does not read back.
+    # Named is the first entry not to read back its wire's first site.
+    output_sites = np.full((2, n_wires), -1, dtype)
+    split = np.searchsorted(outputs[1], n_sites)
+    for i, (side, part) in enumerate(zip(("Alice", "Bob"), (slice(split), slice(split, None)))):
+        wires, owner = outputs[0][part], outputs[1][part] - i * n_sites
+        output_sites[i, wires] = owner
+        if np.any(output_sites[i, wires] != owner):
+            wire, first = np.unique(wires, return_index=True)
+            output_sites[i, wire] = owner[first]
+            e = np.argmax(output_sites[i, wires] != owner)
+            raise ValueError(f"wire {wires[e]} is in {side}'s output groups of sites "
+                             f"{output_sites[i, wires[e]]} and {owner[e]}")
+    try:
+        "".join(wiring.gate_kinds)  # a TypeError at any kind that is not a string
+    except TypeError:
+        i = next(i for i, kind in enumerate(wiring.gate_kinds) if not isinstance(kind, str))
+        raise ValueError(f"gate {i} has kind {wiring.gate_kinds[i]!r}, not a string") from None
+    dag = object.__new__(CircuitDag)
+    dag._wiring, dag._index, dag._inputs, dag._outputs, dag._output_sites = wiring, index, inputs, outputs, output_sites
+    dag.n_wires, dag.n_sites, dag.n_gates = n_wires, n_sites, len(wiring.rank)
+    dag.depth, dag.max_fan_in = max(wiring.layers, default=0), int(np.diff(wiring.in_ptr).max(initial=0))
+    return dag
 
 
 def _json_columns(items: list, what: str, keys: tuple[str, ...]) -> list[list]:
@@ -420,8 +428,8 @@ def _json_list(value, what: str) -> list:
 
 
 def dag_from_json(text: str) -> CircuitDag:
-    """Parse a wiring straight into ``_Wiring`` arrays, with no ``Gate`` unless its gate
-    list is read; malformed or inconsistent input raises ValueError."""
+    """Parse a wiring straight into ``_Wiring`` arrays, with no ``Gate``;
+    malformed or inconsistent input raises ValueError."""
     try:
         payload = json.loads(text)
     except RecursionError:
@@ -441,13 +449,13 @@ def dag_from_json(text: str) -> CircuitDag:
             _json_columns([g], "each gate", ("layer", "inputs", "outputs"))
             _json_list(g["inputs"], "gate inputs"), _json_list(g["outputs"], "gate outputs")
     gate_kinds = [g.get("kind", "gate") for g in gates]
-    groups = {name: [_json_list(group, f"each group of {name}") for group in _json_list(payload.get(name, []), name)]
-              for name in _GROUPS}
-    _check_wire_kinds(kinds)  # before ``_wiring_of`` names a layer, as in the constructor
-    return CircuitDag(kinds, _wiring_of(layers, inputs, outputs, gate_kinds, len(kinds)), **groups)
+    lists = [[_json_list(group, f"each group of {name}") for group in _json_list(payload.get(name, []), name)]
+             for name in _GROUPS]
+    # ``_wiring_of`` checks the wire kinds, then the layers, as for a gate list.
+    return _circuit_dag(_wiring_of(kinds, layers, inputs, outputs, gate_kinds, lists))
 
 
-def _flatten(groups, n_wires: int, what: str = "", unknown: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _flatten(groups, n_wires: int, unknown: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Every group's wires in one int64 array, and the group of each.  A
     wire that is not a plain ``int`` in range raises ValueError or, given an
     ``unknown`` dict, is -1 in the array and kept there as written, by position."""
@@ -455,7 +463,7 @@ def _flatten(groups, n_wires: int, what: str = "", unknown: dict | None = None) 
     if not set(map(type, flat)) <= {int} or flat and not 0 <= min(flat) <= max(flat) < n_wires:
         bad = {i: w for i, w in enumerate(flat) if type(w) is not int or not 0 <= w < n_wires}
         if unknown is None:
-            raise ValueError(f"{what}unknown wire {next(iter(bad.values()))!r}")
+            raise ValueError(f"unknown wire {next(iter(bad.values()))!r}")
         unknown.update(bad)
         flat = [-1 if i in bad else w for i, w in enumerate(flat)]
     sizes = list(map(len, groups))
@@ -484,7 +492,7 @@ def _sweep(dag: CircuitDag, wires, owner, n_seeds: int, forward: bool) -> tuple[
     backward, layers run from the deepest, and a gate that writes a cone
     wire adds its inputs.  So each direction is the exact dual of the other.
     """
-    n_wires, bits = len(dag.wire_kinds), max(n_seeds - 1, 0).bit_length()
+    n_wires, bits = dag.n_wires, max(n_seeds - 1, 0).bit_length()
     if n_wires << bits > np.iinfo(np.int64).max:
         raise ValueError(f"{n_wires} wires by {n_seeds} seed groups do not fit one int64 key")
     keys = _unique(wires.astype(np.int64) << bits | owner)
@@ -504,7 +512,7 @@ def _sweep(dag: CircuitDag, wires, owner, n_seeds: int, forward: bool) -> tuple[
 
 
 def _one_cone(dag: CircuitDag, wires, forward: bool) -> set[int]:
-    seeds = _flatten([[wires] if isinstance(wires, int) else list(wires)], len(dag.wire_kinds))
+    seeds = _flatten([[wires] if isinstance(wires, int) else list(wires)], dag.n_wires)
     return set(_sweep(dag, *seeds, 1, forward)[0].tolist())
 
 
@@ -525,7 +533,7 @@ def backward_cone_sizes(dag: CircuitDag, groups=None) -> list[int]:
     """Size of the backward lightcone of every wire group, from one sweep;
     by default the wiring's output groups, Alice's then Bob's."""
     n = 2 * dag.n_sites if groups is None else len(groups)
-    seed = _sweep(dag, *dag._outputs if groups is None else _flatten(groups, len(dag.wire_kinds)), n, False)[1]
+    seed = _sweep(dag, *dag._outputs if groups is None else _flatten(groups, dag.n_wires), n, False)[1]
     return np.bincount(seed, minlength=n).tolist()
 
 
@@ -576,20 +584,16 @@ def build_strategy_dag(N: int) -> CircuitDag:
     """
     if N < 2:
         raise ValueError("need at least two sites")
-    dag = CircuitDag.__new__(CircuitDag)
-    vars(dag).update(_strategy_layout(N))
-    dag.__post_init__()
-    return dag
+    return _circuit_dag(_strategy_layout(N))
 
 
-def _strategy_layout(N: int) -> dict:
-    """The strategy wiring's wire kinds, gates as a ``_Wiring``, and site
-    groups as lists and flat, by ``CircuitDag`` attribute name."""
+def _strategy_layout(N: int) -> _Wiring:
+    """The strategy wiring, laid out as arrays from its role rows."""
     # (kind, width) of each role: syndrome, both questions, both qubit triples,
     # both null flags, r^B at junction site i, r^A at site i+1, both game
     # outcomes and both output triples.
     roles = [("c", 6), *[("c", QUESTION_BITS)] * 2, *[("q", 3)] * 2, *[("c", 1)] * 2, *[("c", 3)] * 6]
-    kinds: list[str] = []
+    kinds = ""
     rows = []
     for kind, width in roles:
         rows.append(np.arange(len(kinds), len(kinds) + N * width).reshape(N, width))
@@ -628,11 +632,6 @@ def _strategy_layout(N: int) -> dict:
                   for kind in pattern * (size // len(pattern))]
     groups = (np.hstack([syndrome, alice_q_in]), bob_q_in, out_a, out_b)
     dtype = np.int32 if len(kinds) < 2 ** 31 else np.int64
-    return dict(
-        wire_kinds=kinds,
-        gates=_Wiring([1, 2, 3, 4, 5], np.repeat(np.arange(5), sizes), gate_kinds, *csr),
-        _groups=[(np.concatenate((a.ravel(), b.ravel()), dtype=dtype),
-                  np.repeat(np.arange(2 * N, dtype=dtype), np.repeat([a.shape[1], b.shape[1]], N)))
-                 for a, b in (groups[:2], groups[2:])],
-        **{name: rows.tolist() for name, rows in zip(_GROUPS, groups)},
-    )
+    return _Wiring(kinds, [1, 2, 3, 4, 5], np.repeat(np.arange(5), sizes), gate_kinds, *csr, (N,) * 4,
+                   np.concatenate([rows.ravel() for rows in groups], dtype=dtype),
+                   np.repeat(np.arange(4 * N, dtype=dtype), np.repeat([rows.shape[1] for rows in groups], N)))

@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import lightcone_oracle as oracle
 import numpy as np
@@ -524,32 +525,66 @@ def test_backward_lightcone_unknown_wire():
         backward_lightcone(dag, [0, -1])
 
 
+def _parts(dag):
+    """A wiring's constructor arguments as lists, by name, to edit and
+    build again with ``CircuitDag(**vars(parts))``."""
+    return SimpleNamespace(wire_kinds=list(dag.wire_kinds), gates=list(dag.gates),
+                           **{name: [list(group) for group in getattr(dag, name)] for name in shallow._GROUPS})
+
+
+def _no_gate(*args):
+    raise AssertionError("a Gate was built")
+
+
 def test_dag_index_follows_edits():
     dag = CircuitDag(list("ccc"), [Gate(1, (0,), (1,))])
     assert dag.depth == 1
-    dag.gates.append(Gate(3, (1,), (2,)))
-    dag.__post_init__()
+    dag = CircuitDag(dag.wire_kinds, [*dag.gates, Gate(3, (1,), (2,))])
     assert dag.depth == 3
     assert forward_lightcone(dag, 0) == {0, 1, 2}
     assert backward_lightcone(dag, 2) == {0, 1, 2}
     # Alice's input at site 0 reaches Bob's output at site 1, until that
     # output wire moves to Bob's site 0, where it crosses no pair.
-    dag = _disconnected_dag(3)
-    moved = dag.bob_outputs[1][0]
-    dag.gates.append(Gate(1, tuple(dag.alice_inputs[0]), (moved,)))
-    dag.__post_init__()
+    parts = _parts(_disconnected_dag(3))
+    moved = parts.bob_outputs[1][0]
+    parts.gates.append(Gate(1, tuple(parts.alice_inputs[0]), (moved,)))
+    dag = CircuitDag(**vars(parts))
     assert lightcone_disjoint_probability(dag) == oracle.lightcone_disjoint_probability(dag) == 1 - 1 / 3
-    dag.bob_outputs[1].remove(moved)
-    dag.bob_outputs[0].append(moved)
-    dag.__post_init__()
+    parts.bob_outputs[1].remove(moved)
+    parts.bob_outputs[0].append(moved)
+    dag = CircuitDag(**vars(parts))
     assert lightcone_disjoint_probability(dag) == oracle.lightcone_disjoint_probability(dag) == 1.0
 
 
+def test_built_wiring_cannot_be_edited_in_place():
+    """Gates, wire kinds and site groups read back as tuples, and gates are
+    frozen, so an edit in place raises and the wiring keeps the depth,
+    cones, disjointness probability and gate list it was built with."""
+    dag = CircuitDag(list("ccc"), [Gate(1, (0,), (2,))], [[0], [1]], [[], []], [[], []], [[2], []])
+
+    def state():
+        return (dag.depth, forward_lightcone(dag, 0), backward_lightcone(dag, 2), forward_lightcone(dag, 1),
+                lightcone_disjoint_probability(dag))
+
+    before = state()
+    assert before == (1, {0, 2}, {0, 2}, {1}, 1.0)
+    with pytest.raises(AttributeError):
+        dag.gates.append(Gate(2, (1,), (2,)))
+    with pytest.raises(AttributeError):
+        dag.wire_kinds.pop()
+    with pytest.raises(AttributeError):
+        dag.bob_outputs[0].append(1)
+    with pytest.raises(AttributeError):
+        dag.gates[0].layer = 2
+    assert state() == before
+    assert (list(dag.gates), dag.wire_kinds, dag.bob_outputs) == ([Gate(1, (0,), (2,))], ("c",) * 3, ((2,), ()))
+
+
 def test_rejected_edit_keeps_the_last_valid_wiring():
-    """A call to __post_init__ that fails a check changes nothing: depth,
-    fan-in, gate count, index and cone answers stay those of the last valid
-    wiring.  A strategy wiring, built from arrays, names its first offender
-    as the loop oracle does, before its gate list is ever read too."""
+    """A wiring built again from edited parts that fail a check raises,
+    naming the first offender as the loop oracle does, and the wiring it
+    was edited from keeps its depth, fan-in, gate count, index and cone
+    answers."""
     dag = build_strategy_dag(3)
 
     def state():
@@ -559,49 +594,46 @@ def test_rejected_edit_keeps_the_last_valid_wiring():
 
     before = state()
     assert before[:3] == (5, 14, 54)
-    parts = _strategy_parts(3)
-    parts[0].pop()
-    dag.wire_kinds.pop()  # the last wire, Bob's last output bit, is now unknown
-    with pytest.raises(ValueError, match=re.escape(_outcome(lambda: oracle.validate(*parts)))):
-        dag.__post_init__()
-    dag.wire_kinds.append("c")  # the cone sweeps read the wire count live
+    parts = _parts(dag)
+    parts.wire_kinds.pop()  # the last wire, Bob's last output bit, is now unknown
+    with pytest.raises(ValueError, match=re.escape(_outcome(lambda: oracle.validate(*vars(parts).values())))):
+        CircuitDag(**vars(parts))
+    parts.wire_kinds.append("c")
     assert state() == before
-    dag.gates.append(Gate(9, (0,), (10 ** 6,)))
+    parts.gates.append(Gate(9, (0,), (10 ** 6,)))
     with pytest.raises(ValueError, match="gate writes unknown wire 1000000"):
-        dag.__post_init__()
+        CircuitDag(**vars(parts))
     assert state() == before
     # Valid gates, but a site group missing: the group checks come last.
-    dag.gates[-1] = Gate(9, (0,), (len(dag.wire_kinds) - 1,))
-    group = dag.bob_inputs.pop()
+    parts.gates[-1] = Gate(9, (0,), (len(parts.wire_kinds) - 1,))
+    group = parts.bob_inputs.pop()
     with pytest.raises(ValueError, match="one group per site"):
-        dag.__post_init__()
+        CircuitDag(**vars(parts))
     assert state() == before
-    dag.bob_inputs.append(group)
-    dag.__post_init__()
+    parts.bob_inputs.append(group)
+    dag = CircuitDag(**vars(parts))
     assert (dag.depth, dag.n_gates) == (9, 55)
 
 
 @pytest.mark.parametrize("dropped", [1, 40])
-def test_rejected_strategy_wiring_builds_no_gate_list(dropped):
+def test_rejected_strategy_wiring_builds_no_gate_list(dropped, monkeypatch):
     """Wires past the last kind are named from the arrays, as the loop
-    oracle names them, without the gate list ever being made; 40 dropped
-    kinds leave wire ids read and written well past the wire count."""
-    dag = build_strategy_dag(3)
+    oracle names them, without a Gate ever being made; 40 dropped kinds
+    leave wire ids read and written well past the wire count."""
     parts = _strategy_parts(3)
-    del parts[0][-dropped:], dag.wire_kinds[-dropped:]
+    del parts[0][-dropped:]
+    layout = shallow._strategy_layout
+    monkeypatch.setattr(shallow, "_strategy_layout",
+                        lambda N: layout(N)._replace(wire_kinds=layout(N).wire_kinds[:-dropped]))
+    monkeypatch.setattr(shallow, "Gate", _no_gate)
     with pytest.raises(ValueError, match=re.escape(_outcome(lambda: oracle.validate(*parts)))):
-        dag.__post_init__()
-    assert "gates" not in vars(dag)
+        build_strategy_dag(3)
 
 
 def test_loaded_wiring_names_an_unknown_wire_without_gates(monkeypatch):
     wiring = json.loads(build_strategy_dag(3).to_json())
     wiring["gates"][0]["inputs"] = [0.5]
-
-    def no_gate(*args):
-        raise AssertionError("a Gate was built")
-
-    monkeypatch.setattr(shallow, "Gate", no_gate)
+    monkeypatch.setattr(shallow, "Gate", _no_gate)
     with pytest.raises(ValueError, match=re.escape("gate reads unknown wire 0.5")):
         dag_from_json(json.dumps(wiring))
 
@@ -638,10 +670,10 @@ def test_strategy_wiring_memory():
      "wire 18 is in Alice's output groups of sites 1 and 2"),
 ])
 def test_dag_rejects_malformed_wiring(change, message):
-    dag = _disconnected_dag(3)
-    change(dag)
+    parts = _parts(_disconnected_dag(3))
+    change(parts)
     with pytest.raises(ValueError, match=message):
-        dag.__post_init__()
+        CircuitDag(**vars(parts))
 
 
 def test_dag_reads_within_a_layer_in_list_order():
@@ -653,10 +685,10 @@ def test_dag_reads_within_a_layer_in_list_order():
 
 
 def test_dag_allows_a_wire_in_one_output_group_per_side():
-    dag = _disconnected_dag(3)
-    dag.bob_outputs[2].append(dag.alice_outputs[0][0])
-    dag.alice_outputs[1].append(dag.alice_outputs[1][0])
-    dag.__post_init__()
+    parts = _parts(_disconnected_dag(3))
+    parts.bob_outputs[2].append(parts.alice_outputs[0][0])
+    parts.alice_outputs[1].append(parts.alice_outputs[1][0])
+    dag = CircuitDag(**vars(parts))
     assert lightcone_disjoint_probability(dag) == 1.0
 
 
@@ -681,8 +713,8 @@ def test_all_to_one_dag_probability_zero():
     dag = _disconnected_dag(5)
     all_inputs = tuple(w for g in dag.alice_inputs + dag.bob_inputs for w in g)
     all_outputs = tuple(w for g in dag.alice_outputs + dag.bob_outputs for w in g)
-    dag.gates.append(Gate(1, all_inputs, all_outputs, "global"))
-    dag.__post_init__()
+    dag = CircuitDag(dag.wire_kinds, [*dag.gates, Gate(1, all_inputs, all_outputs, "global")],
+                     dag.alice_inputs, dag.bob_inputs, dag.alice_outputs, dag.bob_outputs)
     prob = lightcone_disjoint_probability(dag)
     assert prob == 0.0
     bound = 1 - 48 * dag.max_fan_in ** dag.depth / dag.n_sites
@@ -751,7 +783,9 @@ def wiring_parts(draw):
     interleaved in the gate list, keeping each layer's own order.
     """
     def some(pool, most, unique=False):
-        return draw(st.lists(st.sampled_from(pool), max_size=most, unique=unique)) if pool else []
+        # Indices into the pool, from a strategy that Hypothesis builds once per size.
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=most, unique=unique)) if pool else []
+        return [pool[i] for i in picks]
 
     n_wires = draw(st.integers(2, 12))
     first_written: dict[int, int] = {}
@@ -916,16 +950,17 @@ def test_loaded_wiring_matches_the_gate_list(parts):
     site groups, sizes and JSON bytes, and the gate list it makes when read
     is the original one."""
     text = _wiring_text(*parts)
-    built, loaded = _outcome(lambda: CircuitDag(*parts)), _outcome(lambda: dag_from_json(text))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shallow, "Gate", _no_gate)
+        built, loaded = _outcome(lambda: CircuitDag(*parts)), _outcome(lambda: dag_from_json(text))
     if isinstance(built, str):
         assert loaded == built
         return
-    assert "gates" not in vars(loaded)
     for name in ("_index", "_output_sites", "_inputs", "_outputs"):
         _assert_same_arrays(getattr(loaded, name), getattr(built, name))
     assert (loaded.depth, loaded.max_fan_in, loaded.n_gates) == (built.depth, built.max_fan_in, built.n_gates)
     assert loaded.to_json() == built.to_json() == text
-    assert loaded.gates == built.gates == parts[1]
+    assert list(loaded.gates) == list(built.gates) == parts[1]
 
 
 def test_loaded_wiring_memory():
@@ -945,10 +980,10 @@ def test_loaded_wiring_memory():
 @settings(max_examples=300, deadline=None)
 @given(valid_wirings())
 def test_sweep_matches_per_seed_oracle(dag):
-    seeds = [[w] for w in range(len(dag.wire_kinds))] + dag.alice_inputs + dag.bob_inputs
+    seeds = [*([w] for w in range(len(dag.wire_kinds))), *dag.alice_inputs, *dag.bob_inputs]
     for seed in seeds:
         assert forward_lightcone(dag, seed) == oracle.forward_lightcone(dag, seed)
-    out_groups = seeds + dag.alice_outputs + dag.bob_outputs
+    out_groups = [*seeds, *dag.alice_outputs, *dag.bob_outputs]
     expected = oracle.backward_lightcones(dag, out_groups)
     for group, cone in zip(out_groups, expected):
         assert backward_lightcone(dag, group) == cone
@@ -969,7 +1004,7 @@ def test_forward_and_backward_cones_are_dual(dag):
 @settings(max_examples=500, deadline=None)
 @given(valid_wirings())
 def test_backward_cones_meet_the_fan_in_bound(dag):
-    groups = [[w] for w in range(len(dag.wire_kinds))] + dag.alice_outputs + dag.bob_outputs
+    groups = [*([w] for w in range(len(dag.wire_kinds))), *dag.alice_outputs, *dag.bob_outputs]
     cap = (dag.max_fan_in + 1) ** dag.depth
     for group, size in zip(groups, backward_cone_sizes(dag, groups)):
         assert size <= len(group) * cap
@@ -1084,7 +1119,7 @@ def test_cone_sizes_of_empty_and_repeated_groups():
 
 def test_cones_of_a_gateless_dag():
     dag = _disconnected_dag(3)
-    groups = dag.alice_outputs + dag.bob_outputs + [[0, 1, 0]]
+    groups = [*dag.alice_outputs, *dag.bob_outputs, [0, 1, 0]]
     assert backward_cone_sizes(dag, groups) == [3] * 6 + [2]
     assert forward_lightcone(dag, [0, 1]) == oracle.forward_lightcone(dag, [0, 1]) == {0, 1}
     assert backward_lightcone(dag, 7) == {7}
