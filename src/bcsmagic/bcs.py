@@ -49,7 +49,7 @@ measurability (hence commutation) is required of everything that appeared
 together, including variables that cancelled.
 
 The records are named tuples; ``Constraint`` checks its rhs in ``__new__``,
-which its _make and _replace call too.  ``PauliVerifyReport`` is mutable.
+which gf2's _make and _replace call too.  ``PauliVerifyReport`` is mutable.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import gf2, pauli
-from .gf2 import Gf2System, Inconsistency, set_bits
+from .gf2 import CheckedRecord, Gf2System, Inconsistency, set_bits
 from .pauli import PauliString
 
 # (x, z, phase) parts of Pauli strings, indexed by variable.
@@ -86,7 +86,7 @@ class _ConstraintFields(NamedTuple):
     support: frozenset[int]
 
 
-class Constraint(_ConstraintFields):
+class Constraint(CheckedRecord, _ConstraintFields):
     """The support defaults to the variables kept."""
     __slots__ = ()
 
@@ -94,10 +94,6 @@ class Constraint(_ConstraintFields):
         if rhs not in (1, -1):
             raise ValueError("constraint rhs must be +1 or -1")
         return tuple.__new__(cls, (var_indices, rhs, support or frozenset(var_indices)))
-
-    @classmethod
-    def _make(cls, fields) -> Constraint:
-        return cls(*fields)
 
 
 class Bcs(NamedTuple):

@@ -232,7 +232,8 @@ def cmd_lightcone(args) -> int:
         shallow.depth_lower_bound(max(dag.n_sites, 2), dag.max_fan_in, p_clif)
         if dag.max_fan_in >= 2 else None
     )
-    payload["depth_bound_positive_above_sites"] = int(96 / (1 - p_clif))
+    # 96 / (1 - p_clif), exact in integers: 1 - p_clif is 1 / (6 |Q^A|).
+    payload["depth_bound_positive_above_sites"] = 96 * 6 * game_mod.count_questions(8).modified_alice
     _emit(payload, args.format)
     return EXIT_OK
 

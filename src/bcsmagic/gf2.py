@@ -15,11 +15,20 @@ Conventions fixed here and relied on elsewhere:
 * free columns are assigned 0 when solving.
 
 The records are named tuples; ``Gf2Matrix`` and ``Gf2System`` check their
-fields in ``__new__``, which their _make and _replace call too.
+fields in ``__new__``, which _make and _replace call too, via ``CheckedRecord``.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
+
+
+class CheckedRecord:
+    """First in a checked record's bases, it makes _make, and so _replace, run ``__new__``."""
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 class _Gf2MatrixFields(NamedTuple):
@@ -28,7 +37,7 @@ class _Gf2MatrixFields(NamedTuple):
     bits: list[int]
 
 
-class Gf2Matrix(_Gf2MatrixFields):
+class Gf2Matrix(CheckedRecord, _Gf2MatrixFields):
     __slots__ = ()
 
     def __new__(cls, rows: int, cols: int, bits: list[int]) -> Gf2Matrix:
@@ -38,10 +47,6 @@ class Gf2Matrix(_Gf2MatrixFields):
             raise ValueError("row has bits outside the column range")
         return tuple.__new__(cls, (rows, cols, bits))
 
-    @classmethod
-    def _make(cls, fields) -> Gf2Matrix:
-        return cls(*fields)
-
 
 class _Gf2SystemFields(NamedTuple):
     matrix: Gf2Matrix
@@ -49,7 +54,7 @@ class _Gf2SystemFields(NamedTuple):
     provenance: list[int]
 
 
-class Gf2System(_Gf2SystemFields):
+class Gf2System(CheckedRecord, _Gf2SystemFields):
     __slots__ = ()
 
     def __new__(cls, matrix: Gf2Matrix, rhs: list[int], provenance: list[int] | None = None) -> Gf2System:
@@ -61,10 +66,6 @@ class Gf2System(_Gf2SystemFields):
         elif len(provenance) != matrix.rows:
             raise ValueError("provenance length does not match row count")
         return tuple.__new__(cls, (matrix, rhs, provenance))
-
-    @classmethod
-    def _make(cls, fields) -> Gf2System:
-        return cls(*fields)
 
 
 class ReducedSystem(NamedTuple):

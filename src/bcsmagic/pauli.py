@@ -14,11 +14,13 @@ internally.  The text grammar only admits Hermitian strings: an optional
 sign followed by letters from IXYZ, e.g. "-YY" or "IX".
 
 ``PauliString`` is a named tuple that hot loops unpack; its ``__new__``,
-which _make and _replace call too, checks the bits and reduces the phase.
+which gf2's _make and _replace call, checks the bits and reduces the phase.
 """
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
+
+from .gf2 import CheckedRecord
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,7 +46,7 @@ class _PauliFields(NamedTuple):
     phase: int
 
 
-class PauliString(_PauliFields):
+class PauliString(CheckedRecord, _PauliFields):
     __slots__ = ()
 
     def __new__(cls, n_qubits: int, x_bits: int, z_bits: int, phase: int = 0) -> PauliString:
@@ -52,10 +54,6 @@ class PauliString(_PauliFields):
         if x_bits & ~mask or z_bits & ~mask:
             raise ValueError("x/z bits outside the qubit range")
         return tuple.__new__(cls, (n_qubits, x_bits, z_bits, phase % 4))
-
-    @classmethod
-    def _make(cls, fields) -> PauliString:
-        return cls(*fields)
 
     @property
     def is_hermitian(self) -> bool:

@@ -19,8 +19,8 @@ oracle in the test suite checks both facts exactly on short chains.
 
 Round 2 plays the complete-graph game on the corrected three-pair state,
 which is |Phi+> itself: the 64 frame states and Alice's 64 corrections are
-tabulated from Pauli strings on first use, keyed by the six frame bits, and
-every correction is checked there, once, to restore its frame state.  The
+tabulated as signed permutations on first use, keyed by the six frame bits,
+and every correction is checked there, once, to restore its frame state.  The
 sampling variant plays on the uncorrected frame state and succeeds outright
 when every parity is +1, that is at frame key 0, with probability 1/64.
 ``run_trials`` plays a ``quantum.StrategyStack`` in both, a chunk of
@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -53,9 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import pauli
 from .bcs import InvariantError
-from .pauli import PauliString
 from .quantum import Rounds, StrategyStack, TrialStream, batches, below, check_playable, phi_plus, uniforms
 
 
@@ -81,30 +79,30 @@ def frame_tables() -> tuple[np.ndarray, np.ndarray]:
 
     State key is Z^z X^x on every layer's Alice qubit applied to |Phi+> of
     dimension 8, and correction key is X^x Z^z on the same qubits, the
-    recovery for the syndrome of that frame.  Both come from Pauli strings
-    (Z X = iY and X Z = -iY per layer), so both are real, which is checked
-    exactly, and are stored as float64.  Each correction applied to its own
-    frame state is checked to give |Phi+>, all 64 at once.
-    """
-    states = np.empty((64, 8, 8), dtype=complex)
-    corrections = np.empty_like(states)
-    for key in range(64):
-        z = sum(((key >> 2 * l) & 1) << l for l in range(3))
-        x = sum(((key >> 2 * l + 1) & 1) << l for l in range(3))
-        ys = (x & z).bit_count()
-        states[key] = pauli.to_matrix(PauliString(3, x, z, ys)) @ phi_plus(8)
-        corrections[key] = pauli.to_matrix(PauliString(3, x, z, -ys))
-    if np.any(states.imag != 0) or np.any(corrections.imag != 0):
-        raise InvariantError("a frame state or correction is not real")
-    states, corrections = states.real.copy(), corrections.real.copy()
-    # Every corrected state must be |Phi+> of dimension 8, norm included.
+    recovery for the syndrome of that frame.  Both are real signed
+    permutations, stored as float64: with layer l as bit 2 - l of a basis
+    index (qubit 0 is the leftmost factor), row i holds one entry, in column
+    i ^ x, of sign the parity of z & i in a state and of z & (i ^ x) in a
+    correction.  ``_check_corrections`` checks them, all 64 at once."""
+    keys, rows = np.arange(64)[:, None], np.arange(8)
+    z = sum((keys >> 2 * l & 1) << 2 - l for l in range(3))
+    x = sum((keys >> 2 * l + 1 & 1) << 2 - l for l in range(3))
+    sign = np.array([(-1) ** v.bit_count() for v in range(8)])  # -1 where v has odd parity
+    states, corrections = np.zeros((64, 8, 8)), np.zeros((64, 8, 8))
+    states[keys, rows, rows ^ x] = sign[z & rows] / np.sqrt(8)
+    corrections[keys, rows, rows ^ x] = sign[z & (rows ^ x)]
+    _check_corrections(states, corrections)
+    states.flags.writeable = False
+    corrections.flags.writeable = False
+    return states, corrections
+
+
+def _check_corrections(states: np.ndarray, corrections: np.ndarray) -> None:
+    """Each correction applied to its own frame state must give |Phi+> of dimension 8, norm included."""
     fidelity = np.abs(np.trace(corrections @ states, axis1=1, axis2=2)) ** 2 / 8
     off = np.abs(fidelity - 1) > 1e-9
     if np.any(off):
         raise InvariantError(f"correction left fidelity {fidelity[off][0]}")
-    states.flags.writeable = False
-    corrections.flags.writeable = False
-    return states, corrections
 
 
 BELL_SLOT = 8
@@ -174,9 +172,8 @@ def run_trials(stack: StrategyStack, sites: int | tuple[int, int], seed: int, tr
             betas = below(words[:, 4], stack.pad)
             u = uniforms(words[:, 5:])
             keys = _frame_keys(stream, chunk, k - j)
-            states = frame_tables()[0][keys]
-            if mode == "relation":  # |Phi+>, as frame_tables checks every correction
-                states = np.broadcast_to(phi_plus(8), states.shape)
+            frames = frame_tables()[0]  # in both modes, for its check: a relation trial starts from |Phi+>
+            states = frames[keys] if mode == "sampling" else np.broadcast_to(phi_plus(8), (len(keys), 8, 8))
             rounds = stack.measure(states, alphas, betas, u, u[:, 3])
             yield Trials(rounds.alphas, rounds.betas, rounds.widths, rounds.outcomes, rounds.won,
                          N=n_sites, j=j, k=k, trials=chunk, clean=keys == 0)
@@ -223,13 +220,19 @@ class _Wiring(NamedTuple):
 def _wiring_of(wire_kinds, layers: list, inputs: list, outputs: list, gate_kinds: list, sites) -> _Wiring:
     """The flat form of a wiring given as a kind per wire, gate columns and
     the four site-group lists; ValueError names the first wire kind that is
-    not 'c' or 'q', else the first layer that is not a plain ``int`` from 1."""
+    not 'c' or 'q', else the first layer that is not a plain ``int`` from 1,
+    else the first gate inputs, outputs or site group not a collection."""
     if wire_kinds.count("c") + wire_kinds.count("q") != len(wire_kinds):
         w = next(w for w, kind in enumerate(wire_kinds) if kind not in ("c", "q"))
         raise ValueError(f"wire {w} has kind {wire_kinds[w]!r}, not 'c' or 'q'")
     if not set(map(type, layers)) <= {int} or min(layers, default=1) < 1:
         bad = next(layer for layer in layers if type(layer) is not int or layer < 1)
         raise ValueError(f"gate layers are integers from 1, got {bad!r}")
+    for what, column in {"gate {} has inputs": inputs, "gate {} has outputs": outputs,
+                         **{f"{name} group {{}} is": groups for name, groups in zip(_GROUPS, sites)}}.items():
+        if not all(issubclass(kind, Collection) for kind in set(map(type, column))):
+            i, bad = next((i, value) for i, value in enumerate(column) if not isinstance(value, Collection))
+            raise ValueError(f"{what.format(i)} {bad!r}, not a list of wires")
     unknown = ({}, {}, {})
     flat = [_flatten(groups, len(wire_kinds), kept)
             for groups, kept in zip((inputs, outputs, [*chain.from_iterable(sites)]), unknown)]
@@ -323,8 +326,8 @@ class CircuitDag:
 
     Layers and wire ids must be plain ``int`` (not bool or float), and gate
     kinds strings.  Each array check flags its offenders, and ValueError
-    names the first: wire kinds, layers in list order, each layer's edges
-    (``_layer_index``), the site groups, then gate kinds.
+    names the first: wire kinds, layers in list order, non-collection wire
+    groups, each layer's edges (``_layer_index``), site groups, gate kinds.
 
     Within a layer, gates are read in list order: a gate may not read a
     wire that an earlier gate of the same layer produced, unless that gate

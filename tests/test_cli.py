@@ -324,6 +324,15 @@ def test_lightcone_strategy(capsys):
     assert payload["depth_bound_positive_above_sites"] == 600192
 
 
+def test_lightcone_depth_threshold_is_an_exact_integer(capsys):
+    """96 / (1 - p_clif) in closed form: 1 - p_clif is 1 / (6 |Q^A|) of the
+    modified n = 8 game, so the threshold is the integer 96 * 6 |Q^A|."""
+    assert main(["lightcone", "--sites", "2", "--format", "json"]) == 0
+    threshold = json.loads(capsys.readouterr().out)["depth_bound_positive_above_sites"]
+    assert type(threshold) is int
+    assert threshold == 96 * 6 * game.count_questions(8).modified_alice == 600192
+
+
 def test_lightcone_dag_file(tmp_path, capsys):
     from bcsmagic.shallow import build_strategy_dag
 

@@ -6,8 +6,11 @@ its demos or the benchmark call: a helper or public name that only tests
 call belongs in a test oracle, and no package or test module keeps an
 import it does not use."""
 import ast
+import importlib
 import re
 from pathlib import Path
+
+from bcsmagic.gf2 import CheckedRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bcsmagic"
@@ -102,6 +105,20 @@ def test_public_names_are_used_outside_the_tests():
                          for folder in ("demos", "bench") for path in sorted((ROOT / folder).glob("*.py"))]
     used = set().union(*map(_names_used, callers))
     assert sorted(public - used) == []
+
+
+def test_checked_records_share_one_make():
+    """A tuple record whose ``__new__`` checks its fields builds through it
+    in ``_make`` and ``_replace`` too: each takes ``CheckedRecord``'s
+    ``_make``, not the named tuple's ``tuple.__new__`` one.  Named tuple
+    classes themselves, which hold ``_fields``, define a ``__new__`` that
+    checks nothing."""
+    modules = [importlib.import_module(f"bcsmagic.{path.stem}") for path in MODULES]
+    checked = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and obj.__module__ == module.__name__ and issubclass(obj, tuple)
+               and "__new__" in vars(obj) and "_fields" not in vars(obj)}
+    assert {"Constraint", "PauliString", "Gf2Matrix", "Gf2System"} <= {cls.__name__ for cls in checked}
+    assert sorted(cls.__name__ for cls in checked if cls._make.__func__ is not CheckedRecord._make.__func__) == []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -14,10 +14,10 @@ from helpers import philox_rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from swap_oracle import bell_vector, enumerate_swap_branches
-from trial_oracle import (RelationInstance, clean, compute_syndrome, frame_key, rows, run_round1, run_round2,
-                          run_sampling_trial, trial_rows)
+from trial_oracle import (RelationInstance, clean, compute_syndrome, frame_key, pauli_frame_tables, rows, run_round1,
+                          run_round2, run_sampling_trial, trial_rows)
 
-from bcsmagic import pauli, quantum, shallow
+from bcsmagic import quantum, shallow
 from bcsmagic.bcs import InvariantError, parse_bcs
 from bcsmagic.cli import main
 from bcsmagic.game import build_game_bcs, enumerate_questions
@@ -130,21 +130,15 @@ def test_frame_tables_are_read_only():
     assert states.dtype == corrections.dtype == np.float64
 
 
-def test_frame_tables_reject_an_imaginary_entry(monkeypatch):
-    """A table built with one correction times i, Y in place of X Z = -iY,
-    is caught by the exact check before anything is stored as real."""
-    to_matrix = pauli.to_matrix
-
-    def tampered(s):
-        return 1j * to_matrix(s) if (s.x_bits, s.z_bits, s.phase) == (1, 1, 3) else to_matrix(s)
-
-    frame_tables.cache_clear()
-    monkeypatch.setattr(pauli, "to_matrix", tampered)
-    try:
-        with pytest.raises(InvariantError, match="not real"):
-            frame_tables()
-    finally:
-        frame_tables.cache_clear()
+def test_frame_tables_match_the_pauli_string_tables():
+    """The signed permutations built from the frame bits are the tables that
+    Pauli strings give: the states byte for byte, the corrections by value,
+    since the strings' complex products leave negative zeros in those."""
+    states, corrections = frame_tables()
+    pauli_states, pauli_corrections = pauli_frame_tables()
+    assert np.array_equal(states, pauli_states)
+    assert states.dtype == pauli_states.dtype and states.tobytes() == pauli_states.tobytes()
+    assert np.array_equal(corrections, pauli_corrections)
 
 
 def test_frame_distribution_uniform_over_layers():
@@ -373,15 +367,15 @@ def test_run_trials_checks_every_trials_fidelity(stack8, monkeypatch):
     key's correction once: a table built with one wrong correction (the
     identity for the frame with a Y on layer 0) fails that check, so no
     trial of either mode runs on it."""
-    to_matrix = pauli.to_matrix
+    check = shallow._check_corrections
 
-    def tampered(s):
-        if (s.x_bits, s.z_bits, s.phase) == (1, 1, 3):  # the correction X Z = -iY
-            return np.eye(8, dtype=complex)
-        return to_matrix(s)
+    def tampered(states, corrections):
+        corrections = corrections.copy()
+        corrections[frame_key([(1, 1), (0, 0), (0, 0)])] = np.eye(8)  # in place of X Z = -iY
+        check(states, corrections)
 
     frame_tables.cache_clear()
-    monkeypatch.setattr(pauli, "to_matrix", tampered)
+    monkeypatch.setattr(shallow, "_check_corrections", tampered)
     try:
         for mode in ("relation", "sampling"):
             with pytest.raises(InvariantError, match="fidelity"):
@@ -662,6 +656,9 @@ def test_strategy_wiring_memory():
     (lambda d: d.gates.extend([Gate(2, (0,), (2,)), Gate(2, (1,), (2,))]), "written twice"),
     (lambda d: d.gates.extend([Gate(1, (0,), (1,)), Gate(2, (1,), (2,), None)]), "gate 1 has kind None, not a string"),
     (lambda d: d.bob_inputs[1].append(99), "site group"),
+    (lambda d: d.gates.append(Gate(1, 5, (1,))), "gate 0 has inputs 5, not a list of wires"),
+    (lambda d: d.gates.extend([Gate(1, (0,), (1,)), Gate(2, (1,), None)]), "gate 1 has outputs None, not a list of"),
+    (lambda d: d.alice_inputs.__setitem__(0, 5), "alice_inputs group 0 is 5, not a list of wires"),
     (lambda d: d.alice_outputs.append([4]), "one group per site"),
     (lambda d: d.alice_outputs[1].append(d.alice_outputs[0][0]), "output groups of sites 0 and 1"),
     # Two shared wires: the first in site-then-group order is named, not the lowest id.

@@ -14,6 +14,8 @@ norm, and renormalises the branch it took.  Round 2 starts from the frame
 state built from the two-by-two X and Z matrices, and a corrected round
 applies the correction that the round-1 syndrome names.  Rounds are judged
 by this module's own reading of the game's win rule, ``wins``.
+``pauli_frame_tables`` builds ``shallow.frame_tables`` again from Pauli
+strings.
 
 Each function draws from its generator in the order the batched drivers
 promise, so a loop over one generator reproduces their results exactly.
@@ -27,6 +29,8 @@ from functools import reduce
 import numpy as np
 
 from bcsmagic.bcs import InvariantError
+from bcsmagic.pauli import PauliString, to_matrix
+from bcsmagic.quantum import phi_plus
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -177,6 +181,23 @@ def frame_state(frame) -> np.ndarray:
     """Z^z X^x on each layer's Alice qubit, applied to |Phi+> of dimension 8."""
     ops = [(_Z if z else _I) @ (_X if x else _I) for z, x in frame]
     return _on_layers(ops) @ (np.eye(8, dtype=complex) / np.sqrt(8))
+
+
+def pauli_frame_tables() -> tuple[np.ndarray, np.ndarray]:
+    """``shallow.frame_tables`` built from Pauli strings, qubit l on layer l:
+    state key is i^|x & z| times the string of (x, z) (Z X = iY per layer)
+    applied to |Phi+>, and correction key is i^-|x & z| times it (X Z = -iY).
+    Both come out real, which is checked exactly, and are returned as float64."""
+    states = np.empty((64, 8, 8), dtype=complex)
+    corrections = np.empty_like(states)
+    for key in range(64):
+        z = sum(((key >> 2 * l) & 1) << l for l in range(3))
+        x = sum(((key >> 2 * l + 1) & 1) << l for l in range(3))
+        ys = (x & z).bit_count()
+        states[key] = to_matrix(PauliString(3, x, z, ys)) @ phi_plus(8)
+        corrections[key] = to_matrix(PauliString(3, x, z, -ys))
+    assert not states.imag.any() and not corrections.imag.any()
+    return states.real.copy(), corrections.real.copy()
 
 
 def correction(p_a, p_b) -> np.ndarray:
